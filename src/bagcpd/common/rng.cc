@@ -27,8 +27,33 @@ std::uint64_t Rng::StableHash64(const std::string& key) {
   return h;
 }
 
+void LazyMt19937_64::TwistUpperHalf() {
+  for (std::size_t k = kShift; k + 1 < kWords; ++k) {
+    x_[k] = x_[k - kShift] ^ TwistWord(x_[k], x_[k + 1]);
+  }
+  x_[kWords - 1] = x_[kShift - 1] ^ TwistWord(x_[kWords - 1], x_[0]);
+}
+
+void LazyMt19937_64::FinishFirstRound() {
+  SeedThrough(kWords - 1);
+  TwistUpperHalf();
+  in_first_round_ = false;
+}
+
+void LazyMt19937_64::Twist() {
+  for (std::size_t k = 0; k < kShift; ++k) {
+    x_[k] = x_[k + kShift] ^ TwistWord(x_[k], x_[k + 1]);
+  }
+  TwistUpperHalf();
+  next_ = 0;
+}
+
+std::uint64_t Rng::ForkSeed(std::uint64_t seed, std::uint64_t stream_id) {
+  return MixSeed64(seed ^ MixSeed64(stream_id + 1));
+}
+
 Rng Rng::Fork(std::uint64_t stream_id) const {
-  return Rng(MixSeed64(seed_ ^ MixSeed64(stream_id + 1)));
+  return Rng(ForkSeed(seed_, stream_id));
 }
 
 std::uint64_t Rng::NextUInt64() { return engine_(); }
@@ -85,22 +110,8 @@ double Rng::Gamma(double shape, double scale) {
 }
 
 std::vector<double> Rng::Dirichlet(const std::vector<double>& alpha) {
-  BAGCPD_CHECK_MSG(!alpha.empty(), "Dirichlet with empty alpha");
   std::vector<double> draws(alpha.size());
-  double total = 0.0;
-  for (std::size_t i = 0; i < alpha.size(); ++i) {
-    BAGCPD_DCHECK(alpha[i] > 0.0);
-    draws[i] = Gamma(alpha[i], 1.0);
-    total += draws[i];
-  }
-  // All-zero draws are possible for tiny alpha due to underflow; fall back to
-  // the uniform simplex point rather than dividing by zero.
-  if (total <= 0.0) {
-    const double u = 1.0 / static_cast<double>(alpha.size());
-    std::fill(draws.begin(), draws.end(), u);
-    return draws;
-  }
-  for (double& v : draws) v /= total;
+  DirichletInto(engine_, alpha.data(), alpha.size(), draws.data());
   return draws;
 }
 
@@ -109,22 +120,8 @@ std::vector<double> Rng::SymmetricDirichlet(std::size_t n, double alpha) {
 }
 
 std::vector<int> Rng::Multinomial(int n, const std::vector<double>& probs) {
-  BAGCPD_CHECK(!probs.empty());
-  std::vector<int> counts(probs.size(), 0);
-  double remaining_prob = 0.0;
-  for (double p : probs) remaining_prob += p;
-  int remaining = n;
-  // Sequential binomial thinning: exact multinomial sampling.
-  for (std::size_t i = 0; i + 1 < probs.size() && remaining > 0; ++i) {
-    const double p = remaining_prob > 0.0
-                         ? std::clamp(probs[i] / remaining_prob, 0.0, 1.0)
-                         : 0.0;
-    std::binomial_distribution<int> dist(remaining, p);
-    counts[i] = dist(engine_);
-    remaining -= counts[i];
-    remaining_prob -= probs[i];
-  }
-  counts.back() += remaining;
+  std::vector<int> counts(probs.size());
+  MultinomialInto(engine_, n, probs.data(), probs.size(), counts.data());
   return counts;
 }
 

@@ -4,16 +4,146 @@
 #ifndef BAGCPD_COMMON_RNG_H_
 #define BAGCPD_COMMON_RNG_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "bagcpd/common/check.h"
 #include "bagcpd/common/matrix.h"
 #include "bagcpd/common/point.h"
 #include "bagcpd/common/status.h"
 
 namespace bagcpd {
+
+/// \brief A UniformRandomBitGenerator whose output is exactly the
+/// std::mt19937_64 stream for the same seed, but which builds its state
+/// lazily.
+///
+/// std::mt19937_64 seeds all 312 state words up front and its first draw
+/// twists all of them, which dwarfs the cost of a consumer that only needs a
+/// few dozen words (a bootstrap replicate). Here construction stores the seed
+/// only. During the first round, output i < 156 needs just seeded words i,
+/// i + 1 and i + 156, so seeding and twisting advance one word per draw;
+/// draw 157 finishes the first round, and from then on the generator twists
+/// whole rounds like the standard engine.
+///
+/// Not serializable: use it for short-lived streams that are rebuilt from
+/// their seed, and std::mt19937_64 (Rng) for state that must be saved.
+class LazyMt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+
+  explicit LazyMt19937_64(std::uint64_t seed) { x_[0] = seed; }
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (in_first_round_) {
+      if (next_ < kShift) {
+        const std::size_t i = next_;
+        SeedThrough(i + kShift);
+        x_[i] = x_[i + kShift] ^ TwistWord(x_[i], x_[i + 1]);
+      } else {
+        FinishFirstRound();
+      }
+    } else if (next_ == kWords) {
+      Twist();
+    }
+    return Temper(x_[next_++]);
+  }
+
+ private:
+  static constexpr std::size_t kWords = 312;  // n
+  static constexpr std::size_t kShift = 156;  // m
+
+  static result_type TwistWord(result_type hi_word, result_type lo_word) {
+    const result_type y = (hi_word & kUpperMask) | (lo_word & kLowerMask);
+    return (y >> 1) ^ ((y & 1) != 0 ? kMatrixA : 0);
+  }
+
+  static result_type Temper(result_type z) {
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  /// Seeds state words up to and including `last`.
+  void SeedThrough(std::size_t last) {
+    for (; seeded_ <= last; ++seeded_) {
+      const result_type prev = x_[seeded_ - 1];
+      x_[seeded_] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + seeded_;
+    }
+  }
+
+  /// Twists words [156, 312); words [0, 156) must already be twisted.
+  void TwistUpperHalf();
+  /// Seeds the remaining words and completes the first round's twist.
+  void FinishFirstRound();
+  /// One full round, as std::mt19937_64 does every 312 draws.
+  void Twist();
+
+  static constexpr result_type kMatrixA = 0xB5026F5AA96619E9ULL;
+  static constexpr result_type kUpperMask = ~result_type{0} << 31;
+  static constexpr result_type kLowerMask = ~kUpperMask;
+
+  result_type x_[kWords];   // Words from seeded_ on are unset until seeded.
+  std::size_t seeded_ = 1;  // Words [0, seeded_) have been seeded.
+  std::size_t next_ = 0;    // Index of the next word to temper and return.
+  bool in_first_round_ = true;
+};
+
+/// \brief Dirichlet draw with concentration `alpha[0..n)` into `out[0..n)`;
+/// the result sums to one. Builds each std::gamma_distribution fresh per
+/// draw (so no cached normal leaks between components), which makes the
+/// result a pure function of the bit stream: the same words give the same
+/// bits on any engine.
+template <typename Urbg>
+void DirichletInto(Urbg& urbg, const double* alpha, std::size_t n,
+                   double* out) {
+  BAGCPD_CHECK_MSG(n > 0, "Dirichlet with empty alpha");
+  double total = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    BAGCPD_DCHECK(alpha[i] > 0.0);
+    std::gamma_distribution<double> gamma(alpha[i], 1.0);
+    out[i] = gamma(urbg);
+    total += out[i];
+  }
+  // All-zero draws are possible for tiny alpha due to underflow; fall back to
+  // the uniform simplex point rather than dividing by zero.
+  if (total <= 0.0) {
+    std::fill(out, out + n, 1.0 / static_cast<double>(n));
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) out[i] /= total;
+}
+
+/// \brief Multinomial counts of `trials` over `probs[0..n)` into
+/// `counts[0..n)`, by sequential binomial thinning (exact). Like
+/// DirichletInto, each std::binomial_distribution is built fresh per draw.
+template <typename Urbg>
+void MultinomialInto(Urbg& urbg, int trials, const double* probs,
+                     std::size_t n, int* counts) {
+  BAGCPD_CHECK(n > 0);
+  std::fill(counts, counts + n, 0);
+  double remaining_prob = 0.0;
+  for (std::size_t i = 0; i < n; ++i) remaining_prob += probs[i];
+  int remaining = trials;
+  for (std::size_t i = 0; i + 1 < n && remaining > 0; ++i) {
+    const double p = remaining_prob > 0.0
+                         ? std::clamp(probs[i] / remaining_prob, 0.0, 1.0)
+                         : 0.0;
+    std::binomial_distribution<int> binomial(remaining, p);
+    counts[i] = binomial(urbg);
+    remaining -= counts[i];
+    remaining_prob -= probs[i];
+  }
+  counts[n - 1] += remaining;
+}
 
 /// \brief Seedable pseudo-random generator with the distributions used across
 /// the library (Gaussian, multivariate Gaussian, Poisson, Dirichlet, ...).
@@ -32,6 +162,11 @@ class Rng {
   /// concurrent runtime: give every unit of parallel work its own fork and
   /// results are bitwise-identical for any thread count.
   Rng Fork(std::uint64_t stream_id) const;
+
+  /// \brief The seed of `Rng(seed).Fork(stream_id)`. Lets a caller run a
+  /// fork's stream on another engine (a LazyMt19937_64) without building the
+  /// Rng.
+  static std::uint64_t ForkSeed(std::uint64_t seed, std::uint64_t stream_id);
 
   /// \brief Draws one raw 64-bit word from the engine (advances the state).
   ///
@@ -120,7 +255,8 @@ class Rng {
   /// text without touching the current state.
   Status DeserializeState(const std::string& state);
 
-  /// \brief Access to the underlying engine (for std distributions in tests).
+  /// \brief Access to the underlying engine (for std distributions and the
+  /// engine-generic helpers above).
   std::mt19937_64& engine() { return engine_; }
 
  private:

@@ -45,27 +45,37 @@ double Correlation(const std::vector<double>& xs,
   return Covariance(xs, ys) / (sx * sy);
 }
 
+namespace {
+
+// Linear-interpolation quantile of a non-empty, ascending-sorted sample.
+double SortedQuantile(const std::vector<double>& sorted, double p) {
+  if (sorted.size() == 1) return sorted.front();
+  const double h = p * static_cast<double>(sorted.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(std::floor(h));
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = h - static_cast<double>(lo);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
+
+}  // namespace
+
 Result<double> Quantile(std::vector<double> xs, double p) {
   if (xs.empty()) return Status::Invalid("Quantile of empty vector");
   if (p < 0.0 || p > 1.0) {
     return Status::Invalid("quantile probability must be in [0, 1]");
   }
   std::sort(xs.begin(), xs.end());
-  if (xs.size() == 1) return xs.front();
-  const double h = p * static_cast<double>(xs.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(std::floor(h));
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-  const double frac = h - static_cast<double>(lo);
-  return xs[lo] + frac * (xs[hi] - xs[lo]);
+  return SortedQuantile(xs, p);
 }
 
 Result<Interval> CentralInterval(std::vector<double> xs, double alpha) {
   if (alpha <= 0.0 || alpha >= 1.0) {
     return Status::Invalid("alpha must be in (0, 1)");
   }
-  BAGCPD_ASSIGN_OR_RETURN(double lo, Quantile(xs, alpha / 2.0));
-  BAGCPD_ASSIGN_OR_RETURN(double up, Quantile(std::move(xs), 1.0 - alpha / 2.0));
-  return Interval{lo, up};
+  if (xs.empty()) return Status::Invalid("Quantile of empty vector");
+  std::sort(xs.begin(), xs.end());
+  return Interval{SortedQuantile(xs, alpha / 2.0),
+                  SortedQuantile(xs, 1.0 - alpha / 2.0)};
 }
 
 double Mad(std::vector<double> xs) {

@@ -1,6 +1,9 @@
 #include "bagcpd/core/bootstrap.h"
 
+#include <algorithm>
 #include <cmath>
+#include <mutex>
+#include <utility>
 
 #include "bagcpd/common/check.h"
 #include "bagcpd/common/enum_names.h"
@@ -30,30 +33,53 @@ Result<BootstrapMethod> ParseBootstrapMethod(const std::string& name) {
                         "bootstrap method");
 }
 
-std::vector<double> ResampleWeights(BootstrapMethod method,
-                                    const std::vector<double>& pi, Rng* rng) {
-  BAGCPD_CHECK(!pi.empty());
+namespace {
+
+// Appendix B: alpha_i = n * pi_i, which reduces to Dir(1,...,1) for the
+// uniform prior of Appendix A.
+std::vector<double> BayesianAlpha(const std::vector<double>& pi) {
+  const double n = static_cast<double>(pi.size());
+  std::vector<double> alpha(pi.size());
+  for (std::size_t i = 0; i < pi.size(); ++i) {
+    alpha[i] = std::max(n * pi[i], 1e-9);
+  }
+  return alpha;
+}
+
+// Draws one weight replicate of a window into `gamma` (pi.size() entries).
+// `alpha` is BayesianAlpha(pi) for the Bayesian bootstrap; `counts` is
+// pi.size() ints of scratch for the standard one.
+template <typename Urbg>
+void DrawWeights(BootstrapMethod method, const std::vector<double>& pi,
+                 const std::vector<double>& alpha, Urbg& urbg, int* counts,
+                 double* gamma) {
   const std::size_t n = pi.size();
   switch (method) {
-    case BootstrapMethod::kBayesian: {
-      // Appendix B: alpha_i = n * pi_i, which reduces to Dir(1,...,1) for the
-      // uniform prior of Appendix A.
-      std::vector<double> alpha(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        alpha[i] = std::max(static_cast<double>(n) * pi[i], 1e-9);
-      }
-      return rng->Dirichlet(alpha);
-    }
-    case BootstrapMethod::kStandard: {
-      std::vector<int> counts = rng->Multinomial(static_cast<int>(n), pi);
-      std::vector<double> gamma(n);
+    case BootstrapMethod::kBayesian:
+      DirichletInto(urbg, alpha.data(), n, gamma);
+      return;
+    case BootstrapMethod::kStandard:
+      MultinomialInto(urbg, static_cast<int>(n), pi.data(), n, counts);
       for (std::size_t i = 0; i < n; ++i) {
         gamma[i] = static_cast<double>(counts[i]) / static_cast<double>(n);
       }
-      return gamma;
-    }
+      return;
   }
-  return std::vector<double>(n, 1.0 / static_cast<double>(n));
+  std::fill(gamma, gamma + n, 1.0 / static_cast<double>(n));
+}
+
+}  // namespace
+
+std::vector<double> ResampleWeights(BootstrapMethod method,
+                                    const std::vector<double>& pi, Rng* rng) {
+  BAGCPD_CHECK(!pi.empty());
+  const std::vector<double> alpha =
+      method == BootstrapMethod::kBayesian ? BayesianAlpha(pi)
+                                           : std::vector<double>();
+  std::vector<int> counts(pi.size());
+  std::vector<double> gamma(pi.size());
+  DrawWeights(method, pi, alpha, rng->engine(), counts.data(), gamma.data());
+  return gamma;
 }
 
 Result<BootstrapInterval> BootstrapScoreInterval(
@@ -72,48 +98,69 @@ Result<BootstrapInterval> BootstrapScoreInterval(
   }
 
   // One engine word seeds the whole replicate set; replicate r then draws
-  // from Fork(r), its own stream. The caller's rng advances identically
-  // whether or not a pool is attached, and replicate r's draws never depend
-  // on which thread (or chunk) ran it: fixed seed => bitwise-identical
-  // intervals for any thread count.
-  const Rng replicate_base(rng->NextUInt64());
+  // from the stream of Rng(base_seed).Fork(r), run on a lazily twisted
+  // engine since a replicate reads only a few dozen words. The caller's rng
+  // advances identically whether or not a pool is attached, and replicate
+  // r's draws never depend on which thread (or chunk) ran it: fixed seed =>
+  // bitwise-identical intervals for any thread count.
+  const std::uint64_t base_seed = rng->NextUInt64();
+  const bool bayesian = options.method == BootstrapMethod::kBayesian;
+  const std::vector<double> alpha_ref =
+      bayesian ? BayesianAlpha(pi_ref) : std::vector<double>();
+  const std::vector<double> alpha_test =
+      bayesian ? BayesianAlpha(pi_test) : std::vector<double>();
   const std::size_t replicates = static_cast<std::size_t>(options.replicates);
   std::vector<double> replicate_scores(replicates, 0.0);
-  std::vector<Status> replicate_status(replicates, Status::OK());
-  auto run_replicate = [&](std::size_t r) {
-    Rng rep_rng = replicate_base.Fork(r);
-    // The standard bootstrap can draw gamma_test[0] == 1 (every resample hit
-    // element 0), which makes scoreLR undefined; redraw in that rare case.
-    for (int attempt = 0; attempt < 64; ++attempt) {
-      std::vector<double> gamma_ref =
-          ResampleWeights(options.method, pi_ref, &rep_rng);
-      std::vector<double> gamma_test =
-          ResampleWeights(options.method, pi_test, &rep_rng);
-      Result<double> score =
-          ComputeScore(score_type, ctx, gamma_ref, gamma_test);
-      if (score.ok()) {
-        replicate_scores[r] = score.ValueOrDie();
-        return;
+  // The lowest replicate whose retries all failed, and that failure.
+  std::mutex failure_mu;
+  std::size_t failed_replicate = replicates;
+  Status failure;
+  auto run_replicates = [&](std::size_t begin, std::size_t end) {
+    std::vector<double> gamma_ref(pi_ref.size());
+    std::vector<double> gamma_test(pi_test.size());
+    std::vector<int> counts(std::max(pi_ref.size(), pi_test.size()));
+    for (std::size_t r = begin; r < end; ++r) {
+      LazyMt19937_64 urbg(Rng::ForkSeed(base_seed, r));
+      // The standard bootstrap can draw gamma_test[0] == 1 (every resample
+      // hit element 0), which makes scoreLR undefined; redraw in that case.
+      for (int attempt = 0;; ++attempt) {
+        DrawWeights(options.method, pi_ref, alpha_ref, urbg, counts.data(),
+                    gamma_ref.data());
+        DrawWeights(options.method, pi_test, alpha_test, urbg, counts.data(),
+                    gamma_test.data());
+        Result<double> score =
+            ComputeScore(score_type, ctx, gamma_ref, gamma_test);
+        if (score.ok()) {
+          replicate_scores[r] = score.ValueOrDie();
+          break;
+        }
+        if (attempt == 63) {
+          // Later replicates of this chunk cannot lower the index.
+          std::lock_guard<std::mutex> lock(failure_mu);
+          if (r < failed_replicate) {
+            failed_replicate = r;
+            failure = score.status();
+          }
+          return;
+        }
       }
-      if (attempt == 63) replicate_status[r] = score.status();
     }
   };
   if (pool != nullptr) {
-    pool->ParallelFor(0, replicates, run_replicate);
+    pool->ParallelForChunked(0, replicates, run_replicates);
   } else {
-    for (std::size_t r = 0; r < replicates; ++r) run_replicate(r);
+    run_replicates(0, replicates);
   }
-  for (const Status& status : replicate_status) {
-    BAGCPD_RETURN_NOT_OK(status);
-  }
+  BAGCPD_RETURN_NOT_OK(failure);
 
-  BAGCPD_ASSIGN_OR_RETURN(Interval interval,
-                          CentralInterval(replicate_scores, options.alpha));
   BootstrapInterval out;
-  out.lo = interval.lo;
-  out.up = interval.up;
   out.replicate_mean = Mean(replicate_scores);
   out.replicate_stddev = StdDev(replicate_scores);
+  BAGCPD_ASSIGN_OR_RETURN(
+      Interval interval,
+      CentralInterval(std::move(replicate_scores), options.alpha));
+  out.lo = interval.lo;
+  out.up = interval.up;
   return out;
 }
 

@@ -1,7 +1,9 @@
 #include "bagcpd/common/rng.h"
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <random>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -38,6 +40,92 @@ TEST(RngTest, ForkDecorrelates) {
     if (f1.Uniform() == f2.Uniform()) ++equal;
   }
   EXPECT_LT(equal, 5);
+}
+
+TEST(RngTest, ForkSeedIsTheForkedGeneratorsSeed) {
+  Rng base(99);
+  for (std::uint64_t id : {0ull, 1ull, 7ull, ~0ull}) {
+    EXPECT_EQ(base.Fork(id).seed(), Rng::ForkSeed(99, id));
+  }
+}
+
+// The lazy engine must reproduce std::mt19937_64 word for word, here on
+// 1,200 fork seeds. 1,500 draws cross the end of the lazy half (156) and the
+// full re-twists at 312, 624, 936 and 1248.
+TEST(RngTest, LazyMt19937MatchesStdEngineOnForkSeeds) {
+  for (std::uint64_t base : {0ull, 1ull, 0x9E3779B97F4A7C15ull}) {
+    for (std::uint64_t id = 0; id < 400; ++id) {
+      const std::uint64_t seed = Rng::ForkSeed(base, id);
+      std::mt19937_64 reference(seed);
+      LazyMt19937_64 lazy(seed);
+      for (int draw = 0; draw < 1500; ++draw) {
+        const std::uint64_t want = reference();
+        const std::uint64_t got = lazy();
+        if (want != got) {
+          FAIL() << "seed " << seed << " diverges at draw " << draw;
+        }
+      }
+    }
+  }
+}
+
+TEST(RngTest, LazyMt19937MatchesStdEngineOnEdgeSeeds) {
+  EXPECT_EQ(LazyMt19937_64::min(), std::mt19937_64::min());
+  EXPECT_EQ(LazyMt19937_64::max(), std::mt19937_64::max());
+  for (std::uint64_t seed : {0ull, 1ull, 5489ull, ~0ull, 1ull << 63}) {
+    std::mt19937_64 reference(seed);
+    LazyMt19937_64 lazy(seed);
+    for (int draw = 0; draw < 700; ++draw) {
+      ASSERT_EQ(reference(), lazy()) << "seed " << seed << " draw " << draw;
+    }
+  }
+}
+
+// DirichletInto / MultinomialInto depend only on the bit stream: the same
+// seed gives the same bits on either engine, and the Rng members are thin
+// wrappers over them.
+TEST(RngTest, EngineGenericDirichletIsBitwiseEqualAcrossEngines) {
+  const std::vector<std::vector<double>> alphas = {
+      {1.0, 1.0, 1.0, 1.0, 1.0}, {0.3, 2.5, 7.0}, {1e-9, 1.0}, {50.0}};
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    for (const std::vector<double>& alpha : alphas) {
+      std::mt19937_64 std_engine(seed);
+      LazyMt19937_64 lazy(seed);
+      Rng rng(seed);
+      std::vector<double> a(alpha.size()), b(alpha.size());
+      // Several draws per engine so later ones start mid-stream.
+      for (int rep = 0; rep < 3; ++rep) {
+        DirichletInto(std_engine, alpha.data(), alpha.size(), a.data());
+        DirichletInto(lazy, alpha.data(), alpha.size(), b.data());
+        const std::vector<double> c = rng.Dirichlet(alpha);
+        for (std::size_t i = 0; i < alpha.size(); ++i) {
+          ASSERT_EQ(a[i], b[i]);
+          ASSERT_EQ(a[i], c[i]);
+        }
+      }
+    }
+  }
+}
+
+TEST(RngTest, EngineGenericMultinomialIsBitwiseEqualAcrossEngines) {
+  const std::vector<std::vector<double>> probs = {
+      {0.2, 0.2, 0.2, 0.2, 0.2}, {0.5, 0.3, 0.2}, {1.0, 0.0}, {1.0}};
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    for (const std::vector<double>& p : probs) {
+      const int trials = static_cast<int>(seed % 40);
+      std::mt19937_64 std_engine(seed);
+      LazyMt19937_64 lazy(seed);
+      Rng rng(seed);
+      std::vector<int> a(p.size(), -1), b(p.size(), -1);
+      for (int rep = 0; rep < 3; ++rep) {
+        MultinomialInto(std_engine, trials, p.data(), p.size(), a.data());
+        MultinomialInto(lazy, trials, p.data(), p.size(), b.data());
+        EXPECT_EQ(a, b);
+        EXPECT_EQ(a, rng.Multinomial(trials, p));
+        EXPECT_EQ(std::accumulate(a.begin(), a.end(), 0), trials);
+      }
+    }
+  }
 }
 
 TEST(RngTest, UniformRange) {

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "bagcpd/common/stats.h"
+#include "bagcpd/runtime/thread_pool.h"
 
 namespace bagcpd {
 namespace {
@@ -204,6 +206,113 @@ TEST(BootstrapTest, RejectsBadOptions) {
                                       UniformPi(2), UniformPi(3), ok_options,
                                       &rng)
                    .ok());
+}
+
+// Bit-exact pins of BootstrapScoreInterval, as %a hex literals. They were
+// captured before replicate streams moved to LazyMt19937_64 and the loop to
+// scratch buffers, and hold for the serial loop and every pool size.
+struct GoldenCase {
+  BootstrapMethod method;
+  ScoreType score;
+  BootstrapInterval expected;
+};
+
+void ExpectBitwiseEqual(const BootstrapInterval& got,
+                        const BootstrapInterval& want) {
+  EXPECT_EQ(got.lo, want.lo);
+  EXPECT_EQ(got.up, want.up);
+  EXPECT_EQ(got.replicate_mean, want.replicate_mean);
+  EXPECT_EQ(got.replicate_stddev, want.replicate_stddev);
+}
+
+TEST(BootstrapTest, GoldenIntervalsAreBitExactForAnyPool) {
+  const GoldenCase cases[] = {
+      {BootstrapMethod::kBayesian, ScoreType::kSymmetrizedKl,
+       {0x1.295271e455303p-1, 0x1.c8842d4662ab6p-1, 0x1.5e978d36bb965p-1,
+        0x1.177c5303ee82bp-4}},
+      {BootstrapMethod::kBayesian, ScoreType::kLogLikelihoodRatio,
+       {0x1.3917362232509p-1, 0x1.3165dfb1d4cb7p+0, 0x1.9992dd494c56cp-1,
+        0x1.42f97a01446bap-3}},
+      {BootstrapMethod::kStandard, ScoreType::kSymmetrizedKl,
+       {0x1.23a5e353f7cedp-1, 0x1.c7ae147ae147dp-1, 0x1.5de9e1b089a0cp-1,
+        0x1.72d2283c40d8ap-4}},
+      {BootstrapMethod::kStandard, ScoreType::kLogLikelihoodRatio,
+       {0x1.3333333333332p-1, 0x1.347ae147ae14ep+0, 0x1.a4dd2f1a9fbdfp-1,
+        0x1.91e425873ef9fp-3}},
+  };
+  const ScoreContext ctx = SimpleContext(5, 5);
+  // A non-uniform test prior, so the Bayesian concentration is not all ones.
+  const std::vector<double> pi_test = {0.3, 0.25, 0.2, 0.15, 0.1};
+  for (const GoldenCase& c : cases) {
+    for (int pool_size : {-1, 1, 2, 8}) {
+      SCOPED_TRACE(std::string(BootstrapMethodName(c.method)) + "/" +
+                   ScoreTypeName(c.score) + " pool " +
+                   std::to_string(pool_size));
+      std::unique_ptr<ThreadPool> pool;
+      if (pool_size >= 0) {
+        pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(pool_size));
+      }
+      BootstrapOptions options;
+      options.replicates = 200;
+      options.method = c.method;
+      Rng rng(4242);
+      Result<BootstrapInterval> ci = BootstrapScoreInterval(
+          c.score, ctx, UniformPi(5), pi_test, options, &rng, pool.get());
+      ASSERT_TRUE(ci.ok());
+      ExpectBitwiseEqual(*ci, c.expected);
+      EXPECT_EQ(rng.NextUInt64(), 15419982818756053049ull);
+    }
+  }
+}
+
+// tau' = 2 under the standard bootstrap redraws often (gamma_test = (1, 0)
+// leaves scoreLR undefined); the redraws continue the replicate's stream.
+TEST(BootstrapTest, GoldenIntervalWithStandardRedraws) {
+  BootstrapOptions options;
+  options.replicates = 200;
+  options.method = BootstrapMethod::kStandard;
+  Rng rng(25);
+  Result<BootstrapInterval> ci = BootstrapScoreInterval(
+      ScoreType::kLogLikelihoodRatio, SimpleContext(3, 2), UniformPi(3),
+      UniformPi(2), options, &rng);
+  ASSERT_TRUE(ci.ok());
+  ExpectBitwiseEqual(*ci, {0x1.3333333333333p-1, 0x1.4444444444444p+0,
+                           0x1.d70a3d70a3d76p-1, 0x1.067c017be409p-2});
+}
+
+// With tau' = 1 scoreLR fails on every draw, so all 64 attempts of every
+// replicate fail: the call returns the score's status, and the caller's rng
+// still advances by exactly one word.
+TEST(BootstrapTest, ExhaustedRetriesReturnTheScoreStatus) {
+  const ScoreContext ctx = SimpleContext(3, 1);
+  const Status score_status =
+      ComputeScore(ScoreType::kLogLikelihoodRatio, ctx, UniformPi(3),
+                   UniformPi(1))
+          .status();
+  ASSERT_EQ(score_status.code(), StatusCode::kInvalidArgument);
+  for (int pool_size : {-1, 2}) {
+    SCOPED_TRACE("pool " + std::to_string(pool_size));
+    std::unique_ptr<ThreadPool> pool;
+    if (pool_size >= 0) {
+      pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(pool_size));
+    }
+    for (BootstrapMethod method :
+         {BootstrapMethod::kBayesian, BootstrapMethod::kStandard}) {
+      BootstrapOptions options;
+      options.replicates = 50;
+      options.method = method;
+      Rng rng(31);
+      Rng reference(31);
+      reference.NextUInt64();
+      Result<BootstrapInterval> ci = BootstrapScoreInterval(
+          ScoreType::kLogLikelihoodRatio, ctx, UniformPi(3), UniformPi(1),
+          options, &rng, pool.get());
+      ASSERT_FALSE(ci.ok());
+      EXPECT_EQ(ci.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(ci.status().ToString(), score_status.ToString());
+      EXPECT_EQ(rng.NextUInt64(), reference.NextUInt64());
+    }
+  }
 }
 
 TEST(BootstrapTest, MethodNames) {
