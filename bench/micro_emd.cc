@@ -1,7 +1,9 @@
 // EMD transport-solver microbenchmark: the workspace-backed dense solver
 // (emd/transport_solver.h) against the generic MinCostFlow reference path it
-// replaced — per-solve latency at K = 4 / 16 / 64, steady-state allocations
-// per solve (the workspace growth counter), and pairwise-matrix throughput.
+// replaced — per-solve latency at K = 4 / 8 / 16 / 64 (K = 8 is the paper
+// default and the dense-scan regime; only K = 16 is gated), steady-state
+// allocations per solve (the workspace growth counter), and pairwise-matrix
+// throughput.
 // Both paths must agree bitwise on every instance; the harness aborts if a
 // single solve diverges. A second sweep (K = 4..256) races the approximate
 // solvers (emd/approx: sinkhorn, sliced) against the exact workspace, and a
@@ -199,7 +201,7 @@ int Main(int argc, char** argv) {
       MakeGroundDistance(GroundDistance::kEuclidean);
 
   std::vector<SolveRow> rows;
-  for (const std::size_t k : {std::size_t{4}, std::size_t{16},
+  for (const std::size_t k : {std::size_t{4}, std::size_t{8}, std::size_t{16},
                               std::size_t{64}}) {
     // A fixed pool of instances, cycled by both paths in the same order.
     Rng rng(1000 + k);
@@ -420,7 +422,8 @@ int Main(int argc, char** argv) {
     // loops must agree bitwise.
     EmdWorkspace serial;
     serial.set_heap_threshold(0);
-    EmdWorkspace batched;  // Default crossover: heap engages at K + L >= 48.
+    EmdWorkspace batched;  // Default crossover: the heap engages at
+                           // K + L >= kDefaultEmdHeapAt.
     std::vector<double> out(pairs);
 
     // Warm both paths over every step and verify agreement.

@@ -2,8 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
+
+// The SSE2 kernels blend std::size_t arc and node indices in 64-bit lanes,
+// so they are x86-64 only; every other build runs the scalar loops.
+#if defined(__SSE2__) && defined(__x86_64__)
+#include <emmintrin.h>
+#define BAGCPD_EMD_SSE2 1
+#endif
 
 #include "bagcpd/common/check.h"
 #include "bagcpd/common/point.h"
@@ -29,9 +37,11 @@ void EmdWorkspace::LayoutShape(std::size_t k, std::size_t l) {
   Ensure(&arc_cost_, arcs_);
   Ensure(&dist_, nodes_);
   Ensure(&potential_, nodes_);
-  Ensure(&prev_node_, nodes_);
   Ensure(&prev_arc_, nodes_);
-  Ensure(&visited_, nodes_);
+  Ensure(&key_, nodes_);
+  Ensure(&improved_, nodes_);
+  live_words_ = (k_ + 63) / 64;
+  Ensure(&live_, l_ * live_words_);
   Ensure(&heap_, nodes_);
   Ensure(&heap_pos_, nodes_);
 }
@@ -245,60 +255,253 @@ void EmdWorkspace::BuildNetwork(SignatureView a, SignatureView b,
   }
 }
 
+namespace {
+
+// One contiguous run of residual arcs leaving a node: arcs first_arc ..
+// first_arc + count - 1 point at the consecutive nodes first_head ..
+// first_head + count - 1. BuildNetwork's CSR layout gives every node at most
+// two runs:
+//   source:    K arcs to supply 1..K.
+//   supply i:  one arc to the source, then L arcs to demand K+1..K+L.
+//   demand j:  K arcs to supply 1..K, then one arc to the sink.
+//   sink:      L arcs to demand K+1..K+L.
+struct ArcRun {
+  std::size_t first_arc = 0;
+  std::size_t first_head = 0;
+  std::size_t count = 0;
+};
+
+// The runs of node u that can relax anything, in CSR order (the second is
+// empty except for demand nodes). A supply node's arc back to the source is
+// left out: the source is always popped first, with dist 0, and a popped
+// node is never relaxed again (see DijkstraHeap), so that arc never takes.
+void NodeRuns(std::size_t u, std::size_t k, std::size_t l, ArcRun runs[2]) {
+  const std::size_t demand_base = k + k * (l + 1);
+  const std::size_t sink = k + l + 1;
+  runs[1] = {};
+  if (u == 0) {
+    runs[0] = {0, 1, k};
+  } else if (u <= k) {
+    runs[0] = {k + (u - 1) * (l + 1) + 1, k + 1, l};
+  } else if (u < sink) {
+    const std::size_t begin = demand_base + (u - 1 - k) * (k + 1);
+    runs[0] = {begin, 1, k};
+    runs[1] = {begin + k, sink, 1};
+  } else {
+    runs[0] = {demand_base + l * (k + 1), k + 1, l};
+  }
+}
+
+// The arrays one relaxation reads and writes, hoisted out of the workspace
+// once per Dijkstra so the kernel never reloads a base pointer.
+struct RelaxArrays {
+  const double* cap;
+  const double* cost;
+  const double* potential;
+  double* dist;
+  double* key;  // Dense selection keys; written only when !kHeap.
+  std::size_t* prev_arc;
+};
+
+// Relaxes one arc (to head `to`) out of a node at distance du with potential
+// pu, with the reference arithmetic spelled out at RelaxRun below, and
+// returns whether it took. The dense scan (!kHeap) applies the result with
+// selects and also moves key[to]; the heap writes only when it takes.
+template <bool kHeap>
+bool RelaxArc(const RelaxArrays& s, std::size_t arc, std::size_t to, double du,
+              double pu) {
+  double rc = s.cost[arc] + pu - s.potential[to];
+  rc = rc < 0.0 ? 0.0 : rc;
+  const double nd = du + rc;
+  const bool take =
+      !(s.cap[arc] <= kFlowEpsilon) & (nd + kFlowEpsilon < s.dist[to]);
+  if constexpr (kHeap) {
+    if (take) {
+      s.dist[to] = nd;
+      s.prev_arc[to] = arc;
+    }
+  } else {
+    s.dist[to] = take ? nd : s.dist[to];
+    s.key[to] = take ? nd : s.key[to];
+    s.prev_arc[to] = take ? arc : s.prev_arc[to];
+  }
+  return take;
+}
+
+// Relaxes every arc of `run` out of a node at distance du with potential pu.
+// Each arc does the reference arithmetic and comparisons exactly:
+//   rc = cost + pu - potential[to];  rc < 0.0 -> 0.0 (floating-point noise);
+//   nd = du + rc;
+//   take iff !(cap <= kFlowEpsilon) && nd + kFlowEpsilon < dist[to]
+// and a taken arc sets dist[to] = nd and prev_arc[to] to itself. Heads within
+// a run are distinct, so the arcs are independent: SSE2 relaxes two at a
+// time, and the scalar loop takes the remainder (every arc on builds without
+// SSE2).
+//
+// Only the way a result is applied differs between the two strategies,
+// each tuned to the sizes it runs at by default. The dense scan (small K,
+// where both tests are data-dependent coin flips) applies every arc with
+// selects, no branches, and also moves key[to] to nd. The heap (large K) sees
+// mostly dead residual arcs (only the few transport arcs that carry flow can
+// be walked back) and rare improvements; it skips a pair of dead arcs before
+// loading anything else, writes only the arcs it takes, and appends their
+// heads to `improved` in arc order. Returns how many heads it appended.
+template <bool kHeap>
+std::size_t RelaxRun(const RelaxArrays& s, const ArcRun& run, double du,
+                     double pu, std::size_t* improved) {
+  const std::size_t count = run.count;
+  std::size_t appended = 0;
+  std::size_t i = 0;
+#ifdef BAGCPD_EMD_SSE2
+  const double* cap = s.cap + run.first_arc;
+  const double* cost = s.cost + run.first_arc;
+  const double* potential = s.potential + run.first_head;
+  double* dist = s.dist + run.first_head;
+  double* key = s.key + run.first_head;
+  std::size_t* prev_arc = s.prev_arc + run.first_head;
+  const __m128d vdu = _mm_set1_pd(du);
+  const __m128d vpu = _mm_set1_pd(pu);
+  const __m128d veps = _mm_set1_pd(kFlowEpsilon);
+  const __m128d zero = _mm_setzero_pd();
+  const __m128i two = _mm_set1_epi64x(2);
+  __m128i arc = _mm_set_epi64x(static_cast<long long>(run.first_arc + 1),
+                               static_cast<long long>(run.first_arc));
+  for (; i + 2 <= count; i += 2) {
+    const __m128d dead = _mm_cmple_pd(_mm_loadu_pd(cap + i), veps);
+    if constexpr (kHeap) {
+      if (_mm_movemask_pd(dead) == 3) continue;
+    }
+    __m128d rc = _mm_sub_pd(_mm_add_pd(_mm_loadu_pd(cost + i), vpu),
+                            _mm_loadu_pd(potential + i));
+    rc = _mm_andnot_pd(_mm_cmplt_pd(rc, zero), rc);
+    const __m128d nd = _mm_add_pd(vdu, rc);
+    const __m128d old = _mm_loadu_pd(dist + i);
+    const __m128d take =
+        _mm_andnot_pd(dead, _mm_cmplt_pd(_mm_add_pd(nd, veps), old));
+    if constexpr (kHeap) {
+      const int bits = _mm_movemask_pd(take);
+      if (bits == 0) continue;
+      double lanes[2];
+      _mm_storeu_pd(lanes, nd);
+      for (std::size_t lane = 0; lane < 2; ++lane) {
+        if ((bits >> lane) & 1) {
+          dist[i + lane] = lanes[lane];
+          prev_arc[i + lane] = run.first_arc + i + lane;
+          improved[appended++] = run.first_head + i + lane;
+        }
+      }
+    } else {
+      _mm_storeu_pd(dist + i, _mm_or_pd(_mm_and_pd(take, nd),
+                                        _mm_andnot_pd(take, old)));
+      _mm_storeu_pd(key + i, _mm_or_pd(_mm_and_pd(take, nd),
+                                       _mm_andnot_pd(take,
+                                                     _mm_loadu_pd(key + i))));
+      const __m128i take_i = _mm_castpd_si128(take);
+      __m128i* prev = reinterpret_cast<__m128i*>(prev_arc + i);
+      _mm_storeu_si128(
+          prev, _mm_or_si128(_mm_and_si128(take_i, arc),
+                             _mm_andnot_si128(take_i, _mm_loadu_si128(prev))));
+      arc = _mm_add_epi64(arc, two);
+    }
+  }
+#endif
+  for (; i < count; ++i) {
+    const bool took =
+        RelaxArc<kHeap>(s, run.first_arc + i, run.first_head + i, du, pu);
+    if constexpr (kHeap) {
+      improved[appended] = run.first_head + i;
+      appended += static_cast<std::size_t>(took);
+    }
+  }
+  return appended;
+}
+
+// The heap path's relaxation of a demand node's run back to the supply
+// nodes: only the arcs whose bit is set in `live` (one bit per arc of the
+// run, set iff its capacity is above kFlowEpsilon) can take, so only those
+// are relaxed, in arc order. Appends the improved heads like RelaxRun.
+std::size_t RelaxLiveArcs(const RelaxArrays& s, const ArcRun& run,
+                          const std::uint64_t* live, double du, double pu,
+                          std::size_t* improved) {
+  std::size_t appended = 0;
+  for (std::size_t w = 0; w * 64 < run.count; ++w) {
+    for (std::uint64_t bits = live[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t i =
+          w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits));
+      if (RelaxArc<true>(s, run.first_arc + i, run.first_head + i, du, pu)) {
+        improved[appended++] = run.first_head + i;
+      }
+    }
+  }
+  return appended;
+}
+
+// Lowest-index node with the smallest key, or n when every key is +inf:
+// exactly what a strict-< linear scan from node 0 returns. SSE2 runs two
+// independent strict-< chains (even and odd nodes) and combines them by
+// (key, node); the scalar loop takes the odd tail.
+std::size_t ArgMinKey(const double* key, std::size_t n) {
+  double best = std::numeric_limits<double>::infinity();
+  std::size_t best_node = n;
+  std::size_t v = 0;
+#ifdef BAGCPD_EMD_SSE2
+  if (n >= 2) {
+    __m128d vbest = _mm_set1_pd(best);
+    __m128i vnode = _mm_set1_epi64x(static_cast<long long>(n));
+    __m128i node = _mm_set_epi64x(1, 0);
+    const __m128i two = _mm_set1_epi64x(2);
+    for (; v + 2 <= n; v += 2) {
+      const __m128d kv = _mm_loadu_pd(key + v);
+      const __m128i lt = _mm_castpd_si128(_mm_cmplt_pd(kv, vbest));
+      vbest = _mm_min_pd(kv, vbest);  // kv < vbest ? kv : vbest.
+      vnode =
+          _mm_or_si128(_mm_and_si128(lt, node), _mm_andnot_si128(lt, vnode));
+      node = _mm_add_epi64(node, two);
+    }
+    double b[2];
+    std::uint64_t at[2];
+    _mm_storeu_pd(b, vbest);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(at), vnode);
+    const bool odd = b[1] < b[0] || (b[1] == b[0] && at[1] < at[0]);
+    best = odd ? b[1] : b[0];
+    best_node = static_cast<std::size_t>(odd ? at[1] : at[0]);
+  }
+#endif
+  for (; v < n; ++v) {
+    if (key[v] < best) {
+      best = key[v];
+      best_node = v;
+    }
+  }
+  return best_node;
+}
+
+}  // namespace
+
 void EmdWorkspace::DijkstraDense() {
   // Dense O(n^2) selection: the network is complete bipartite and, at the
-  // paper's signature sizes, tiny — a branch-light scan beats a heap. The
-  // strict `<` makes the lowest-index node win among equal distances, which
+  // paper's signature sizes, tiny, so a scan beats a heap. key_ holds dist_
+  // for unvisited nodes and +inf once a node is popped; ArgMinKey's strict
+  // `<` makes the lowest-index node win among equal distances, which
   // reproduces the reference heap's (distance, node) pop order exactly,
-  // augmentation for augmentation.
-  const std::size_t supply_base = k_;
-  const std::size_t demand_base = k_ + k_ * (l_ + 1);
-  const std::size_t sink_base = demand_base + l_ * (k_ + 1);
-  const std::size_t source = 0;
-  const std::size_t sink = nodes_ - 1;
-  const double inf = std::numeric_limits<double>::infinity();
-  std::fill(visited_.begin(), visited_.begin() + nodes_, 0);
+  // augmentation for augmentation. A popped node can never be relaxed again
+  // (see DijkstraHeap), so its +inf key stays put.
+  const std::size_t n = nodes_;
+  const RelaxArrays arrays{arc_cap_.data(),  arc_cost_.data(),
+                           potential_.data(), dist_.data(),
+                           key_.data(),       prev_arc_.data()};
+  double* key = key_.data();
+  std::copy(arrays.dist, arrays.dist + n, key);
+  ArcRun runs[2];
   for (;;) {
-    std::size_t u = nodes_;
-    double best = inf;
-    for (std::size_t v = 0; v < nodes_; ++v) {
-      if (!visited_[v] && dist_[v] < best) {
-        best = dist_[v];
-        u = v;
-      }
-    }
-    if (u == nodes_) break;  // Remaining nodes are unreachable.
-    visited_[u] = 1;
-    std::size_t begin;
-    std::size_t end;
-    if (u == source) {
-      begin = 0;
-      end = k_;
-    } else if (u <= k_) {
-      begin = supply_base + (u - 1) * (l_ + 1);
-      end = begin + l_ + 1;
-    } else if (u < sink) {
-      begin = demand_base + (u - 1 - k_) * (k_ + 1);
-      end = begin + k_ + 1;
-    } else {
-      begin = sink_base;
-      end = arcs_;
-    }
-    const double du = dist_[u];
-    const double pu = potential_[u];
-    for (std::size_t e = begin; e < end; ++e) {
-      if (arc_cap_[e] <= kFlowEpsilon) continue;
-      const std::size_t to = arc_to_[e];
-      // Reduced cost; clamp tiny negatives from floating-point noise.
-      double rc = arc_cost_[e] + pu - potential_[to];
-      if (rc < 0.0) rc = 0.0;
-      const double nd = du + rc;
-      if (nd + kFlowEpsilon < dist_[to]) {
-        dist_[to] = nd;
-        prev_node_[to] = u;
-        prev_arc_[to] = e;
-      }
-    }
+    const std::size_t u = ArgMinKey(key, n);
+    if (u == n) break;  // Remaining nodes are unreachable.
+    const double du = key[u];
+    key[u] = std::numeric_limits<double>::infinity();
+    const double pu = arrays.potential[u];
+    NodeRuns(u, k_, l_, runs);
+    RelaxRun<false>(arrays, runs[0], du, pu, nullptr);
+    RelaxRun<false>(arrays, runs[1], du, pu, nullptr);
   }
 }
 
@@ -340,15 +543,25 @@ void EmdWorkspace::DijkstraHeap() {
   // augmentation downstream — is bitwise-identical to DijkstraDense; only
   // the selection cost changes. 4-ary beats binary here: sift-downs touch
   // one cache line of children per level and the tree is half as deep.
-  const std::size_t supply_base = k_;
-  const std::size_t demand_base = k_ + k_ * (l_ + 1);
-  const std::size_t sink_base = demand_base + l_ * (k_ + 1);
+  //
+  // Each run goes through the same RelaxRun kernel as the dense path, which
+  // lists the improved heads; their heap updates then follow in arc order.
+  // A demand node's run back to the supply side goes through RelaxLiveArcs
+  // instead, which relaxes only the arcs live_ marks (the others cannot
+  // take). A node's key_ moves to its new dist_ only right before its own
+  // sift, so every sift sees exactly the keys it would have seen had the
+  // updates interleaved with the relaxations.
+  const RelaxArrays arrays{arc_cap_.data(),  arc_cost_.data(),
+                           potential_.data(), dist_.data(),
+                           key_.data(),       prev_arc_.data()};
+  std::size_t* improved = improved_.data();
   const std::size_t source = 0;
-  const std::size_t sink = nodes_ - 1;
   std::fill(heap_pos_.begin(), heap_pos_.begin() + nodes_, 0);
+  key_[source] = arrays.dist[source];
   heap_[0] = source;
   heap_pos_[source] = 1;
   heap_size_ = 1;
+  ArcRun runs[2];
   while (heap_size_ > 0) {
     const std::size_t u = heap_[0];
     heap_pos_[u] = 0;
@@ -358,45 +571,40 @@ void EmdWorkspace::DijkstraHeap() {
       heap_pos_[heap_[0]] = 1;
       HeapSiftDown(0);
     }
-    std::size_t begin;
-    std::size_t end;
-    if (u == source) {
-      begin = 0;
-      end = k_;
-    } else if (u <= k_) {
-      begin = supply_base + (u - 1) * (l_ + 1);
-      end = begin + l_ + 1;
-    } else if (u < sink) {
-      begin = demand_base + (u - 1 - k_) * (k_ + 1);
-      end = begin + k_ + 1;
-    } else {
-      begin = sink_base;
-      end = arcs_;
-    }
-    const double du = dist_[u];
-    const double pu = potential_[u];
-    for (std::size_t e = begin; e < end; ++e) {
-      if (arc_cap_[e] <= kFlowEpsilon) continue;
-      const std::size_t to = arc_to_[e];
-      // Identical relaxation to the dense scan, plus the heap bookkeeping.
-      double rc = arc_cost_[e] + pu - potential_[to];
-      if (rc < 0.0) rc = 0.0;
-      const double nd = du + rc;
-      if (nd + kFlowEpsilon < dist_[to]) {
-        dist_[to] = nd;
-        prev_node_[to] = u;
-        prev_arc_[to] = e;
-        if (heap_pos_[to] != 0) {
-          HeapSiftUp(heap_pos_[to] - 1);  // Decrease-key.
-        } else {
+    const double du = arrays.dist[u];
+    const double pu = arrays.potential[u];
+    NodeRuns(u, k_, l_, runs);
+    for (std::size_t r = 0; r < 2; ++r) {
+      const ArcRun& run = runs[r];
+      const bool demand_to_supply = r == 0 && u > k_ && u < nodes_ - 1;
+      const std::size_t count =
+          demand_to_supply
+              ? RelaxLiveArcs(arrays, run,
+                              live_.data() + (u - 1 - k_) * live_words_, du,
+                              pu, improved)
+              : RelaxRun<true>(arrays, run, du, pu, improved);
+      for (std::size_t i = 0; i < count; ++i) {
+        const std::size_t to = improved[i];
+        key_[to] = arrays.dist[to];
+        if (heap_pos_[to] == 0) {
           heap_[heap_size_] = to;
-          heap_pos_[to] = heap_size_ + 1;
-          ++heap_size_;
-          HeapSiftUp(heap_size_ - 1);
+          heap_pos_[to] = ++heap_size_;
         }
+        HeapSiftUp(heap_pos_[to] - 1);  // Decrease-key or insert.
       }
     }
   }
+}
+
+void EmdWorkspace::MarkLive(std::size_t arc) {
+  const std::size_t demand_base = k_ + k_ * (l_ + 1);
+  if (arc < demand_base) return;
+  const std::size_t j = (arc - demand_base) / (k_ + 1);
+  const std::size_t i = (arc - demand_base) % (k_ + 1);
+  if (j >= l_ || i == k_) return;  // A sink arc, not demand -> supply.
+  std::uint64_t& word = live_[j * live_words_ + i / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+  word = arc_cap_[arc] <= kFlowEpsilon ? word & ~bit : word | bit;
 }
 
 Status EmdWorkspace::SolveNetwork(SignatureView a, SignatureView b,
@@ -416,6 +624,10 @@ Status EmdWorkspace::SolveNetwork(SignatureView a, SignatureView b,
   // O(log n) per pop instead of an O(n) scan, which wins once the network
   // outgrows the paper's typical signature sizes.
   const bool use_heap = heap_threshold_ != 0 && k_ + l_ >= heap_threshold_;
+  if (use_heap) {
+    // Every demand -> supply residual arc starts at capacity 0.
+    std::fill(live_.begin(), live_.begin() + l_ * live_words_, 0);
+  }
 
   double flow = 0.0;
   double cost = 0.0;
@@ -443,7 +655,9 @@ Status EmdWorkspace::SolveNetwork(SignatureView a, SignatureView b,
       }
       // Find the bottleneck on the path.
       double push = remaining;
-      for (std::size_t v = sink; v != source; v = prev_node_[v]) {
+      // The tail of arc e is the head of its reverse arc.
+      for (std::size_t v = sink; v != source;
+           v = arc_to_[arc_rev_[prev_arc_[v]]]) {
         push = std::min(push, arc_cap_[prev_arc_[v]]);
       }
       if (!(push > 0.0)) {
@@ -453,11 +667,16 @@ Status EmdWorkspace::SolveNetwork(SignatureView a, SignatureView b,
         return Status::Internal("augmenting path has no positive bottleneck");
       }
       // Augment.
-      for (std::size_t v = sink; v != source; v = prev_node_[v]) {
+      for (std::size_t v = sink; v != source;) {
         const std::size_t e = prev_arc_[v];
         arc_cap_[e] -= push;
         arc_cap_[arc_rev_[e]] += push;
         cost += push * arc_cost_[e];
+        if (use_heap) {
+          MarkLive(e);
+          MarkLive(arc_rev_[e]);
+        }
+        v = arc_to_[arc_rev_[e]];
       }
       flow += push;
       remaining -= push;
@@ -486,9 +705,10 @@ std::size_t EmdWorkspace::retained_bytes() const {
   bytes += arc_cost_.capacity() * sizeof(double);
   bytes += dist_.capacity() * sizeof(double);
   bytes += potential_.capacity() * sizeof(double);
-  bytes += prev_node_.capacity() * sizeof(std::size_t);
   bytes += prev_arc_.capacity() * sizeof(std::size_t);
-  bytes += visited_.capacity() * sizeof(char);
+  bytes += key_.capacity() * sizeof(double);
+  bytes += improved_.capacity() * sizeof(std::size_t);
+  bytes += live_.capacity() * sizeof(std::uint64_t);
   bytes += heap_.capacity() * sizeof(std::size_t);
   bytes += heap_pos_.capacity() * sizeof(std::size_t);
   bytes += batch_cost_.capacity() * sizeof(double);
@@ -515,9 +735,10 @@ void EmdWorkspace::ReleaseBuffers() {
   std::vector<double>().swap(arc_cost_);
   std::vector<double>().swap(dist_);
   std::vector<double>().swap(potential_);
-  std::vector<std::size_t>().swap(prev_node_);
   std::vector<std::size_t>().swap(prev_arc_);
-  std::vector<char>().swap(visited_);
+  std::vector<double>().swap(key_);
+  std::vector<std::size_t>().swap(improved_);
+  std::vector<std::uint64_t>().swap(live_);
   std::vector<std::size_t>().swap(heap_);
   std::vector<std::size_t>().swap(heap_pos_);
   std::vector<double>().swap(batch_cost_);

@@ -11,21 +11,36 @@
 //    arrays, and the K x L ground-distance matrix. Buffers grow
 //    monotonically, so steady-state solves perform ZERO heap allocations
 //    (allocation_count() exposes the growth counter the perf gate pins).
+//  * The CSR layout keeps the reference's per-node arc order, and in it
+//    every node's residual arcs form at most two contiguous runs whose heads
+//    are consecutive node ids (source -> supply 1..K; supply -> source, then
+//    demand K+1..K+L; demand -> supply 1..K, then sink; sink -> demand). One
+//    relaxation kernel walks such a run with no per-arc gather through the
+//    arc heads, every base pointer hoisted, two arcs per SSE2 step and a
+//    scalar remainder. Each arc keeps the reference's exact arithmetic and
+//    comparisons, so every relaxation matches it bit for bit.
 //  * The EMD network is complete bipartite and tiny (K + L + 2 nodes) at the
-//    paper's signature sizes, so Dijkstra runs as a dense O(n^2) scan with
-//    index-ordered tie-breaking — no heap, no per-entry allocations, and the
-//    exact processing order of the reference heap (which pops (dist, node)
-//    pairs, i.e. breaks distance ties by node index). Every augmentation
-//    therefore reproduces the reference augmentation sequence — and every
-//    rounding — bit for bit.
-//  * Past a measured node-count crossover (large-K workloads: graph
+//    paper's signature sizes, so Dijkstra runs as a dense O(n^2) scan: a
+//    strict-< argmin over a key array that holds dist for unvisited nodes
+//    and +inf once a node is popped, which picks the lowest index among
+//    equal distances. That is the exact processing order of the reference
+//    heap (which pops (dist, node) pairs), so every augmentation reproduces
+//    the reference augmentation sequence, and every rounding, bit for bit.
+//    The kernel applies each arc's result with selects, not branches, since
+//    at these sizes both of its tests are data-dependent coin flips.
+//  * Past a node-count crossover (large-K workloads: graph
 //    features, high-dimensional bags-of-features), the same scratch runs an
 //    indexed 4-ary heap with decrease-key instead. Its keys are the
 //    (dist, node) pairs the dense scan minimizes, so the pop order — and
 //    therefore every relaxation, augmentation, and rounding — is STILL
 //    bitwise-identical to the dense scan; only the selection cost drops from
-//    O(n) per pop to O(log n). The crossover is heap_threshold() (K + L;
-//    0 = always dense), default kDefaultEmdHeapAt.
+//    O(n) per pop to O(log n). It relaxes through the same kernel, which
+//    there skips pairs of dead arcs and writes only the arcs it takes (at
+//    large K most residual arcs carry no flow and improvements are rare); a
+//    demand node's K arcs back to the supply side carry flow on only a few
+//    arcs, so a bitmask of those lets it relax just them.
+//    The crossover is heap_threshold() (K + L; 0 = always dense), default
+//    kDefaultEmdHeapAt.
 //  * A batched ground-distance kernel fills the cost matrix directly from
 //    the two packed signature buffers, dispatching ONCE on the
 //    GroundDistance enum instead of through a GroundDistanceFn per arc.
@@ -60,13 +75,17 @@
 namespace bagcpd {
 
 /// \brief Default K+L crossover at which the exact solver's Dijkstra switches
-/// from the dense O(n^2) scan to the indexed 4-ary heap. Measured with
-/// bench/micro_emd's large-K sweep on the reference container: the two tie
-/// around K + L = 24, the heap wins ~12% by 48 and ~35% by 128, and the dense
-/// scan's branch-free selection only wins below ~16 total clusters — so 32 is
-/// the first clearly-winning point with margin above the tie. Both produce
-/// bitwise-identical results — the threshold only trades selection cost.
-/// 0 disables the heap entirely.
+/// from the dense O(n^2) scan to the indexed 4-ary heap. Measured on random
+/// K = L instances with 2-d centers (bench/micro_emd's large-K shapes plus
+/// intermediate sizes; x86-64 4-vCPU VM, SSE2 build), heap speed over dense
+/// as dense time / heap time: 0.6 at K + L = 24-40, 0.8 at 48, 0.9 at 64,
+/// 1.0 at 80, 1.15 at 96, 1.3 at 128 and 1.6 at 192, so the tie now sits
+/// near K + L = 80. The default stays at 32 all the same: it is part of the
+/// canonical spec (`emd-heap-at=`), which checkpoints carry and import checks
+/// exactly, so moving it would stop default-configured detectors from
+/// importing checkpoints exported with the old value. Both strategies
+/// produce bitwise-identical results; the threshold only trades selection
+/// cost. 0 disables the heap entirely.
 inline constexpr std::size_t kDefaultEmdHeapAt = 32;
 
 /// \brief Reusable, allocation-free-in-steady-state EMD transport solver.
@@ -209,19 +228,24 @@ class EmdWorkspace {
                     std::size_t cost_stride);
 
   // One Dijkstra over the residual network from the source, filling
-  // dist_/prev_node_/prev_arc_. The two selection strategies pop the exact
-  // same (dist, node)-lexicographic order, so they are interchangeable
-  // bit for bit; SolveNetwork picks by heap_threshold_.
+  // dist_/prev_arc_. The two selection strategies pop the exact same
+  // (dist, node)-lexicographic order and relax through the same kernel, so
+  // they are interchangeable bit for bit; SolveNetwork picks by
+  // heap_threshold_.
   void DijkstraDense();
   void DijkstraHeap();
 
   // Indexed 4-ary min-heap primitives over heap_ (node ids) keyed by
-  // (dist_[node], node); heap_pos_[node] is position + 1, 0 = absent.
+  // (key_[node], node); heap_pos_[node] is position + 1, 0 = absent.
   bool HeapLess(std::size_t u, std::size_t v) const {
-    return dist_[u] < dist_[v] || (dist_[u] == dist_[v] && u < v);
+    return key_[u] < key_[v] || (key_[u] == key_[v] && u < v);
   }
   void HeapSiftUp(std::size_t pos);
   void HeapSiftDown(std::size_t pos);
+
+  // Re-derives live_'s bit for `arc` after its capacity changed (no-op for
+  // arcs other than demand -> supply residual arcs).
+  void MarkLive(std::size_t arc);
 
   // Sets the (k, l) shape and sizes every network/Dijkstra buffer (but not
   // the cost/transpose blocks, which the batch paths manage separately).
@@ -255,16 +279,23 @@ class EmdWorkspace {
   std::vector<double> arc_cap_;
   std::vector<double> arc_cost_;
 
-  // Dijkstra + potentials scratch (nodes_ entries in use).
+  // Dijkstra + potentials scratch (nodes_ entries in use). prev_arc_[v] is
+  // the arc that last improved dist_[v]; its tail is arc_to_[arc_rev_[e]].
+  // key_ is the selection key: for the dense scan dist_ for unvisited nodes
+  // and +inf once popped; for the heap a node's dist_ as of its last sift.
   std::vector<double> dist_;
   std::vector<double> potential_;
-  std::vector<std::size_t> prev_node_;
   std::vector<std::size_t> prev_arc_;
-  std::vector<char> visited_;
+  std::vector<double> key_;
 
   // Indexed 4-ary heap scratch (large-K selection; see DijkstraHeap).
   std::vector<std::size_t> heap_;      // Node ids in heap order.
   std::vector<std::size_t> heap_pos_;  // node -> heap position + 1; 0 = out.
+  std::vector<std::size_t> improved_;  // Heads one run improved.
+  // Bit i of demand j's live_words_ words is set iff its residual arc back
+  // to supply i has capacity above kFlowEpsilon; kept by the heap path only.
+  std::vector<std::uint64_t> live_;
+  std::size_t live_words_ = 0;
   std::size_t heap_size_ = 0;
 
   // Multi-pair batch scratch: one flat cost block for all pairs (wide

@@ -195,11 +195,18 @@ TEST(DetectorSpecTest, EmdHeapAtKeyParsesAndRoundTrips) {
   EXPECT_NE(base.find("emd-heap-at=" + std::to_string(kDefaultEmdHeapAt)),
             std::string::npos)
       << base;
+  // Checkpoints carry this echo and ImportState compares specs exactly, so
+  // moving the default would stop checkpoints exported by earlier builds
+  // from importing into default-configured detectors.
+  EXPECT_EQ(kDefaultEmdHeapAt, 32u);
 
-  Result<DetectorSpec> parsed = DetectorSpec::FromKeyValues("emd-heap-at=64");
+  // A value other than the default, so the checks prove the key overrides it.
+  const std::size_t custom = kDefaultEmdHeapAt + 16;
+  const std::string custom_kv = "emd-heap-at=" + std::to_string(custom);
+  Result<DetectorSpec> parsed = DetectorSpec::FromKeyValues(custom_kv);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->Build().ValueOrDie().emd.heap_at, 64u);
-  EXPECT_NE(parsed->ToKeyValues().find("emd-heap-at=64"), std::string::npos);
+  EXPECT_EQ(parsed->Build().ValueOrDie().emd.heap_at, custom);
+  EXPECT_NE(parsed->ToKeyValues().find(custom_kv), std::string::npos);
   Result<DetectorSpec> reparsed =
       DetectorSpec::FromKeyValues(parsed->ToKeyValues());
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
@@ -209,7 +216,7 @@ TEST(DetectorSpecTest, EmdHeapAtKeyParsesAndRoundTrips) {
   Result<DetectorSpec> dense = DetectorSpec::FromKeyValues("emd-heap-at=0");
   ASSERT_TRUE(dense.ok());
   EXPECT_EQ(dense->Build().ValueOrDie().emd.heap_at, 0u);
-  EXPECT_EQ(DetectorSpec().EmdHeapAt(64).ToKeyValues(),
+  EXPECT_EQ(DetectorSpec().EmdHeapAt(custom).ToKeyValues(),
             parsed->ToKeyValues());
 
   // Negative and malformed values are rejected with the numeric-key message.

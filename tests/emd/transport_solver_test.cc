@@ -1,5 +1,7 @@
 // EmdWorkspace contract tests: bitwise agreement with the MinCostFlow
-// reference on random balanced/unbalanced instances, zero-allocation
+// reference on random balanced/unbalanced instances, on the paper's own
+// k-means signatures and on tie-heavy grids (dense scan and heap alike, at
+// every run shape of the relaxation kernel), zero-allocation
 // workspace reuse across changing problem shapes, degenerate instances, and
 // a detector-level regression pinning that the rolling score tables did not
 // move a single per-step output.
@@ -369,7 +371,8 @@ TEST(TransportSolverTest, HeapDijkstraMatchesDenseBitwise) {
   // The 4-ary-heap Dijkstra (forced via threshold 1) against the dense scan
   // (threshold 0): every augmentation must pop the same (dist, node)
   // sequence, so EMD, cost, total flow, AND the full flow matrix must agree
-  // to the last bit on balanced, unbalanced, and rectangular instances.
+  // to the last bit on balanced, unbalanced, and rectangular instances
+  // (K = 70 spans two words of the heap path's live-arc bitmask).
   Rng rng(808);
   const GroundDistanceFn euclid =
       MakeGroundDistance(GroundDistance::kEuclidean);
@@ -378,7 +381,7 @@ TEST(TransportSolverTest, HeapDijkstraMatchesDenseBitwise) {
   EmdWorkspace heap;
   heap.set_heap_threshold(1);
   for (const auto& [k, l] : std::vector<std::pair<std::size_t, std::size_t>>{
-           {2, 2}, {3, 7}, {16, 5}, {24, 24}, {40, 17}, {33, 64}}) {
+           {2, 2}, {3, 7}, {16, 5}, {24, 24}, {40, 17}, {33, 64}, {70, 66}}) {
     for (const double scale : {1.0, 16.0}) {
       const Signature a = RandomSignature(&rng, k, 3);
       const Signature b = RandomSignature(&rng, l, 3, scale);
@@ -391,40 +394,111 @@ TEST(TransportSolverTest, HeapDijkstraMatchesDenseBitwise) {
   }
 }
 
+// Solves a vs b with the dense scan forced (heap_at = 0) and with the heap
+// forced (heap_at = 1), each on a fresh workspace, through the enum-dispatched
+// hot path, and pins both to the MinCostFlow reference bit for bit.
+void ExpectBothStrategiesMatchReference(SignatureView a, SignatureView b,
+                                        GroundDistance ground,
+                                        const std::string& what) {
+  const EmdSolution ref = ReferenceDetailed(a, b, MakeGroundDistance(ground));
+  for (const std::size_t heap_at : {std::size_t{0}, std::size_t{1}}) {
+    EmdWorkspace workspace;
+    workspace.set_heap_threshold(heap_at);
+    ExpectBitwiseEqual(ref,
+                       workspace.ComputeDetailed(a, b, ground).ValueOrDie(),
+                       what + " heap_at=" + std::to_string(heap_at));
+  }
+}
+
+// The run shapes of the relaxation kernel: every node's arcs form runs of
+// length K, L and 1, so these cover empty, single-arc, odd and even runs.
+const std::vector<std::pair<std::size_t, std::size_t>>& KernelShapes() {
+  static const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {1, 1}, {1, 9}, {9, 1}, {7, 3}, {8, 8}, {15, 16}};
+  return shapes;
+}
+
+TEST(TransportSolverTest, PaperRegimeSignaturesMatchReferenceBitwise) {
+  // The detector's own inputs: k-means signatures of 50-point 2-d bags. With
+  // raw integer count weights both sides carry mass 50, so the transport is
+  // balanced and degenerate: augmentations saturate several arcs at once and
+  // leave many residual arcs at exactly zero capacity, which the kernel must
+  // skip exactly as the reference does. Normalized weights give the
+  // mass-1 variant.
+  Rng rng(2016);
+  for (const auto& [k, l] : KernelShapes()) {
+    for (const bool normalize : {false, true}) {
+      for (std::uint64_t trial = 0; trial < 4; ++trial) {
+        SignatureBuilderOptions options;
+        options.normalize = normalize;
+        options.seed = 31;
+        options.k = k;
+        const GaussianMixture ref_bags =
+            GaussianMixture::Isotropic({0.0, 0.0}, 1.0);
+        const Signature a = SignatureBuilder(options)
+                                .Build(ref_bags.SampleBag(50, &rng), trial)
+                                .ValueOrDie();
+        options.k = l;
+        const GaussianMixture test_bags = GaussianMixture::Isotropic(
+            {0.5 * static_cast<double>(trial), 0.0}, 1.0);
+        const Signature b =
+            SignatureBuilder(options)
+                .Build(test_bags.SampleBag(50, &rng), 100 + trial)
+                .ValueOrDie();
+        ASSERT_EQ(a.size(), k);
+        ASSERT_EQ(b.size(), l);
+        if (!normalize) {
+          ASSERT_EQ(a.TotalWeight(), 50.0);
+          ASSERT_EQ(b.TotalWeight(), 50.0);
+        }
+        ExpectBothStrategiesMatchReference(
+            a, b, GroundDistance::kEuclidean,
+            "k=" + std::to_string(k) + " l=" + std::to_string(l) +
+                " normalize=" + std::to_string(normalize) +
+                " trial=" + std::to_string(trial));
+      }
+    }
+  }
+}
+
 TEST(TransportSolverTest, HeapDijkstraMatchesDenseOnTieHeavyInstances) {
   // Centers drawn from a tiny integer grid under Manhattan distance: most
   // arcs share one of a handful of exact costs, so Dijkstra hits equal-dist
   // ties on nearly every pop. The dense scan resolves them lowest-index-
   // first (strict < over the linear sweep); the heap's (dist, node) keys
   // must reproduce that order exactly, or some flow lands on a different
-  // equal-cost arc and the flow matrix diverges.
+  // equal-cost arc and the flow matrix diverges. Unit and small integer
+  // weights make augmentations tie on their bottlenecks too. Both
+  // strategies are pinned to the reference, at every kernel run shape and
+  // at sizes where the heap has several levels.
   Rng rng(818);
-  auto grid_signature = [&rng](std::size_t n) {
+  auto grid_signature = [&rng](std::size_t n, bool unit_weights) {
     Signature s;
     for (std::size_t i = 0; i < n; ++i) {
       Point c(2);
       for (double& v : c) v = std::floor(rng.Uniform(0.0, 3.0));  // {0,1,2}
-      s.AddCenter(c, 1.0);
+      const double weight =
+          unit_weights ? 1.0 : std::floor(rng.Uniform(1.0, 4.0));  // {1,2,3}
+      s.AddCenter(c, weight);
     }
     return s;
   };
-  const GroundDistanceFn manhattan =
-      MakeGroundDistance(GroundDistance::kManhattan);
-  EmdWorkspace dense;
-  dense.set_heap_threshold(0);
-  EmdWorkspace heap;
-  heap.set_heap_threshold(1);
+  std::vector<std::pair<std::size_t, std::size_t>> shapes = KernelShapes();
   for (const std::size_t n :
        {std::size_t{4}, std::size_t{12}, std::size_t{30}}) {
-    for (int trial = 0; trial < 3; ++trial) {
-      const Signature a = grid_signature(n);
-      const Signature b = grid_signature(n + 3);
-      const EmdSolution d =
-          dense.ComputeDetailed(a, b, manhattan).ValueOrDie();
-      const EmdSolution h = heap.ComputeDetailed(a, b, manhattan).ValueOrDie();
-      ExpectBitwiseEqual(d, h,
-                         "tie-heavy n=" + std::to_string(n) + " trial=" +
-                             std::to_string(trial));
+    shapes.emplace_back(n, n + 3);
+  }
+  for (const auto& [k, l] : shapes) {
+    for (const bool unit_weights : {true, false}) {
+      for (int trial = 0; trial < 3; ++trial) {
+        const Signature a = grid_signature(k, unit_weights);
+        const Signature b = grid_signature(l, unit_weights);
+        ExpectBothStrategiesMatchReference(
+            a, b, GroundDistance::kManhattan,
+            "tie-heavy k=" + std::to_string(k) + " l=" + std::to_string(l) +
+                " unit_weights=" + std::to_string(unit_weights) +
+                " trial=" + std::to_string(trial));
+      }
     }
   }
 }
