@@ -34,16 +34,6 @@ Matrix Matrix::Diagonal(const std::vector<double>& diag) {
   return m;
 }
 
-double& Matrix::operator()(std::size_t i, std::size_t j) {
-  BAGCPD_DCHECK(i < rows_ && j < cols_);
-  return data_[i * cols_ + j];
-}
-
-double Matrix::operator()(std::size_t i, std::size_t j) const {
-  BAGCPD_DCHECK(i < rows_ && j < cols_);
-  return data_[i * cols_ + j];
-}
-
 Matrix Matrix::Transpose() const {
   Matrix t(cols_, rows_);
   for (std::size_t i = 0; i < rows_; ++i) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "bagcpd/common/check.h"
 #include "bagcpd/common/result.h"
 #include "bagcpd/common/status.h"
 
@@ -37,8 +38,16 @@ class Matrix {
   std::size_t cols() const { return cols_; }
   bool empty() const { return rows_ == 0 || cols_ == 0; }
 
-  double& operator()(std::size_t i, std::size_t j);
-  double operator()(std::size_t i, std::size_t j) const;
+  // Inline: the bootstrap's score reads the log-EMD tables through these
+  // once per weight pair and replicate.
+  double& operator()(std::size_t i, std::size_t j) {
+    BAGCPD_DCHECK(i < rows_ && j < cols_);
+    return data_[i * cols_ + j];
+  }
+  double operator()(std::size_t i, std::size_t j) const {
+    BAGCPD_DCHECK(i < rows_ && j < cols_);
+    return data_[i * cols_ + j];
+  }
 
   /// \brief Raw row-major storage.
   const std::vector<double>& data() const { return data_; }

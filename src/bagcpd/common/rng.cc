@@ -27,6 +27,37 @@ std::uint64_t Rng::StableHash64(const std::string& key) {
   return h;
 }
 
+template <std::size_t N>
+void LazyMt19937_64::SeedLockstep(LazyMt19937_64* engines, std::size_t count,
+                                  std::size_t last) {
+  if constexpr (N > 1) {
+    if (count < N) {
+      SeedLockstep<N - 1>(engines, count, last);
+      return;
+    }
+  }
+  // A compile-time block size keeps every chain in a register.
+  result_type prev[N] = {};
+  for (std::size_t e = 0; e < N; ++e) prev[e] = engines[e].x_[0];
+  for (std::size_t k = 1; k <= last; ++k) {
+#pragma GCC unroll 8
+    for (std::size_t e = 0; e < N; ++e) {
+      prev[e] = SeedWord(prev[e], k);
+      engines[e].x_[k] = prev[e];
+    }
+  }
+  for (std::size_t e = 0; e < N; ++e) engines[e].seeded_ = last + 1;
+}
+
+void LazyMt19937_64::SeedBlock(LazyMt19937_64* engines,
+                               const std::uint64_t* seeds, std::size_t count,
+                               std::size_t last) {
+  BAGCPD_CHECK(count <= kMaxBlock && last < kWords);
+  if (count == 0) return;
+  for (std::size_t e = 0; e < count; ++e) engines[e].Reseed(seeds[e]);
+  SeedLockstep<kMaxBlock>(engines, count, last);
+}
+
 void LazyMt19937_64::TwistUpperHalf() {
   for (std::size_t k = kShift; k + 1 < kWords; ++k) {
     x_[k] = x_[k - kShift] ^ TwistWord(x_[k], x_[k + 1]);

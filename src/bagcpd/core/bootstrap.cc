@@ -115,12 +115,25 @@ Result<BootstrapInterval> BootstrapScoreInterval(
   std::mutex failure_mu;
   std::size_t failed_replicate = replicates;
   Status failure;
+  constexpr std::size_t kBlock = LazyMt19937_64::kMaxBlock;
   auto run_replicates = [&](std::size_t begin, std::size_t end) {
     std::vector<double> gamma_ref(pi_ref.size());
     std::vector<double> gamma_test(pi_test.size());
     std::vector<int> counts(std::max(pi_ref.size(), pi_test.size()));
+    // Replicates run in blocks whose engines are reseeded in place and
+    // seeded in lockstep; replicate r's stream does not depend on its block.
+    std::vector<LazyMt19937_64> engines(kBlock);
+    std::uint64_t seeds[kBlock] = {};
     for (std::size_t r = begin; r < end; ++r) {
-      LazyMt19937_64 urbg(Rng::ForkSeed(base_seed, r));
+      const std::size_t e = (r - begin) % kBlock;
+      if (e == 0) {
+        const std::size_t count = std::min(kBlock, end - r);
+        for (std::size_t i = 0; i < count; ++i) {
+          seeds[i] = Rng::ForkSeed(base_seed, r + i);
+        }
+        LazyMt19937_64::SeedBlock(engines.data(), seeds, count);
+      }
+      LazyMt19937_64& urbg = engines[e];
       // The standard bootstrap can draw gamma_test[0] == 1 (every resample
       // hit element 0), which makes scoreLR undefined; redraw in that case.
       for (int attempt = 0;; ++attempt) {

@@ -81,6 +81,59 @@ TEST(RngTest, LazyMt19937MatchesStdEngineOnEdgeSeeds) {
   }
 }
 
+// SeedBlock seeds up to 8 engines in lockstep; each must still yield its
+// own std::mt19937_64 stream. 700 draws cross the end of the first round
+// (156, 312) and one full twist (624), for every block size and for seeding
+// through the default word, exactly the words draw 0 needs, and all words.
+TEST(RngTest, BlockSeededLazyMt19937MatchesStdEngine) {
+  std::vector<std::uint64_t> seeds = {0ull, 1ull, 5489ull, ~0ull, 1ull << 63};
+  for (std::uint64_t id = 0; id < 35; ++id) {
+    seeds.push_back(Rng::ForkSeed(0x9E3779B97F4A7C15ull, id));
+  }
+  std::vector<LazyMt19937_64> engines(LazyMt19937_64::kMaxBlock);
+  for (std::size_t last : {std::size_t{156}, LazyMt19937_64::kBlockSeedThrough,
+                           std::size_t{311}}) {
+    for (std::size_t count = 1; count <= LazyMt19937_64::kMaxBlock; ++count) {
+      // Blocks of `count` consecutive seeds, reusing the same engines.
+      for (std::size_t first = 0; first + count <= seeds.size();
+           first += count) {
+        LazyMt19937_64::SeedBlock(engines.data(), &seeds[first], count, last);
+        for (std::size_t e = 0; e < count; ++e) {
+          std::mt19937_64 reference(seeds[first + e]);
+          for (int draw = 0; draw < 700; ++draw) {
+            if (reference() != engines[e]()) {
+              FAIL() << "seed " << seeds[first + e] << " (block of " << count
+                     << ", seeded through " << last << ") diverges at draw "
+                     << draw;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RngTest, ReseededLazyMt19937MatchesFreshEngine) {
+  LazyMt19937_64 reused;
+  std::mt19937_64 default_seeded;
+  for (int draw = 0; draw < 400; ++draw) {
+    ASSERT_EQ(default_seeded(), reused()) << "draw " << draw;
+  }
+  // Reseed mid-stream, in the first round, and after whole twists.
+  for (int consumed : {0, 3, 200, 700}) {
+    for (std::uint64_t seed : {7ull, 5489ull, ~0ull}) {
+      for (int draw = 0; draw < consumed; ++draw) reused();
+      reused.Reseed(seed);
+      LazyMt19937_64 fresh(seed);
+      for (int draw = 0; draw < 700; ++draw) {
+        ASSERT_EQ(fresh(), reused())
+            << "seed " << seed << " after " << consumed << " draws, draw "
+            << draw;
+      }
+    }
+  }
+}
+
 // DirichletInto / MultinomialInto depend only on the bit stream: the same
 // seed gives the same bits on either engine, and the Rng members are thin
 // wrappers over them.

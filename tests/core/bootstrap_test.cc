@@ -265,6 +265,45 @@ TEST(BootstrapTest, GoldenIntervalsAreBitExactForAnyPool) {
   }
 }
 
+// Replicate counts that leave a partial block of lockstep-seeded engines,
+// under pools whose chunk boundaries are not multiples of the block size.
+// Pinned before replicate engines were seeded in blocks.
+TEST(BootstrapTest, GoldenIntervalsWithPartialBlocksAreBitExactForAnyPool) {
+  struct PartialBlockCase {
+    int replicates;
+    BootstrapInterval expected;
+  };
+  const PartialBlockCase cases[] = {
+      {7,
+       {0x1.43b1078f4ad76p-1, 0x1.9f3ba068734cep-1, 0x1.5bff1dce38b72p-1,
+        0x1.1fca702319761p-4}},
+      {203,
+       {0x1.29864262304c8p-1, 0x1.c707f1430669cp-1, 0x1.5e47cf09bce35p-1,
+        0x1.16316d41a02dap-4}},
+  };
+  const ScoreContext ctx = SimpleContext(5, 5);
+  const std::vector<double> pi_test = {0.3, 0.25, 0.2, 0.15, 0.1};
+  for (const PartialBlockCase& c : cases) {
+    for (int pool_size : {-1, 3, 8}) {
+      SCOPED_TRACE("T " + std::to_string(c.replicates) + " pool " +
+                   std::to_string(pool_size));
+      std::unique_ptr<ThreadPool> pool;
+      if (pool_size >= 0) {
+        pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(pool_size));
+      }
+      BootstrapOptions options;
+      options.replicates = c.replicates;
+      Rng rng(4242);
+      Result<BootstrapInterval> ci =
+          BootstrapScoreInterval(ScoreType::kSymmetrizedKl, ctx, UniformPi(5),
+                                 pi_test, options, &rng, pool.get());
+      ASSERT_TRUE(ci.ok());
+      ExpectBitwiseEqual(*ci, c.expected);
+      EXPECT_EQ(rng.NextUInt64(), 15419982818756053049ull);
+    }
+  }
+}
+
 // tau' = 2 under the standard bootstrap redraws often (gamma_test = (1, 0)
 // leaves scoreLR undefined); the redraws continue the replicate's stream.
 TEST(BootstrapTest, GoldenIntervalWithStandardRedraws) {
