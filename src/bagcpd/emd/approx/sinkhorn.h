@@ -2,11 +2,26 @@
 // a prepared K x L ground-distance matrix.
 //
 // The exact transportation solve costs O(K^3)-ish per pair; Sinkhorn runs a
-// fixed, data-independent sequence of dense vector/matrix products — two
-// GEMV-shaped passes over the Gibbs kernel per iteration — which the
-// compiler vectorizes the same way as the batched cost fill. The price is an
-// entropic bias: the returned value upper-bounds the exact EMD and
-// approaches it as eps -> 0.
+// fixed, data-independent sequence of dense products — G v and G^T u over
+// the Gibbs kernel G, once each per iteration. The price is an entropic
+// bias: the returned value upper-bounds the exact EMD and approaches it as
+// eps -> 0.
+//
+// Kernel layout and summation order: G is one row-major K x L buffer (no
+// transposed copy). Every entry of both products is a sum in a fixed order:
+// kv[i] adds G_ij v_j for j ascending, ktu[j] adds G_ij u_i for i ascending,
+// each from 0.0. No compiler may vectorize a kv sum (that would reassociate
+// it), so left to the compiler G v runs as K serial dot products. The x86-64
+// build vectorizes across entries instead, two per SSE2 register: G v runs row
+// pairs, reading 2 x 2 tiles of G and transposing the products so that each
+// lane adds its own row's terms in j order; G^T u runs pairs of adjacent
+// columns with i ascending; u = p / kv and v = q / ktu divide two entries per
+// instruction, with the underflow test as a lane mask checked before any
+// quotient is stored (kv itself is never stored: a row pair's u follows its
+// sums). Each entry thus goes through the IEEE operations of the scalar loops,
+// in their order, and the baseline x86-64 target has no FMA to contract a
+// multiply and an add, so SSE2 and scalar builds return bitwise-identical
+// values (approx_solver_test pins this against a scalar reference).
 //
 // Determinism contract: for equal inputs and equal options the iteration
 // count, every intermediate, and the returned value are bitwise-identical —
@@ -53,7 +68,6 @@ class SinkhornScratch {
   std::vector<double> q_;       // Unit-mass-normalized demand weights (L).
   std::vector<double> u_;       // Row scaling vector (K).
   std::vector<double> v_;       // Column scaling vector (L).
-  std::vector<double> kv_;      // kernel * v (K).
   std::vector<double> ktu_;     // kernel^T * u (L).
 
   std::uint64_t allocation_count_ = 0;
