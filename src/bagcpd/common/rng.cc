@@ -89,32 +89,23 @@ Rng Rng::Fork(std::uint64_t stream_id) const {
 
 std::uint64_t Rng::NextUInt64() { return engine_(); }
 
-double Rng::Uniform() {
-  std::uniform_real_distribution<double> dist(0.0, 1.0);
-  return dist(engine_);
-}
+double Rng::Uniform() { return Canonical64(engine_); }
 
 double Rng::Uniform(double lo, double hi) {
   BAGCPD_DCHECK(lo <= hi);
-  std::uniform_real_distribution<double> dist(lo, hi);
-  return dist(engine_);
+  // As std::uniform_real_distribution(lo, hi) computes it.
+  return Canonical64(engine_) * (hi - lo) + lo;
 }
 
-int Rng::UniformInt(int lo, int hi) {
-  BAGCPD_DCHECK(lo <= hi);
-  std::uniform_int_distribution<int> dist(lo, hi);
-  return dist(engine_);
-}
+int Rng::UniformInt(int lo, int hi) { return UniformIntDraw(engine_, lo, hi); }
 
-double Rng::Gaussian() {
-  std::normal_distribution<double> dist(0.0, 1.0);
-  return dist(engine_);
-}
+double Rng::Gaussian() { return Gaussian(0.0, 1.0); }
 
 double Rng::Gaussian(double mean, double stddev) {
   BAGCPD_DCHECK(stddev >= 0.0);
-  std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
+  // A fresh std::normal_distribution(mean, stddev): the pair's saved second
+  // value is dropped with the sampler.
+  return PolarNormal()(engine_) * stddev + mean;
 }
 
 int Rng::Poisson(double lambda, int min_value) {
@@ -135,9 +126,7 @@ double Rng::Exponential(double rate) {
 }
 
 double Rng::Gamma(double shape, double scale) {
-  BAGCPD_DCHECK(shape > 0.0 && scale > 0.0);
-  std::gamma_distribution<double> dist(shape, scale);
-  return dist(engine_);
+  return GammaDraw(engine_, shape, scale);
 }
 
 std::vector<double> Rng::Dirichlet(const std::vector<double>& alpha) {
@@ -231,13 +220,7 @@ Status Rng::DeserializeState(const std::string& state) {
 }
 
 std::vector<std::size_t> Rng::Permutation(std::size_t n) {
-  std::vector<std::size_t> idx(n);
-  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
-  for (std::size_t i = n; i > 1; --i) {
-    std::size_t j = static_cast<std::size_t>(UniformInt(0, static_cast<int>(i) - 1));
-    std::swap(idx[i - 1], idx[j]);
-  }
-  return idx;
+  return PermutationDraw(engine_, n);
 }
 
 }  // namespace bagcpd

@@ -5,6 +5,7 @@
 #define BAGCPD_COMMON_RNG_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <random>
@@ -24,13 +25,14 @@ namespace bagcpd {
 ///
 /// std::mt19937_64 seeds all 312 state words up front and its first draw
 /// twists all of them, which dwarfs the cost of a consumer that only needs a
-/// few dozen words (a bootstrap replicate). Here construction stores the seed
-/// only. During the first round, output i < 156 needs just the twisted word
-/// i, which reads seeded words i, i + 1 and i + 156. Seeding is one serial
-/// multiply chain, so draw 0 seeds words 1..156 in one go; after that each
-/// draw i < 156 seeds one more word (i + 156) and twists one word. Draw 157
-/// finishes the first round, and from then on the generator twists whole
-/// rounds like the standard engine.
+/// few dozen words: a bootstrap replicate, or a quantizer's per-bag stream
+/// (k-means++ seeding reads one word per center). Here construction stores
+/// the seed only. During the first round, output i < 156 needs just the
+/// twisted word i, which reads seeded words i, i + 1 and i + 156. Seeding is
+/// one serial multiply chain, so draw 0 seeds words 1..156 in one go; after
+/// that each draw i < 156 seeds one more word (i + 156) and twists one word.
+/// Draw 157 finishes the first round, and from then on the generator twists
+/// whole rounds like the standard engine.
 ///
 /// That chain is the bulk of a short stream's cost, and it cannot be
 /// shortened for one engine. SeedBlock() instead interleaves the independent
@@ -42,7 +44,8 @@ namespace bagcpd {
 /// same stream.
 ///
 /// Not serializable: use it for short-lived streams that are rebuilt from
-/// their seed, and std::mt19937_64 (Rng) for state that must be saved.
+/// their seed (bootstrap replicates, the seeded quantizers), and
+/// std::mt19937_64 (Rng) for state that must be saved.
 class LazyMt19937_64 {
  public:
   using result_type = std::uint64_t;
@@ -142,20 +145,130 @@ class LazyMt19937_64 {
   bool in_first_round_ = true;
 };
 
+/// \brief static_cast<double>(w), computed without a branch.
+///
+/// Baseline x86-64 converts only signed integers, so GCC lowers the unsigned
+/// cast to a branch on the sign bit, which mispredicts on half of all random
+/// words.
+/// Here both 32-bit halves convert exactly as signed values and one addition
+/// rounds their exact sum w, to nearest even like the cast does.
+inline double U64ToDouble(std::uint64_t w) {
+  const double hi = static_cast<double>(static_cast<std::int64_t>(w >> 32));
+  const double lo =
+      static_cast<double>(static_cast<std::int64_t>(w & 0xFFFFFFFFu));
+  return hi * 0x1p32 + lo;
+}
+
+/// \brief A uniform double in [0, 1) from one engine word: bitwise
+/// std::generate_canonical<double, 53> as libstdc++ computes it for a
+/// full-range 64-bit engine (std::mt19937_64, LazyMt19937_64).
+template <typename Urbg>
+double Canonical64(Urbg& urbg) {
+  static_assert(Urbg::min() == 0 && Urbg::max() == ~std::uint64_t{0},
+                "Canonical64 needs a full-range 64-bit engine");
+  // libstdc++ divides the word by 2^64, which the multiply does exactly. A
+  // word that rounds up to 2^64 would give 1, so it maps to the largest
+  // double below 1 instead.
+  const double r = U64ToDouble(urbg()) * 0x1p-64;
+  if (__builtin_expect(r >= 1.0, 0)) return std::nextafter(1.0, 0.0);
+  return r;
+}
+
+/// \brief Uniform integer in [lo, hi] inclusive.
+template <typename Urbg>
+int UniformIntDraw(Urbg& urbg, int lo, int hi) {
+  BAGCPD_DCHECK(lo <= hi);
+  std::uniform_int_distribution<int> dist(lo, hi);
+  return dist(urbg);
+}
+
+/// \brief Fisher-Yates shuffle of indices [0, n).
+template <typename Urbg>
+std::vector<std::size_t> PermutationDraw(Urbg& urbg, std::size_t n) {
+  std::vector<std::size_t> idx(n);
+  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+  for (std::size_t i = n; i > 1; --i) {
+    const std::size_t j = static_cast<std::size_t>(
+        UniformIntDraw(urbg, 0, static_cast<int>(i) - 1));
+    std::swap(idx[i - 1], idx[j]);
+  }
+  return idx;
+}
+
+/// \brief Standard normal draws, bitwise those of one libstdc++
+/// std::normal_distribution<double>(0, 1) object: Marsaglia's polar method,
+/// which makes two values per accepted pair and hands out the saved second
+/// one on the next call. A fresh sampler is a fresh distribution.
+class PolarNormal {
+ public:
+  template <typename Urbg>
+  double operator()(Urbg& urbg) {
+    if (saved_available_) {
+      saved_available_ = false;
+      return saved_;
+    }
+    double x, y, r2;
+    do {
+      x = 2.0 * Canonical64(urbg) - 1.0;
+      y = 2.0 * Canonical64(urbg) - 1.0;
+      r2 = x * x + y * y;
+    } while (r2 > 1.0 || r2 == 0.0);
+    const double mult = std::sqrt(-2 * std::log(r2) / r2);
+    saved_ = x * mult;
+    saved_available_ = true;
+    return y * mult;
+  }
+
+ private:
+  double saved_ = 0.0;
+  bool saved_available_ = false;
+};
+
+/// \brief Gamma(alpha, beta) draw (shape, scale), bitwise that of a fresh
+/// libstdc++ std::gamma_distribution<double>(alpha, beta): Marsaglia-Tsang
+/// with the same expressions, on a PolarNormal that lives for this one draw
+/// (a rejected candidate's saved normal feeds the next), and for alpha < 1
+/// the boost from alpha + 1 by u^(1/alpha).
+///
+/// The standard distribution scales each normal as n * 1 + 0, which can only
+/// turn -0 into +0; every use of n below squares it or adds it to 1, so that
+/// step is left out.
+template <typename Urbg>
+double GammaDraw(Urbg& urbg, double alpha, double beta = 1.0) {
+  BAGCPD_DCHECK(alpha > 0.0 && beta > 0.0);
+  const double malpha = alpha < 1.0 ? alpha + 1.0 : alpha;
+  const double a1 = malpha - 1.0 / 3.0;
+  const double a2 = 1.0 / std::sqrt(9.0 * a1);
+  PolarNormal normal;
+  double u, v, n;
+  do {
+    do {
+      n = normal(urbg);
+      v = 1.0 + a2 * n;
+    } while (v <= 0.0);
+    v = v * v * v;
+    u = Canonical64(urbg);
+  } while (u > 1.0 - 0.0331 * n * n * n * n &&
+           std::log(u) > 0.5 * n * n + a1 * (1.0 - v + std::log(v)));
+  if (alpha == malpha) return a1 * v * beta;
+  do {
+    u = Canonical64(urbg);
+  } while (u == 0.0);
+  return std::pow(u, 1.0 / alpha) * a1 * v * beta;
+}
+
 /// \brief Dirichlet draw with concentration `alpha[0..n)` into `out[0..n)`;
-/// the result sums to one. Builds each std::gamma_distribution fresh per
-/// draw (so no cached normal leaks between components), which makes the
-/// result a pure function of the bit stream: the same words give the same
-/// bits on any engine.
+/// the result sums to one. Each component is its own GammaDraw, so no saved
+/// normal carries between components and the result is a pure function of
+/// the bit stream: the same words give the same bits on any engine, and the
+/// bits std::gamma_distribution gives.
 template <typename Urbg>
 void DirichletInto(Urbg& urbg, const double* alpha, std::size_t n,
                    double* out) {
   BAGCPD_CHECK_MSG(n > 0, "Dirichlet with empty alpha");
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    BAGCPD_DCHECK(alpha[i] > 0.0);
-    std::gamma_distribution<double> gamma(alpha[i], 1.0);
-    out[i] = gamma(urbg);
+    out[i] = GammaDraw(urbg, alpha[i]);
     total += out[i];
   }
   // All-zero draws are possible for tiny alpha due to underflow; fall back to
@@ -168,8 +281,9 @@ void DirichletInto(Urbg& urbg, const double* alpha, std::size_t n,
 }
 
 /// \brief Multinomial counts of `trials` over `probs[0..n)` into
-/// `counts[0..n)`, by sequential binomial thinning (exact). Like
-/// DirichletInto, each std::binomial_distribution is built fresh per draw.
+/// `counts[0..n)`, by sequential binomial thinning (exact). Each
+/// std::binomial_distribution is built fresh per draw, so, like
+/// DirichletInto, the result is a pure function of the bit stream.
 template <typename Urbg>
 void MultinomialInto(Urbg& urbg, int trials, const double* probs,
                      std::size_t n, int* counts) {
@@ -291,8 +405,8 @@ class Rng {
   /// mt19937_64 stream position — as a portable text string (the standard's
   /// own `operator<<` engine encoding). A generator restored from it
   /// continues the draw sequence bitwise where this one stands; every
-  /// distribution helper above builds its std:: distribution fresh per call,
-  /// so the engine stream is the whole state. Used by the checkpoint
+  /// distribution helper above starts fresh per call (no saved normal is
+  /// kept), so the engine stream is the whole state. Used by the checkpoint
   /// subsystem (serialize/) to freeze a detector's RNG position.
   std::string SerializeState() const;
 

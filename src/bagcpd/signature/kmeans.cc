@@ -38,11 +38,11 @@ class FlatCenters {
 // k-means++ seeding (Arthur & Vassilvitskii 2007): iteratively picks centers
 // with probability proportional to the squared distance to the closest
 // already-chosen center.
-FlatCenters SeedPlusPlus(BagView bag, std::size_t k, Rng* rng,
+FlatCenters SeedPlusPlus(BagView bag, std::size_t k, LazyMt19937_64& urbg,
                          BufferArena* arena) {
   FlatCenters centers(k, bag.dim(), arena);
   centers.Append(bag[static_cast<std::size_t>(
-      rng->UniformInt(0, static_cast<int>(bag.size()) - 1))]);
+      UniformIntDraw(urbg, 0, static_cast<int>(bag.size()) - 1))]);
 
   PooledBuffer closest_buf = PooledBuffer::AcquireFrom(arena, bag.size());
   std::vector<double>& closest_sq = closest_buf.vec();
@@ -57,10 +57,10 @@ FlatCenters SeedPlusPlus(BagView bag, std::size_t k, Rng* rng,
     if (total <= 0.0) {
       // All remaining points coincide with chosen centers; duplicate one.
       centers.Append(bag[static_cast<std::size_t>(
-          rng->UniformInt(0, static_cast<int>(bag.size()) - 1))]);
+          UniformIntDraw(urbg, 0, static_cast<int>(bag.size()) - 1))]);
       continue;
     }
-    double u = rng->Uniform() * total;
+    double u = Canonical64(urbg) * total;
     std::size_t chosen = bag.size() - 1;
     for (std::size_t i = 0; i < bag.size(); ++i) {
       u -= closest_sq[i];
@@ -100,12 +100,14 @@ Result<KMeansResult> QuantizeImpl(BagView bag, const KMeansOptions& options,
   const std::size_t n = bag.size();
   const std::size_t d = bag.dim();
   const std::size_t k = std::min(options.k, n);
-  Rng rng(options.seed);
+  // The seeding reads one word per center, so a lazily twisted engine skips
+  // most of a std::mt19937_64 set-up; the stream is the same.
+  LazyMt19937_64 urbg(options.seed);
 
   // The Lloyd loop double-buffers between `centers` and `update_buf`, so the
   // iterations allocate nothing; both scratch buffers recycle through the
   // arena when one is attached.
-  PooledBuffer centers_buf(SeedPlusPlus(bag, k, &rng, arena).TakeFlat(),
+  PooledBuffer centers_buf(SeedPlusPlus(bag, k, urbg, arena).TakeFlat(),
                            arena);
   std::vector<double>& centers = centers_buf.vec();
   PooledBuffer update_buf = PooledBuffer::AcquireFrom(arena, k * d);

@@ -42,13 +42,13 @@ Result<KMedoidsResult> QuantizeImpl(BagView bag,
 
   const std::size_t n = bag.size();
   const std::size_t k = std::min(options.k, n);
-  Rng rng(options.seed);
+  LazyMt19937_64 urbg(options.seed);  // The std::mt19937_64 stream, lazily.
 
   // BUILD: greedy distance-weighted seeding (k-means++-style on distances).
   std::vector<std::size_t> medoids;
   medoids.reserve(k);
-  medoids.push_back(
-      static_cast<std::size_t>(rng.UniformInt(0, static_cast<int>(n) - 1)));
+  medoids.push_back(static_cast<std::size_t>(
+      UniformIntDraw(urbg, 0, static_cast<int>(n) - 1)));
   PooledBuffer closest_buf = PooledBuffer::AcquireFrom(arena, n);
   std::vector<double>& closest = closest_buf.vec();
   closest.assign(n, std::numeric_limits<double>::infinity());
@@ -60,11 +60,11 @@ Result<KMedoidsResult> QuantizeImpl(BagView bag,
     double total = 0.0;
     for (double c : closest) total += c;
     if (total <= 0.0) {
-      medoids.push_back(
-          static_cast<std::size_t>(rng.UniformInt(0, static_cast<int>(n) - 1)));
+      medoids.push_back(static_cast<std::size_t>(
+          UniformIntDraw(urbg, 0, static_cast<int>(n) - 1)));
       continue;
     }
-    double u = rng.Uniform() * total;
+    double u = Canonical64(urbg) * total;
     std::size_t chosen = n - 1;
     for (std::size_t i = 0; i < n; ++i) {
       u -= closest[i];
@@ -84,7 +84,7 @@ Result<KMedoidsResult> QuantizeImpl(BagView bag,
     bool improved = false;
     const std::size_t sample =
         std::min(options.swap_candidate_sample, n);
-    std::vector<std::size_t> perm = rng.Permutation(n);
+    std::vector<std::size_t> perm = PermutationDraw(urbg, n);
     for (std::size_t m = 0; m < medoids.size(); ++m) {
       for (std::size_t s = 0; s < sample; ++s) {
         const std::size_t candidate = perm[s];

@@ -22,10 +22,10 @@ Result<Signature> QuantizeImpl(BagView bag, const LvqOptions& options,
   const std::size_t n = bag.size();
   const std::size_t d = bag.dim();
   const std::size_t k = std::min(options.k, n);
-  Rng rng(options.seed);
+  LazyMt19937_64 urbg(options.seed);  // The std::mt19937_64 stream, lazily.
 
   // Initialize prototypes at k distinct random bag points (flat k x d buffer).
-  std::vector<std::size_t> perm = rng.Permutation(n);
+  std::vector<std::size_t> perm = PermutationDraw(urbg, n);
   PooledBuffer prototype_buf = PooledBuffer::AcquireFrom(arena, k * d);
   std::vector<double>& prototypes = prototype_buf.vec();
   prototypes.assign(k * d, 0.0);
@@ -37,7 +37,7 @@ Result<Signature> QuantizeImpl(BagView bag, const LvqOptions& options,
   const long total_updates = static_cast<long>(options.epochs) * n;
   long update = 0;
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    std::vector<std::size_t> order = rng.Permutation(n);
+    std::vector<std::size_t> order = PermutationDraw(urbg, n);
     for (std::size_t idx : order) {
       // Find the winner.
       std::size_t winner = 0;

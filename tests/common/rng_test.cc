@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <set>
@@ -179,6 +180,216 @@ TEST(RngTest, EngineGenericMultinomialIsBitwiseEqualAcrossEngines) {
       }
     }
   }
+}
+
+// The in-repo sampler (U64ToDouble, Canonical64, PolarNormal, GammaDraw)
+// reproduces libstdc++'s std::generate_canonical, std::normal_distribution
+// and std::gamma_distribution bit for bit, word for word. The comparisons
+// with std:: run only against libstdc++; the %a pins further down were
+// captured from it and check the sampler under any standard library.
+
+// An engine that returns one fixed word, to reach Canonical64's edges.
+struct FixedWordEngine {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() { return word; }
+  result_type word;
+};
+
+// Counts the words a sampler reads, so a test can compare engine positions.
+template <typename Engine>
+struct CountingEngine {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return Engine::min(); }
+  static constexpr result_type max() { return Engine::max(); }
+  result_type operator()() {
+    ++words;
+    return engine();
+  }
+  Engine engine;
+  std::uint64_t words = 0;
+};
+
+// Words where the conversion to double rounds, ties, or sits next to a
+// power of two, up to 2^64 - 2^10, which rounds up to 2^64.
+const std::uint64_t kEdgeWords[] = {0,
+                                    1,
+                                    (1ull << 32) - 1,
+                                    1ull << 32,
+                                    (1ull << 32) + 1,
+                                    (1ull << 53) - 1,
+                                    1ull << 53,
+                                    (1ull << 53) + 1,
+                                    (1ull << 63) - 1,
+                                    1ull << 63,
+                                    ~0ull - (1ull << 10),
+                                    ~0ull - (1ull << 10) + 1,
+                                    ~0ull};
+
+TEST(RngTest, U64ToDoubleMatchesTheCast) {
+  for (std::uint64_t w : kEdgeWords) {
+    EXPECT_EQ(U64ToDouble(w), static_cast<double>(w)) << w;
+  }
+  // Random words at every magnitude, so both halves and every rounding
+  // position are exercised.
+  std::mt19937_64 engine(2024);
+  for (int i = 0; i < 1000000; ++i) {
+    const std::uint64_t w = engine() >> (i % 64);
+    if (U64ToDouble(w) != static_cast<double>(w)) FAIL() << w;
+  }
+}
+
+TEST(RngTest, Canonical64EdgeWords) {
+  FixedWordEngine top{~0ull};
+  EXPECT_EQ(Canonical64(top), std::nextafter(1.0, 0.0));
+  FixedWordEngine rounds_up{~0ull - (1ull << 10) + 1};
+  EXPECT_EQ(Canonical64(rounds_up), std::nextafter(1.0, 0.0));
+  FixedWordEngine below{~0ull - (1ull << 10)};
+  EXPECT_EQ(Canonical64(below), 1.0 - 0x1p-53);
+  FixedWordEngine zero{0};
+  EXPECT_EQ(Canonical64(zero), 0.0);
+  FixedWordEngine half{1ull << 63};
+  EXPECT_EQ(Canonical64(half), 0.5);
+}
+
+#ifdef __GLIBCXX__
+TEST(RngTest, Canonical64MatchesStdGenerateCanonical) {
+  constexpr std::size_t kBits = std::numeric_limits<double>::digits;
+  for (std::uint64_t w : kEdgeWords) {
+    FixedWordEngine a{w}, b{w};
+    EXPECT_EQ(Canonical64(a), (std::generate_canonical<double, kBits>(b)))
+        << w;
+  }
+  std::mt19937_64 reference(7);
+  LazyMt19937_64 lazy(7);
+  for (int i = 0; i < 100000; ++i) {
+    const double want = std::generate_canonical<double, kBits>(reference);
+    if (Canonical64(lazy) != want) FAIL() << "draw " << i;
+  }
+}
+
+// Each draw uses a fresh std::gamma_distribution, as the library does, and
+// must read exactly the words the standard one reads. 20,000 draws per
+// shape reach the polar pair's rejections, the v <= 0 retry that consumes
+// the saved normal, Marsaglia-Tsang's rejections, and for alpha < 1 the
+// u^(1/alpha) boost.
+TEST(RngTest, GammaDrawMatchesStdGammaDistribution) {
+  std::uint64_t seed = 500;
+  for (double alpha : {1e-9, 0.25, 0.5, 1.0, 1.5, 4.0, 30.0}) {
+    for (double beta : {1.0, 2.5}) {
+      CountingEngine<std::mt19937_64> reference{std::mt19937_64(seed)};
+      CountingEngine<std::mt19937_64> std_engine{std::mt19937_64(seed)};
+      CountingEngine<LazyMt19937_64> lazy{LazyMt19937_64(seed)};
+      ++seed;
+      for (int draw = 0; draw < 20000; ++draw) {
+        std::gamma_distribution<double> gamma(alpha, beta);
+        const double want = gamma(reference);
+        const double got_std = GammaDraw(std_engine, alpha, beta);
+        const double got_lazy = GammaDraw(lazy, alpha, beta);
+        if (got_std != want || got_lazy != want ||
+            std_engine.words != reference.words ||
+            lazy.words != reference.words) {
+          FAIL() << "alpha " << alpha << " beta " << beta << " diverges at draw "
+                 << draw;
+        }
+      }
+    }
+  }
+}
+
+TEST(RngTest, GaussianAndUniformMatchStdDistributions) {
+  Rng rng(31);
+  std::mt19937_64 reference(31);
+  for (int draw = 0; draw < 20000; ++draw) {
+    std::normal_distribution<double> normal(0.3, 2.0);
+    ASSERT_EQ(rng.Gaussian(0.3, 2.0), normal(reference)) << draw;
+    std::normal_distribution<double> standard(0.0, 1.0);
+    ASSERT_EQ(rng.Gaussian(), standard(reference)) << draw;
+    std::uniform_real_distribution<double> uniform(-1.0, 3.0);
+    ASSERT_EQ(rng.Uniform(-1.0, 3.0), uniform(reference)) << draw;
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    ASSERT_EQ(rng.Uniform(), unit(reference)) << draw;
+  }
+  EXPECT_EQ(rng.NextUInt64(), reference());
+}
+#endif  // __GLIBCXX__
+
+// First three draws of GammaDraw(std::mt19937_64(seed), alpha, beta) and
+// the engine's next word, captured from std::gamma_distribution.
+struct GammaPin {
+  double alpha, beta;
+  std::uint64_t seed;
+  double draws[3];
+  std::uint64_t next_word;
+};
+
+TEST(RngTest, GammaDrawGoldenValues) {
+  const GammaPin pins[] = {
+      {1e-9, 1.0, 100, {0x0p+0, 0x0p+0, 0x0p+0}, 0x24c82839c2010051ull},
+      {1e-9, 2.5, 101, {0x0p+0, 0x0p+0, 0x0p+0}, 0x5ba31343a9c45baeull},
+      {0.25, 1.0, 102,
+       {0x1.f40d885311092p-3, 0x1.9ca16aa857f56p-5, 0x1.e226e208a53acp-1},
+       0x422df8e20de5c1bbull},
+      {0.25, 2.5, 103,
+       {0x1.38f61e78a3427p-7, 0x1.1fb14b5290289p-11, 0x1.fa86f4adf6396p-4},
+       0xe30d51ead30d8f26ull},
+      {0.5, 1.0, 104,
+       {0x1.42dcef3b1d2e3p-6, 0x1.66fa06940e167p-2, 0x1.55bc3edfda161p+0},
+       0x1d9045cfa4c87447ull},
+      {0.5, 2.5, 105,
+       {0x1.03bdaba98556dp+0, 0x1.2367ee5dbd183p-5, 0x1.d57590ba35134p-3},
+       0xe1e34d01cf55e454ull},
+      {1.0, 1.0, 106,
+       {0x1.de8019c085eb6p-1, 0x1.8c940a291c043p+0, 0x1.4e6ffb52626ffp+0},
+       0x3c85554dc95616a9ull},
+      {1.0, 2.5, 107,
+       {0x1.b0e9014f7129ep-1, 0x1.09cbcafb2c7f5p+2, 0x1.2118226addff9p+3},
+       0x020ae2f531f8cb7dull},
+      {1.5, 1.0, 108,
+       {0x1.171c1ece2dd3p-1, 0x1.32435eafe619ap+2, 0x1.09167fcdd48e5p-1},
+       0xe398155bde0920f7ull},
+      {1.5, 2.5, 109,
+       {0x1.877813a66144ep+2, 0x1.a56fed7063351p+0, 0x1.2cba6492d9733p-4},
+       0xfb191b5d90fc586bull},
+      {4.0, 1.0, 110,
+       {0x1.f228e6f879fbfp+1, 0x1.a83914efafa17p+2, 0x1.1b2640ecb2a85p+1},
+       0x22d84d5babc8c9aaull},
+      {4.0, 2.5, 111,
+       {0x1.8812dc46231e5p+3, 0x1.260642d866154p+3, 0x1.7c18f5c12e9edp+2},
+       0x8dfec29954b201faull},
+      {30.0, 1.0, 112,
+       {0x1.1cad5872e46aep+5, 0x1.d4b0993d8b33ap+4, 0x1.2fb56bb71ac86p+5},
+       0x5a4523fdf8eb1f86ull},
+      {30.0, 2.5, 113,
+       {0x1.b9e0942a252bap+6, 0x1.31bd821e8d8a5p+6, 0x1.7c9c03716c85ep+6},
+       0xc76786e0841bfd40ull},
+  };
+  for (const GammaPin& pin : pins) {
+    std::mt19937_64 engine(pin.seed);
+    for (double want : pin.draws) {
+      EXPECT_EQ(GammaDraw(engine, pin.alpha, pin.beta), want)
+          << "alpha " << pin.alpha << " beta " << pin.beta;
+    }
+    EXPECT_EQ(engine(), pin.next_word) << "alpha " << pin.alpha;
+  }
+}
+
+// Rng::Gaussian and Rng::Uniform, captured from fresh std::
+// distributions.
+TEST(RngTest, GaussianAndUniformGoldenValues) {
+  Rng normal(77);
+  for (double want : {0x1.c8c094e24fa48p-3, 0x1.38d80821f8642p-3,
+                      -0x1.c099a84d102ccp+1, -0x1.8275226dbf7c3p+0}) {
+    EXPECT_EQ(normal.Gaussian(0.3, 2.0), want);
+  }
+  EXPECT_EQ(normal.NextUInt64(), 0xc72d928e5bfc52e7ull);
+  Rng uniform(78);
+  for (double want : {0x1.dec028eafe8fap+0, -0x1.2bf8869ba3254p-1,
+                      -0x1.fc161dec32ap-9, 0x1.372c63ed2f2d8p+0}) {
+    EXPECT_EQ(uniform.Uniform(-1.0, 3.0), want);
+  }
+  EXPECT_EQ(uniform.NextUInt64(), 0x90e0fce7c2a90170ull);
 }
 
 TEST(RngTest, UniformRange) {

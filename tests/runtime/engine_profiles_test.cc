@@ -303,6 +303,9 @@ TEST(EngineProfilesTest, EventSinkReceivesEveryKind) {
       case EngineEvent::Kind::kRestore:
         ADD_FAILURE() << "no checkpoint traffic in this test";
         break;
+      case EngineEvent::Kind::kStreamFault:
+        ADD_FAILURE() << "no contained faults in this test";
+        break;
     }
   }
   EXPECT_EQ(steps, 1u);  // steady: 8 bags, window 8 -> one result.
