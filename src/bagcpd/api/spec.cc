@@ -6,6 +6,7 @@
 #include <iomanip>
 #include <locale>
 #include <sstream>
+#include <type_traits>
 
 #include "bagcpd/api/registry.h"
 
@@ -13,6 +14,11 @@ namespace bagcpd {
 namespace api {
 
 namespace {
+
+// Key names that more than one grammar (or a fluent setter) refers to.
+constexpr char kSeedKey[] = "seed";
+constexpr char kShardsKey[] = "shards";
+constexpr char kEmdKey[] = "emd";
 
 std::string Trim(const std::string& s) {
   std::size_t begin = 0;
@@ -24,37 +30,6 @@ std::string Trim(const std::string& s) {
     --end;
   }
   return s.substr(begin, end - begin);
-}
-
-Status BadValue(const std::string& key, const std::string& value,
-                const char* expected) {
-  return Status::Invalid("key '" + key + "': expected " + expected +
-                         ", got '" + value + "'");
-}
-
-// All numeric parsing/formatting goes through <charconv>: locale-independent
-// (a host app calling setlocale() can't break config strings) and with real
-// range errors (an out-of-range literal is rejected, never wrapped/clamped).
-
-Result<std::uint64_t> ParseUnsigned(const std::string& key,
-                                    const std::string& value) {
-  std::uint64_t parsed = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), parsed, 10);
-  if (ec != std::errc() || ptr != value.data() + value.size()) {
-    return BadValue(key, value, "a non-negative integer");
-  }
-  return parsed;
-}
-
-Result<int> ParseInt(const std::string& key, const std::string& value) {
-  int parsed = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), parsed, 10);
-  if (ec != std::errc() || ptr != value.data() + value.size()) {
-    return BadValue(key, value, "an integer");
-  }
-  return parsed;
 }
 
 // Floating-point from_chars/to_chars is missing on older standard libraries
@@ -79,25 +54,9 @@ bool ParseDoubleRaw(const std::string& value, double* out) {
 #endif
 }
 
-Result<double> ParseDouble(const std::string& key, const std::string& value) {
-  double parsed = 0.0;
-  if (value.empty() || !ParseDoubleRaw(value, &parsed) ||
-      !std::isfinite(parsed)) {
-    return BadValue(key, value, "a finite number");
-  }
-  return parsed;
-}
-
-Result<bool> ParseBool(const std::string& key, const std::string& value) {
-  if (value == "true" || value == "1") return true;
-  if (value == "false" || value == "0") return false;
-  return BadValue(key, value, "true/false");
-}
-
-// Shortest decimal form that parses back to exactly `v`, locale-independent
-// like the parsers above (std::to_chars' round-trip guarantee where
-// available; elsewhere the fewest classic-locale digits that survive a
-// parse-back).
+// Shortest decimal form that parses back to exactly `v` (std::to_chars'
+// round-trip guarantee where available; elsewhere the fewest classic-locale
+// digits that survive a parse-back).
 std::string FormatDouble(double v) {
 #if BAGCPD_HAS_FP_CHARCONV
   char buf[64];
@@ -116,6 +75,231 @@ std::string FormatDouble(double v) {
   stream << std::setprecision(17) << v;
   return stream.str();
 #endif
+}
+
+// `emd-fallback` spells its flag "exact" (re-solve a failed approximate pair
+// with the exact solver) or "none" (surface the failure).
+template <typename Flag>  // bool, or const bool when echoing
+struct ExactOrNone {
+  Flag& exact;
+};
+template <typename Flag>
+ExactOrNone(Flag&) -> ExactOrNone<Flag>;
+
+// The value codec: parses `value` into a field of type T, leaving it
+// unchanged on failure. Numbers go through <charconv>: locale-independent (a
+// host app calling setlocale() can't break config strings) and with real
+// range errors (an out-of-range literal is rejected, never wrapped).
+template <typename T>
+Status ParseValue(const std::string& key, const std::string& value, T* out) {
+  const auto bad = [&](const char* expected) {
+    return Status::Invalid("key '" + key + "': expected " + expected +
+                           ", got '" + value + "'");
+  };
+  if constexpr (std::is_same_v<T, bool>) {
+    if (value != "true" && value != "1" && value != "false" && value != "0") {
+      return bad("true/false");
+    }
+    *out = value == "true" || value == "1";
+  } else if constexpr (std::is_integral_v<T>) {
+    T parsed = 0;
+    const auto [ptr, ec] =
+        std::from_chars(value.data(), value.data() + value.size(), parsed);
+    if (ec != std::errc() || ptr != value.data() + value.size()) {
+      return bad(std::is_signed_v<T> ? "an integer" : "a non-negative integer");
+    }
+    *out = parsed;
+  } else if constexpr (std::is_same_v<T, double>) {
+    double parsed = 0.0;
+    if (value.empty() || !ParseDoubleRaw(value, &parsed) ||
+        !std::isfinite(parsed)) {
+      return bad("a finite number");
+    }
+    *out = parsed;
+  } else if constexpr (std::is_enum_v<T>) {
+    BAGCPD_ASSIGN_OR_RETURN(*out, Component<T>::Parse(value));
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    *out = value;  // A path or fault spec; it cannot contain a comma.
+  } else if constexpr (std::is_same_v<T, EmdSolverOptions>) {
+    // A full solver spec ("exact", "sinkhorn:0.05:200:1e-8", "sliced:32"),
+    // validated as a whole by ParseEmdSolverSpec. It replaces everything but
+    // heap_at and the fallback flag, which have their own keys (so either key
+    // order lands on the same options), and fault_scope, which the owning
+    // detector stamps.
+    BAGCPD_ASSIGN_OR_RETURN(EmdSolverOptions parsed, ParseEmdSolverSpec(value));
+    parsed.heap_at = out->heap_at;
+    parsed.fallback_exact = out->fallback_exact;
+    parsed.fault_scope = out->fault_scope;
+    *out = parsed;
+  } else {
+    static_assert(std::is_same_v<T, ExactOrNone<bool>>);
+    if (value != "exact" && value != "none") return bad("exact/none");
+    out->exact = value == "exact";
+  }
+  return Status::OK();
+}
+
+// The canonical echo of a field; ParseValue reads it back exactly.
+template <typename T>
+std::string FormatValue(const T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return value ? "true" : "false";
+  } else if constexpr (std::is_integral_v<T>) {
+    return std::to_string(value);
+  } else if constexpr (std::is_same_v<T, double>) {
+    return FormatDouble(value);
+  } else if constexpr (std::is_enum_v<T>) {
+    return Component<T>::Name(value);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return value;
+  } else if constexpr (std::is_same_v<T, EmdSolverOptions>) {
+    return EmdSolverSpecString(value);
+  } else {
+    return value.exact ? "exact" : "none";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The key tables. Each Visit*Keys function is the whole grammar of one spec:
+// one entry per key, in canonical echo order, naming the options field the
+// key parses into and echoes from (its type picks the codec), whether the
+// echo includes it, and, for detector keys, its class. Parsing, the fluent
+// string setters, the echo, the unknown-key message and the checkpoint gate
+// all walk these tables. `Options` is const when echoing.
+// ---------------------------------------------------------------------------
+
+struct Entry {
+  const char* name;
+  bool echoed = true;
+  KeyClass key_class = KeyClass::kResult;
+};
+
+// Enum keys are named by the registry: Component<E>::kKind is the key name.
+template <typename Visitor, typename E>
+void EnumKey(Visitor& v, E& field) {
+  v({Component<std::remove_const_t<E>>::kKind}, field);
+}
+
+// The engine and batch grammars embed this table without `seed`: their own
+// `seed` key is the run seed, and detector seeds stay 0 under them.
+template <typename Options, typename Visitor>
+void VisitDetectorKeys(Options& o, Visitor&& v, bool with_seed = true) {
+  EnumKey(v, o.signature.method);
+  v({"k"}, o.signature.k);
+  v({"bin_width"}, o.signature.bin_width);
+  v({"histogram_origin"}, o.signature.histogram_origin);
+  v({"normalize"}, o.signature.normalize);
+  v({"tau"}, o.tau);
+  v({"tau_prime"}, o.tau_prime);
+  EnumKey(v, o.score_type);
+  EnumKey(v, o.weight_scheme);
+  EnumKey(v, o.ground);
+  EnumKey(v, o.bootstrap.method);
+  v({"replicates"}, o.bootstrap.replicates);
+  v({"alpha"}, o.bootstrap.alpha);
+  v({"distance_floor"}, o.info.distance_floor);
+  v({kEmdKey}, o.emd);
+  // The exact solver's dense/heap Dijkstra crossover (0 = always dense):
+  // results are bitwise-identical at any value.
+  v({"emd-heap-at", true, KeyClass::kPerformance}, o.emd.heap_at);
+  // Echoed only when set, so configs that never enable the fallback echo
+  // (and checkpoint) as they did before the key existed.
+  v({"emd-fallback", o.emd.fallback_exact}, ExactOrNone{o.emd.fallback_exact});
+  if (with_seed) v({kSeedKey}, o.seed);
+}
+
+template <typename Options, typename DetectorOpts, typename Visitor>
+void VisitEngineKeys(Options& o, DetectorOpts& detector, Visitor&& v) {
+  v({kShardsKey}, o.num_shards);
+  v({"queue"}, o.shard_queue_capacity);
+  v({"collect"}, o.collect_results);
+  v({"max_idle"}, o.max_idle_submissions);
+  // The ENGINE seed: per-stream seeds derive from it, the stream key, and
+  // the profile name.
+  v({kSeedKey}, o.seed);
+  // Spill and fault-containment keys echo only when configured (the budget,
+  // GC, backoff and snapshot keys only alongside the key they need), so
+  // configs that never use them echo as before.
+  const bool spill = !o.spill_directory.empty();
+  v({"spill_dir", spill}, o.spill_directory);
+  v({"spill_budget", spill && o.spill_resident_bytes > 0},
+    o.spill_resident_bytes);
+  v({"spill_gc", spill && o.spill_gc_submissions > 0},
+    o.spill_gc_submissions);
+  const bool contained = o.max_stream_faults > 0;
+  v({"fault_budget", contained}, o.max_stream_faults);
+  v({"fault_backoff", contained && o.fault_backoff_submissions > 0},
+    o.fault_backoff_submissions);
+  v({"snapshot_every", contained && o.snapshot_interval > 0},
+    o.snapshot_interval);
+  v({"fault", !o.fault.empty()}, o.fault);  // "point:mode:arg[:seed]"
+  VisitDetectorKeys(detector, v, /*with_seed=*/false);
+}
+
+template <typename Options, typename DetectorOpts, typename Visitor>
+void VisitBatchKeys(Options& o, DetectorOpts& detector, Visitor&& v) {
+  v({kShardsKey}, o.num_shards);
+  v({kSeedKey}, o.seed);  // The run seed, as under an engine.
+  VisitDetectorKeys(detector, v, /*with_seed=*/false);
+}
+
+// Parses `value` into the field of the entry named `key`. `visit` runs one of
+// the tables above over a spec's options. An unknown key fails with the
+// names of every key of that grammar.
+template <typename VisitFn>
+Status SetKey(VisitFn&& visit, const std::string& key,
+              const std::string& value) {
+  bool found = false;
+  Status status;
+  std::string known;
+  visit([&](const Entry& entry, auto&& field) {
+    known += (known.empty() ? "" : ", ") + std::string(entry.name);
+    if (found || key != entry.name) return;
+    found = true;
+    status = ParseValue(key, value, &field);
+  });
+  if (!found) {
+    return Status::Invalid("unknown key '" + key + "' (known: " + known + ")");
+  }
+  return status;
+}
+
+// The one tokenizer of all three grammars: comma-separated key=value tokens,
+// trimmed; empty tokens (trailing or doubled commas) are skipped, and later
+// occurrences of a key overwrite earlier ones.
+template <typename VisitFn>
+Status ParseKeyValues(const std::string& text, VisitFn&& visit) {
+  std::size_t pos = 0;
+  while (pos <= text.size()) {
+    std::size_t comma = text.find(',', pos);
+    if (comma == std::string::npos) comma = text.size();
+    const std::string token = Trim(text.substr(pos, comma - pos));
+    pos = comma + 1;
+    if (token.empty()) continue;
+    const std::size_t eq = token.find('=');
+    if (eq == std::string::npos) {
+      return Status::Invalid("malformed token '" + token +
+                             "' (expected key=value)");
+    }
+    BAGCPD_RETURN_NOT_OK(SetKey(visit, Trim(token.substr(0, eq)),
+                                Trim(token.substr(eq + 1))));
+  }
+  return Status::OK();
+}
+
+// The canonical "key=value,..." echo, optionally of the result keys only.
+template <typename VisitFn>
+std::string EchoKeyValues(VisitFn&& visit, bool result_keys_only = false) {
+  std::string out;
+  visit([&](const Entry& entry, const auto& field) {
+    if (!entry.echoed ||
+        (result_keys_only && entry.key_class != KeyClass::kResult)) {
+      return;
+    }
+    out += (out.empty() ? "" : ",") + std::string(entry.name) + "=" +
+           FormatValue(field);
+  });
+  return out;
 }
 
 }  // namespace
@@ -140,13 +324,7 @@ DetectorSpec& DetectorSpec::Score(ScoreType type) {
 }
 
 DetectorSpec& DetectorSpec::Score(const std::string& name) {
-  Result<ScoreType> parsed = ParseScoreType(name);
-  if (parsed.ok()) {
-    options_.score_type = parsed.ValueOrDie();
-  } else if (error_.ok()) {
-    error_ = parsed.status();
-  }
-  return *this;
+  return SetDeferred(Component<ScoreType>::kKind, name);
 }
 
 DetectorSpec& DetectorSpec::Weights(WeightScheme scheme) {
@@ -155,13 +333,7 @@ DetectorSpec& DetectorSpec::Weights(WeightScheme scheme) {
 }
 
 DetectorSpec& DetectorSpec::Weights(const std::string& name) {
-  Result<WeightScheme> parsed = ParseWeightScheme(name);
-  if (parsed.ok()) {
-    options_.weight_scheme = parsed.ValueOrDie();
-  } else if (error_.ok()) {
-    error_ = parsed.status();
-  }
-  return *this;
+  return SetDeferred(Component<WeightScheme>::kKind, name);
 }
 
 DetectorSpec& DetectorSpec::Ground(GroundDistance kind) {
@@ -170,13 +342,7 @@ DetectorSpec& DetectorSpec::Ground(GroundDistance kind) {
 }
 
 DetectorSpec& DetectorSpec::Ground(const std::string& name) {
-  Result<GroundDistance> parsed = ParseGroundDistance(name);
-  if (parsed.ok()) {
-    options_.ground = parsed.ValueOrDie();
-  } else if (error_.ok()) {
-    error_ = parsed.status();
-  }
-  return *this;
+  return SetDeferred(Component<GroundDistance>::kKind, name);
 }
 
 DetectorSpec& DetectorSpec::DistanceFloor(double floor) {
@@ -195,23 +361,7 @@ DetectorSpec& DetectorSpec::Emd(const EmdSolverOptions& options) {
 }
 
 DetectorSpec& DetectorSpec::Emd(const std::string& spec) {
-  Result<EmdSolverOptions> parsed = ParseEmdSolverSpec(spec);
-  if (parsed.ok()) {
-    // Mirrors Set("emd", ...): the spec string never carries heap_at, the
-    // exact-fallback flag, or the fault scope (each has its own key/setter —
-    // or, for fault_scope, is stamped by the owning detector), so previously
-    // chosen values survive re-selecting the solver kind.
-    const std::size_t heap_at = options_.emd.heap_at;
-    const bool fallback_exact = options_.emd.fallback_exact;
-    const std::uint64_t fault_scope = options_.emd.fault_scope;
-    options_.emd = parsed.ValueOrDie();
-    options_.emd.heap_at = heap_at;
-    options_.emd.fallback_exact = fallback_exact;
-    options_.emd.fault_scope = fault_scope;
-  } else if (error_.ok()) {
-    error_ = parsed.status();
-  }
-  return *this;
+  return SetDeferred(kEmdKey, spec);
 }
 
 DetectorSpec& DetectorSpec::EmdHeapAt(std::size_t k_plus_l) {
@@ -230,13 +380,7 @@ DetectorSpec& DetectorSpec::Quantizer(SignatureMethod method) {
 }
 
 DetectorSpec& DetectorSpec::Quantizer(const std::string& name) {
-  Result<SignatureMethod> parsed = ParseSignatureMethod(name);
-  if (parsed.ok()) {
-    options_.signature.method = parsed.ValueOrDie();
-  } else if (error_.ok()) {
-    error_ = parsed.status();
-  }
-  return *this;
+  return SetDeferred(Component<SignatureMethod>::kKind, name);
 }
 
 DetectorSpec& DetectorSpec::K(std::size_t k) {
@@ -275,13 +419,7 @@ DetectorSpec& DetectorSpec::Bootstrap(BootstrapMethod method) {
 }
 
 DetectorSpec& DetectorSpec::Bootstrap(const std::string& name) {
-  Result<BootstrapMethod> parsed = ParseBootstrapMethod(name);
-  if (parsed.ok()) {
-    options_.bootstrap.method = parsed.ValueOrDie();
-  } else if (error_.ok()) {
-    error_ = parsed.status();
-  }
-  return *this;
+  return SetDeferred(Component<BootstrapMethod>::kKind, name);
 }
 
 DetectorSpec& DetectorSpec::Seed(std::uint64_t seed) {
@@ -289,105 +427,18 @@ DetectorSpec& DetectorSpec::Seed(std::uint64_t seed) {
   return *this;
 }
 
-Status DetectorSpec::Set(const std::string& key, const std::string& value) {
-  if (key == "tau") {
-    BAGCPD_ASSIGN_OR_RETURN(std::uint64_t v, ParseUnsigned(key, value));
-    options_.tau = static_cast<std::size_t>(v);
-  } else if (key == "tau_prime") {
-    BAGCPD_ASSIGN_OR_RETURN(std::uint64_t v, ParseUnsigned(key, value));
-    options_.tau_prime = static_cast<std::size_t>(v);
-  } else if (key == "score") {
-    BAGCPD_ASSIGN_OR_RETURN(options_.score_type, ParseScoreType(value));
-  } else if (key == "weights") {
-    BAGCPD_ASSIGN_OR_RETURN(options_.weight_scheme, ParseWeightScheme(value));
-  } else if (key == "ground") {
-    BAGCPD_ASSIGN_OR_RETURN(options_.ground, ParseGroundDistance(value));
-  } else if (key == "quantizer") {
-    BAGCPD_ASSIGN_OR_RETURN(options_.signature.method,
-                            ParseSignatureMethod(value));
-  } else if (key == "k") {
-    BAGCPD_ASSIGN_OR_RETURN(std::uint64_t v, ParseUnsigned(key, value));
-    options_.signature.k = static_cast<std::size_t>(v);
-  } else if (key == "bin_width") {
-    BAGCPD_ASSIGN_OR_RETURN(options_.signature.bin_width,
-                            ParseDouble(key, value));
-  } else if (key == "histogram_origin") {
-    BAGCPD_ASSIGN_OR_RETURN(options_.signature.histogram_origin,
-                            ParseDouble(key, value));
-  } else if (key == "normalize") {
-    BAGCPD_ASSIGN_OR_RETURN(options_.signature.normalize,
-                            ParseBool(key, value));
-  } else if (key == "replicates") {
-    BAGCPD_ASSIGN_OR_RETURN(options_.bootstrap.replicates,
-                            ParseInt(key, value));
-  } else if (key == "alpha") {
-    BAGCPD_ASSIGN_OR_RETURN(options_.bootstrap.alpha, ParseDouble(key, value));
-  } else if (key == "bootstrap") {
-    BAGCPD_ASSIGN_OR_RETURN(options_.bootstrap.method,
-                            ParseBootstrapMethod(value));
-  } else if (key == "distance_floor") {
-    BAGCPD_ASSIGN_OR_RETURN(options_.info.distance_floor,
-                            ParseDouble(key, value));
-  } else if (key == "emd") {
-    // The value is a full solver spec ("exact", "sinkhorn:0.05:200:1e-8",
-    // "sliced:32"); ParseEmdSolverSpec validates kind and knobs together.
-    // Parsing replaces the whole EmdSolverOptions EXCEPT heap_at and the
-    // exact-fallback flag, which have their own keys — "emd=...,emd-heap-at=N"
-    // and the reverse order both land on the same options (fault_scope is
-    // stamped by the owning detector, never spec-carried).
-    const std::size_t heap_at = options_.emd.heap_at;
-    const bool fallback_exact = options_.emd.fallback_exact;
-    const std::uint64_t fault_scope = options_.emd.fault_scope;
-    BAGCPD_ASSIGN_OR_RETURN(options_.emd, ParseEmdSolverSpec(value));
-    options_.emd.heap_at = heap_at;
-    options_.emd.fallback_exact = fallback_exact;
-    options_.emd.fault_scope = fault_scope;
-  } else if (key == "emd-fallback") {
-    // Graceful degradation: "exact" re-solves a failed approximate pair with
-    // the exact solver; "none" (the default) surfaces the failure.
-    if (value == "exact") {
-      options_.emd.fallback_exact = true;
-    } else if (value == "none") {
-      options_.emd.fallback_exact = false;
-    } else {
-      return BadValue(key, value, "exact/none");
-    }
-  } else if (key == "emd-heap-at") {
-    // K+L crossover for the exact solver's heap Dijkstra; 0 = always the
-    // dense scan. A performance knob only — results are bitwise-identical
-    // either way. ParseUnsigned rejects negative values.
-    BAGCPD_ASSIGN_OR_RETURN(std::uint64_t v, ParseUnsigned(key, value));
-    options_.emd.heap_at = static_cast<std::size_t>(v);
-  } else if (key == "seed") {
-    BAGCPD_ASSIGN_OR_RETURN(options_.seed, ParseUnsigned(key, value));
-  } else {
-    return Status::Invalid(
-        "unknown key '" + key +
-        "' (known: quantizer, k, bin_width, histogram_origin, normalize, "
-        "tau, tau_prime, score, weights, ground, bootstrap, replicates, "
-        "alpha, distance_floor, emd, emd-heap-at, emd-fallback, seed)");
-  }
-  return Status::OK();
+DetectorSpec& DetectorSpec::SetDeferred(const char* key,
+                                        const std::string& value) {
+  const Status status = SetKey(
+      [this](auto&& v) { VisitDetectorKeys(options_, v); }, key, value);
+  if (!status.ok() && error_.ok()) error_ = status;
+  return *this;
 }
 
 Result<DetectorSpec> DetectorSpec::FromKeyValues(const std::string& text) {
   DetectorSpec spec;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    std::size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) comma = text.size();
-    const std::string token = Trim(text.substr(pos, comma - pos));
-    pos = comma + 1;
-    if (token.empty()) continue;  // Tolerates trailing/duplicate commas.
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      return Status::Invalid("malformed token '" + token +
-                             "' (expected key=value)");
-    }
-    const std::string key = Trim(token.substr(0, eq));
-    const std::string value = Trim(token.substr(eq + 1));
-    BAGCPD_RETURN_NOT_OK(spec.Set(key, value));
-  }
+  BAGCPD_RETURN_NOT_OK(ParseKeyValues(
+      text, [&spec](auto&& v) { VisitDetectorKeys(spec.options_, v); }));
   return spec;
 }
 
@@ -395,6 +446,15 @@ DetectorSpec DetectorSpec::FromOptions(const DetectorOptions& options) {
   DetectorSpec spec;
   spec.options_ = options;
   return spec;
+}
+
+std::vector<SpecKey> DetectorSpec::Keys() {
+  std::vector<SpecKey> keys;
+  const DetectorOptions options;
+  VisitDetectorKeys(options, [&keys](const Entry& entry, const auto&) {
+    keys.push_back({entry.name, entry.key_class});
+  });
+  return keys;
 }
 
 Result<DetectorOptions> DetectorSpec::Build() const {
@@ -409,35 +469,12 @@ Result<std::unique_ptr<BagStreamDetector>> DetectorSpec::Create() const {
 }
 
 std::string DetectorSpec::ToKeyValues() const {
-  std::string out;
-  out += "quantizer=";
-  out += SignatureMethodName(options_.signature.method);
-  out += ",k=" + std::to_string(options_.signature.k);
-  out += ",bin_width=" + FormatDouble(options_.signature.bin_width);
-  out += ",histogram_origin=" + FormatDouble(options_.signature.histogram_origin);
-  out += std::string(",normalize=") +
-         (options_.signature.normalize ? "true" : "false");
-  out += ",tau=" + std::to_string(options_.tau);
-  out += ",tau_prime=" + std::to_string(options_.tau_prime);
-  out += ",score=";
-  out += ScoreTypeName(options_.score_type);
-  out += ",weights=";
-  out += WeightSchemeName(options_.weight_scheme);
-  out += ",ground=";
-  out += GroundDistanceName(options_.ground);
-  out += ",bootstrap=";
-  out += BootstrapMethodName(options_.bootstrap.method);
-  out += ",replicates=" + std::to_string(options_.bootstrap.replicates);
-  out += ",alpha=" + FormatDouble(options_.bootstrap.alpha);
-  out += ",distance_floor=" + FormatDouble(options_.info.distance_floor);
-  out += ",emd=" + EmdSolverSpecString(options_.emd);
-  out += ",emd-heap-at=" + std::to_string(options_.emd.heap_at);
-  // Emitted only when set: legacy canonical strings (and every checkpoint
-  // blob's embedded options spec) stay byte-identical for configs that never
-  // enable the fallback.
-  if (options_.emd.fallback_exact) out += ",emd-fallback=exact";
-  out += ",seed=" + std::to_string(options_.seed);
-  return out;
+  return EchoKeyValues([this](auto&& v) { VisitDetectorKeys(options_, v); });
+}
+
+std::string DetectorSpec::ResultKeyValues() const {
+  return EchoKeyValues([this](auto&& v) { VisitDetectorKeys(options_, v); },
+                       /*result_keys_only=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -446,117 +483,16 @@ std::string DetectorSpec::ToKeyValues() const {
 
 Result<EngineSpec> EngineSpec::FromKeyValues(const std::string& text) {
   EngineSpec spec;
-  // Engine-level keys are peeled off here; every other token is forwarded to
-  // the default detector's parser in one pass so its error messages (and its
-  // last-occurrence-wins semantics) apply unchanged — the same split
-  // BatchSpec::FromKeyValues performs for its batch-level keys.
-  std::string detector_text;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    std::size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) comma = text.size();
-    const std::string token = Trim(text.substr(pos, comma - pos));
-    pos = comma + 1;
-    if (token.empty()) continue;  // Tolerates trailing/duplicate commas.
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      return Status::Invalid("malformed token '" + token +
-                             "' (expected key=value)");
-    }
-    const std::string key = Trim(token.substr(0, eq));
-    const std::string value = Trim(token.substr(eq + 1));
-    if (key == "shards") {
-      BAGCPD_ASSIGN_OR_RETURN(std::uint64_t v, ParseUnsigned(key, value));
-      spec.options_.num_shards = static_cast<std::size_t>(v);
-    } else if (key == "queue") {
-      BAGCPD_ASSIGN_OR_RETURN(std::uint64_t v, ParseUnsigned(key, value));
-      spec.options_.shard_queue_capacity = static_cast<std::size_t>(v);
-    } else if (key == "collect") {
-      BAGCPD_ASSIGN_OR_RETURN(spec.options_.collect_results,
-                              ParseBool(key, value));
-    } else if (key == "max_idle") {
-      BAGCPD_ASSIGN_OR_RETURN(spec.options_.max_idle_submissions,
-                              ParseUnsigned(key, value));
-    } else if (key == "seed") {
-      // The ENGINE seed: per-stream seeds derive from it, the stream key,
-      // and the profile name. Detector seeds stay 0 (Build() enforces it).
-      BAGCPD_ASSIGN_OR_RETURN(spec.options_.seed, ParseUnsigned(key, value));
-    } else if (key == "spill_dir") {
-      // A path (commas cannot appear in it — the text form's separator).
-      spec.options_.spill_directory = value;
-    } else if (key == "spill_budget") {
-      BAGCPD_ASSIGN_OR_RETURN(std::uint64_t v, ParseUnsigned(key, value));
-      spec.options_.spill_resident_bytes = static_cast<std::size_t>(v);
-    } else if (key == "spill_gc") {
-      BAGCPD_ASSIGN_OR_RETURN(spec.options_.spill_gc_submissions,
-                              ParseUnsigned(key, value));
-    } else if (key == "fault_budget") {
-      BAGCPD_ASSIGN_OR_RETURN(std::uint64_t v, ParseUnsigned(key, value));
-      spec.options_.max_stream_faults = static_cast<std::size_t>(v);
-    } else if (key == "fault_backoff") {
-      BAGCPD_ASSIGN_OR_RETURN(spec.options_.fault_backoff_submissions,
-                              ParseUnsigned(key, value));
-    } else if (key == "snapshot_every") {
-      BAGCPD_ASSIGN_OR_RETURN(spec.options_.snapshot_interval,
-                              ParseUnsigned(key, value));
-    } else if (key == "fault") {
-      // A fault-injection spec ("point:mode:arg[:seed]"); colons are fine,
-      // commas cannot appear in it (the text form's separator). Validated by
-      // Build() with the rest of the options.
-      spec.options_.fault = value;
-    } else {
-      if (!detector_text.empty()) detector_text += ',';
-      detector_text += key + "=" + value;
-    }
-  }
-  BAGCPD_ASSIGN_OR_RETURN(spec.detector_,
-                          DetectorSpec::FromKeyValues(detector_text));
+  BAGCPD_RETURN_NOT_OK(ParseKeyValues(text, [&spec](auto&& v) {
+    VisitEngineKeys(spec.options_, spec.detector_.options_, v);
+  }));
   return spec;
 }
 
 std::string EngineSpec::ToKeyValues() const {
-  std::string out = "shards=" + std::to_string(options_.num_shards) +
-                    ",queue=" + std::to_string(options_.shard_queue_capacity) +
-                    std::string(",collect=") +
-                    (options_.collect_results ? "true" : "false") +
-                    ",max_idle=" + std::to_string(options_.max_idle_submissions) +
-                    ",seed=" + std::to_string(options_.seed);
-  // Spill keys appear only when spilling is configured, so legacy configs
-  // echo byte-identically (and an empty value never has to be parsed).
-  if (!options_.spill_directory.empty()) {
-    out += ",spill_dir=" + options_.spill_directory;
-    if (options_.spill_resident_bytes > 0) {
-      out += ",spill_budget=" + std::to_string(options_.spill_resident_bytes);
-    }
-    if (options_.spill_gc_submissions > 0) {
-      out += ",spill_gc=" + std::to_string(options_.spill_gc_submissions);
-    }
-  }
-  // Fault-containment keys appear only when configured, for the same
-  // byte-identical-legacy-echo reason as the spill keys.
-  if (options_.max_stream_faults > 0) {
-    out += ",fault_budget=" + std::to_string(options_.max_stream_faults);
-    if (options_.fault_backoff_submissions > 0) {
-      out +=
-          ",fault_backoff=" + std::to_string(options_.fault_backoff_submissions);
-    }
-    if (options_.snapshot_interval > 0) {
-      out += ",snapshot_every=" + std::to_string(options_.snapshot_interval);
-    }
-  }
-  if (!options_.fault.empty()) out += ",fault=" + options_.fault;
-  out += ",";
-  // The detector's canonical form ends with its own ",seed=0" (enforced 0
-  // under an engine); strip it so the one `seed` key in the output is
-  // unambiguously the engine seed.
-  std::string detector = detector_.ToKeyValues();
-  const std::string suffix = ",seed=0";
-  if (detector.size() >= suffix.size() &&
-      detector.compare(detector.size() - suffix.size(), suffix.size(),
-                       suffix) == 0) {
-    detector.erase(detector.size() - suffix.size());
-  }
-  return out + detector;
+  return EchoKeyValues([this](auto&& v) {
+    VisitEngineKeys(options_, detector_.options_, v);
+  });
 }
 
 EngineSpec& EngineSpec::NumShards(std::size_t num_shards) {
@@ -664,38 +600,9 @@ Result<std::unique_ptr<StreamEngine>> EngineSpec::Create() const {
 
 Result<BatchSpec> BatchSpec::FromKeyValues(const std::string& text) {
   BatchSpec spec;
-  // Batch-level keys are peeled off here; every other token is forwarded to
-  // the default detector's parser in one pass so its error messages (and its
-  // last-occurrence-wins semantics) apply unchanged.
-  std::string detector_text;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    std::size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) comma = text.size();
-    const std::string token = Trim(text.substr(pos, comma - pos));
-    pos = comma + 1;
-    if (token.empty()) continue;  // Tolerates trailing/duplicate commas.
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      return Status::Invalid("malformed token '" + token +
-                             "' (expected key=value)");
-    }
-    const std::string key = Trim(token.substr(0, eq));
-    const std::string value = Trim(token.substr(eq + 1));
-    if (key == "shards") {
-      BAGCPD_ASSIGN_OR_RETURN(std::uint64_t v, ParseUnsigned(key, value));
-      spec.options_.num_shards = static_cast<std::size_t>(v);
-    } else if (key == "seed") {
-      // The run seed, matching the engine convention: detector seeds stay 0
-      // and per-group seeds derive from this.
-      BAGCPD_ASSIGN_OR_RETURN(spec.options_.seed, ParseUnsigned(key, value));
-    } else {
-      if (!detector_text.empty()) detector_text += ',';
-      detector_text += key + "=" + value;
-    }
-  }
-  BAGCPD_ASSIGN_OR_RETURN(spec.detector_,
-                          DetectorSpec::FromKeyValues(detector_text));
+  BAGCPD_RETURN_NOT_OK(ParseKeyValues(text, [&spec](auto&& v) {
+    VisitBatchKeys(spec.options_, spec.detector_.options_, v);
+  }));
   return spec;
 }
 
@@ -752,19 +659,9 @@ Result<BatchRunnerOptions> BatchSpec::Build() const {
 }
 
 std::string BatchSpec::ToKeyValues() const {
-  std::string out = "shards=" + std::to_string(options_.num_shards) +
-                    ",seed=" + std::to_string(options_.seed) + ",";
-  // The detector's canonical form ends with its own ",seed=0" (enforced 0
-  // under a batch run); strip it so the one `seed` key in the output is
-  // unambiguously the run seed.
-  std::string detector = detector_.ToKeyValues();
-  const std::string suffix = ",seed=0";
-  if (detector.size() >= suffix.size() &&
-      detector.compare(detector.size() - suffix.size(), suffix.size(),
-                       suffix) == 0) {
-    detector.erase(detector.size() - suffix.size());
-  }
-  return out + detector;
+  return EchoKeyValues([this](auto&& v) {
+    VisitBatchKeys(options_, detector_.options_, v);
+  });
 }
 
 }  // namespace api

@@ -34,6 +34,18 @@
 namespace bagcpd {
 namespace api {
 
+/// \brief What a detector key can change. A result key can change a bit of
+/// output; a performance key (only `emd-heap-at`) changes speed only. A
+/// checkpoint imports into any detector whose result keys equal the
+/// exporter's (BagStreamDetector::ImportState).
+enum class KeyClass { kResult, kPerformance };
+
+/// \brief One key of the detector grammar.
+struct SpecKey {
+  std::string name;
+  KeyClass key_class;
+};
+
 /// \brief Builder for DetectorOptions.
 ///
 /// Defaults equal a default-constructed DetectorOptions. String overloads
@@ -77,7 +89,8 @@ class DetectorSpec {
   DetectorSpec& Emd(const std::string& spec);
   /// \brief K+L crossover for the exact solver's 4-ary-heap Dijkstra
   /// (`emd-heap-at=` key); 0 = always the dense scan. A performance knob
-  /// only — results are bitwise-identical at any value.
+  /// only — results are bitwise-identical at any value, so a checkpoint
+  /// restores across it (KeyClass::kPerformance).
   DetectorSpec& EmdHeapAt(std::size_t k_plus_l);
   /// \brief Graceful degradation: when true, an approximate EMD solve that
   /// fails (Sinkhorn underflow / non-finite transport) silently re-solves
@@ -116,9 +129,21 @@ class DetectorSpec {
   /// FromKeyValues(spec.ToKeyValues()) reproduces the spec exactly.
   std::string ToKeyValues() const;
 
+  /// \brief ToKeyValues() without the performance keys. Specs with equal
+  /// result echoes compute bitwise-identical results; this is what the
+  /// checkpoint gate compares.
+  std::string ResultKeyValues() const;
+
+  /// \brief Every detector key with its class, in canonical echo order.
+  static std::vector<SpecKey> Keys();
+
  private:
-  // Applies one key=value pair (the FromKeyValues worker).
-  Status Set(const std::string& key, const std::string& value);
+  friend class EngineSpec;  // Both embed the detector grammar.
+  friend class BatchSpec;
+
+  // Applies one key=value pair; a failure is deferred to Build() (the first
+  // error wins). The worker of the string-valued fluent setters.
+  DetectorSpec& SetDeferred(const char* key, const std::string& value);
 
   DetectorOptions options_;
   Status error_;  // First deferred fluent-setter error; OK when clean.
@@ -198,7 +223,7 @@ class EngineSpec {
   Result<std::unique_ptr<StreamEngine>> Create() const;
 
   /// \brief Canonical "shards=...,queue=...,collect=...,max_idle=...,
-  /// seed=...,<detector keys>" form. FromKeyValues(spec.ToKeyValues())
+  /// seed=...,<detector keys but seed>" form. FromKeyValues(spec.ToKeyValues())
   /// reproduces the engine-level and default-detector configuration.
   std::string ToKeyValues() const;
 
@@ -250,7 +275,7 @@ class BatchSpec {
   /// would reject them.
   Result<BatchRunnerOptions> Build() const;
 
-  /// \brief Canonical "shards=...,seed=...,<detector keys>" form.
+  /// \brief Canonical "shards=...,seed=...,<detector keys but seed>" form.
   /// FromKeyValues(spec.ToKeyValues()) reproduces the batch-level and
   /// default-detector configuration (profiles and the pool are API-only).
   std::string ToKeyValues() const;

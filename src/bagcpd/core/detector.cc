@@ -36,6 +36,33 @@ Result<WeightScheme> ParseWeightScheme(const std::string& name) {
 Status ValidateDetectorOptions(const DetectorOptions& options) {
   if (options.tau < 2) return Status::Invalid("tau must be >= 2");
   if (options.tau_prime < 2) return Status::Invalid("tau' must be >= 2");
+  // Each term is bounded first so the sum cannot wrap.
+  if (options.tau > kMaxDetectorWindow ||
+      options.tau_prime > kMaxDetectorWindow - options.tau) {
+    return Status::Invalid("tau + tau' must be <= " +
+                           std::to_string(kMaxDetectorWindow));
+  }
+  const SignatureBuilderOptions& signature = options.signature;
+  if (signature.k == 0 && signature.method != SignatureMethod::kCentroid &&
+      signature.method != SignatureMethod::kHistogram) {
+    return Status::Invalid("k must be >= 1");
+  }
+  if (signature.method == SignatureMethod::kHistogram &&
+      !(signature.bin_width > 0.0)) {
+    return Status::Invalid("bin_width must be > 0");
+  }
+  if (options.bootstrap.replicates < 0 || options.bootstrap.replicates == 1) {
+    return Status::Invalid(
+        "bootstrap replicates must be 0 (no CIs) or at least 2");
+  }
+  // Only values the spec text form can carry, so a detector can always be
+  // rebuilt from the spec its checkpoints embed.
+  for (double value : {signature.bin_width, signature.histogram_origin,
+                       options.bootstrap.alpha, options.info.distance_floor}) {
+    if (!std::isfinite(value)) {
+      return Status::Invalid("detector options must be finite numbers");
+    }
+  }
   if (options.bootstrap.replicates > 0) {
     if (options.bootstrap.alpha <= 0.0 || options.bootstrap.alpha >= 1.0) {
       return Status::Invalid("bootstrap alpha must be in (0, 1)");

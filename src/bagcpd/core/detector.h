@@ -62,8 +62,8 @@ struct DetectorOptions {
   std::size_t tau_prime = 5;
   ScoreType score_type = ScoreType::kSymmetrizedKl;
   WeightScheme weight_scheme = WeightScheme::kUniform;
-  /// Bootstrap CI settings; set bootstrap.replicates <= 0 to skip CIs (the
-  /// detector then reports scores only and never raises alarms).
+  /// Bootstrap CI settings; set bootstrap.replicates = 0 to skip CIs (the
+  /// detector then reports scores only and never raises alarms), or >= 2.
   BootstrapOptions bootstrap;
   /// How bags are quantized into signatures.
   SignatureBuilderOptions signature;
@@ -77,9 +77,16 @@ struct DetectorOptions {
   std::uint64_t seed = 0;
 };
 
+/// \brief Upper bound on tau + tau'. The detector allocates its rolling log-EMD
+/// table as (tau + tau')^2 doubles up front, so this caps the table at
+/// 128 MiB; a larger window (say from an untrusted checkpoint's embedded
+/// spec) is rejected instead of failing the allocation.
+inline constexpr std::size_t kMaxDetectorWindow = 4096;
+
 /// \brief Checks that `options` form a coherent detector configuration; this
 /// is exactly the condition BagStreamDetector::Create succeeds under (and
-/// what the legacy constructor surfaces through init_status()).
+/// what the legacy constructor surfaces through init_status()). A config it
+/// accepts does not fail every push for a reason knowable up front.
 Status ValidateDetectorOptions(const DetectorOptions& options);
 
 /// \brief Per-inspection-point output.
@@ -193,11 +200,13 @@ class BagStreamDetector {
   Status ExportState(std::string* blob) const;
 
   /// \brief Restores a snapshot taken by ExportState into this detector,
-  /// replacing all buffered state. The blob's options spec must match this
-  /// detector's configuration exactly (Invalid otherwise — restoring into a
-  /// differently-configured detector would silently change scores); a
-  /// truncated or corrupt blob fails with IoError, an unsupported format
-  /// version with NotImplemented, all without modifying the detector.
+  /// replacing all buffered state. The blob's options spec must have this
+  /// detector's result keys (api::KeyClass; Invalid otherwise — restoring
+  /// into a differently-configured detector would silently change scores,
+  /// while a performance key such as `emd-heap-at` may differ); a spec that
+  /// does not parse is Invalid too. A truncated or corrupt blob fails with
+  /// IoError, an unsupported format version with NotImplemented, all without
+  /// modifying the detector.
   /// Decode staging recycles through the attached buffer arena when set.
   Status ImportState(std::string_view blob);
 

@@ -80,10 +80,10 @@ namespace bagcpd {
 /// intermediate sizes; x86-64 4-vCPU VM, SSE2 build), heap speed over dense
 /// as dense time / heap time: 0.6 at K + L = 24-40, 0.8 at 48, 0.9 at 64,
 /// 1.0 at 80, 1.15 at 96, 1.3 at 128 and 1.6 at 192, so the tie now sits
-/// near K + L = 80. The default stays at 32 all the same: it is part of the
-/// canonical spec (`emd-heap-at=`), which checkpoints carry and import checks
-/// exactly, so moving it would stop default-configured detectors from
-/// importing checkpoints exported with the old value. Both strategies
+/// near K + L = 80. The default stays at 32 until it is re-measured and moved
+/// on purpose; it is a performance key of the canonical spec (`emd-heap-at=`),
+/// which checkpoint imports do not compare, so a move strands no checkpoint
+/// exported with the old value. Both strategies
 /// produce bitwise-identical results; the threshold only trades selection
 /// cost. 0 disables the heap entirely.
 inline constexpr std::size_t kDefaultEmdHeapAt = 32;

@@ -1092,9 +1092,9 @@ Status StreamEngine::ImportStreamLocked(Shard& shard,
   }
   DetectorOptions per_stream = ProfileOptions(profile);
   per_stream.seed = DeriveStreamSeed(stream_id, profile);
-  // The spec gate inside ImportState compares the blob against these exact
-  // options (seed included), so a wrong profile definition or engine seed
-  // surfaces as Invalid here rather than as silently different scores.
+  // The spec gate inside ImportState compares the blob's result keys against
+  // these options' (seed included), so a wrong profile definition or engine
+  // seed surfaces as Invalid here rather than as silently different scores.
   BAGCPD_ASSIGN_OR_RETURN(std::unique_ptr<BagStreamDetector> detector,
                           BagStreamDetector::Create(per_stream));
   detector->set_buffer_arena(shard.arena);

@@ -395,10 +395,10 @@ class StreamEngine {
 
   /// \brief Restores a stream exported by ExportStream (possibly from
   /// another engine process). The blob's embedded key must equal
-  /// `stream_id`, its profile must be registered here with identical
-  /// detector options (per-stream seeds re-derive from THIS engine's seed,
-  /// so the engine seed must match the exporter's for bitwise continuation —
-  /// the options-spec gate enforces it), and the key must not already be
+  /// `stream_id`, its profile must be registered here with identical result
+  /// keys (per-stream seeds re-derive from THIS engine's seed, so the engine
+  /// seed must match the exporter's for bitwise continuation — the
+  /// options-spec gate enforces it), and the key must not already be
   /// bound, spilled, or quarantined (Invalid otherwise). A truncated or
   /// corrupt blob fails with IoError, an unknown format version with
   /// NotImplemented; failures never leave a partial stream behind. Restored

@@ -134,21 +134,29 @@ Status BagStreamDetector::ImportState(std::string_view blob) {
     return Status::IoError("detector blob is missing a required section");
   }
 
-  // The spec gate: restoring into a differently-configured detector would
-  // not crash, it would quietly produce different scores — exactly the
-  // failure mode the bitwise-restore contract exists to prevent.
+  // The spec gate: restoring into a detector with different result keys
+  // would not crash, it would quietly produce different scores — exactly the
+  // failure mode the bitwise-restore contract exists to prevent. Performance
+  // keys (`emd-heap-at`) change speed only, so they may differ.
   std::string_view blob_spec;
   {
     WireReader section(spec);
     BAGCPD_RETURN_NOT_OK(section.ReadString(&blob_spec));
   }
-  const std::string my_spec =
-      api::DetectorSpec::FromOptions(options_).ToKeyValues();
-  if (blob_spec != my_spec) {
+  Result<api::DetectorSpec> exporter =
+      api::DetectorSpec::FromKeyValues(std::string(blob_spec));
+  if (!exporter.ok()) {
+    return Status::Invalid("checkpoint options spec '" +
+                           std::string(blob_spec) + "' does not parse: " +
+                           exporter.status().message());
+  }
+  const api::DetectorSpec mine = api::DetectorSpec::FromOptions(options_);
+  if (exporter->ResultKeyValues() != mine.ResultKeyValues()) {
     return Status::Invalid(
         "checkpoint options-spec mismatch: blob was exported from a detector "
         "configured as '" +
-        std::string(blob_spec) + "' but this detector is '" + my_spec + "'");
+        std::string(blob_spec) + "' but this detector is '" +
+        mine.ToKeyValues() + "'");
   }
 
   WireReader ring_reader(ring);

@@ -1,6 +1,8 @@
 #include "bagcpd/api/spec.h"
 
+#include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -195,9 +197,8 @@ TEST(DetectorSpecTest, EmdHeapAtKeyParsesAndRoundTrips) {
   EXPECT_NE(base.find("emd-heap-at=" + std::to_string(kDefaultEmdHeapAt)),
             std::string::npos)
       << base;
-  // Checkpoints carry this echo and ImportState compares specs exactly, so
-  // moving the default would stop checkpoints exported by earlier builds
-  // from importing into default-configured detectors.
+  // Pinned until the default is re-measured and moved on purpose. Checkpoint
+  // imports compare result keys only, so a move strands no checkpoint.
   EXPECT_EQ(kDefaultEmdHeapAt, 32u);
 
   // A value other than the default, so the checks prove the key overrides it.
@@ -272,6 +273,54 @@ TEST(DetectorSpecTest, CreateFailuresMirrorEveryInitStatusCase) {
   DetectorOptions bad_floor;
   bad_floor.info.distance_floor = 0.0;
   bad_cases.push_back(bad_floor);
+  // Configs that used to pass Create and then fail every push.
+  for (SignatureMethod method : {SignatureMethod::kKMeans,
+                                 SignatureMethod::kKMedoids,
+                                 SignatureMethod::kLvq}) {
+    DetectorOptions bad_k;
+    bad_k.signature.method = method;
+    bad_k.signature.k = 0;
+    bad_cases.push_back(bad_k);
+  }
+  for (double width : {0.0, -1.0, std::nan("")}) {
+    DetectorOptions bad_width;
+    bad_width.signature.method = SignatureMethod::kHistogram;
+    bad_width.signature.bin_width = width;
+    bad_cases.push_back(bad_width);
+  }
+  // Non-finite values, which the spec text form cannot carry, so a
+  // checkpoint of such a detector could never be rebuilt from its spec.
+  DetectorOptions nan_alpha;
+  nan_alpha.bootstrap.replicates = 0;
+  nan_alpha.bootstrap.alpha = std::nan("");
+  bad_cases.push_back(nan_alpha);
+  DetectorOptions infinite_origin;
+  infinite_origin.signature.histogram_origin = HUGE_VAL;
+  bad_cases.push_back(infinite_origin);
+  DetectorOptions infinite_floor;
+  infinite_floor.info.distance_floor = HUGE_VAL;
+  bad_cases.push_back(infinite_floor);
+  for (int replicates : {1, -1}) {
+    DetectorOptions bad_replicates;
+    bad_replicates.bootstrap.replicates = replicates;
+    bad_cases.push_back(bad_replicates);
+  }
+  // Windows whose rolling table could not be allocated, including sums that
+  // wrap around std::size_t.
+  const std::size_t huge = std::size_t{1} << 63;
+  for (const auto& [tau, tau_prime] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {100000, 5},
+           {4294967296, 5},
+           {2147483648, 2147483648},
+           {huge, huge},
+           {4, ~std::size_t{0} - 1},  // Wraps to 2.
+           {2, kMaxDetectorWindow - 1}}) {
+    DetectorOptions bad_window;
+    bad_window.tau = tau;
+    bad_window.tau_prime = tau_prime;
+    bad_cases.push_back(bad_window);
+  }
 
   for (const DetectorOptions& options : bad_cases) {
     BagStreamDetector legacy(options);
@@ -289,6 +338,22 @@ TEST(DetectorSpecTest, CreateFailuresMirrorEveryInitStatusCase) {
       BagStreamDetector::Create(good);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   EXPECT_TRUE((*created)->init_status().ok());
+
+  // k is free where the quantizer ignores it, bin_width likewise, and the
+  // largest window is accepted.
+  DetectorOptions centroid;
+  centroid.signature.method = SignatureMethod::kCentroid;
+  centroid.signature.k = 0;
+  centroid.signature.bin_width = 0.0;
+  EXPECT_TRUE(ValidateDetectorOptions(centroid).ok());
+  DetectorOptions histogram;
+  histogram.signature.method = SignatureMethod::kHistogram;
+  histogram.signature.k = 0;
+  EXPECT_TRUE(ValidateDetectorOptions(histogram).ok());
+  DetectorOptions widest;
+  widest.tau = 2;
+  widest.tau_prime = kMaxDetectorWindow - 2;
+  EXPECT_TRUE(ValidateDetectorOptions(widest).ok());
 }
 
 TEST(DetectorSpecTest, SpecCreatedDetectorMatchesLegacyConstruction) {
@@ -333,6 +398,10 @@ TEST(EngineSpecTest, CreateFailuresMirrorEveryInitStatusCase) {
   bad_detector.num_shards = 1;
   bad_detector.detector.tau = 1;
   bad_cases.push_back(bad_detector);
+  StreamEngineOptions bad_k;  // Would quarantine every stream on push.
+  bad_k.num_shards = 1;
+  bad_k.detector.signature.k = 0;
+  bad_cases.push_back(bad_k);
   StreamEngineOptions bad_arena;
   bad_arena.num_shards = 1;
   bad_arena.arena.min_buffer_capacity = 100;  // Not a power of two.
@@ -456,6 +525,84 @@ TEST(EngineSpecTest, ToKeyValuesRoundTrips) {
   EXPECT_EQ(redefaults->ToKeyValues(), defaults);
   EXPECT_EQ(defaults.find("seed=0,"), defaults.rfind("seed="))
       << "detector seed must not be re-emitted: " << defaults;
+}
+
+TEST(EngineSpecTest, EchoNeverReplacesTheEngineSeed) {
+  // A nonzero detector seed fails Build(); the echo must not turn it into
+  // a second `seed=` token that re-parses as the engine seed.
+  EngineSpec spec;
+  spec.NumShards(1).Seed(42).detector().Seed(7);
+  ASSERT_FALSE(spec.Build().ok());
+  const std::string text = spec.ToKeyValues();
+  EXPECT_EQ(text.find("seed="), text.rfind("seed=")) << text;
+  Result<EngineSpec> reparsed = EngineSpec::FromKeyValues(text);
+  ASSERT_TRUE(reparsed.ok()) << text << ": " << reparsed.status().ToString();
+  Result<StreamEngineOptions> options = reparsed->Build();
+  ASSERT_TRUE(options.ok()) << options.status().ToString();
+  EXPECT_EQ(options->seed, 42u);
+  EXPECT_EQ(options->detector.seed, 0u);
+}
+
+TEST(EngineSpecTest, UnknownKeyMessageListsTheEngineGrammar) {
+  Result<EngineSpec> typo = EngineSpec::FromKeyValues("shardz=4");
+  ASSERT_FALSE(typo.ok());
+  const std::string& message = typo.status().message();
+  EXPECT_NE(message.find("unknown key 'shardz'"), std::string::npos);
+  for (const char* key : {"shards", "queue", "spill_dir", "fault_budget",
+                          "fault", "tau_prime", "emd-heap-at"}) {
+    EXPECT_NE(message.find(key), std::string::npos) << key << ": " << message;
+  }
+  // `seed` is listed once: the engine seed.
+  EXPECT_EQ(message.find("seed"), message.rfind("seed")) << message;
+}
+
+TEST(DetectorSpecTest, KeysCarryTheirClassInEchoOrder) {
+  std::string names;
+  for (const SpecKey& key : DetectorSpec::Keys()) {
+    EXPECT_EQ(key.key_class, key.name == "emd-heap-at"
+                                 ? KeyClass::kPerformance
+                                 : KeyClass::kResult)
+        << key.name;
+    names += (names.empty() ? "" : ",") + key.name;
+  }
+  EXPECT_EQ(names,
+            "quantizer,k,bin_width,histogram_origin,normalize,tau,tau_prime,"
+            "score,weights,ground,bootstrap,replicates,alpha,distance_floor,"
+            "emd,emd-heap-at,emd-fallback,seed");
+  // The result echo is the full echo without the performance keys.
+  const DetectorSpec spec = DetectorSpec().EmdHeapAt(96).EmdFallbackExact(true);
+  const std::string heap = ",emd-heap-at=96";
+  std::string full = spec.ToKeyValues();
+  full.erase(full.find(heap), heap.size());
+  EXPECT_EQ(spec.ResultKeyValues(), full);
+}
+
+TEST(DetectorSpecTest, StringSettersDeferTheFirstError) {
+  const DetectorSpec spec = DetectorSpec()
+                                .Emd("sankhorn:0.1")
+                                .Score("nope")
+                                .Weights("nope")
+                                .Ground("nope")
+                                .Bootstrap("nope")
+                                .Quantizer("nope");
+  Result<DetectorOptions> built = spec.Build();
+  ASSERT_FALSE(built.ok());
+  EXPECT_NE(built.status().message().find("sankhorn"), std::string::npos)
+      << built.status().ToString();
+  // A failed setter leaves its field alone.
+  EXPECT_EQ(spec.ToKeyValues(), DetectorSpec().ToKeyValues());
+}
+
+TEST(BatchSpecTest, EchoNeverReplacesTheRunSeed) {
+  BatchSpec spec;
+  spec.Seed(42).detector().Seed(7);
+  ASSERT_FALSE(spec.Build().ok());
+  Result<BatchSpec> reparsed = BatchSpec::FromKeyValues(spec.ToKeyValues());
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  Result<BatchRunnerOptions> options = reparsed->Build();
+  ASSERT_TRUE(options.ok()) << options.status().ToString();
+  EXPECT_EQ(options->seed, 42u);
+  EXPECT_EQ(options->detector.seed, 0u);
 }
 
 TEST(BatchSpecTest, FromKeyValuesSplitsBatchAndDetectorKeys) {

@@ -5,12 +5,14 @@
 // with a typed Status that leaves the target detector untouched.
 
 #include <cmath>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bagcpd/api/spec.h"
 #include "bagcpd/common/buffer_arena.h"
 #include "bagcpd/common/rng.h"
 #include "bagcpd/core/detector.h"
@@ -176,6 +178,47 @@ TEST(DetectorStateTest, CreateFromStateRebuildsConfiguration) {
   }
 }
 
+TEST(DetectorStateTest, RestoresAcrossTheHeapCrossover) {
+  // emd-heap-at only picks the exact solver's Dijkstra strategy, so a blob
+  // exported at the default crossover imports at any other and continues
+  // bitwise. Bags of 24 points at k = 20 put K + L past 32, so the exporter
+  // runs the heap while the importers at 0 and 80 run the dense scan.
+  Rng rng(5);
+  const GaussianMixture before = GaussianMixture::Isotropic({0.0, 0.0}, 0.5);
+  const GaussianMixture after = GaussianMixture::Isotropic({3.0, 3.0}, 0.5);
+  BagSequence bags;
+  for (std::size_t t = 0; t < 14; ++t) {
+    bags.push_back((t < 8 ? before : after).SampleBag(24, &rng));
+  }
+  DetectorOptions exported = BaseOptions();
+  exported.signature.k = 20;
+  exported.emd.heap_at = 32;
+
+  auto original = BagStreamDetector::Create(exported).MoveValueUnsafe();
+  for (std::size_t t = 0; t < 7; ++t) ASSERT_TRUE(original->Push(bags[t]).ok());
+  std::string blob;
+  ASSERT_TRUE(original->ExportState(&blob).ok());
+  std::vector<std::optional<StepResult>> uninterrupted;
+  for (std::size_t t = 7; t < bags.size(); ++t) {
+    uninterrupted.push_back(original->Push(bags[t]).ValueOrDie());
+  }
+
+  for (std::size_t heap_at : {std::size_t{0}, std::size_t{80}}) {
+    DetectorOptions options = exported;
+    options.emd.heap_at = heap_at;
+    auto restored = BagStreamDetector::Create(options).MoveValueUnsafe();
+    const Status imported = restored->ImportState(blob);
+    ASSERT_TRUE(imported.ok()) << heap_at << ": " << imported.ToString();
+    for (std::size_t t = 7; t < bags.size(); ++t) {
+      Result<std::optional<StepResult>> step = restored->Push(bags[t]);
+      ASSERT_TRUE(step.ok());
+      ExpectIdenticalStep(step.ValueOrDie(), uninterrupted[t - 7],
+                          "emd-heap-at=" + std::to_string(heap_at) +
+                              " step " + std::to_string(t));
+    }
+  }
+}
+
 TEST(DetectorStateTest, ImportRecyclesThroughArena) {
   const BagSequence bags = JumpStream(10, 0, 7);
   auto original = BagStreamDetector::Create(BaseOptions()).MoveValueUnsafe();
@@ -207,10 +250,12 @@ class DetectorStateRobustnessTest : public ::testing::Test {
     ASSERT_TRUE(source->ExportState(&blob_).ok());
   }
 
-  // Feeds the remaining bags to `victim` and an untouched twin; a failed
-  // import must not have changed what the victim computes.
+  // Feeds the remaining bags to `victim` and an untouched twin of the same
+  // configuration; a failed import must not have changed what the victim
+  // computes.
   void ExpectUnmodified(BagStreamDetector* victim, std::size_t fed) {
-    auto twin = BagStreamDetector::Create(BaseOptions()).MoveValueUnsafe();
+    auto twin =
+        BagStreamDetector::Create(victim->options()).MoveValueUnsafe();
     for (std::size_t t = 0; t < fed; ++t) ASSERT_TRUE(twin->Push(bags_[t]).ok());
     for (std::size_t t = fed; t < bags_.size(); ++t) {
       Result<std::optional<StepResult>> a = victim->Push(bags_[t]);
@@ -263,6 +308,117 @@ TEST_F(DetectorStateRobustnessTest, SpecMismatchIsInvalid) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
   // The message names both specs so the mismatch is actionable.
   EXPECT_NE(status.ToString().find("tau_prime"), std::string::npos);
+}
+
+// The blob with its embedded options spec replaced (a CRC-valid blob whose
+// spec no detector of this build exported).
+std::string WithSpec(std::string_view blob, const std::string& spec) {
+  serialize::WireReader reader =
+      serialize::OpenBlob(blob, serialize::BlobKind::kDetector)
+          .MoveValueUnsafe();
+  std::string out;
+  serialize::WireWriter writer(&out);
+  writer.BeginBlob(serialize::BlobKind::kDetector);
+  while (!reader.AtEnd()) {
+    std::uint32_t tag = 0;
+    std::string_view payload;
+    EXPECT_TRUE(reader.NextSection(&tag, &payload).ok());
+    writer.BeginSection(tag);
+    if (tag == serialize::kSecSpec) {
+      writer.PutString(spec);
+    } else {
+      writer.PutBytes(payload.data(), payload.size());
+    }
+    writer.EndSection();
+  }
+  writer.EndBlob();
+  return out;
+}
+
+TEST_F(DetectorStateRobustnessTest, EveryResultKeyGatesTheImport) {
+  // One value per key that differs from BaseOptions() and still builds. A
+  // key added to the table without an entry here fails the test, so every
+  // key is covered.
+  const std::map<std::string, std::string> changed = {
+      {"quantizer", "kmedoids"}, {"k", "4"},
+      {"bin_width", "0.5"},      {"histogram_origin", "0.25"},
+      {"normalize", "true"},     {"tau", "4"},
+      {"tau_prime", "4"},        {"score", "lr"},
+      {"weights", "discounted"}, {"ground", "manhattan"},
+      {"bootstrap", "standard"}, {"replicates", "41"},
+      {"alpha", "0.1"},          {"distance_floor", "1e-9"},
+      {"emd", "sliced:8"},       {"emd-heap-at", "80"},
+      {"emd-fallback", "exact"}, {"seed", "18"}};
+  const std::string base =
+      api::DetectorSpec::FromOptions(BaseOptions()).ToKeyValues();
+  for (const api::SpecKey& key : api::DetectorSpec::Keys()) {
+    const auto it = changed.find(key.name);
+    if (it == changed.end()) {
+      ADD_FAILURE() << "no changed value for key '" << key.name << "'";
+      continue;
+    }
+    const std::string text = base + "," + key.name + "=" + it->second;
+    Result<DetectorOptions> options =
+        api::DetectorSpec::FromKeyValues(text).ValueOrDie().Build();
+    ASSERT_TRUE(options.ok()) << text << ": " << options.status().ToString();
+    auto victim = BagStreamDetector::Create(*options).MoveValueUnsafe();
+    for (std::size_t t = 0; t < 2; ++t) {
+      ASSERT_TRUE(victim->Push(bags_[t]).ok());
+    }
+    const Status status = victim->ImportState(blob_);
+    if (key.key_class == api::KeyClass::kPerformance) {
+      EXPECT_TRUE(status.ok()) << key.name << ": " << status.ToString();
+      continue;
+    }
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << key.name << ": " << status.ToString();
+    // The message names both specs.
+    EXPECT_NE(status.message().find(base), std::string::npos) << key.name;
+    ExpectUnmodified(victim.get(), 2);
+  }
+}
+
+TEST_F(DetectorStateRobustnessTest, UnparsableEmbeddedSpecIsTypedError) {
+  const std::string spec =
+      api::DetectorSpec::FromOptions(BaseOptions()).ToKeyValues();
+  for (const std::string& bad :
+       {spec + ",numerics=fast", spec + ",tau", spec + ",tau=three",
+        std::string("quantizer=kmeanz")}) {
+    const std::string blob = WithSpec(blob_, bad);
+    auto victim = BagStreamDetector::Create(BaseOptions()).MoveValueUnsafe();
+    for (std::size_t t = 0; t < 4; ++t) {
+      ASSERT_TRUE(victim->Push(bags_[t]).ok());
+    }
+    const Status status = victim->ImportState(blob);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << bad << ": " << status.ToString();
+    EXPECT_FALSE(BagStreamDetector::CreateFromState(blob).ok()) << bad;
+    ExpectUnmodified(victim.get(), 4);
+  }
+  // The untouched spec still imports, so the rewrite itself is faithful.
+  auto control = BagStreamDetector::Create(BaseOptions()).MoveValueUnsafe();
+  EXPECT_TRUE(control->ImportState(WithSpec(blob_, spec)).ok());
+}
+
+TEST_F(DetectorStateRobustnessTest, OversizedEmbeddedWindowIsInvalid) {
+  // CreateFromState builds the detector from the blob's own spec: a window
+  // past kMaxDetectorWindow must be refused before anything is allocated.
+  for (const std::string& window :
+       {std::string("tau=100000"), std::string("tau=4294967296"),
+        std::string("tau=2147483648,tau_prime=2147483648"),
+        std::string("tau=9223372036854775808,tau_prime=9223372036854775808"),
+        std::string("tau=2,tau_prime=4095")}) {
+    const std::string spec =
+        api::DetectorSpec::FromOptions(BaseOptions()).ToKeyValues() + "," +
+        window;
+    Result<DetectorOptions> built =
+        api::DetectorSpec::FromKeyValues(spec).ValueOrDie().Build();
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument) << window;
+    const Result<std::unique_ptr<BagStreamDetector>> created =
+        BagStreamDetector::CreateFromState(WithSpec(blob_, spec));
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument)
+        << window << ": " << created.status().ToString();
+  }
 }
 
 TEST_F(DetectorStateRobustnessTest, WrongBlobKindIsInvalid) {
