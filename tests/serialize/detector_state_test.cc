@@ -250,12 +250,14 @@ class DetectorStateRobustnessTest : public ::testing::Test {
     ASSERT_TRUE(source->ExportState(&blob_).ok());
   }
 
-  // Feeds the remaining bags to `victim` and an untouched twin of the same
-  // configuration; a failed import must not have changed what the victim
-  // computes.
-  void ExpectUnmodified(BagStreamDetector* victim, std::size_t fed) {
-    auto twin =
-        BagStreamDetector::Create(victim->options()).MoveValueUnsafe();
+  // Feeds the remaining bags to `victim` and an untouched twin built from
+  // `expected`, the options the victim was created with; a failed import
+  // must not have changed the victim's configuration or what it computes.
+  void ExpectUnmodified(BagStreamDetector* victim, std::size_t fed,
+                        const DetectorOptions& expected = BaseOptions()) {
+    EXPECT_EQ(api::DetectorSpec::FromOptions(victim->options()).ToKeyValues(),
+              api::DetectorSpec::FromOptions(expected).ToKeyValues());
+    auto twin = BagStreamDetector::Create(expected).MoveValueUnsafe();
     for (std::size_t t = 0; t < fed; ++t) ASSERT_TRUE(twin->Push(bags_[t]).ok());
     for (std::size_t t = fed; t < bags_.size(); ++t) {
       Result<std::optional<StepResult>> a = victim->Push(bags_[t]);
@@ -374,7 +376,7 @@ TEST_F(DetectorStateRobustnessTest, EveryResultKeyGatesTheImport) {
         << key.name << ": " << status.ToString();
     // The message names both specs.
     EXPECT_NE(status.message().find(base), std::string::npos) << key.name;
-    ExpectUnmodified(victim.get(), 2);
+    ExpectUnmodified(victim.get(), 2, *options);
   }
 }
 
