@@ -217,21 +217,17 @@ void VisitEngineKeys(Options& o, DetectorOpts& detector, Visitor&& v) {
   // The ENGINE seed: per-stream seeds derive from it, the stream key, and
   // the profile name.
   v({kSeedKey}, o.seed);
-  // Spill and fault-containment keys echo only when configured (the budget,
-  // GC, backoff and snapshot keys only alongside the key they need), so
-  // configs that never use them echo as before.
-  const bool spill = !o.spill_directory.empty();
-  v({"spill_dir", spill}, o.spill_directory);
-  v({"spill_budget", spill && o.spill_resident_bytes > 0},
-    o.spill_resident_bytes);
-  v({"spill_gc", spill && o.spill_gc_submissions > 0},
-    o.spill_gc_submissions);
-  const bool contained = o.max_stream_faults > 0;
-  v({"fault_budget", contained}, o.max_stream_faults);
-  v({"fault_backoff", contained && o.fault_backoff_submissions > 0},
+  // Spill and fault-containment keys echo only when set, so configs that
+  // never use them echo as before. A budget, GC, backoff or snapshot key
+  // set without the key it needs still echoes: Build() rejects that config,
+  // and so must it reject the echo.
+  v({"spill_dir", !o.spill_directory.empty()}, o.spill_directory);
+  v({"spill_budget", o.spill_resident_bytes > 0}, o.spill_resident_bytes);
+  v({"spill_gc", o.spill_gc_submissions > 0}, o.spill_gc_submissions);
+  v({"fault_budget", o.max_stream_faults > 0}, o.max_stream_faults);
+  v({"fault_backoff", o.fault_backoff_submissions > 0},
     o.fault_backoff_submissions);
-  v({"snapshot_every", contained && o.snapshot_interval > 0},
-    o.snapshot_interval);
+  v({"snapshot_every", o.snapshot_interval > 0}, o.snapshot_interval);
   v({"fault", !o.fault.empty()}, o.fault);  // "point:mode:arg[:seed]"
   VisitDetectorKeys(detector, v, /*with_seed=*/false);
 }

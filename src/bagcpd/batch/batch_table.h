@@ -12,9 +12,16 @@
 //
 // BatchTableBuilder accepts rows in ANY order and Build() sorts them into a
 // canonical layout: groups ordered by key, steps ordered by timestamp, and
-// rows within a step ordered by their point values — a pure function of the
-// row multiset, so shuffled ingest produces a bitwise-identical table (and
-// therefore bitwise-identical detection results) to pre-sorted ingest.
+// rows within a step ordered by their point dimension and value bit
+// patterns — a pure function of the row multiset, so shuffled ingest
+// produces a bitwise-identical table (and therefore bitwise-identical
+// detection results) to pre-sorted ingest. Build() gets there in three
+// passes: a stable counting sort of rows by group, a timestamp pass per
+// group, and a sort of each step's few rows on (dim, first value's bits,
+// row) that reads further values only on a tie. The last two check their
+// order first: a time-major log skips the timestamp sorts, and canonical
+// input (a file this library wrote) is only verified. The cost is linear in the
+// rows plus the per-bag sorts.
 //
 // Malformed groups never fail the table: a group whose rows disagree on the
 // point dimension (ragged) or on the profile column is retained but marked
@@ -177,6 +184,8 @@ class BatchTableBuilder {
   std::vector<std::string> group_keys_;
   std::vector<std::string> group_profiles_;
   std::vector<Status> group_profile_status_;
+  // Group of the previous row: AddRow checks it before the hash lookup.
+  std::uint32_t last_group_ = 0;
   std::vector<RowRef> rows_;
   PooledBuffer staging_;
 };

@@ -3,7 +3,9 @@
 // around in the echoed form, so these bytes are a compatibility contract:
 // each case parses an input text and compares the canonical echo with a
 // literal captured from the hand-written parse/echo code that preceded the
-// key table. Covered: the defaults, every enum value, each emd= form, the
+// key table (one engine case has moved since, on purpose; see its comment).
+// Every case also checks that the echo builds exactly when the input does.
+// Covered: the defaults, every enum value, each emd= form, the
 // emd-fallback and emd-heap-at keys, awkward doubles, whitespace and empty
 // tokens, the engine's conditional spill and fault keys, and the batch form.
 
@@ -308,8 +310,12 @@ const EchoCase kEngineEchoes[] = {
      "weights=uniform,ground=euclidean,bootstrap=bayesian,"
      "replicates=200,alpha=0.05,distance_floor=1e-12,emd=exact,"
      "emd-heap-at=32"},
+    // Invalid: each key lacks the one it needs. The keys echo as set, so
+    // the echo is rejected too (this case moved on purpose: the echo used
+    // to drop them and read back as a valid config).
     {"spill_budget=4096,spill_gc=100,fault_backoff=10,snapshot_every=5",
      "shards=0,queue=1024,collect=true,max_idle=0,seed=0,"
+     "spill_budget=4096,spill_gc=100,fault_backoff=10,snapshot_every=5,"
      "quantizer=kmeans,k=8,bin_width=1,histogram_origin=0,"
      "normalize=false,tau=5,tau_prime=5,score=kl,weights=uniform,"
      "ground=euclidean,bootstrap=bayesian,replicates=200,alpha=0.05,"
@@ -379,6 +385,10 @@ void ExpectEchoes(const EchoCase (&cases)[N]) {
     Result<Spec> reparsed = Spec::FromKeyValues(c.echo);
     ASSERT_TRUE(reparsed.ok()) << c.echo;
     EXPECT_EQ(reparsed->ToKeyValues(), c.echo);
+    // And it describes the same config: Build() accepts the echo exactly
+    // when it accepts the input.
+    EXPECT_EQ(reparsed->Build().ok(), parsed->Build().ok())
+        << "input: '" << c.input << "'";
   }
 }
 

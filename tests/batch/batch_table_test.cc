@@ -1,10 +1,17 @@
 #include "bagcpd/batch/batch_table.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <limits>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bagcpd/batch/batch_io.h"
+#include "bagcpd/batch/synthetic.h"
 #include "bagcpd/common/buffer_arena.h"
 
 namespace bagcpd {
@@ -188,6 +195,362 @@ TEST(BatchTableTest, BuilderIsReusableAfterBuild) {
   const BatchTable second = builder.Build();
   ASSERT_EQ(second.group_count(), 1u);
   EXPECT_EQ(second.group_key(0), "second");
+}
+
+// --- Golden pins and a reference oracle for Build()'s row order ---------
+
+// FNV-1a over every BatchTable accessor: group key, profile, status, dim,
+// step timestamps, row extents and value bytes. A pinned hash captures the
+// whole table, so a faster Build() must reproduce it byte for byte.
+class Fnv1a {
+ public:
+  void Bytes(const void* data, std::size_t size) {
+    const unsigned char* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash_ = (hash_ ^ p[i]) * 0x100000001b3ull;
+    }
+  }
+  void U64(std::uint64_t v) { Bytes(&v, sizeof(v)); }
+  void Str(const std::string& s) {
+    U64(s.size());
+    Bytes(s.data(), s.size());
+  }
+  std::uint64_t hash() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t TableHash(const BatchTable& table) {
+  Fnv1a h;
+  h.U64(table.group_count());
+  h.U64(table.row_count());
+  h.U64(table.step_count());
+  for (std::size_t g = 0; g < table.group_count(); ++g) {
+    h.Str(table.group_key(g));
+    h.Str(table.group_profile(g));
+    h.U64(static_cast<std::uint64_t>(table.group_status(g).code()));
+    h.Str(table.group_status(g).ok() ? std::string()
+                                     : table.group_status(g).message());
+    h.U64(table.group_dim(g));
+    h.U64(table.group_row_count(g));
+    h.U64(table.group_step_count(g));
+    for (std::size_t s = 0; s < table.group_step_count(g); ++s) {
+      h.U64(static_cast<std::uint64_t>(table.step_timestamp(g, s)));
+      h.U64(table.step_row_count(g, s));
+      h.U64(table.step_first_row(g, s));
+    }
+  }
+  for (std::size_t r = 0; r < table.row_count(); ++r) {
+    const PointView row = table.row_values(r);
+    h.U64(row.size());
+    h.U64(static_cast<std::uint64_t>(row.data() - table.values().data()));
+  }
+  h.Bytes(table.values().data(), table.values().size() * sizeof(double));
+  return h.hash();
+}
+
+// SplitMix64: a fixed, library-independent stream for the test corpora.
+struct SplitMix64 {
+  std::uint64_t state;
+  std::uint64_t Next() {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+  std::size_t Below(std::size_t n) { return Next() % n; }
+  template <typename T>
+  void Shuffle(std::vector<T>* v) {
+    for (std::size_t i = v->size(); i > 1; --i) {
+      std::swap((*v)[i - 1], (*v)[Below(i)]);
+    }
+  }
+};
+
+double FromBits(std::uint64_t bits) {
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+struct RawRow {
+  std::string key;
+  std::int64_t timestamp = 0;
+  std::vector<double> values;
+  std::string profile;
+};
+
+BatchTable BuildFrom(const std::vector<RawRow>& rows) {
+  BatchTableBuilder builder;
+  for (const RawRow& r : rows) {
+    EXPECT_TRUE(builder
+                    .AddRow(r.key, r.timestamp,
+                            PointView(r.values.data(), r.values.size()),
+                            r.profile)
+                    .ok());
+  }
+  return builder.Build();
+}
+
+// Shuffled rows, duplicate rows, a ragged group, conflicting profiles,
+// negative and out-of-order timestamps, -0.0/+0.0, NaN payloads, infinities
+// and subnormals.
+std::vector<RawRow> AdversarialRows() {
+  const double kValues[] = {
+      0.0,
+      -0.0,
+      1.0,
+      -1.0,
+      0.5,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      FromBits(0x000fffffffffffffull),  // largest subnormal
+      FromBits(0x7ff8000000000000ull),  // quiet NaN
+      FromBits(0x7ff8000000000001ull),  // quiet NaN, payload 1
+      FromBits(0xfff8000000000000ull),  // negative quiet NaN
+      FromBits(0x7ff0000000000001ull),  // signalling NaN
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      1e308,
+  };
+  const std::size_t kNumValues = sizeof(kValues) / sizeof(kValues[0]);
+  const std::int64_t kTimestamps[] = {
+      std::numeric_limits<std::int64_t>::min(), -1000000007, -3, -1, 0, 2,
+      7, 1000000007, std::numeric_limits<std::int64_t>::max()};
+  struct GroupShape {
+    const char* key;
+    std::size_t dim;  // 0: ragged, dims drawn per row from 1..3
+    const char* profile;
+    const char* conflicting_profile;  // non-null: some rows carry it
+  };
+  const GroupShape kGroups[] = {
+      {"zeta", 2, "", nullptr},      {"Alpha", 1, "fast", nullptr},
+      {"alpha", 3, "", nullptr},     {"alpha-ragged", 0, "", nullptr},
+      {"k10", 2, "slow", "fast"},    {"k9", 2, "", nullptr},
+      {"a", 1, "", nullptr},
+  };
+  SplitMix64 rng{0x5eed};
+  std::vector<RawRow> rows;
+  for (const GroupShape& shape : kGroups) {
+    for (int i = 0; i < 90; ++i) {
+      RawRow row;
+      row.key = shape.key;
+      row.timestamp = kTimestamps[rng.Below(9)];
+      const std::size_t dim = shape.dim != 0 ? shape.dim : 1 + rng.Below(3);
+      for (std::size_t d = 0; d < dim; ++d) {
+        row.values.push_back(kValues[rng.Below(kNumValues)]);
+      }
+      row.profile = shape.profile;
+      if (shape.conflicting_profile != nullptr && rng.Below(4) == 0) {
+        row.profile = shape.conflicting_profile;
+      }
+      rows.push_back(row);
+      if (rng.Below(5) == 0) rows.push_back(row);  // an exact duplicate
+    }
+  }
+  rng.Shuffle(&rows);
+  return rows;
+}
+
+// Hashes captured from the single-comparator Build() that preceded the
+// counting-sort one; the row order is part of the table bytes.
+TEST(BatchTableGoldenTest, SweepShapedTablesMatchPinnedHashes) {
+  const std::uint64_t kSeeds[] = {1001, 7};
+  const std::uint64_t kPinned[] = {0xa9210912491987b2ull,
+                                   0x343500bd5dbfa82cull};
+  for (int i = 0; i < 2; ++i) {
+    BatchSeriesSpec spec;
+    spec.num_groups = 50;
+    spec.steps_per_group = 40;
+    spec.points_per_step = 32;
+    spec.dim = 2;
+    spec.seed = kSeeds[i];
+    const Result<BatchSeriesRows> rows = GenerateBatchSeriesRows(spec);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(TableHash(BuildBatchTable(*rows)), kPinned[i])
+        << "seed " << kSeeds[i] << " hash 0x" << std::hex
+        << TableHash(BuildBatchTable(*rows));
+  }
+}
+
+TEST(BatchTableGoldenTest, AdversarialTableMatchesPinnedHash) {
+  const BatchTable table = BuildFrom(AdversarialRows());
+  EXPECT_EQ(TableHash(table), 0x06aaae1df9092e81ull)
+      << "hash 0x" << std::hex << TableHash(table);
+}
+
+// The row order Build() must produce, as one comparator over all rows:
+// (group rank, timestamp, dim, value bit patterns). Rows tying on all four
+// are identical, so any order among them yields the same bytes.
+std::vector<std::size_t> ReferenceOrder(const std::vector<RawRow>& rows) {
+  std::vector<std::size_t> order(rows.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const RawRow& ra = rows[a];
+    const RawRow& rb = rows[b];
+    if (ra.key != rb.key) return ra.key < rb.key;
+    if (ra.timestamp != rb.timestamp) return ra.timestamp < rb.timestamp;
+    if (ra.values.size() != rb.values.size()) {
+      return ra.values.size() < rb.values.size();
+    }
+    for (std::size_t i = 0; i < ra.values.size(); ++i) {
+      std::uint64_t ua, ub;
+      std::memcpy(&ua, &ra.values[i], sizeof(ua));
+      std::memcpy(&ub, &rb.values[i], sizeof(ub));
+      if (ua != ub) return ua < ub;
+    }
+    return false;
+  });
+  return order;
+}
+
+// One table row as (key, timestamp, value bits), in table order.
+struct FlatRow {
+  std::string key;
+  std::int64_t timestamp;
+  std::vector<std::uint64_t> bits;
+  bool operator==(const FlatRow& o) const {
+    return key == o.key && timestamp == o.timestamp && bits == o.bits;
+  }
+};
+
+FlatRow Flatten(const std::string& key, std::int64_t timestamp,
+                const double* values, std::size_t dim) {
+  FlatRow row{key, timestamp, std::vector<std::uint64_t>(dim)};
+  std::memcpy(row.bits.data(), values, dim * sizeof(double));
+  return row;
+}
+
+// Checks `table` holds exactly `rows` in ReferenceOrder, with one step per
+// distinct (key, timestamp) and the reference's per-group status and dim.
+void ExpectReferenceLayout(const std::vector<RawRow>& rows,
+                           const BatchTable& table) {
+  std::vector<FlatRow> expected;
+  const std::vector<std::size_t> order = ReferenceOrder(rows);
+  for (std::size_t i : order) {
+    const RawRow& r = rows[i];
+    expected.push_back(
+        Flatten(r.key, r.timestamp, r.values.data(), r.values.size()));
+  }
+  std::vector<FlatRow> actual;
+  for (std::size_t g = 0; g < table.group_count(); ++g) {
+    bool ragged = false;
+    bool conflicting = false;
+    std::size_t dim = 0;
+    const RawRow* first = nullptr;
+    for (const RawRow& r : rows) {
+      if (r.key != table.group_key(g)) continue;
+      if (first == nullptr) first = &r;
+      ragged |= r.values.size() != first->values.size();
+      conflicting |= r.profile != first->profile;
+      dim = r.values.size();
+    }
+    ASSERT_NE(first, nullptr) << table.group_key(g);
+    EXPECT_EQ(table.group_profile(g), first->profile);
+    EXPECT_EQ(table.group_status(g).ok(), !ragged && !conflicting);
+    if (ragged && !conflicting) {
+      // The message names the dim of the group's first row in reference
+      // order and the first dim that differs from it.
+      std::size_t dim0 = 0;
+      std::size_t dim1 = 0;
+      for (std::size_t i : order) {
+        if (rows[i].key != table.group_key(g)) continue;
+        const std::size_t d = rows[i].values.size();
+        if (dim0 == 0) dim0 = d;
+        if (d != dim0 && dim1 == 0) dim1 = d;
+      }
+      EXPECT_EQ(table.group_status(g).message(),
+                "group '" + table.group_key(g) +
+                    "' has ragged point dimensions (" + std::to_string(dim0) +
+                    " vs " + std::to_string(dim1) + ")");
+    }
+    EXPECT_EQ(table.group_dim(g), ragged || conflicting ? 0 : dim);
+    for (std::size_t s = 0; s < table.group_step_count(g); ++s) {
+      if (s > 0) {
+        EXPECT_LT(table.step_timestamp(g, s - 1), table.step_timestamp(g, s));
+      }
+      for (std::size_t i = 0; i < table.step_row_count(g, s); ++i) {
+        const PointView v = table.row_values(table.step_first_row(g, s) + i);
+        actual.push_back(Flatten(table.group_key(g), table.step_timestamp(g, s),
+                                 v.data(), v.size()));
+      }
+    }
+  }
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    ASSERT_TRUE(actual[i] == expected[i]) << "row " << i;
+  }
+}
+
+// ~2k small random tables: 1-6 groups, dims 1-3 with ragged groups, values
+// from a small set so ties on the first value are common; rows arrive
+// shuffled, or already in canonical order (the verify-only path). Each
+// table is also checked after a binary and, when CSV can hold it, a CSV
+// round trip, whose readers rebuild through Build() from canonical files.
+TEST(BatchTableOracleTest, BuildMatchesReferenceOrderOnRandomTables) {
+  const double kValues[] = {-1.0, -0.0, 0.0, 0.5, 1.0,
+                            std::numeric_limits<double>::denorm_min(), 2.0};
+  const char* kKeys[] = {"b", "a", "aa", "B", "k10", "k9"};
+  SplitMix64 rng{2024};
+  const std::string bin = ::testing::TempDir() + "batch_oracle.bin";
+  const std::string csv = ::testing::TempDir() + "batch_oracle.csv";
+  std::size_t csv_round_trips = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t num_groups = 1 + rng.Below(6);
+    const std::size_t table_dim = rng.Below(2) == 0 ? 1 + rng.Below(3) : 0;
+    std::vector<RawRow> rows;
+    for (std::size_t g = 0; g < num_groups; ++g) {
+      const std::size_t dim = table_dim != 0 ? table_dim : 1 + rng.Below(3);
+      const bool ragged = rng.Below(4) == 0;
+      const bool conflicting = rng.Below(8) == 0;
+      const std::string profile = rng.Below(3) == 0 ? "p" : "";
+      const std::size_t n = 1 + rng.Below(12);
+      for (std::size_t i = 0; i < n; ++i) {
+        RawRow row;
+        row.key = kKeys[g];
+        row.timestamp = static_cast<std::int64_t>(rng.Below(7)) - 3;
+        const std::size_t row_dim = ragged ? 1 + rng.Below(3) : dim;
+        for (std::size_t d = 0; d < row_dim; ++d) {
+          row.values.push_back(kValues[rng.Below(7)]);
+        }
+        row.profile = conflicting && rng.Below(3) == 0 ? "q" : profile;
+        rows.push_back(row);
+      }
+    }
+    if (rng.Below(4) == 0) {
+      std::vector<RawRow> sorted;
+      for (std::size_t i : ReferenceOrder(rows)) sorted.push_back(rows[i]);
+      rows = sorted;
+    } else {
+      rng.Shuffle(&rows);
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const BatchTable table = BuildFrom(rows);
+    ExpectReferenceLayout(rows, table);
+    if (::testing::Test::HasFatalFailure()) return;
+
+    ASSERT_TRUE(WriteBatchTableBinary(bin, table).ok());
+    Result<BatchTable> from_bin = ReadBatchTableBinary(bin);
+    ASSERT_TRUE(from_bin.ok()) << from_bin.status().ToString();
+    bool any_conflict = false;
+    for (std::size_t g = 0; g < table.group_count(); ++g) {
+      any_conflict |= table.group_status(g).message().find(
+                          "conflicting profiles") != std::string::npos;
+    }
+    // The writers store one profile per group, so a conflicting group
+    // reads back as uniform; every other table reads back bit for bit.
+    if (!any_conflict) {
+      EXPECT_EQ(TableHash(*from_bin), TableHash(table));
+    }
+    if (WriteBatchTableCsv(csv, table).ok()) {
+      ++csv_round_trips;
+      Result<BatchTable> from_csv = ReadBatchTableCsv(csv);
+      ASSERT_TRUE(from_csv.ok()) << from_csv.status().ToString();
+      EXPECT_EQ(TableHash(*from_csv), TableHash(table));
+    }
+  }
+  EXPECT_GT(csv_round_trips, 200u);
 }
 
 }  // namespace
