@@ -107,7 +107,9 @@ BatchTable BatchTableBuilder::Build() {
   }
 
   // Pass 2: each group's run into timestamp order. Time-major logs and
-  // canonical files already are, so the run is only checked.
+  // canonical files already are, so the run is only checked. The sort need
+  // not be stable: pass 3 fully orders each step, and rows it leaves tied
+  // are byte-identical.
   const auto by_time = [&](std::size_t a, std::size_t b) {
     return rows_[a].timestamp < rows_[b].timestamp;
   };
@@ -115,9 +117,7 @@ BatchTable BatchTableBuilder::Build() {
   for (std::size_t g = 0; g < num_groups; ++g) {
     const auto first = order.begin() + group_begin[g];
     const auto last = order.begin() + group_begin[g + 1];
-    if (!std::is_sorted(first, last, by_time)) {
-      std::stable_sort(first, last, by_time);
-    }
+    if (!std::is_sorted(first, last, by_time)) std::sort(first, last, by_time);
     for (auto it = first; it != last; ++it) {
       num_steps += it == first ||
                    rows_[*it].timestamp != rows_[*(it - 1)].timestamp;
@@ -135,8 +135,9 @@ BatchTable BatchTableBuilder::Build() {
   values.resize(staging_.vec().size());
 
   // Pass 3: each step's bag into (dim, values) order on small contiguous
-  // keys — dim, the first value's bits, the row — reading the remaining
-  // values only on a tie; then the rows are emitted.
+  // keys — dim and the first value's bits — reading the remaining values
+  // only on a tie; then the rows are emitted. Rows that tie on all values
+  // are byte-identical, so their relative order does not matter.
   const double* staged = staging_.vec().data();
   struct StepKey {
     std::uint32_t dim;
@@ -149,7 +150,7 @@ BatchTable BatchTableBuilder::Build() {
     const int c = CompareValues(staged + rows_[a.row].value_begin + 1,
                                 staged + rows_[b.row].value_begin + 1,
                                 a.dim - 1);
-    return c != 0 ? c < 0 : a.row < b.row;
+    return c < 0;
   };
   std::vector<StepKey> keys;
   std::size_t step_out = 0;
@@ -179,10 +180,8 @@ BatchTable BatchTableBuilder::Build() {
           key.row = order[i];
           keys.push_back(key);
         }
-        if (!std::is_sorted(keys.begin(), keys.end(), by_values)) {
-          std::sort(keys.begin(), keys.end(), by_values);
-          for (std::size_t i = s; i < e; ++i) order[i] = keys[i - s].row;
-        }
+        std::sort(keys.begin(), keys.end(), by_values);
+        for (std::size_t i = s; i < e; ++i) order[i] = keys[i - s].row;
       }
       table.step_timestamps_[step_out] = timestamp;
       table.step_row_begin_[step_out] = row_out;

@@ -17,11 +17,10 @@
 // produces a bitwise-identical table (and therefore bitwise-identical
 // detection results) to pre-sorted ingest. Build() gets there in three
 // passes: a stable counting sort of rows by group, a timestamp pass per
-// group, and a sort of each step's few rows on (dim, first value's bits,
-// row) that reads further values only on a tie. The last two check their
-// order first: a time-major log skips the timestamp sorts, and canonical
-// input (a file this library wrote) is only verified. The cost is linear in the
-// rows plus the per-bag sorts.
+// group that sorts only a group whose rows are out of time order (a
+// time-major log skips it), and a sort of each step's few rows on (dim,
+// first value's bits) that reads further values only on a tie. The cost is
+// linear in the rows plus the per-bag sorts.
 //
 // Malformed groups never fail the table: a group whose rows disagree on the
 // point dimension (ragged) or on the profile column is retained but marked
