@@ -5,8 +5,9 @@
 //     the nested per-vector idiom (map of key -> map of timestamp -> Bag,
 //     one heap allocation per observation) and (b) a BatchTableBuilder
 //     columnar table. Best-of-3 each; CI gates columnar_speedup >= 1.15x.
-//     The columnar ingest is also timed split into its AddRow and Build()
-//     phases (observational: add_rows_seconds, build_seconds).
+//     The columnar ingest is BuildBatchTable's two calls, AddBatchSeriesRows
+//     and Build(), timed whole and split (observational: add_rows_seconds,
+//     build_seconds).
 //
 //  2. Detection — RunBatchColumnar over the table at several pool sizes,
 //     reporting groups/sec and rows/sec. Every run's score column is folded
@@ -137,9 +138,8 @@ int Main(int argc, char** argv) {
   }
 
   // Columnar ingest, timed whole for the gate and split into its two
-  // phases: appending rows, and Build()'s sort into the canonical layout.
-  // The body is BuildBatchTable's (batch/synthetic.cc) with one extra clock
-  // read between the last AddRow and Build(); keep the two in step.
+  // phases: BuildBatchTable's append (AddBatchSeriesRows, the call it makes)
+  // and Build()'s sort into the canonical layout.
   double columnar_best = 1e300;
   double add_rows_best = 1e300;
   double build_best = 1e300;
@@ -147,12 +147,9 @@ int Main(int argc, char** argv) {
   for (int rep = 0; rep < kIngestReps; ++rep) {
     const auto start = std::chrono::steady_clock::now();
     BatchTableBuilder builder;
-    builder.Reserve(rows.row_count(), rows.dim);
-    for (std::size_t r = 0; r < rows.row_count(); ++r) {
-      builder
-          .AddRow(rows.keys[rows.group[r]], rows.timestamp[r],
-                  PointView(rows.values.data() + r * rows.dim, rows.dim))
-          .ok();
+    if (!AddBatchSeriesRows(rows, &builder).ok()) {
+      std::fprintf(stderr, "FATAL: columnar append failed\n");
+      return 1;
     }
     const auto added = std::chrono::steady_clock::now();
     table = builder.Build();
@@ -171,7 +168,7 @@ int Main(int argc, char** argv) {
               row_count / nested_best);
   std::printf("ingest columnar  %8.3fs  %12.0f rows/s  speedup %.2fx\n",
               columnar_best, row_count / columnar_best, columnar_speedup);
-  std::printf("  of which AddRow %8.3fs, Build() %8.3fs (best of %d each)\n\n",
+  std::printf("  of which append %8.3fs, Build() %8.3fs (best of %d each)\n\n",
               add_rows_best, build_best, kIngestReps);
 
   // --- Phase 2: detection sweep by pool size -----------------------------

@@ -145,6 +145,15 @@ class ByteReader {
     return Status::OK();
   }
 
+  // Fails unless `count` items of at least `size` bytes each remain, so a
+  // corrupt count is caught before anything is sized from it.
+  Status NeedItems(std::uint64_t count, std::size_t size) const {
+    if (count > (data_.size() - pos_) / size) {
+      return Status::IoError(path_ + ": truncated batch table file");
+    }
+    return Status::OK();
+  }
+
   bool AtEnd() const { return pos_ == data_.size(); }
 
  private:
@@ -294,6 +303,16 @@ Result<BatchTable> ReadBatchTableCsv(const std::string& path,
 
 Status WriteBatchTableBinary(const std::string& path,
                              const BatchTable& table) {
+  // The layout stores one profile per group, so a group quarantined for
+  // conflicting profiles would read back healthy; a ragged group's status
+  // comes back from its per-row dimensions.
+  for (std::size_t g = 0; g < table.group_count(); ++g) {
+    if (table.group_profile_conflict(g)) {
+      return Status::Invalid("cannot write '" + table.group_key(g) +
+                             "' as binary: " + table.group_status(g).message() +
+                             " (the layout stores one profile per group)");
+    }
+  }
   std::string bytes;
   bytes.append(kBinaryMagic, sizeof(kBinaryMagic));
   PutU32(&bytes, kBinaryVersion);
@@ -336,8 +355,15 @@ Result<BatchTable> ReadBatchTableBinary(const std::string& path,
                            std::to_string(version));
   }
   BatchTableBuilder builder(arena);
+  // Minimum encoded sizes: a group's two string lengths and step count, a
+  // step's timestamp and row count, a row's dim, a value.
+  constexpr std::size_t kGroupBytes = 24;
+  constexpr std::size_t kStepBytes = 16;
+  constexpr std::size_t kRowBytes = 4;
+  constexpr std::size_t kValueBytes = 8;
   std::uint64_t num_groups = 0;
   BAGCPD_RETURN_NOT_OK(reader.GetU64(&num_groups));
+  BAGCPD_RETURN_NOT_OK(reader.NeedItems(num_groups, kGroupBytes));
   std::string key;
   std::string profile;
   std::vector<double> point;
@@ -346,14 +372,17 @@ Result<BatchTable> ReadBatchTableBinary(const std::string& path,
     BAGCPD_RETURN_NOT_OK(reader.GetString(&profile));
     std::uint64_t num_steps = 0;
     BAGCPD_RETURN_NOT_OK(reader.GetU64(&num_steps));
+    BAGCPD_RETURN_NOT_OK(reader.NeedItems(num_steps, kStepBytes));
     for (std::uint64_t s = 0; s < num_steps; ++s) {
       std::int64_t timestamp = 0;
       BAGCPD_RETURN_NOT_OK(reader.GetI64(&timestamp));
       std::uint64_t num_rows = 0;
       BAGCPD_RETURN_NOT_OK(reader.GetU64(&num_rows));
+      BAGCPD_RETURN_NOT_OK(reader.NeedItems(num_rows, kRowBytes));
       for (std::uint64_t i = 0; i < num_rows; ++i) {
         std::uint32_t dim = 0;
         BAGCPD_RETURN_NOT_OK(reader.GetU32(&dim));
+        BAGCPD_RETURN_NOT_OK(reader.NeedItems(dim, kValueBytes));
         point.resize(dim);
         for (std::uint32_t d = 0; d < dim; ++d) {
           BAGCPD_RETURN_NOT_OK(reader.GetF64(&point[d]));

@@ -6,7 +6,8 @@
 // observation row. The whole file shares one point dimension D (CSV has no
 // per-row shape), so WriteBatchTableCsv refuses ragged tables; the binary
 // form below carries per-row dimensions and round-trips ragged (quarantined)
-// groups exactly.
+// groups exactly. Neither layout stores a profile per row, so both writers
+// refuse a group quarantined for conflicting profiles.
 //
 // Binary layout (all integers little-endian, doubles IEEE-754 LE):
 //   magic   "BAGCPDBT" (8 bytes)
@@ -51,12 +52,16 @@ Result<BatchTable> ReadBatchTableCsv(const std::string& path,
                                      BufferArena* arena = nullptr);
 
 /// \brief Writes `table` in the binary layout above (handles ragged groups
-/// and profiles exactly).
+/// and per-group profiles exactly). Fails with kInvalidArgument naming the
+/// group on a group quarantined for conflicting profiles: the layout stores
+/// one profile per group, so that group would read back healthy.
 Status WriteBatchTableBinary(const std::string& path, const BatchTable& table);
 
 /// \brief Reads the binary layout above into a canonical table. Values must
 /// be finite — a NaN/Inf fails the load with kInvalidArgument naming the
-/// offending group/step/row.
+/// offending group/step/row. A count, length or dim that claims more than the
+/// file holds fails with kIoError ("truncated") before anything is sized from
+/// it.
 Result<BatchTable> ReadBatchTableBinary(const std::string& path,
                                         BufferArena* arena = nullptr);
 

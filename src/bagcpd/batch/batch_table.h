@@ -15,12 +15,24 @@
 // rows within a step ordered by their point dimension and value bit
 // patterns — a pure function of the row multiset, so shuffled ingest
 // produces a bitwise-identical table (and therefore bitwise-identical
-// detection results) to pre-sorted ingest. Build() gets there in three
-// passes: a stable counting sort of rows by group, a timestamp pass per
-// group that sorts only a group whose rows are out of time order (a
-// time-major log skips it), and a sort of each step's few rows on (dim,
-// first value's bits) that reads further values only on a tie. The cost is
-// linear in the rows plus the per-bag sorts.
+// detection results) to pre-sorted ingest.
+//
+// Rows come in through one append path. AddRow (one row) and AddRows
+// (columns with group ids indexing a key list) look a key up once per call
+// (AddRows once per distinct id) and append runs of rows that share a group,
+// a timestamp and a dimension; a run that continues the previous one extends
+// it, so the calls leave identical builders for identical rows. Build()
+// then works on runs: a counting sort of the runs by group, a timestamp
+// pass per group that sorts only a group whose runs are out of time order
+// (a time-major log skips it), and a pass over the steps. A step whose rows
+// share one dimension (checked once per run) and number at most 64 is
+// sorted by a branch-free sorting network on one word per row (the first
+// value's high bits and the row's index), with rows tying on those bits
+// re-sorted on their full values; any other step is sorted on (dim, first
+// value's bits) keys that read further values only on a tie. The table's
+// buffers are reserved at their final sizes, with no up-front zero fill, and
+// written step by step. The cost is linear in the rows plus the per-bag
+// sorts.
 //
 // Malformed groups never fail the table: a group whose rows disagree on the
 // point dimension (ragged) or on the profile column is retained but marked
@@ -71,6 +83,12 @@ class BatchTable {
   /// profile). A non-OK group is carried for reporting: RunBatchColumnar
   /// quarantines it with exactly this status.
   const Status& group_status(std::size_t g) const { return groups_[g].status; }
+  /// \brief True when the group's rows named different profiles (its status
+  /// then says so, and group_profile() is the first one appended). No file
+  /// layout stores a profile per row, so both writers refuse such a group.
+  bool group_profile_conflict(std::size_t g) const {
+    return groups_[g].profile_conflict;
+  }
   /// \brief Point dimension shared by the group's rows (0 for ragged groups).
   std::size_t group_dim(std::size_t g) const { return groups_[g].dim; }
   std::size_t group_step_count(std::size_t g) const {
@@ -121,6 +139,7 @@ class BatchTable {
     std::string key;
     std::string profile;
     Status status = Status::OK();
+    bool profile_conflict = false;
     // Half-open ranges into the flat step arrays / global row index space.
     std::size_t step_begin = 0;
     std::size_t step_end = 0;
@@ -146,6 +165,8 @@ class BatchTable {
 
 /// \brief Accumulates rows in any order; Build() produces the canonical
 /// sorted BatchTable. Reusable after Build() (starts a fresh table).
+/// AddRow and AddRows share one append path (see the file comment),
+/// so the same rows give the same table whichever of them appends them.
 class BatchTableBuilder {
  public:
   /// \brief With a non-null `arena` the final value buffer (and the staging
@@ -162,20 +183,39 @@ class BatchTableBuilder {
   Status AddRow(const std::string& key, std::int64_t timestamp, PointView point,
                 const std::string& profile = std::string());
 
+  /// \brief Appends `count` rows given as columns, all of dimension `dim` and
+  /// carrying `profile`: row r is (keys[group[r]], timestamp[r], the `dim`
+  /// values at values + r * dim). Each key that some row uses is looked up
+  /// once. Fails, appending nothing, on a group id past `keys`, a used key
+  /// that is empty, or dim == 0.
+  Status AddRows(const std::vector<std::string>& keys,
+                 const std::uint32_t* group, const std::int64_t* timestamp,
+                 const double* values, std::size_t count, std::size_t dim,
+                 const std::string& profile = std::string());
+
   /// \brief Rows appended since construction / the last Build().
-  std::size_t row_count() const { return rows_.size(); }
+  std::size_t row_count() const { return row_count_; }
 
   /// \brief Sorts, groups, validates per group, and emits the table. Never
   /// fails as a whole: malformed groups are marked via group_status().
   BatchTable Build();
 
  private:
-  struct RowRef {
+  // Rows of one group, timestamp and dimension, back to back in staging_.
+  struct Run {
     std::uint32_t group = 0;
     std::uint32_t dim = 0;
     std::int64_t timestamp = 0;
     std::size_t value_begin = 0;
+    std::size_t rows = 0;
   };
+
+  // The id of `key`'s group, registering it on first use; records a profile
+  // conflict on the group's status.
+  std::uint32_t Intern(const std::string& key, const std::string& profile);
+  // The one append path: `rows` rows of `dim` values of an interned group.
+  void Append(std::uint32_t group, std::int64_t timestamp,
+              const double* values, std::size_t rows, std::uint32_t dim);
 
   BufferArena* arena_ = nullptr;
   // Group ids in first-seen order; sorted by key at Build().
@@ -183,9 +223,10 @@ class BatchTableBuilder {
   std::vector<std::string> group_keys_;
   std::vector<std::string> group_profiles_;
   std::vector<Status> group_profile_status_;
-  // Group of the previous row: AddRow checks it before the hash lookup.
+  // Group of the previous call: Intern checks it before the hash lookup.
   std::uint32_t last_group_ = 0;
-  std::vector<RowRef> rows_;
+  std::vector<Run> runs_;
+  std::size_t row_count_ = 0;
   PooledBuffer staging_;
 };
 

@@ -79,17 +79,17 @@ Result<BatchSeriesRows> GenerateBatchSeriesRows(const BatchSeriesSpec& spec) {
   return rows;
 }
 
+Status AddBatchSeriesRows(const BatchSeriesRows& rows,
+                          BatchTableBuilder* builder) {
+  return builder->AddRows(rows.keys, rows.group.data(), rows.timestamp.data(),
+                          rows.values.data(), rows.row_count(), rows.dim);
+}
+
 BatchTable BuildBatchTable(const BatchSeriesRows& rows, BufferArena* arena) {
   BatchTableBuilder builder(arena);
-  builder.Reserve(rows.row_count(), rows.dim);
-  for (std::size_t r = 0; r < rows.row_count(); ++r) {
-    // AddRow cannot fail here: keys are non-empty and dim >= 1 by
-    // construction.
-    builder
-        .AddRow(rows.keys[rows.group[r]], rows.timestamp[r],
-                PointView(rows.values.data() + r * rows.dim, rows.dim))
-        .ok();
-  }
+  // Cannot fail on a generated corpus: its keys are non-empty, its group ids
+  // index them and dim >= 1.
+  AddBatchSeriesRows(rows, &builder).ok();
   return builder.Build();
 }
 

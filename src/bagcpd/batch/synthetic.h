@@ -57,8 +57,15 @@ Status ValidateBatchSeriesSpec(const BatchSeriesSpec& spec);
 /// \brief Generates the raw interleaved rows.
 Result<BatchSeriesRows> GenerateBatchSeriesRows(const BatchSeriesSpec& spec);
 
-/// \brief Builds a canonical BatchTable from raw rows (the columnar ingest
-/// path the micro_batch benchmark times).
+/// \brief Appends raw rows to `builder` in one columnar
+/// BatchTableBuilder::AddRows call: the group column goes straight through,
+/// and each key is looked up once. Fails as AddRows does.
+Status AddBatchSeriesRows(const BatchSeriesRows& rows,
+                          BatchTableBuilder* builder);
+
+/// \brief Builds a canonical BatchTable from raw rows: AddBatchSeriesRows
+/// into a fresh builder, then Build() (the columnar ingest path the
+/// micro_batch benchmark times, split into those two calls).
 BatchTable BuildBatchTable(const BatchSeriesRows& rows,
                            BufferArena* arena = nullptr);
 

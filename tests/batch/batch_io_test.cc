@@ -227,6 +227,69 @@ TEST(BatchIoTest, BinaryReaderValidates) {
   EXPECT_FALSE(ReadBatchTableBinary(padded).ok());
 }
 
+TEST(BatchIoTest, BinaryWriterRefusesConflictingProfiles) {
+  BatchTableBuilder builder;
+  ASSERT_TRUE(builder.AddRow("healthy", 1, Point{0.5}).ok());
+  ASSERT_TRUE(builder.AddRow("mixed", 1, Point{1.0}, "fast").ok());
+  ASSERT_TRUE(builder.AddRow("mixed", 2, Point{2.0}, "slow").ok());
+  const BatchTable table = builder.Build();
+  ASSERT_FALSE(table.group_status(1).ok());
+  EXPECT_TRUE(table.group_profile_conflict(1));
+  EXPECT_FALSE(table.group_profile_conflict(0));
+
+  // One profile per group on file would read "mixed" back healthy.
+  const std::string path = TempPath("batch_conflict.bin");
+  const Status written = WriteBatchTableBinary(path, table);
+  ASSERT_FALSE(written.ok());
+  EXPECT_EQ(written.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(written.message().find("'mixed'"), std::string::npos)
+      << written.message();
+  EXPECT_NE(written.message().find("conflicting profiles"), std::string::npos)
+      << written.message();
+}
+
+// Overwrites the little-endian field of `width` bytes at `offset` of a copy
+// of `bytes` with all ones, writes it to `name` and reads it back.
+Result<BatchTable> ReadWithMaxedField(const std::string& bytes,
+                                      std::size_t offset, std::size_t width,
+                                      const std::string& name) {
+  std::string corrupt = bytes;
+  for (std::size_t i = 0; i < width; ++i) corrupt[offset + i] = '\xff';
+  const std::string path = TempPath(name);
+  std::ofstream(path, std::ios::binary)
+      .write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
+  return ReadBatchTableBinary(path);
+}
+
+TEST(BatchIoTest, BinaryReaderRejectsOversizedCountsBeforeSizingFromThem) {
+  BatchTableBuilder builder;
+  ASSERT_TRUE(builder.AddRow("k", 7, Point{1.5}).ok());
+  const std::string path = TempPath("batch_one_row.bin");
+  ASSERT_TRUE(WriteBatchTableBinary(path, builder.Build()).ok());
+  const std::string bytes = ReadAll(path);
+  // magic 8, version 4, groups 8, key length 8 + "k", profile length 8,
+  // steps 8, timestamp 8, rows 8, dim 4, one value 8.
+  ASSERT_EQ(bytes.size(), 73u);
+  struct Field {
+    const char* name;
+    std::size_t offset;
+    std::size_t width;
+  };
+  const Field kFields[] = {{"group count", 12, 8}, {"key length", 20, 8},
+                           {"profile length", 29, 8}, {"step count", 37, 8},
+                           {"row count", 53, 8}, {"dim", 61, 4}};
+  for (const Field& field : kFields) {
+    SCOPED_TRACE(field.name);
+    Status status;
+    EXPECT_NO_THROW(status = ReadWithMaxedField(bytes, field.offset,
+                                                field.width, "batch_maxed.bin")
+                                 .status());
+    EXPECT_EQ(status.code(), StatusCode::kIoError);
+    EXPECT_NE(status.message().find("truncated"), std::string::npos)
+        << status.message();
+  }
+}
+
 TEST(BatchIoTest, CsvAndBinaryAgreeOnSyntheticCorpus) {
   BatchSeriesSpec spec;
   spec.num_groups = 20;

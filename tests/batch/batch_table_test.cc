@@ -1,6 +1,7 @@
 #include "bagcpd/batch/batch_table.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -483,36 +484,85 @@ void ExpectReferenceLayout(const std::vector<RawRow>& rows,
   }
 }
 
-// ~2k small random tables: 1-6 groups, dims 1-3 with ragged groups, values
-// from a small set so ties on the first value are common; rows arrive
-// shuffled, or already in canonical order (the verify-only path). Each
-// table is also checked after a binary and, when CSV can hold it, a CSV
-// round trip, whose readers rebuild through Build() from canonical files.
+bool AllFinite(const std::vector<RawRow>& rows) {
+  for (const RawRow& r : rows) {
+    for (double v : r.values) {
+      if (!std::isfinite(v)) return false;
+    }
+  }
+  return true;
+}
+
+// The key of the first group, in table order, whose rows name different
+// profiles; empty when there is none.
+std::string FirstConflictingKey(const std::vector<RawRow>& rows) {
+  std::string first;
+  for (const RawRow& a : rows) {
+    for (const RawRow& b : rows) {
+      if (a.key == b.key && a.profile != b.profile &&
+          (first.empty() || a.key < first)) {
+        first = a.key;
+      }
+    }
+  }
+  return first;
+}
+
+// ~2k random tables: 1-6 groups, dims 1-3 with ragged groups, and in each
+// table one step of 1 + trial % 80 rows, so every step size from 1 to 80
+// occurs: both sides of the sort kernel's 64-row limit and of each of its
+// network sizes. Half the values come from a small set, where ties on the
+// first value are common and which holds -0.0/+0.0 and words that share all
+// but their low bits; the rest are random doubles. Some tables carry NaN
+// payloads. Rows arrive shuffled, or already in canonical order. Each table
+// is checked against ReferenceOrder, then written as binary and, when CSV
+// can hold it, as CSV: a table with a profile conflict must be refused by
+// the binary writer, a finite table must read back bit for bit, and a
+// table holding NaN must be rejected by the readers.
 TEST(BatchTableOracleTest, BuildMatchesReferenceOrderOnRandomTables) {
   const double kValues[] = {-1.0, -0.0, 0.0, 0.5, 1.0,
-                            std::numeric_limits<double>::denorm_min(), 2.0};
+                            std::numeric_limits<double>::denorm_min(), 2.0,
+                            FromBits(0x3ff0000000000001ull),  // 1 + 1 ulp
+                            FromBits(0x3ff000000000003full),  // 1 + 63 ulp
+                            FromBits(0x3ff0000000000040ull)};  // 1 + 64 ulp
+  const double kNaNs[] = {FromBits(0x7ff8000000000000ull),
+                          FromBits(0x7ff8000000000001ull),
+                          FromBits(0xfff8000000000003ull)};
   const char* kKeys[] = {"b", "a", "aa", "B", "k10", "k9"};
   SplitMix64 rng{2024};
   const std::string bin = ::testing::TempDir() + "batch_oracle.bin";
   const std::string csv = ::testing::TempDir() + "batch_oracle.csv";
+  std::size_t binary_round_trips = 0;
   std::size_t csv_round_trips = 0;
+  std::size_t refusals = 0;
   for (int trial = 0; trial < 2000; ++trial) {
+    const bool with_nan = rng.Below(8) == 0;
+    const auto value = [&]() {
+      if (with_nan && rng.Below(16) == 0) return kNaNs[rng.Below(3)];
+      if (rng.Below(2) == 0) return kValues[rng.Below(10)];
+      return (static_cast<double>(rng.Next() >> 11) * 0x1p-53 - 0.5) * 8.0;
+    };
     const std::size_t num_groups = 1 + rng.Below(6);
     const std::size_t table_dim = rng.Below(2) == 0 ? 1 + rng.Below(3) : 0;
+    const std::size_t big_group = rng.Below(num_groups);
     std::vector<RawRow> rows;
     for (std::size_t g = 0; g < num_groups; ++g) {
       const std::size_t dim = table_dim != 0 ? table_dim : 1 + rng.Below(3);
       const bool ragged = rng.Below(4) == 0;
       const bool conflicting = rng.Below(8) == 0;
       const std::string profile = rng.Below(3) == 0 ? "p" : "";
-      const std::size_t n = 1 + rng.Below(12);
+      // The big step is at timestamp 4; the other steps are in [-3, 3].
+      const std::size_t big_rows =
+          g == big_group ? 1 + static_cast<std::size_t>(trial % 80) : 0;
+      const std::size_t n = big_rows + 1 + rng.Below(12);
       for (std::size_t i = 0; i < n; ++i) {
         RawRow row;
         row.key = kKeys[g];
-        row.timestamp = static_cast<std::int64_t>(rng.Below(7)) - 3;
+        row.timestamp =
+            i < big_rows ? 4 : static_cast<std::int64_t>(rng.Below(7)) - 3;
         const std::size_t row_dim = ragged ? 1 + rng.Below(3) : dim;
         for (std::size_t d = 0; d < row_dim; ++d) {
-          row.values.push_back(kValues[rng.Below(7)]);
+          row.values.push_back(value());
         }
         row.profile = conflicting && rng.Below(3) == 0 ? "q" : profile;
         rows.push_back(row);
@@ -530,27 +580,162 @@ TEST(BatchTableOracleTest, BuildMatchesReferenceOrderOnRandomTables) {
     ExpectReferenceLayout(rows, table);
     if (::testing::Test::HasFatalFailure()) return;
 
-    ASSERT_TRUE(WriteBatchTableBinary(bin, table).ok());
-    Result<BatchTable> from_bin = ReadBatchTableBinary(bin);
-    ASSERT_TRUE(from_bin.ok()) << from_bin.status().ToString();
-    bool any_conflict = false;
-    for (std::size_t g = 0; g < table.group_count(); ++g) {
-      any_conflict |= table.group_status(g).message().find(
-                          "conflicting profiles") != std::string::npos;
-    }
-    // The writers store one profile per group, so a conflicting group
-    // reads back as uniform; every other table reads back bit for bit.
-    if (!any_conflict) {
-      EXPECT_EQ(TableHash(*from_bin), TableHash(table));
+    const bool finite = AllFinite(rows);
+    const std::string conflict = FirstConflictingKey(rows);
+    const Status written = WriteBatchTableBinary(bin, table);
+    if (!conflict.empty()) {
+      // The layout stores one profile per group: writing would heal it.
+      ++refusals;
+      EXPECT_EQ(written.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(written.message().find("'" + conflict + "'"),
+                std::string::npos)
+          << written.message();
+    } else {
+      ASSERT_TRUE(written.ok()) << written.ToString();
+      Result<BatchTable> from_bin = ReadBatchTableBinary(bin);
+      if (finite) {
+        ++binary_round_trips;
+        ASSERT_TRUE(from_bin.ok()) << from_bin.status().ToString();
+        EXPECT_EQ(TableHash(*from_bin), TableHash(table));
+      } else {
+        EXPECT_EQ(from_bin.status().code(), StatusCode::kInvalidArgument);
+      }
     }
     if (WriteBatchTableCsv(csv, table).ok()) {
-      ++csv_round_trips;
       Result<BatchTable> from_csv = ReadBatchTableCsv(csv);
-      ASSERT_TRUE(from_csv.ok()) << from_csv.status().ToString();
-      EXPECT_EQ(TableHash(*from_csv), TableHash(table));
+      if (finite) {
+        ++csv_round_trips;
+        ASSERT_TRUE(from_csv.ok()) << from_csv.status().ToString();
+        EXPECT_EQ(TableHash(*from_csv), TableHash(table));
+      } else {
+        EXPECT_EQ(from_csv.status().code(), StatusCode::kInvalidArgument);
+      }
     }
   }
+  EXPECT_GT(binary_round_trips, 800u);
   EXPECT_GT(csv_round_trips, 200u);
+  EXPECT_GT(refusals, 300u);
+}
+
+// AddRow and AddRows share one append, so the same rows give the same table
+// whichever call appends them. The columnar calls take a random slice of
+// consecutive rows sharing a dim and a profile, name their keys through one
+// pool (so keys repeat across calls and unused ones are skipped), and split
+// bags across calls; groups carry profiles, conflicts and ragged rows.
+TEST(BatchTableTest, RowAndColumnAppendsBuildIdenticalTables) {
+  const std::vector<std::string> kPool = {"k3", "k1", "k2", "k0", "k4"};
+  const double kValues[] = {-1.0, -0.0, 0.0, 0.5, 1.0, 2.0};
+  SplitMix64 rng{77};
+  for (int trial = 0; trial < 300; ++trial) {
+    // Bags of 1-6 rows with one key and timestamp, appended back to back.
+    std::vector<RawRow> rows;
+    std::vector<std::uint32_t> pool_index;
+    const std::size_t num_bags = 1 + rng.Below(30);
+    for (std::size_t b = 0; b < num_bags; ++b) {
+      const std::uint32_t k = static_cast<std::uint32_t>(rng.Below(4));
+      const bool ragged = k == 3;
+      const std::size_t dim = ragged ? 1 + rng.Below(2) : 1 + k % 3;
+      const std::int64_t timestamp = static_cast<std::int64_t>(rng.Below(5));
+      const std::size_t size = 1 + rng.Below(6);
+      for (std::size_t i = 0; i < size; ++i) {
+        RawRow row;
+        row.key = kPool[k];
+        row.timestamp = timestamp;
+        for (std::size_t d = 0; d < dim; ++d) {
+          row.values.push_back(kValues[rng.Below(6)]);
+        }
+        row.profile = k == 1 ? (rng.Below(10) == 0 ? "slow" : "fast") : "";
+        rows.push_back(row);
+        pool_index.push_back(k);
+      }
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+
+    BatchTableBuilder by_row;
+    for (const RawRow& r : rows) {
+      ASSERT_TRUE(by_row
+                      .AddRow(r.key, r.timestamp,
+                              PointView(r.values.data(), r.values.size()),
+                              r.profile)
+                      .ok());
+    }
+    BatchTableBuilder by_column;
+    for (std::size_t r = 0; r < rows.size();) {
+      const std::size_t dim = rows[r].values.size();
+      const std::size_t limit = r + 1 + rng.Below(10);
+      std::size_t e = r + 1;
+      while (e < rows.size() && e < limit &&
+             rows[e].values.size() == dim &&
+             rows[e].profile == rows[r].profile) {
+        ++e;
+      }
+      std::vector<std::int64_t> timestamps;
+      std::vector<double> values;
+      for (std::size_t i = r; i < e; ++i) {
+        timestamps.push_back(rows[i].timestamp);
+        values.insert(values.end(), rows[i].values.begin(),
+                      rows[i].values.end());
+      }
+      ASSERT_TRUE(by_column
+                      .AddRows(kPool, pool_index.data() + r, timestamps.data(),
+                               values.data(), e - r, dim, rows[r].profile)
+                      .ok());
+      r = e;
+    }
+    ASSERT_EQ(by_column.row_count(), by_row.row_count());
+    const BatchTable from_rows = by_row.Build();
+    const BatchTable from_columns = by_column.Build();
+    EXPECT_EQ(TableHash(from_columns), TableHash(from_rows));
+    ExpectReferenceLayout(rows, from_columns);
+  }
+}
+
+// The same corpus through BuildBatchTable (one AddRows call) and through
+// one AddRow per row: identical tables.
+TEST(BatchTableTest, BuildBatchTableMatchesPerRowAppends) {
+  BatchSeriesSpec spec;
+  spec.num_groups = 30;
+  spec.steps_per_group = 12;
+  spec.points_per_step = 5;
+  spec.dim = 3;
+  spec.seed = 11;
+  const Result<BatchSeriesRows> rows = GenerateBatchSeriesRows(spec);
+  ASSERT_TRUE(rows.ok());
+  BatchTableBuilder by_row;
+  for (std::size_t r = 0; r < rows->row_count(); ++r) {
+    ASSERT_TRUE(by_row
+                    .AddRow(rows->keys[rows->group[r]], rows->timestamp[r],
+                            PointView(rows->values.data() + r * rows->dim,
+                                      rows->dim))
+                    .ok());
+  }
+  EXPECT_EQ(TableHash(BuildBatchTable(*rows)), TableHash(by_row.Build()));
+}
+
+TEST(BatchTableTest, AddRowsValidatesBeforeAppending) {
+  const std::vector<std::string> keys = {"a", "", "b"};
+  const std::uint32_t used[] = {2, 0};
+  const std::uint32_t past_end[] = {0, 3};
+  const std::uint32_t empty_key[] = {0, 1};
+  const std::int64_t timestamps[] = {1, 2};
+  const double values[] = {1.0, 2.0};
+  BatchTableBuilder builder;
+  EXPECT_FALSE(builder.AddRows(keys, past_end, timestamps, values, 2, 1).ok());
+  EXPECT_FALSE(
+      builder.AddRows(keys, empty_key, timestamps, values, 2, 1).ok());
+  EXPECT_FALSE(builder.AddRows(keys, used, timestamps, values, 2, 0).ok());
+  EXPECT_EQ(builder.row_count(), 0u);
+  // The empty key is unused here, so the call succeeds.
+  ASSERT_TRUE(builder.AddRows(keys, used, timestamps, values, 2, 1).ok());
+  // No rows append nothing and register no group.
+  ASSERT_TRUE(builder.AddRows(keys, used, timestamps, values, 0, 1).ok());
+  EXPECT_EQ(builder.row_count(), 2u);
+  const BatchTable table = builder.Build();
+  ASSERT_EQ(table.group_count(), 2u);  // the failed calls left no group
+  EXPECT_EQ(table.group_key(0), "a");
+  EXPECT_EQ(table.group_key(1), "b");
+  EXPECT_EQ(table.step_timestamp(0, 0), 2);
+  EXPECT_EQ(table.step_bag(1, 0)[0][0], 1.0);
 }
 
 }  // namespace
