@@ -7,7 +7,8 @@
 //     columnar table. Best-of-3 each; CI gates columnar_speedup >= 1.15x.
 //     The columnar ingest is BuildBatchTable's two calls, AddBatchSeriesRows
 //     and Build(), timed whole and split (observational: add_rows_seconds,
-//     build_seconds).
+//     build_seconds). The built table's retained_bytes() per row is
+//     table_bytes_per_row, a byte count CI gates with a ceiling.
 //
 //  2. Detection — RunBatchColumnar over the table at several pool sizes,
 //     reporting groups/sec and rows/sec. Every run's score column is folded
@@ -168,8 +169,12 @@ int Main(int argc, char** argv) {
               row_count / nested_best);
   std::printf("ingest columnar  %8.3fs  %12.0f rows/s  speedup %.2fx\n",
               columnar_best, row_count / columnar_best, columnar_speedup);
-  std::printf("  of which append %8.3fs, Build() %8.3fs (best of %d each)\n\n",
+  std::printf("  of which append %8.3fs, Build() %8.3fs (best of %d each)\n",
               add_rows_best, build_best, kIngestReps);
+  const double table_bytes_per_row =
+      static_cast<double>(table.retained_bytes()) / row_count;
+  std::printf("table            %zu bytes retained, %.2f bytes/row\n\n",
+              table.retained_bytes(), table_bytes_per_row);
 
   // --- Phase 2: detection sweep by pool size -----------------------------
   std::vector<DetectionRow> detection;
@@ -222,11 +227,13 @@ int Main(int argc, char** argv) {
                "\"columnar_rows_per_sec\": %.0f, \"columnar_speedup\": "
                "%.3f, \"add_rows_seconds\": %.6f, \"build_seconds\": "
                "%.6f},\n"
+               "  \"table_retained_bytes\": %zu,\n"
+               "  \"table_bytes_per_row\": %.3f,\n"
                "  \"detection\": [\n",
                spec.num_groups, spec.steps_per_group, rows.row_count(),
                nested_best, row_count / nested_best, columnar_best,
                row_count / columnar_best, columnar_speedup, add_rows_best,
-               build_best);
+               build_best, table.retained_bytes(), table_bytes_per_row);
   for (std::size_t i = 0; i < detection.size(); ++i) {
     const DetectionRow& r = detection[i];
     std::fprintf(json,

@@ -115,6 +115,33 @@ class StepSorter {
 
 }  // namespace
 
+PointView BatchTable::row_values(std::size_t row) const {
+  // The last group starting at or before `row`; every group has a row.
+  const Group& group =
+      *(std::upper_bound(groups_.begin(), groups_.end(), row,
+                         [](std::size_t r, const Group& g) {
+                           return r < g.row_begin;
+                         }) -
+        1);
+  const double* values = values_.vec().data();
+  const std::size_t i = row - group.row_begin;
+  if (group.row_dim != 0) {
+    return PointView(values + group.value_begin + i * group.row_dim,
+                     group.row_dim);
+  }
+  const std::size_t* begin =
+      ragged_value_begin_.data() + group.ragged_begin + i;
+  return PointView(values + begin[0], begin[1] - begin[0]);
+}
+
+std::size_t BatchTable::retained_bytes() const {
+  return groups_.capacity() * sizeof(Group) +
+         step_timestamps_.capacity() * sizeof(std::int64_t) +
+         step_row_begin_.capacity() * sizeof(std::size_t) +
+         ragged_value_begin_.capacity() * sizeof(std::size_t) +
+         values_.vec().capacity() * sizeof(double);
+}
+
 BatchTableBuilder::BatchTableBuilder(BufferArena* arena) : arena_(arena) {
   staging_ = PooledBuffer::AcquireFrom(arena_, 0);
 }
@@ -267,40 +294,47 @@ BatchTable BatchTableBuilder::Build() {
   // Pass 2: each group's runs into timestamp order. Time-major logs and
   // canonical files already are, so the span is only checked. Runs with one
   // timestamp form a step, whose rows pass 3 fully orders, so the sort need
-  // not be stable.
+  // not be stable. The pass also finds the dim the group's rows share, or 0
+  // when they differ: only such a ragged group stores per-row offsets.
   const auto by_time = [&](std::size_t a, std::size_t b) {
     return runs_[a].timestamp < runs_[b].timestamp;
   };
+  table.groups_.resize(num_groups);
   std::size_t num_steps = 0;
+  std::size_t num_ragged_offsets = 0;
   for (std::size_t g = 0; g < num_groups; ++g) {
     const auto first = order.begin() + group_begin[g];
     const auto last = order.begin() + group_begin[g + 1];
     if (!std::is_sorted(first, last, by_time)) std::sort(first, last, by_time);
+    std::size_t row_dim = runs_[*first].dim;
+    std::size_t rows = 0;
     for (auto it = first; it != last; ++it) {
       num_steps += it == first ||
                    runs_[*it].timestamp != runs_[*(it - 1)].timestamp;
+      if (runs_[*it].dim != row_dim) row_dim = 0;
+      rows += runs_[*it].rows;
     }
+    table.groups_[g].row_dim = row_dim;
+    if (row_dim == 0) num_ragged_offsets += rows + 1;
   }
 
   // The table's buffers are reserved at their final sizes, not zero-filled,
   // and written in order.
   const double* staged = staging_.vec().data();
-  table.groups_.resize(num_groups);
   if (row_count_ > 0) {
     table.step_timestamps_.reserve(num_steps);
     table.step_row_begin_.reserve(num_steps + 1);
-    table.row_value_begin_.reserve(row_count_ + 1);
   }
+  table.ragged_value_begin_.reserve(num_ragged_offsets);
   table.values_ = PooledBuffer::AcquireFrom(arena_, staging_.vec().size());
   std::vector<double>& values = table.values_.vec();
-  std::vector<std::size_t>& row_value_begin = table.row_value_begin_;
+  std::vector<std::size_t>& ragged_value_begin = table.ragged_value_begin_;
 
   // Pass 3: each step's bag into (dim, values) order, then its rows are
-  // emitted. A step whose rows share one dim (checked once per run) and
-  // number at most kNetworkRows goes through StepSorter; any other step is
-  // sorted on (dim, first value's bits) keys that read the remaining values
-  // only on a tie. Rows that tie on all values are byte-identical, so their
-  // relative order does not matter.
+  // emitted. A step of a group of one dim with at most kNetworkRows rows goes
+  // through StepSorter; any other step is sorted on (dim, first value's bits)
+  // keys that read the remaining values only on a tie. Rows that tie on all
+  // values are byte-identical, so their relative order does not matter.
   struct StepKey {
     std::uint32_t dim;
     std::uint64_t first;
@@ -314,6 +348,7 @@ BatchTable BatchTableBuilder::Build() {
   StepSorter sorter;
   std::vector<StepKey> keys;
   const double* rows[kNetworkRows];
+  std::size_t row = 0;
   for (std::size_t g = 0; g < num_groups; ++g) {
     BatchTable::Group& group = table.groups_[g];
     const std::uint32_t old_id = by_key[g];
@@ -323,49 +358,40 @@ BatchTable BatchTableBuilder::Build() {
     // Only a profile conflict can have been recorded so far.
     group.profile_conflict = !group.status.ok();
     group.step_begin = table.step_timestamps_.size();
-    group.row_begin = row_value_begin.size();
-    // Records the dim of a row emitted next; the group's first row sets it.
-    const auto check_dim = [&](std::uint32_t dim) {
-      if (row_value_begin.size() == group.row_begin) group.dim = dim;
-      if (dim != group.dim && group.status.ok()) {
-        group.status = Status::Invalid(
-            "group '" + group.key + "' has ragged point dimensions (" +
-            std::to_string(group.dim) + " vs " + std::to_string(dim) + ")");
-      }
-    };
+    group.row_begin = row;
+    group.value_begin = values.size();
+    group.ragged_begin = ragged_value_begin.size();
+    const std::size_t row_dim = group.row_dim;
+    // Dim of a ragged group's first row, which its message names.
+    std::uint32_t first_dim = 0;
     for (std::size_t s = group_begin[g]; s < group_begin[g + 1];) {
       const Run& head = runs_[order[s]];
       std::size_t e = s + 1;
       std::size_t step_rows = head.rows;
-      bool one_dim = true;
       for (; e < group_begin[g + 1] &&
              runs_[order[e]].timestamp == head.timestamp;
            ++e) {
         step_rows += runs_[order[e]].rows;
-        one_dim &= runs_[order[e]].dim == head.dim;
       }
       table.step_timestamps_.push_back(head.timestamp);
-      table.step_row_begin_.push_back(row_value_begin.size());
-      if (one_dim && step_rows <= kNetworkRows) {
-        const std::size_t dim = head.dim;
+      table.step_row_begin_.push_back(row);
+      row += step_rows;
+      if (row_dim != 0 && step_rows <= kNetworkRows) {
         std::size_t n = 0;
         for (std::size_t i = s; i < e; ++i) {
           const Run& run = runs_[order[i]];
           const double* p = staged + run.value_begin;
-          for (std::size_t r = 0; r < run.rows; ++r, p += dim) rows[n++] = p;
+          for (std::size_t r = 0; r < run.rows; ++r, p += row_dim) {
+            rows[n++] = p;
+          }
         }
-        if (n > 1) sorter.Sort(rows, n, dim);
-        check_dim(head.dim);
-        // The step's slices are appended, then overwritten while in cache.
+        if (n > 1) sorter.Sort(rows, n, row_dim);
+        // The step's slice is appended, then overwritten while in cache.
         const std::size_t at = values.size();
-        const std::size_t first_row = row_value_begin.size();
-        values.resize(at + n * dim);
-        row_value_begin.resize(first_row + n);
+        values.resize(at + n * row_dim);
         double* out = values.data() + at;
-        std::size_t* begin = row_value_begin.data() + first_row;
         for (std::size_t i = 0; i < n; ++i) {
-          begin[i] = at + i * dim;
-          std::copy_n(rows[i], dim, out + i * dim);
+          std::copy_n(rows[i], row_dim, out + i * row_dim);
         }
       } else {
         keys.clear();
@@ -378,23 +404,26 @@ BatchTable BatchTableBuilder::Build() {
         }
         std::sort(keys.begin(), keys.end(), by_values);
         for (const StepKey& key : keys) {
-          check_dim(key.dim);
-          row_value_begin.push_back(values.size());
+          if (row_dim == 0) {
+            if (first_dim == 0) first_dim = key.dim;
+            if (key.dim != first_dim && group.status.ok()) {
+              group.status = Status::Invalid(
+                  "group '" + group.key + "' has ragged point dimensions (" +
+                  std::to_string(first_dim) + " vs " +
+                  std::to_string(key.dim) + ")");
+            }
+            ragged_value_begin.push_back(values.size());
+          }
           values.insert(values.end(), key.values, key.values + key.dim);
         }
       }
       s = e;
     }
+    if (row_dim == 0) ragged_value_begin.push_back(values.size());
     group.step_end = table.step_timestamps_.size();
-    group.row_end = row_value_begin.size();
-    // A ragged group has no single dimension; report 0 so callers cannot
-    // build a bogus rectangular view from it.
-    if (!group.status.ok()) group.dim = 0;
+    group.row_end = row;
   }
-  if (row_count_ > 0) {
-    table.step_row_begin_.push_back(row_value_begin.size());
-    row_value_begin.push_back(values.size());
-  }
+  if (row_count_ > 0) table.step_row_begin_.push_back(row);
 
   // Reset for reuse.
   group_ids_.clear();

@@ -5,6 +5,12 @@
 // ("millions of users" worth of keys) is a single allocation-friendly value
 // that RunBatchColumnar can walk with zero-copy BagViews.
 //
+// The table stores its values and nothing per row: a group whose rows share
+// one dim keeps the offset of its first value, and its row i starts
+// i * dim values past it, so a well-formed group costs dim * 8 bytes per row
+// plus 16 per step. Only the rows of a ragged group carry an 8-byte offset,
+// in a fifth buffer. row_values() finds a row's group by binary search.
+//
 // Shape: an input *row* is one observation (key, timestamp, point). Rows
 // sharing a (key, timestamp) pair form the bag observed by that key at that
 // step — the table-level analogue of the paper's bag-of-data per time step.
@@ -24,15 +30,15 @@
 // it, so the calls leave identical builders for identical rows. Build()
 // then works on runs: a counting sort of the runs by group, a timestamp
 // pass per group that sorts only a group whose runs are out of time order
-// (a time-major log skips it), and a pass over the steps. A step whose rows
-// share one dimension (checked once per run) and number at most 64 is
-// sorted by a branch-free sorting network on one word per row (the first
-// value's high bits and the row's index), with rows tying on those bits
-// re-sorted on their full values; any other step is sorted on (dim, first
-// value's bits) keys that read further values only on a tie. The table's
-// buffers are reserved at their final sizes, with no up-front zero fill, and
-// written step by step. The cost is linear in the rows plus the per-bag
-// sorts.
+// (a time-major log skips it) and checks once per run that the group's rows
+// share one dimension, and a pass over the steps. A step of such a group
+// with at most 64 rows is sorted by a branch-free sorting network on one
+// word per row (the first value's high bits and the row's index), with rows
+// tying on those bits re-sorted on their full values; any other step is
+// sorted on (dim, first value's bits) keys that read further values only on
+// a tie. The table's buffers are reserved at their final sizes, with no
+// up-front zero fill, and written step by step. The cost is linear in the
+// rows plus the per-bag sorts.
 //
 // Malformed groups never fail the table: a group whose rows disagree on the
 // point dimension (ragged) or on the profile column is retained but marked
@@ -66,7 +72,7 @@ class BatchTable {
   std::size_t group_count() const { return groups_.size(); }
   /// \brief Total input rows (observations) across all groups.
   std::size_t row_count() const {
-    return row_value_begin_.empty() ? 0 : row_value_begin_.size() - 1;
+    return step_row_begin_.empty() ? 0 : step_row_begin_.back();
   }
   /// \brief Total distinct (key, timestamp) steps across all groups.
   std::size_t step_count() const { return step_timestamps_.size(); }
@@ -89,8 +95,11 @@ class BatchTable {
   bool group_profile_conflict(std::size_t g) const {
     return groups_[g].profile_conflict;
   }
-  /// \brief Point dimension shared by the group's rows (0 for ragged groups).
-  std::size_t group_dim(std::size_t g) const { return groups_[g].dim; }
+  /// \brief Point dimension shared by the group's rows; 0 for any non-OK
+  /// group, ragged or not.
+  std::size_t group_dim(std::size_t g) const {
+    return groups_[g].status.ok() ? groups_[g].row_dim : 0;
+  }
   std::size_t group_step_count(std::size_t g) const {
     return groups_[g].step_end - groups_[g].step_begin;
   }
@@ -117,20 +126,25 @@ class BatchTable {
   /// Only meaningful when group_status(g).ok() (a ragged group has no
   /// rectangular bag to view).
   BagView step_bag(std::size_t g, std::size_t s) const {
+    const Group& group = groups_[g];
     const std::size_t first = step_first_row(g, s);
-    return BagView(values_.vec().data() + row_value_begin_[first],
-                   step_row_count(g, s), groups_[g].dim);
+    return BagView(values_.vec().data() + group.value_begin +
+                       (first - group.row_begin) * group.row_dim,
+                   step_row_count(g, s), group_dim(g));
   }
 
   /// \brief Values of one global row (works for ragged groups too; the view's
-  /// size is that row's own dimension).
-  PointView row_values(std::size_t row) const {
-    return PointView(values_.vec().data() + row_value_begin_[row],
-                     row_value_begin_[row + 1] - row_value_begin_[row]);
-  }
+  /// size is that row's own dimension). Finds the row's group by binary
+  /// search.
+  PointView row_values(std::size_t row) const;
 
   /// \brief The flat value buffer (row values back to back in table order).
   const std::vector<double>& values() const { return values_.vec(); }
+
+  /// \brief Bytes held by the table's arrays (by capacity): the values, the
+  /// step and group directories, and the offsets of ragged groups' rows.
+  /// Key, profile and status strings are not counted.
+  std::size_t retained_bytes() const;
 
  private:
   friend class BatchTableBuilder;
@@ -145,7 +159,15 @@ class BatchTable {
     std::size_t step_end = 0;
     std::size_t row_begin = 0;
     std::size_t row_end = 0;
-    std::size_t dim = 0;
+    // Offset of the group's first value in values_.
+    std::size_t value_begin = 0;
+    // The dim shared by all the group's rows, 0 when they differ (ragged).
+    // Unlike group_dim() it is kept for a profile conflict of one dim, whose
+    // row row_begin + i still starts at value_begin + i * row_dim.
+    std::size_t row_dim = 0;
+    // A ragged group's rows are addressed through ragged_value_begin_,
+    // from this index on.
+    std::size_t ragged_begin = 0;
   };
 
   std::vector<Group> groups_;
@@ -154,10 +176,9 @@ class BatchTable {
   // step_row_begin_[s] is the global index of step s's first row; one
   // sentinel entry at the end holds row_count(). Empty tables keep it empty.
   std::vector<std::size_t> step_row_begin_;
-  // row_value_begin_[r] is the offset of row r's values in values_; sentinel
-  // at the end. Per-row offsets (not row * dim) so ragged groups still have
-  // addressable storage.
-  std::vector<std::size_t> row_value_begin_;
+  // Per-row value offsets for ragged groups only: for each ragged group,
+  // in group order, the offset of each of its rows and then of its end.
+  std::vector<std::size_t> ragged_value_begin_;
   // All point values back to back; returns to its arena (if any) with the
   // table.
   PooledBuffer values_;

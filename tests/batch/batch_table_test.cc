@@ -5,15 +5,21 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <memory>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bagcpd/batch/batch_io.h"
+#include "bagcpd/batch/batch_runner.h"
 #include "bagcpd/batch/synthetic.h"
 #include "bagcpd/common/buffer_arena.h"
+#include "bagcpd/core/detector.h"
+#include "bagcpd/runtime/stream_engine.h"
 
 namespace bagcpd {
 namespace {
@@ -381,6 +387,119 @@ TEST(BatchTableGoldenTest, AdversarialTableMatchesPinnedHash) {
       << "hash 0x" << std::hex << TableHash(table);
 }
 
+// Groups that are uniform inside but of different dims (1, 2 and 3), with
+// 3-7 rows per step, keyed so the dims interleave in table order: a group's
+// first value sits after the values of every earlier group, not at
+// row_begin x dim.
+std::vector<RawRow> MixedDimRows() {
+  const std::pair<const char*, std::size_t> kGroups[] = {
+      {"a3", 3}, {"b1", 1}, {"c2", 2}, {"d3", 3}, {"e1", 1}, {"f2", 2}};
+  SplitMix64 rng{0xd1a};
+  std::vector<RawRow> rows;
+  for (const auto& [key, dim] : kGroups) {
+    for (std::int64_t t = 0; t < 12; ++t) {
+      const std::size_t size = 3 + rng.Below(5);
+      for (std::size_t i = 0; i < size; ++i) {
+        RawRow row;
+        row.key = key;
+        row.timestamp = t;
+        for (std::size_t d = 0; d < dim; ++d) {
+          const double unit = static_cast<double>(rng.Next() >> 11) * 0x1p-53;
+          row.values.push_back(unit + (t >= 6 ? 3.0 : 0.0));
+        }
+        rows.push_back(row);
+      }
+    }
+  }
+  rng.Shuffle(&rows);
+  return rows;
+}
+
+// Captured on the layout that stored one value offset per row.
+TEST(BatchTableGoldenTest, MixedDimTableMatchesPinnedHash) {
+  const BatchTable table = BuildFrom(MixedDimRows());
+  ASSERT_EQ(table.group_count(), 6u);
+  for (std::size_t g = 0; g < table.group_count(); ++g) {
+    EXPECT_TRUE(table.group_status(g).ok()) << table.group_key(g);
+  }
+  EXPECT_EQ(TableHash(table), 0xe41f354c31afe715ull)
+      << "hash 0x" << std::hex << TableHash(table);
+}
+
+// Each mixed-dim group scores as a standalone detector fed bags built from
+// the raw rows (each bag in value-bit order), bit for bit.
+TEST(BatchTableTest, MixedDimGroupsScoreLikeStandaloneDetectors) {
+  const std::vector<RawRow> rows = MixedDimRows();
+  const BatchTable table = BuildFrom(rows);
+  BatchRunnerOptions options;
+  options.detector.tau = 2;
+  options.detector.tau_prime = 2;
+  options.detector.bootstrap.replicates = 16;
+  options.detector.signature.method = SignatureMethod::kKMeans;
+  options.detector.signature.k = 2;
+  options.seed = 7;
+  const Result<BatchResultTable> result = RunBatchColumnar(table, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->quarantined.empty());
+  ASSERT_EQ(result->keys.size(), table.group_count());
+
+  const auto by_bits = [](const std::vector<double>& a,
+                          const std::vector<double>& b) {
+    return std::lexicographical_compare(
+        a.begin(), a.end(), b.begin(), b.end(), [](double x, double y) {
+          std::uint64_t ux, uy;
+          std::memcpy(&ux, &x, sizeof(ux));
+          std::memcpy(&uy, &y, sizeof(uy));
+          return ux < uy;
+        });
+  };
+  std::size_t base = 0;
+  std::size_t scored = 0;
+  for (std::size_t g = 0; g < table.group_count(); ++g) {
+    const std::string& key = table.group_key(g);
+    ASSERT_EQ(result->keys[g], key);
+    std::map<std::int64_t, Bag> bags;
+    for (const RawRow& r : rows) {
+      if (r.key == key) bags[r.timestamp].push_back(r.values);
+    }
+    DetectorOptions per_group = options.detector;
+    per_group.seed =
+        DerivePerStreamSeed(options.seed, key, kDefaultProfileName);
+    std::unique_ptr<BagStreamDetector> detector =
+        BagStreamDetector::Create(per_group).MoveValueUnsafe();
+    ASSERT_LE(base + bags.size(), result->row_count());
+    std::vector<std::uint8_t> has_score(bags.size(), 0);
+    std::size_t s = 0;
+    for (auto& [timestamp, bag] : bags) {
+      EXPECT_EQ(result->group[base + s], g);
+      EXPECT_EQ(result->timestamp[base + s], timestamp);
+      std::sort(bag.begin(), bag.end(), by_bits);
+      const Result<std::optional<StepResult>> pushed = detector->Push(bag);
+      ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
+      ++s;
+      if (!pushed->has_value()) continue;
+      const StepResult& step = **pushed;
+      const std::size_t row = base + static_cast<std::size_t>(step.time);
+      has_score[static_cast<std::size_t>(step.time)] = 1;
+      ++scored;
+      EXPECT_EQ(std::memcmp(&result->score[row], &step.score, sizeof(double)),
+                0)
+          << key << " step " << step.time;
+      EXPECT_EQ(std::memcmp(&result->ci_lo[row], &step.ci_lo, sizeof(double)),
+                0);
+      EXPECT_EQ(std::memcmp(&result->ci_up[row], &step.ci_up, sizeof(double)),
+                0);
+      EXPECT_EQ(result->is_change[row], step.alarm ? 1 : 0);
+    }
+    for (std::size_t i = 0; i < bags.size(); ++i) {
+      EXPECT_EQ(result->has_score[base + i], has_score[i]) << key << " " << i;
+    }
+    base += bags.size();
+  }
+  EXPECT_EQ(base, result->row_count());
+  EXPECT_GT(scored, 0u);
+}
+
 // The row order Build() must produce, as one comparator over all rows:
 // (group rank, timestamp, dim, value bit patterns). Rows tying on all four
 // are identical, so any order among them yields the same bytes.
@@ -736,6 +855,109 @@ TEST(BatchTableTest, AddRowsValidatesBeforeAppending) {
   EXPECT_EQ(table.group_key(1), "b");
   EXPECT_EQ(table.step_timestamp(0, 0), 2);
   EXPECT_EQ(table.step_bag(1, 0)[0][0], 1.0);
+}
+
+// --- retained_bytes(): values plus per-step and per-group directories ---
+
+// The table's bytes beside its values.
+std::size_t DirectoryBytes(const BatchTable& table) {
+  EXPECT_EQ(table.values().capacity(), table.values().size());
+  return table.retained_bytes() - table.values().capacity() * sizeof(double);
+}
+
+TEST(BatchTableMemoryTest, UniformTableRetainsNoPerRowBytes) {
+  BatchSeriesSpec spec;
+  spec.num_groups = 10;
+  spec.steps_per_group = 20;
+  spec.dim = 2;
+  spec.seed = 3;
+  spec.points_per_step = 1;
+  const Result<BatchSeriesRows> thin_rows = GenerateBatchSeriesRows(spec);
+  spec.points_per_step = 32;
+  const Result<BatchSeriesRows> wide_rows = GenerateBatchSeriesRows(spec);
+  ASSERT_TRUE(thin_rows.ok());
+  ASSERT_TRUE(wide_rows.ok());
+  const BatchTable thin = BuildBatchTable(*thin_rows);
+  const BatchTable wide = BuildBatchTable(*wide_rows);
+  ASSERT_EQ(wide.row_count(), 32 * thin.row_count());
+  ASSERT_EQ(wide.step_count(), thin.step_count());
+  EXPECT_EQ(wide.values().size(), wide.row_count() * 2);
+  // 32x the rows, the same bytes beside the values: no per-row term.
+  EXPECT_EQ(DirectoryBytes(wide), DirectoryBytes(thin));
+  // A timestamp and a first row per step, one sentinel, and the groups.
+  EXPECT_GE(DirectoryBytes(wide),
+            wide.step_count() * (sizeof(std::int64_t) + sizeof(std::size_t)));
+  EXPECT_LE(DirectoryBytes(wide),
+            (wide.step_count() + 1) *
+                    (sizeof(std::int64_t) + sizeof(std::size_t)) +
+                wide.group_count() * 512);
+}
+
+// Steps of 4 rows of dim 2 for "a" and "b" and dim 1 for "c"; `ragged_b`
+// makes every third row of "b" 1-d.
+std::vector<RawRow> ThreeGroupRows(bool ragged_b, const char* b_profile,
+                                   const char* b_second_profile) {
+  std::vector<RawRow> rows;
+  SplitMix64 rng{21};
+  for (const char* key : {"a", "b", "c"}) {
+    const bool is_b = key[0] == 'b';
+    for (std::int64_t t = 0; t < 5; ++t) {
+      for (int i = 0; i < 4; ++i) {
+        RawRow row;
+        row.key = key;
+        row.timestamp = t;
+        std::size_t dim = key[0] == 'c' ? 1 : 2;
+        if (is_b && ragged_b && (t * 4 + i) % 3 == 0) dim = 1;
+        for (std::size_t d = 0; d < dim; ++d) {
+          row.values.push_back(static_cast<double>(rng.Below(1000)) / 8.0);
+        }
+        if (is_b) row.profile = t < 3 ? b_profile : b_second_profile;
+        rows.push_back(row);
+      }
+    }
+  }
+  rng.Shuffle(&rows);
+  return rows;
+}
+
+TEST(BatchTableMemoryTest, RaggedGroupAloneRetainsRowOffsets) {
+  const std::vector<RawRow> uniform_rows = ThreeGroupRows(false, "", "");
+  const std::vector<RawRow> ragged_rows = ThreeGroupRows(true, "", "");
+  const BatchTable uniform = BuildFrom(uniform_rows);
+  const BatchTable ragged = BuildFrom(ragged_rows);
+  ASSERT_EQ(ragged.group_count(), 3u);
+  EXPECT_TRUE(ragged.group_status(0).ok());
+  EXPECT_FALSE(ragged.group_status(1).ok());
+  EXPECT_TRUE(ragged.group_status(2).ok());
+  // One offset per row of "b" plus its end; nothing for "a" or "c".
+  EXPECT_EQ(DirectoryBytes(ragged) - DirectoryBytes(uniform),
+            (ragged.group_row_count(1) + 1) * sizeof(std::size_t));
+  // Every row, ragged or not, reads back its own values.
+  ExpectReferenceLayout(ragged_rows, ragged);
+  ExpectReferenceLayout(uniform_rows, uniform);
+}
+
+// A profile conflict quarantines a group whose rows share one dim: its
+// group_dim() reads 0, yet its rows keep that dim and need no offsets.
+TEST(BatchTableMemoryTest, ProfileConflictOfOneDimAddressesRowsByDim) {
+  const std::vector<RawRow> agreeing_rows = ThreeGroupRows(false, "p", "p");
+  const std::vector<RawRow> conflicting_rows = ThreeGroupRows(false, "p", "q");
+  const BatchTable agreeing = BuildFrom(agreeing_rows);
+  const BatchTable conflicting = BuildFrom(conflicting_rows);
+  ASSERT_EQ(conflicting.group_count(), 3u);
+  EXPECT_TRUE(conflicting.group_profile_conflict(1));
+  EXPECT_EQ(conflicting.group_dim(1), 0u);
+  for (std::size_t r = 0; r < conflicting.group_row_count(1); ++r) {
+    const std::size_t row = conflicting.step_first_row(1, 0) + r;
+    EXPECT_EQ(conflicting.row_values(row).size(), 2u) << "row " << row;
+  }
+  EXPECT_EQ(DirectoryBytes(conflicting), DirectoryBytes(agreeing));
+  ExpectReferenceLayout(conflicting_rows, conflicting);
+  // The bytes match the agreeing table's: only the status differs.
+  ASSERT_EQ(conflicting.values().size(), agreeing.values().size());
+  EXPECT_EQ(std::memcmp(conflicting.values().data(), agreeing.values().data(),
+                        agreeing.values().size() * sizeof(double)),
+            0);
 }
 
 }  // namespace

@@ -23,7 +23,10 @@ Also enforces the columnar-batch floor from BENCH_batch.json
 per-vector baseline by --min-speedup, every detection run must preserve row
 counts exactly (output rows == input steps, nothing quarantined on the clean
 synthetic corpus), and all pool sizes must produce bitwise-identical score
-checksums.
+checksums. With --max-table-bytes-per-row alone it instead gates only the
+columnar table's footprint: table_bytes_per_row (the built BatchTable's
+retained_bytes() per input row) must not exceed the ceiling. It is a byte
+count, deterministic for a given shape, so it needs no retry.
 
 Also enforces the approximate-EMD floor from the same BENCH_emd.json
 (--emd-approx): every approximate solver (sinkhorn, sliced) must beat the
@@ -42,6 +45,7 @@ Usage:
   check_perf_gate.py BENCH_emd.json --emd-large --min-heap-speedup 1.5 \
       --min-batch-speedup 1.2
   check_perf_gate.py BENCH_batch.json --batch --min-speedup 1.15
+  check_perf_gate.py BENCH_batch.json --max-table-bytes-per-row 17.0
 
 Exits 0 when the gate passes, 1 when it fails or the row is missing.
 """
@@ -303,6 +307,18 @@ def check_batch(data, min_speedup):
     return ok
 
 
+def check_table_bytes(data, max_bytes_per_row):
+    per_row = data.get("table_bytes_per_row")
+    if per_row is None:
+        print("FAIL: BENCH_batch.json is missing 'table_bytes_per_row'")
+        return False
+    ok = per_row <= max_bytes_per_row
+    verdict = "PASS" if ok else "FAIL"
+    print(f"{verdict}: columnar table retains {per_row:.3f} bytes/row "
+          f"(gate: <= {max_bytes_per_row:.2f})")
+    return ok
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("bench_json", help="path to a BENCH_*.json file")
@@ -353,6 +369,11 @@ def main():
     parser.add_argument("--max-delay-delta", type=int, default=2,
                         help="maximum allowed argmax-step shift vs exact on "
                              "any fidelity scenario (default: 2)")
+    parser.add_argument("--max-table-bytes-per-row", type=float,
+                        default=None,
+                        help="gate on BENCH_batch.json table_bytes_per_row: "
+                             "the columnar table's retained bytes per input "
+                             "row must not exceed this")
     args = parser.parse_args()
 
     try:
@@ -364,6 +385,8 @@ def main():
 
     if args.batch:
         ok = check_batch(data, args.min_speedup)
+    elif args.max_table_bytes_per_row is not None:
+        ok = check_table_bytes(data, args.max_table_bytes_per_row)
     elif args.emd_large:
         ok = check_emd_large(data, args.large_k, args.batch_k,
                              args.min_heap_speedup, args.min_batch_speedup)
