@@ -24,7 +24,6 @@
 // matrices, RNG, pooled buffers.
 #include "bagcpd/common/buffer_arena.h"
 #include "bagcpd/common/flat_bag.h"
-#include "bagcpd/common/macros.h"
 #include "bagcpd/common/matrix.h"
 #include "bagcpd/common/point.h"
 #include "bagcpd/common/result.h"
@@ -42,7 +41,6 @@
 #include "bagcpd/signature/signature_set.h"
 
 // Earth Mover's Distance and the information estimators over it.
-#include "bagcpd/emd/distance_cache.h"
 #include "bagcpd/emd/emd.h"
 #include "bagcpd/emd/emd_1d.h"
 #include "bagcpd/emd/ground_distance.h"

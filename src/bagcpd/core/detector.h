@@ -3,8 +3,8 @@
 // quantized into a signature; once tau + tau' signatures are buffered the
 // detector scores the inspection point t = (latest - tau' + 1), bootstraps its
 // confidence interval, applies the adaptive alarm test of Eq. 20, and slides
-// the window. EMDs are memoized across steps so each new bag costs only
-// (tau + tau' - 1) transportation solves.
+// the window. The log-EMDs of the window's pairs live in one rolling table, so
+// each new bag costs only (tau + tau' - 1) transportation solves.
 
 #ifndef BAGCPD_CORE_DETECTOR_H_
 #define BAGCPD_CORE_DETECTOR_H_
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bagcpd/common/buffer_arena.h"
-#include "bagcpd/common/macros.h"
 #include "bagcpd/common/flat_bag.h"
 #include "bagcpd/common/point.h"
 #include "bagcpd/common/result.h"
@@ -27,7 +26,6 @@
 #include "bagcpd/core/bootstrap.h"
 #include "bagcpd/core/scores.h"
 #include "bagcpd/emd/approx/emd_solver.h"
-#include "bagcpd/emd/distance_cache.h"
 #include "bagcpd/emd/ground_distance.h"
 #include "bagcpd/emd/transport_solver.h"
 #include "bagcpd/signature/builder.h"
@@ -84,9 +82,8 @@ struct DetectorOptions {
 inline constexpr std::size_t kMaxDetectorWindow = 4096;
 
 /// \brief Checks that `options` form a coherent detector configuration; this
-/// is exactly the condition BagStreamDetector::Create succeeds under (and
-/// what the legacy constructor surfaces through init_status()). A config it
-/// accepts does not fail every push for a reason knowable up front.
+/// is exactly the condition BagStreamDetector::Create succeeds under. A config
+/// it accepts does not fail every push for a reason knowable up front.
 Status ValidateDetectorOptions(const DetectorOptions& options);
 
 /// \brief Per-inspection-point output.
@@ -110,31 +107,28 @@ struct StepResult {
 class BagStreamDetector {
  public:
   /// \brief Validating factory: fails with the exact ValidateDetectorOptions
-  /// status on incoherent options, otherwise returns a ready-to-use detector
-  /// (init_status() is OK by construction). This is the preferred entry
-  /// point; see also api/spec.h for DetectorSpec::Create().
+  /// status on incoherent options, otherwise returns a ready-to-use detector.
+  /// See also api/spec.h for DetectorSpec::Create().
   static Result<std::unique_ptr<BagStreamDetector>> Create(
       const DetectorOptions& options);
 
-  /// Legacy constructor kept as a migration shim: construction never fails
-  /// hard, so callers must check `init_status()` before use. Prefer Create().
-  BAGCPD_DEPRECATED("use BagStreamDetector::Create(options)")
-  explicit BagStreamDetector(const DetectorOptions& options);
-
-  // The EMD memo table is wired to this object's window storage, so a moved
-  // detector would leave the memo reading the husk; Create() hands out a
-  // unique_ptr instead.
+  // Create() and CreateFromState() hand out a unique_ptr, so no caller needs
+  // to move a detector. Moves stay deleted so that a moved-from detector
+  // (emptied ring and table next to a sized score context) is never a state
+  // Push() has to handle.
   BagStreamDetector(BagStreamDetector&&) = delete;
   BagStreamDetector& operator=(BagStreamDetector&&) = delete;
-
-  /// \brief OK iff the options were coherent.
-  const Status& init_status() const { return init_status_; }
 
   /// \brief Feeds the bag observed at the next time index (zero-copy flat
   /// path; a FlatBag converts implicitly).
   ///
   /// Returns the StepResult for inspection time (pushed_count - tau') if the
   /// window is full after this push, std::nullopt while still warming up.
+  /// A bag rejected before it enters the window (non-finite values, an
+  /// injected `detector.push` fault) leaves the detector as it was. A step
+  /// that fails after the bag entered the window (an EMD solve, the score or
+  /// the bootstrap) leaves it half-advanced, so every later Push returns that
+  /// failure until Reset() or a successful ImportState().
   Result<std::optional<StepResult>> Push(BagView bag);
 
   /// \brief Nested-bag convenience: validates and flattens once at this
@@ -147,25 +141,25 @@ class BagStreamDetector {
   /// \brief Flat-sequence counterpart of Run(); bitwise-identical results.
   Result<std::vector<StepResult>> Run(const FlatBagSequence& bags);
 
-  /// \brief Clears all buffered state (signatures, cache, CI history).
+  /// \brief Clears all buffered state (signatures, log-EMD table, CI history)
+  /// and any failed step, and restarts the bootstrap stream from the seed:
+  /// afterwards the detector behaves exactly like a fresh one.
   void Reset();
 
   /// \brief Number of bags pushed since the last Reset().
   std::uint64_t pushed_count() const { return next_index_; }
 
-  /// \brief EMD cache statistics (diagnostics / benchmarks). Misses count
-  /// transportation solves; hits count cache reads of prefilled values (the
-  /// rolling score tables reuse log-distances without re-querying, so the
-  /// serial path reads each pair exactly once).
-  std::uint64_t emd_cache_hits() const { return cache_.hits(); }
-  std::uint64_t emd_cache_misses() const { return cache_.misses(); }
+  /// \brief Window pairs handed to the EMD solver since the last Reset()
+  /// (diagnostics / benchmarks): C(tau + tau', 2) for the first full window,
+  /// then (tau + tau' - 1) per step, on the serial and pooled paths alike.
+  std::uint64_t emd_solve_count() const { return emd_solve_count_; }
 
   const DetectorOptions& options() const { return options_; }
 
   /// \brief Attaches a compute pool (non-owning; may be nullptr to detach).
   ///
-  /// With a pool, each step prefills the missing window EMDs via ParallelFor
-  /// and chunks the bootstrap replicate loop over the pool. Results are
+  /// With a pool, each step solves its new window EMDs via ParallelFor and
+  /// chunks the bootstrap replicate loop over the pool. Results are
   /// bitwise-identical to the serial path for any pool size: the EMD of a
   /// pair does not depend on which thread solves it, and bootstrap replicates
   /// draw from per-replicate forked RNG streams.
@@ -196,7 +190,9 @@ class BagStreamDetector {
   /// A detector restored from the blob produces bitwise-identical scores to
   /// this one on the same remaining stream. Call between pushes (the
   /// detector is always between pushes from the caller's perspective;
-  /// StreamEngine quiesces the owning shard before exporting).
+  /// StreamEngine quiesces the owning shard before exporting). A detector
+  /// whose last step failed refuses with that failure: its window is
+  /// half-advanced and must not travel in a blob.
   Status ExportState(std::string* blob) const;
 
   /// \brief Restores a snapshot taken by ExportState into this detector,
@@ -223,62 +219,66 @@ class BagStreamDetector {
   std::size_t EstimatedStateBytes() const;
 
  private:
+  explicit BagStreamDetector(const DetectorOptions& options);
+
+  // Everything of a push after its signature entered the window: the new
+  // EMDs, the score and its CI, and the slide.
+  Result<std::optional<StepResult>> Step();
   Result<StepResult> ScoreInspectionPoint();
-  Status PrefillWindowDistances();
+  // Solves this step's window pairs and folds log(max(d, floor)) into
+  // log_table_: the newest column once the table is primed, every column of
+  // the first full window otherwise. Column q holds the pairs (p, q), p < q.
   Status UpdateRollingTable();
-  // Folds every pair (p, q), p < q, of window position q into the rolling
-  // table: cached pairs are read back (counted hits — the pooled-prefill
-  // case), the rest are solved in ONE EmdSolver::ComputeBatch call sharing
-  // the right operand, then inserted (counted misses). Bitwise- and
-  // counter-identical to the historical per-pair cache walk.
-  Status FoldNewPairsForColumn(std::size_t q);
-  SignatureView SignatureAt(std::uint64_t global_index) const;
-  // The one place the cache's generator lambda is built (constructor and
-  // Reset() used to each create their own copy); solves run on workspace_.
-  PairwiseDistanceCache::ComputeFn MakeCacheComputeFn();
+  // The pooled path of UpdateRollingTable: every pair of columns
+  // [first_q, w) solved in chunks on per-pool-thread solvers, into `out` in
+  // column order.
+  Status SolveColumnsPooled(std::size_t first_q, std::size_t pairs,
+                            std::vector<double>* out);
+  void FoldColumn(std::size_t q, const double* emd);
   // `emd.solve` fault point: advances the per-stream solved-pair ordinal by
   // `solved` and returns the injected error if any ordinal in the advanced
-  // range fires. The pooled prefill's missing set equals the serial fold's
-  // miss set exactly (the cache-counter invariant the tests pin), so the
-  // per-push ordinal range — and therefore the fault outcome — is identical
-  // for every pool size. One relaxed load when disarmed.
+  // range fires. A step advances it once, by its whole pair count, before
+  // any solve, so the per-push ordinal range — and therefore the fault
+  // outcome — is identical for every pool size. One relaxed load when
+  // disarmed.
   Status AdvanceEmdFaultCounter(std::size_t solved);
 
   DetectorOptions options_;
-  Status init_status_;
   SignatureBuilder builder_;
   Rng rng_;
   ThreadPool* pool_ = nullptr;
   BufferArena* arena_ = nullptr;
   // Reusable EMD solver (exact workspace or approximate, per options_.emd)
-  // for the serial scoring path; the parallel prefill solves on
-  // per-pool-thread solvers instead (identical values).
+  // for the serial path; the pooled path solves on per-pool-thread solvers
+  // instead (identical values).
   EmdSolver solver_;
-  PairwiseDistanceCache cache_;
   // Sliding window of the most recent tau + tau' signatures packed into one
   // shared ring buffer; view(0) is the oldest and has global index
   // next_index_ - window_.size(). Sliding is allocation-free in steady state.
   SignatureRing window_;
   std::uint64_t next_index_ = 0;
-  // Rolling log-EMD table over the full window, W = tau + tau' slots square.
-  // Window position p (0 = oldest) lives in physical slot
-  // (table_base_ + p) % W; sliding just advances table_base_, and each step
-  // writes one new row/column (the pairs of the newest signature) instead of
-  // re-assembling every pair through hash lookups. ScoreInspectionPoint
-  // copies the three ScoreContext blocks out of this table into ctx_, whose
-  // matrices are allocated once and reused every step.
+  // Rolling log-EMD table over the full window, W = tau + tau' slots square:
+  // the detector's one store of EMD values. Window position p (0 = oldest)
+  // lives in physical slot (table_base_ + p) % W; sliding just advances
+  // table_base_, and each step writes one new row/column (the pairs of the
+  // newest signature). ScoreInspectionPoint copies the three ScoreContext
+  // blocks out of this table into ctx_, whose matrices are allocated once and
+  // reused every step.
   std::vector<double> log_table_;
   std::size_t table_base_ = 0;
   bool table_primed_ = false;
-  // Scratch for FoldNewPairsForColumn's batched solves, reserved once to the
-  // window size so the steady-state serial path stays allocation-free.
+  // Scratch for the serial path's per-column batched solves, reserved once to
+  // the window size so the steady-state serial path stays allocation-free.
   std::vector<SignatureView> batch_lefts_;
-  std::vector<std::size_t> batch_left_pos_;
   std::vector<double> batch_emd_;
-  // Solved-pair ordinal behind the `emd.solve` fault point; cleared by
-  // Reset(), deliberately NOT serialized (a restored detector restarts its
-  // drill ordinals — recovery metadata never affects scores).
-  std::uint64_t fault_emd_count_ = 0;
+  // Window pairs handed to the solver since Reset(): the ordinal behind the
+  // `emd.solve` fault point and emd_solve_count(). Deliberately NOT
+  // serialized (a restored detector restarts its drill ordinals — recovery
+  // metadata never affects scores).
+  std::uint64_t emd_solve_count_ = 0;
+  // The failure of a step that left the window half-advanced; returned by
+  // every later Push and by ExportState until Reset() or ImportState().
+  Status step_failure_;
   ScoreContext ctx_;
   // theta_up history for the xi test, keyed relative to inspection time:
   // upper_history_[k] is theta_up of inspection time (current_t - 1 - k).

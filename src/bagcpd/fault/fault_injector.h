@@ -40,8 +40,8 @@ namespace fault {
 
 /// \brief The library's named fault points (sites that consult the injector).
 enum class FaultPoint : int {
-  /// One exact/batched EMD pair solve inside the detector's rolling-table
-  /// update or pooled prefill; count = per-stream solved-pair ordinal.
+  /// One EMD pair solve of the detector's rolling-table update, serial or
+  /// pooled; count = per-stream solved-pair ordinal.
   kEmdSolve = 0,
   /// One Sinkhorn scaling iteration; count = iteration ordinal within the
   /// solve. Firing surfaces as the solver's underflow-style Invalid error,

@@ -73,12 +73,11 @@ Status ValidateStreamEngineOptions(const StreamEngineOptions& options) {
 Result<std::unique_ptr<StreamEngine>> StreamEngine::Create(
     const StreamEngineOptions& options) {
   BAGCPD_RETURN_NOT_OK(ValidateStreamEngineOptions(options));
-  return std::make_unique<StreamEngine>(options);
+  return std::unique_ptr<StreamEngine>(new StreamEngine(options));
 }
 
 StreamEngine::StreamEngine(const StreamEngineOptions& options)
-    : options_(options), init_status_(ValidateStreamEngineOptions(options)) {
-  if (!init_status_.ok()) return;
+    : options_(options) {
   if (!options_.fault.empty()) {
     // Validated above, so arming cannot fail; the injector is process-wide,
     // so this replaces whatever spec an earlier engine (or BAGCPD_FAULT) set.
@@ -105,7 +104,6 @@ StreamEngine::~StreamEngine() { Shutdown(); }
 
 Status StreamEngine::RegisterProfile(const std::string& name,
                                      const DetectorOptions& profile) {
-  BAGCPD_RETURN_NOT_OK(init_status_);
   if (name.empty() || name == kDefaultProfileName) {
     return Status::Invalid(
         "profile name '" + name +
@@ -130,33 +128,13 @@ Status StreamEngine::RegisterProfile(const std::string& name,
 }
 
 Status StreamEngine::set_event_sink(EventSink sink) {
-  // Both documented preconditions are enforced: installing after traffic has
-  // started would race shard workers reading sink_ in EmitEvent, and a sink
-  // next to a legacy callback would silently starve one of them.
+  // Installing after traffic has started would race shard workers reading
+  // sink_ in EmitEvent.
   if (submit_seq_.load() > 0) {
     return Status::Invalid(
         "set_event_sink must be called before the first Submit");
   }
-  if (callback_) {
-    return Status::Invalid(
-        "set_event_sink on an engine with a legacy callback installed; use "
-        "one delivery mechanism");
-  }
   sink_ = std::move(sink);
-  return Status::OK();
-}
-
-Status StreamEngine::set_callback(ResultCallback callback) {
-  if (submit_seq_.load() > 0) {
-    return Status::Invalid(
-        "set_callback must be called before the first Submit");
-  }
-  if (sink_) {
-    return Status::Invalid(
-        "set_callback on an engine with an event sink installed; use one "
-        "delivery mechanism");
-  }
-  callback_ = std::move(callback);
   return Status::OK();
 }
 
@@ -200,7 +178,6 @@ std::uint64_t StreamEngine::DeriveStreamSeed(const std::string& stream_id,
 
 Status StreamEngine::Submit(const std::string& stream_id, const Bag& bag,
                             const std::string& profile) {
-  BAGCPD_RETURN_NOT_OK(init_status_);
   BAGCPD_ASSIGN_OR_RETURN(std::string canonical, ResolveProfile(profile));
   // Flatten exactly once at the ingest boundary, into a buffer recycled
   // through the target shard's arena (released on the shard thread when the
@@ -215,7 +192,6 @@ Status StreamEngine::Submit(const std::string& stream_id, const Bag& bag,
 
 Status StreamEngine::Submit(const std::string& stream_id, FlatBag bag,
                             const std::string& profile) {
-  BAGCPD_RETURN_NOT_OK(init_status_);
   BAGCPD_ASSIGN_OR_RETURN(std::string canonical, ResolveProfile(profile));
   Result<FlatBag> flat(std::move(bag));
   return SubmitImpl(stream_id, canonical, ShardOf(stream_id), &flat,
@@ -224,7 +200,6 @@ Status StreamEngine::Submit(const std::string& stream_id, FlatBag bag,
 
 Status StreamEngine::TrySubmit(const std::string& stream_id, const Bag& bag,
                                const std::string& profile) {
-  BAGCPD_RETURN_NOT_OK(init_status_);
   BAGCPD_ASSIGN_OR_RETURN(std::string canonical, ResolveProfile(profile));
   const std::size_t shard_index = ShardOf(stream_id);
   Result<FlatBag> flat = FlatBag::FromBag(bag, arenas_[shard_index].get());
@@ -234,7 +209,6 @@ Status StreamEngine::TrySubmit(const std::string& stream_id, const Bag& bag,
 
 Status StreamEngine::TrySubmit(const std::string& stream_id, FlatBag&& bag,
                                const std::string& profile) {
-  BAGCPD_RETURN_NOT_OK(init_status_);
   BAGCPD_ASSIGN_OR_RETURN(std::string canonical, ResolveProfile(profile));
   Result<FlatBag> flat(std::move(bag));
   const Status status = SubmitImpl(stream_id, canonical, ShardOf(stream_id),
@@ -344,14 +318,9 @@ void StreamEngine::EmitEvent(EngineEvent event) {
     sink_(event);
     return;
   }
-  if (event.kind == EngineEvent::Kind::kStep && callback_) {
-    callback_(StreamStepResult{event.stream_id, event.step});
-    return;
-  }
-  // The legacy contract queues errors even in callback mode (DrainErrors is
-  // how failures surface there); steps and evictions honor collect_results.
-  if (event.kind != EngineEvent::Kind::kError &&
-      (callback_ || !options_.collect_results)) {
+  // Errors queue even without collect_results, so a failure is never lost;
+  // every other kind honors it.
+  if (event.kind != EngineEvent::Kind::kError && !options_.collect_results) {
     return;
   }
   std::lock_guard<std::mutex> lock(events_mu_);
@@ -359,8 +328,8 @@ void StreamEngine::EmitEvent(EngineEvent event) {
 }
 
 void StreamEngine::QuarantineStream(Shard& shard, const std::string& stream_id,
-                                    const std::string& profile,
-                                    std::uint64_t seq, const Status& error,
+                                    std::string profile, std::uint64_t seq,
+                                    const Status& error,
                                     std::uint64_t latency_ns) {
   shard.quarantined.emplace(stream_id, error);
   // A quarantined key never recovers; its fault history and snapshot go too.
@@ -384,7 +353,7 @@ void StreamEngine::QuarantineStream(Shard& shard, const std::string& stream_id,
   EngineEvent event;
   event.kind = EngineEvent::Kind::kError;
   event.stream_id = stream_id;
-  event.profile = profile;
+  event.profile = std::move(profile);
   event.sequence = seq;
   event.enqueue_to_process_ns = latency_ns;
   event.error = error;
@@ -749,42 +718,6 @@ std::vector<EngineEvent> StreamEngine::DrainEvents() {
   return out;
 }
 
-std::vector<StreamStepResult> StreamEngine::Drain() {
-  std::lock_guard<std::mutex> lock(events_mu_);
-  std::vector<StreamStepResult> out;
-  std::vector<EngineEvent> keep;
-  keep.reserve(events_.size());
-  for (EngineEvent& event : events_) {
-    if (event.kind == EngineEvent::Kind::kStep) {
-      out.push_back(StreamStepResult{std::move(event.stream_id), event.step});
-    } else if (event.kind == EngineEvent::Kind::kError) {
-      keep.push_back(std::move(event));
-    }
-    // kEviction events are discarded: the legacy drains predate them, so a
-    // caller polling only Drain()/DrainErrors() must not accumulate them
-    // forever (evicted_count() still tracks the total).
-  }
-  events_.swap(keep);
-  return out;
-}
-
-std::vector<std::pair<std::string, Status>> StreamEngine::DrainErrors() {
-  std::lock_guard<std::mutex> lock(events_mu_);
-  std::vector<std::pair<std::string, Status>> out;
-  std::vector<EngineEvent> keep;
-  keep.reserve(events_.size());
-  for (EngineEvent& event : events_) {
-    if (event.kind == EngineEvent::Kind::kError) {
-      out.emplace_back(std::move(event.stream_id), event.error);
-    } else if (event.kind == EngineEvent::Kind::kStep) {
-      keep.push_back(std::move(event));
-    }
-    // kEviction discarded; see Drain().
-  }
-  events_.swap(keep);
-  return out;
-}
-
 Result<std::map<std::string, std::vector<StepResult>>> StreamEngine::RunBatch(
     const std::map<std::string, BagSequence>& streams,
     const std::string& profile) {
@@ -795,10 +728,9 @@ Result<std::map<std::string, std::vector<StepResult>>> StreamEngine::RunBatch(
     const std::map<std::string, BagSequence>& streams,
     const std::map<std::string, std::string>& profile_by_key,
     const std::string& default_profile) {
-  BAGCPD_RETURN_NOT_OK(init_status_);
-  if (sink_ || callback_ || !options_.collect_results) {
+  if (sink_ || !options_.collect_results) {
     return Status::Invalid(
-        "RunBatch needs collect_results = true and no sink or callback");
+        "RunBatch needs collect_results = true and no event sink");
   }
   BAGCPD_ASSIGN_OR_RETURN(std::string fallback,
                           ResolveProfile(default_profile));
@@ -845,17 +777,20 @@ Result<std::map<std::string, std::vector<StepResult>>> StreamEngine::RunBatch(
     }
   }
   Flush();
-  std::vector<std::pair<std::string, Status>> errors = DrainErrors();
-  if (!errors.empty()) {
-    return Status::Invalid("stream '" + errors.front().first +
-                           "' failed: " + errors.front().second.ToString());
-  }
+  // One pass over the queue: the first kError fails the batch, kStep events
+  // fill the series (each stream's in time order), other kinds are dropped.
   std::map<std::string, std::vector<StepResult>> out;
   for (const auto& [key, bags] : streams) {
     out.emplace(key, std::vector<StepResult>());
   }
-  for (StreamStepResult& r : Drain()) {
-    out[r.stream_id].push_back(r.step);
+  for (const EngineEvent& event : DrainEvents()) {
+    if (event.kind == EngineEvent::Kind::kError) {
+      return Status::Invalid("stream '" + event.stream_id +
+                             "' failed: " + event.error.ToString());
+    }
+    if (event.kind == EngineEvent::Kind::kStep) {
+      out[event.stream_id].push_back(event.step);
+    }
   }
   return out;
 }
@@ -993,7 +928,6 @@ void StreamEngine::EnforceSpillBudget(Shard& shard, std::uint64_t now_seq) {
 
 Status StreamEngine::ExportStream(const std::string& stream_id,
                                   std::string* blob) {
-  BAGCPD_RETURN_NOT_OK(init_status_);
   Shard& shard = *shards_[ShardOf(stream_id)];
   std::unique_lock<std::mutex> lock = QuiesceShard(shard);
   return ExportStreamLocked(shard, stream_id, blob);
@@ -1045,7 +979,6 @@ Status StreamEngine::ExportStreamLocked(Shard& shard,
 
 Status StreamEngine::ImportStream(const std::string& stream_id,
                                   std::string_view blob) {
-  BAGCPD_RETURN_NOT_OK(init_status_);
   BAGCPD_ASSIGN_OR_RETURN(serialize::StreamBlobParts parts,
                           serialize::ParseStreamBlob(blob));
   if (parts.key != stream_id) {
@@ -1120,7 +1053,6 @@ Status StreamEngine::ImportStreamLocked(Shard& shard,
 }
 
 Status StreamEngine::Checkpoint(std::string* blob) {
-  BAGCPD_RETURN_NOT_OK(init_status_);
   // Shards are visited (and quiesced) one at a time in index order, keys
   // sorted within each shard, so the byte stream is deterministic for a
   // given engine state; the caller keeps submissions stopped across the walk
@@ -1157,7 +1089,6 @@ Status StreamEngine::Checkpoint(std::string* blob) {
 }
 
 Status StreamEngine::Restore(std::string_view blob) {
-  BAGCPD_RETURN_NOT_OK(init_status_);
   BAGCPD_ASSIGN_OR_RETURN(
       serialize::WireReader reader,
       serialize::OpenBlob(blob, serialize::BlobKind::kEngineCheckpoint));

@@ -19,8 +19,7 @@
 //
 // Observability is one typed stream: every step result, stream error, and
 // idle eviction is an EngineEvent delivered either to a caller-installed
-// sink (set_event_sink) or into a drainable queue (DrainEvents). The legacy
-// set_callback/Drain/DrainErrors trio is kept as shims over the same events.
+// sink (set_event_sink) or into a drainable queue (DrainEvents).
 //
 // This is the serving layer the ROADMAP's "millions of streams" target grows
 // on: Submit() for online pushes, TrySubmit() for non-blocking ingest,
@@ -49,7 +48,6 @@
 
 #include "bagcpd/common/buffer_arena.h"
 #include "bagcpd/common/flat_bag.h"
-#include "bagcpd/common/macros.h"
 #include "bagcpd/common/point.h"
 #include "bagcpd/common/result.h"
 #include "bagcpd/core/detector.h"
@@ -92,13 +90,14 @@ struct StreamEngineOptions {
   /// profiles, the profile name) to seed that stream's detector
   /// deterministically (independent of num_shards).
   std::uint64_t seed = 0;
-  /// When true (and no sink or callback is set) events accumulate in an
-  /// internal queue read via DrainEvents()/Drain(). Disable for
-  /// fire-and-forget callers that only watch the counters.
+  /// When true (and no sink is set) events accumulate in an internal queue
+  /// read via DrainEvents(). Disable for fire-and-forget callers that only
+  /// watch the counters; kError events still queue, so failures are never
+  /// lost.
   bool collect_results = true;
   /// When > 0, a stream key is evicted once strictly more than this many
   /// engine-wide submissions (of any key) have been enqueued since the key's
-  /// previous bag: its detector (window state, EMD cache, CI history) is
+  /// previous bag: its detector (window state, log-EMD table, CI history) is
   /// destroyed, and a later bag for the key starts a fresh detector with the
   /// same per-key seed. Idleness is measured on the global submission
   /// sequence — never on shard-local activity — so for every key that
@@ -177,19 +176,11 @@ struct StreamEngineOptions {
 };
 
 /// \brief Checks that `options` form a coherent engine configuration; this is
-/// exactly the condition StreamEngine::Create succeeds under (and what the
-/// legacy constructor surfaces through init_status()).
+/// exactly the condition StreamEngine::Create succeeds under.
 Status ValidateStreamEngineOptions(const StreamEngineOptions& options);
 
-/// \brief One detector step result tagged with the stream that produced it.
-struct StreamStepResult {
-  std::string stream_id;
-  StepResult step;
-};
-
 /// \brief One observable engine occurrence: a detector step result, an
-/// idle-stream eviction, or a stream failure. The single event type replaces
-/// the historical callback-for-results / DrainErrors-for-failures split.
+/// idle-stream eviction, a stream failure, or a checkpoint/restore.
 struct EngineEvent {
   enum class Kind {
     /// `step` holds the detector output for `stream_id`.
@@ -202,8 +193,7 @@ struct EngineEvent {
     kError,
     /// `stream_id`'s state was exported — by ExportStream, by an engine-wide
     /// Checkpoint, or by a spill eviction; `blob_bytes` holds the snapshot
-    /// size. The legacy Drain()/DrainErrors() pair discards these, like
-    /// kEviction, so callers polling only the legacy drains are unaffected.
+    /// size.
     kCheckpoint,
     /// `stream_id`'s state was restored — by ImportStream, by an engine-wide
     /// Restore, or by the transparent rehydrate of a spilled key on its next
@@ -214,8 +204,7 @@ struct EngineEvent {
     /// (non-finite values / an injected ingest fault) and was dropped without
     /// touching the stream. The stream is NOT quarantined: it resumes from a
     /// snapshot (a kRestore event follows) or from scratch, possibly after a
-    /// backoff window. The legacy Drain()/DrainErrors() discard these like
-    /// kEviction; only quarantines surface as kError.
+    /// backoff window. Only quarantines surface as kError.
     kStreamFault,
   };
   Kind kind = Kind::kStep;
@@ -250,39 +239,27 @@ struct EngineLatencyStats {
 
 /// \brief Concurrent multi-stream change-point detection runtime.
 ///
-/// Thread-safety: Submit/TrySubmit/Flush/Drain*/DrainEvents may be called
-/// from any thread (typically one producer). RegisterProfile, set_event_sink
-/// and set_callback must happen before the first Submit. The event sink runs
-/// on shard worker threads and must be thread-safe if it touches shared
-/// state.
+/// Thread-safety: Submit/TrySubmit/Flush/DrainEvents may be called from any
+/// thread (typically one producer). RegisterProfile and set_event_sink must
+/// happen before the first Submit. The event sink runs on shard worker
+/// threads and must be thread-safe if it touches shared state.
 class StreamEngine {
  public:
   /// Receives every EngineEvent on a shard thread when installed; replaces
   /// the internal event queue entirely.
   using EventSink = std::function<void(const EngineEvent&)>;
-  /// Legacy step-results-only callback (shim over EventSink).
-  using ResultCallback = std::function<void(const StreamStepResult&)>;
 
   /// \brief Validating factory: fails with the exact
   /// ValidateStreamEngineOptions status on incoherent options, otherwise
-  /// returns a running engine (init_status() is OK by construction). This is
-  /// the preferred entry point; see also api/spec.h for EngineSpec::Create().
+  /// returns a running engine. See also api/spec.h for EngineSpec::Create().
   static Result<std::unique_ptr<StreamEngine>> Create(
       const StreamEngineOptions& options);
-
-  /// Legacy constructor kept as a migration shim: construction never fails
-  /// hard, so callers must check `init_status()` before use. Prefer Create().
-  BAGCPD_DEPRECATED("use StreamEngine::Create(options)")
-  explicit StreamEngine(const StreamEngineOptions& options);
 
   /// Shuts down (draining all queued work) and joins the shard workers.
   ~StreamEngine();
 
   StreamEngine(const StreamEngine&) = delete;
   StreamEngine& operator=(const StreamEngine&) = delete;
-
-  /// \brief OK iff the options were coherent.
-  const Status& init_status() const { return init_status_; }
 
   /// \brief Registers a named detector profile so streams can be routed to
   /// it via Submit(key, bag, name). Must be called before the first Submit
@@ -296,24 +273,16 @@ class StreamEngine {
   std::size_t profile_count() const { return 1 + profiles_.size(); }
 
   /// \brief Installs the event sink receiving every EngineEvent. Must be
-  /// called before the first Submit; replaces the drainable queue. Mutually
-  /// exclusive with the legacy set_callback — installing both is refused
-  /// with Invalid (one would silently starve the other).
+  /// called before the first Submit; replaces the drainable queue.
   Status set_event_sink(EventSink sink);
-
-  /// \brief Legacy: installs a step-results-only callback. Errors still
-  /// accumulate for DrainErrors(); eviction events are dropped. Prefer
-  /// set_event_sink (mutually exclusive with it, like above).
-  BAGCPD_DEPRECATED("use set_event_sink")
-  Status set_callback(ResultCallback callback);
 
   /// \brief Enqueues `bag` as the next observation of `stream_id`, creating
   /// the stream's detector on first sight (bound to `profile`, or the
   /// default profile when empty). The nested bag is flattened once here and
   /// moved through the shard queue. Blocks while the target shard's queue is
-  /// full. Returns an error for an unknown profile, after Shutdown(), or on
-  /// a bad init. A stream already bound to a different profile is
-  /// quarantined when the conflicting bag is processed.
+  /// full. Returns an error for an unknown profile or after Shutdown(). A
+  /// stream already bound to a different profile is quarantined when the
+  /// conflicting bag is processed.
   Status Submit(const std::string& stream_id, const Bag& bag,
                 const std::string& profile = std::string());
 
@@ -339,27 +308,14 @@ class StreamEngine {
   /// one stream always appear in submission order.
   std::vector<EngineEvent> DrainEvents();
 
-  /// \brief Legacy: removes and returns the queued step results only
-  /// (queued errors stay for DrainErrors; queued evictions are discarded —
-  /// the legacy drains predate eviction events, and keeping them would grow
-  /// the queue forever for callers that only ever poll the legacy pair).
-  /// Results of one stream appear in time order.
-  std::vector<StreamStepResult> Drain();
-
-  /// \brief Legacy: removes and returns the queued per-stream failures only
-  /// (queued steps stay for Drain; queued evictions are discarded, see
-  /// Drain). A stream that fails (e.g. a ragged bag) is quarantined: its
-  /// later bags are dropped and counted in dropped_count(). Other streams
-  /// are unaffected.
-  std::vector<std::pair<std::string, Status>> DrainErrors();
-
   /// \brief Offline sweep: feeds every sequence through the engine (bags
   /// interleaved round-robin across streams to keep all shards busy), waits
   /// for completion, and returns the per-stream result series. Streams are
   /// routed to `profile` (default profile when empty).
   ///
-  /// Requires collect_results and no sink/callback. The batch fails if any
-  /// requested stream is already quarantined or fails during the sweep.
+  /// Requires collect_results and no sink, and drains the event queue. The
+  /// batch fails if any requested stream is already quarantined or fails
+  /// during the sweep.
   /// Deterministic for a fixed engine seed: per-stream output is identical
   /// for any num_shards. Note that detectors persist across calls, so a key
   /// already fed online (or by a previous batch) continues from its existing
@@ -463,6 +419,8 @@ class StreamEngine {
   EngineLatencyStats latency_stats() const;
 
  private:
+  explicit StreamEngine(const StreamEngineOptions& options);
+
   struct Task {
     std::string stream_id;
     // Profile the submission named (canonicalized; kDefaultProfileName when
@@ -557,11 +515,12 @@ class StreamEngine {
   // historical (engine seed, key) derivation bit for bit.
   std::uint64_t DeriveStreamSeed(const std::string& stream_id,
                                  const std::string& profile) const;
-  // Routes an event to the sink / legacy callback / queue; `quarantine`
-  // additionally records the key so RunBatch can refuse it later.
+  // Routes an event to the sink or the queue.
   void EmitEvent(EngineEvent event);
+  // `profile` is taken by value: callers pass the bound profile held by the
+  // detector, spill or recovery entry that this function erases.
   void QuarantineStream(Shard& shard, const std::string& stream_id,
-                        const std::string& profile, std::uint64_t seq,
+                        std::string profile, std::uint64_t seq,
                         const Status& error, std::uint64_t latency_ns = 0);
   // Recovery ladder for a failed stream: quarantines when max_stream_faults
   // is 0 (the historical contract) or the budget is exhausted; otherwise
@@ -621,9 +580,7 @@ class StreamEngine {
   void UpdateResidentBytes(StreamState& state);
 
   StreamEngineOptions options_;
-  Status init_status_;
   EventSink sink_;
-  ResultCallback callback_;
   // Named profiles beyond the implicit "default" (read-only once traffic
   // starts; RegisterProfile enforces that).
   std::map<std::string, DetectorOptions> profiles_;
@@ -669,8 +626,7 @@ class StreamEngine {
   std::atomic<std::uint64_t> latency_total_ns_{0};
   std::atomic<std::uint64_t> latency_max_ns_{0};
 
-  // The single event queue behind DrainEvents/Drain/DrainErrors (unused when
-  // a sink is installed). quarantined_keys_ lives under the same lock: every
+  // The event queue behind DrainEvents (unused when a sink is installed). quarantined_keys_ lives under the same lock: every
   // key ever quarantined, never drained, so RunBatch can refuse keys that
   // failed in earlier traffic.
   mutable std::mutex events_mu_;

@@ -6,9 +6,10 @@
 //
 // Bitwise-restore invariants this file relies on (and the serialize/ tests
 // pin):
-//  * Checkpoints happen between pushes, where the pairwise EMD cache is
-//    always empty (Push evicts it after folding every pair into the rolling
-//    table), so the cache is deliberately NOT part of the format.
+//  * Checkpoints happen between pushes, where every EMD the scores need is
+//    already folded into the rolling log table; that table is the detector's
+//    only EMD store. A detector whose last step failed is half-advanced and
+//    refuses to export.
 //  * The rolling log-EMD table is stored in logical (p, q) position order
 //    and rebased to table_base_ = 0 on import; the slot rotation is an
 //    addressing detail, never observable in scores.
@@ -34,7 +35,7 @@ using serialize::WireReader;
 using serialize::WireWriter;
 
 Status BagStreamDetector::ExportState(std::string* blob) const {
-  BAGCPD_RETURN_NOT_OK(init_status_);
+  BAGCPD_RETURN_NOT_OK(step_failure_);
   blob->clear();
   const std::size_t w = options_.tau + options_.tau_prime;
   WireWriter writer(blob);
@@ -86,7 +87,6 @@ Status BagStreamDetector::ExportState(std::string* blob) const {
 }
 
 Status BagStreamDetector::ImportState(std::string_view blob) {
-  BAGCPD_RETURN_NOT_OK(init_status_);
   BAGCPD_ASSIGN_OR_RETURN(WireReader reader,
                           serialize::OpenBlob(blob, BlobKind::kDetector));
   const std::size_t w = options_.tau + options_.tau_prime;
@@ -244,9 +244,9 @@ Status BagStreamDetector::ImportState(std::string_view blob) {
     restored_history.push_back(v);
   }
 
-  // Phase 3 — commit. Reset() first so the cache is empty and the solver
-  // scratch is back at its ceiling, exactly the between-pushes state every
-  // export is taken from.
+  // Phase 3 — commit. Reset() first so a failed step is cleared and the
+  // solver scratch is back at its ceiling, exactly the between-pushes state
+  // every export is taken from.
   Reset();
   window_ = std::move(restored_window);
   log_table_ = std::move(restored_table);

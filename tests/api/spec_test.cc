@@ -9,11 +9,6 @@
 
 #include "bagcpd/data/gmm.h"
 
-// This suite deliberately exercises the deprecated constructor shims to pin
-// their parity with the Create() factories; suppress the opt-in deprecation
-// warnings for the whole file.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 namespace bagcpd {
 namespace api {
 namespace {
@@ -254,9 +249,9 @@ TEST(DetectorSpecTest, FluentStringErrorSurfacesAtBuild) {
   EXPECT_EQ(spec.Create().status().ToString(), built.status().ToString());
 }
 
-TEST(DetectorSpecTest, CreateFailuresMirrorEveryInitStatusCase) {
-  // Every incoherent-options case the legacy constructor reports through
-  // init_status() must fail Create() with the exact same status.
+TEST(DetectorSpecTest, CreateFailuresMirrorEveryValidationCase) {
+  // Every incoherent-options case fails Create() with exactly the status
+  // ValidateDetectorOptions reports for it.
   std::vector<DetectorOptions> bad_cases;
   DetectorOptions bad_tau;
   bad_tau.tau = 1;
@@ -323,21 +318,21 @@ TEST(DetectorSpecTest, CreateFailuresMirrorEveryInitStatusCase) {
   }
 
   for (const DetectorOptions& options : bad_cases) {
-    BagStreamDetector legacy(options);
-    ASSERT_FALSE(legacy.init_status().ok());
+    const Status validated = ValidateDetectorOptions(options);
+    ASSERT_FALSE(validated.ok());
     Result<std::unique_ptr<BagStreamDetector>> created =
         BagStreamDetector::Create(options);
     ASSERT_FALSE(created.ok());
-    EXPECT_EQ(created.status().ToString(), legacy.init_status().ToString());
+    EXPECT_EQ(created.status().ToString(), validated.ToString());
   }
 
-  // And a coherent config succeeds with init_status() OK by construction.
+  // And a coherent config succeeds.
   DetectorOptions good;
   good.bootstrap.replicates = 0;
+  EXPECT_TRUE(ValidateDetectorOptions(good).ok());
   Result<std::unique_ptr<BagStreamDetector>> created =
       BagStreamDetector::Create(good);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
-  EXPECT_TRUE((*created)->init_status().ok());
 
   // k is free where the quantizer ignores it, bin_width likewise, and the
   // largest window is accepted.
@@ -356,15 +351,15 @@ TEST(DetectorSpecTest, CreateFailuresMirrorEveryInitStatusCase) {
   EXPECT_TRUE(ValidateDetectorOptions(widest).ok());
 }
 
-TEST(DetectorSpecTest, SpecCreatedDetectorMatchesLegacyConstruction) {
+TEST(DetectorSpecTest, SpecCreatedDetectorMatchesOptionsCreate) {
   DetectorOptions options;
   options.tau = 3;
   options.tau_prime = 3;
   options.bootstrap.replicates = 30;
   options.signature.k = 3;
   options.seed = 21;
-  BagStreamDetector legacy(options);
-  ASSERT_TRUE(legacy.init_status().ok());
+  std::unique_ptr<BagStreamDetector> direct =
+      BagStreamDetector::Create(options).MoveValueUnsafe();
 
   std::unique_ptr<BagStreamDetector> modern =
       DetectorSpec()
@@ -377,7 +372,7 @@ TEST(DetectorSpecTest, SpecCreatedDetectorMatchesLegacyConstruction) {
           .MoveValueUnsafe();
 
   const BagSequence bags = SmallStream(10, 4);
-  const std::vector<StepResult> a = legacy.Run(bags).ValueOrDie();
+  const std::vector<StepResult> a = direct->Run(bags).ValueOrDie();
   const std::vector<StepResult> b = modern->Run(bags).ValueOrDie();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -388,7 +383,7 @@ TEST(DetectorSpecTest, SpecCreatedDetectorMatchesLegacyConstruction) {
   }
 }
 
-TEST(EngineSpecTest, CreateFailuresMirrorEveryInitStatusCase) {
+TEST(EngineSpecTest, CreateFailuresMirrorEveryValidationCase) {
   std::vector<StreamEngineOptions> bad_cases;
   StreamEngineOptions bad_queue;
   bad_queue.num_shards = 1;
@@ -413,12 +408,12 @@ TEST(EngineSpecTest, CreateFailuresMirrorEveryInitStatusCase) {
   bad_cases.push_back(seeded_detector);
 
   for (const StreamEngineOptions& options : bad_cases) {
-    StreamEngine legacy(options);
-    ASSERT_FALSE(legacy.init_status().ok());
+    const Status validated = ValidateStreamEngineOptions(options);
+    ASSERT_FALSE(validated.ok());
     Result<std::unique_ptr<StreamEngine>> created =
         StreamEngine::Create(options);
     ASSERT_FALSE(created.ok());
-    EXPECT_EQ(created.status().ToString(), legacy.init_status().ToString());
+    EXPECT_EQ(created.status().ToString(), validated.ToString());
   }
 
   EXPECT_NE(StreamEngine::Create(seeded_detector)
@@ -462,7 +457,11 @@ TEST(EngineSpecTest, CreateRegistersProfilesInOrder) {
   }
   engine.Flush();
   // tau + tau' = 4 on the coarse profile: 6 bags yield 3 results.
-  EXPECT_EQ(engine.Drain().size(), 3u);
+  std::size_t steps = 0;
+  for (const EngineEvent& event : engine.DrainEvents()) {
+    if (event.kind == EngineEvent::Kind::kStep) ++steps;
+  }
+  EXPECT_EQ(steps, 3u);
 
   // A bad profile spec fails Create with the profile's error.
   Result<std::unique_ptr<StreamEngine>> bad =

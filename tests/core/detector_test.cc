@@ -26,21 +26,12 @@ TEST(DetectorTest, RejectsBadOptions) {
   DetectorOptions options = FastOptions();
   options.tau = 1;
   EXPECT_FALSE(BagStreamDetector::Create(options).ok());
-  // The legacy constructor shim must keep surfacing the same failure through
-  // init_status() (and refuse to operate).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  BagStreamDetector detector(options);
-#pragma GCC diagnostic pop
-  EXPECT_FALSE(detector.init_status().ok());
-  EXPECT_FALSE(detector.Push({{1.0}}).ok());
 }
 
 TEST(DetectorTest, WarmupReturnsNullopt) {
   DetectorOptions options = FastOptions();
   auto detector_owner = BagStreamDetector::Create(options).MoveValueUnsafe();
   BagStreamDetector& detector = *detector_owner;
-  ASSERT_TRUE(detector.init_status().ok());
   Rng rng(7);
   const GaussianMixture mix = GaussianMixture::Isotropic({0.0, 0.0}, 1.0);
   for (std::size_t i = 0; i + 1 < options.tau + options.tau_prime; ++i) {
@@ -155,6 +146,29 @@ TEST(DetectorTest, DeterministicForSeed) {
   }
 }
 
+TEST(DetectorTest, RunAfterRunMatchesAFreshDetector) {
+  // Run() starts with Reset(), which restarts the bootstrap stream from the
+  // seed too, so a reused detector reproduces a fresh one's CIs bit for bit.
+  CiDatasetOptions data_options;
+  data_options.seed = 47;
+  LabeledBagSequence ds = MakeCiDataset(4, data_options).ValueOrDie();
+  DetectorOptions options = FastOptions();
+  auto reused = BagStreamDetector::Create(options).MoveValueUnsafe();
+  ASSERT_TRUE(reused->Run(ds.bags).ok());
+  const std::vector<StepResult> again = reused->Run(ds.bags).ValueOrDie();
+  const std::vector<StepResult> fresh = BagStreamDetector::Create(options)
+                                            .MoveValueUnsafe()
+                                            ->Run(ds.bags)
+                                            .ValueOrDie();
+  ASSERT_EQ(again.size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(again[i].score, fresh[i].score);
+    EXPECT_EQ(again[i].ci_lo, fresh[i].ci_lo);
+    EXPECT_EQ(again[i].ci_up, fresh[i].ci_up);
+    EXPECT_EQ(again[i].alarm, fresh[i].alarm);
+  }
+}
+
 TEST(DetectorTest, LrScoreTypeRuns) {
   CiDatasetOptions data_options;
   data_options.seed = 46;
@@ -193,12 +207,9 @@ TEST(DetectorTest, EachWindowPairSolvedExactlyOnce) {
   }
   // Each step after warm-up adds (tau + tau' - 1) = 9 fresh EMDs; the first
   // full window costs C(10, 2) = 45. 15 pushes => 6 scored steps:
-  // 45 + 5 * 9 = 90 misses — i.e. 90 transportation solves, never more. The
-  // rolling score tables reuse every overlapping pair's log-distance without
-  // re-querying the cache, so the serial path reads each pair exactly once
-  // and hits stay at zero (prefilled pool runs produce the hits instead).
-  EXPECT_EQ(detector.emd_cache_misses(), 90u);
-  EXPECT_EQ(detector.emd_cache_hits(), 0u);
+  // 45 + 5 * 9 = 90 transportation solves, never more: the rolling log table
+  // keeps every overlapping pair's log-distance.
+  EXPECT_EQ(detector.emd_solve_count(), 90u);
 }
 
 TEST(DetectorTest, AlarmRequiresHistory) {

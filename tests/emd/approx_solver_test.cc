@@ -800,8 +800,10 @@ TEST(ApproxEmdTest, EngineResultsAreBitwiseIdenticalForAnyShardCount) {
       }
       engine->Flush();
       std::map<std::string, std::vector<StepResult>> grouped;
-      for (StreamStepResult& r : engine->Drain()) {
-        grouped[r.stream_id].push_back(r.step);
+      for (const EngineEvent& event : engine->DrainEvents()) {
+        if (event.kind == EngineEvent::Kind::kStep) {
+          grouped[event.stream_id].push_back(event.step);
+        }
       }
       if (baseline.empty()) {
         baseline = std::move(grouped);

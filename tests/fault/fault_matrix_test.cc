@@ -576,10 +576,15 @@ TEST(FaultMatrixTest, CorruptSpillFileQuarantinesWithoutBudget) {
   }
   ASSERT_TRUE(engine->Submit("busy", filler).ok());
   engine->Flush();
-  auto errors = engine->DrainErrors();
+  std::vector<EngineEvent> errors;
+  for (EngineEvent& event : engine->DrainEvents()) {
+    if (event.kind == EngineEvent::Kind::kError) {
+      errors.push_back(std::move(event));
+    }
+  }
   ASSERT_EQ(errors.size(), 1u);
-  EXPECT_EQ(errors.front().first, "cold");
-  EXPECT_FALSE(errors.front().second.ok());
+  EXPECT_EQ(errors.front().stream_id, "cold");
+  EXPECT_FALSE(errors.front().error.ok());
   EXPECT_EQ(engine->live_stream_count(), 1u);  // Only "busy" survives.
 }
 
@@ -863,6 +868,103 @@ TEST(FaultMatrixTest, EmdSolveFaultIsPoolInvariant) {
     }
     EXPECT_EQ(fault_push, baseline_fault_push) << threads << " threads";
     EXPECT_EQ(scores, baseline_scores) << threads << " threads";
+  }
+}
+
+TEST(FaultMatrixTest, PushAfterFailedStepReturnsStatusUntilResetOrImport) {
+  // A step that fails after its signature entered the window leaves the
+  // window full and the table half-written. Every later push must return
+  // that failure as a Status (not overflow the signature ring), ExportState
+  // must refuse the broken window, and Reset() or a successful ImportState
+  // must bring back a fresh detector's results, bit for bit.
+  DetectorOptions options = SmallDetector();
+  options.tau = 4;
+  options.tau_prime = 4;
+  options.bootstrap.replicates = 20;  // Reset must restart the CI stream too.
+  options.seed = 3;
+  Rng rng(77);
+  const GaussianMixture mix = GaussianMixture::Isotropic({0.0, 0.0}, 1.0);
+  BagSequence bags;
+  for (int t = 0; t < 14; ++t) bags.push_back(mix.SampleBag(10, &rng));
+
+  // Fault-free reference, plus its state after 9 pushes for the import path.
+  std::vector<StepResult> fresh;
+  std::string blob_after_9;
+  std::size_t results_before_9 = 0;
+  {
+    auto detector = BagStreamDetector::Create(options).MoveValueUnsafe();
+    for (std::size_t t = 0; t < bags.size(); ++t) {
+      if (t == 9) {
+        ASSERT_TRUE(detector->ExportState(&blob_after_9).ok());
+        results_before_9 = fresh.size();
+      }
+      auto step = detector->Push(bags[t]);
+      ASSERT_TRUE(step.ok()) << step.status().ToString();
+      if (step.ValueOrDie().has_value()) fresh.push_back(*step.ValueOrDie());
+    }
+  }
+  const auto expect_same = [](const std::vector<StepResult>& a,
+                              const std::vector<StepResult>& b,
+                              const std::string& what) {
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].time, b[i].time) << what << " step " << i;
+      EXPECT_EQ(a[i].score, b[i].score) << what << " step " << i;
+      EXPECT_EQ(a[i].ci_lo, b[i].ci_lo) << what << " step " << i;
+      EXPECT_EQ(a[i].ci_up, b[i].ci_up) << what << " step " << i;
+    }
+  };
+
+  for (std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
+    for (const bool via_import : {false, true}) {
+      const std::string what = std::to_string(threads) + " threads, " +
+                               (via_import ? "import" : "reset");
+      auto detector = BagStreamDetector::Create(options).MoveValueUnsafe();
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 0) {
+        pool = std::make_unique<ThreadPool>(threads);
+        detector->set_thread_pool(pool.get());
+      }
+      {
+        // The window holds 8 signatures: push 8 solves C(8, 2) = 28 pairs
+        // and each later push 7, so ordinal 40 falls in push 10.
+        ScopedFault armed("emd.solve:nth:40");
+        ASSERT_TRUE(armed.status().ok());
+        for (std::size_t t = 0; t < 9; ++t) {
+          ASSERT_TRUE(detector->Push(bags[t]).ok()) << what << " push " << t;
+        }
+        const auto failed = detector->Push(bags[9]);
+        ASSERT_FALSE(failed.ok()) << what;
+        EXPECT_NE(failed.status().message().find("fault-injected: emd.solve"),
+                  std::string::npos)
+            << failed.status().ToString();
+        for (std::size_t t = 10; t < 13; ++t) {
+          const auto later = detector->Push(bags[t]);
+          ASSERT_FALSE(later.ok()) << what << " push " << t;
+          EXPECT_EQ(later.status().ToString(), failed.status().ToString());
+        }
+        std::string blob;
+        EXPECT_EQ(detector->ExportState(&blob).ToString(),
+                  failed.status().ToString())
+            << what;
+      }
+      std::vector<StepResult> results;
+      std::size_t first = 0;
+      if (via_import) {
+        ASSERT_TRUE(detector->ImportState(blob_after_9).ok()) << what;
+        first = 9;
+      } else {
+        detector->Reset();
+      }
+      for (std::size_t t = first; t < bags.size(); ++t) {
+        auto step = detector->Push(bags[t]);
+        ASSERT_TRUE(step.ok()) << what << ": " << step.status().ToString();
+        if (step.ValueOrDie().has_value()) results.push_back(*step.ValueOrDie());
+      }
+      const std::vector<StepResult> expected(
+          fresh.begin() + (via_import ? results_before_9 : 0), fresh.end());
+      expect_same(expected, results, what);
+    }
   }
 }
 

@@ -134,13 +134,9 @@ TEST(DeterminismTest, DetectorRunInvariantToPoolSize) {
     const std::vector<StepResult> results = pooled.Run(bags).ValueOrDie();
     ExpectIdenticalSteps(baseline, results,
                          "pool size " + std::to_string(threads));
-    // The prefill path computes exactly the pairs the serial path would:
-    // same miss count (= transportation solves), never more. The rolling
-    // score tables then read the prefilled values back as cache hits — the
-    // serial path solves inside Get() instead, so it reports zero hits.
-    EXPECT_EQ(pooled.emd_cache_misses(), serial.emd_cache_misses());
-    EXPECT_GT(pooled.emd_cache_hits(), 0u);
-    EXPECT_EQ(serial.emd_cache_hits(), 0u);
+    // The pooled path solves exactly the pairs the serial path does: the
+    // same transportation solve count, never more.
+    EXPECT_EQ(pooled.emd_solve_count(), serial.emd_solve_count());
   }
 }
 
@@ -290,8 +286,10 @@ TEST(DeterminismTest, EngineOnlineMatchesBatch) {
   }
   online.Flush();
   std::map<std::string, std::vector<StepResult>> grouped;
-  for (StreamStepResult& r : online.Drain()) {
-    grouped[r.stream_id].push_back(r.step);
+  for (const EngineEvent& event : online.DrainEvents()) {
+    if (event.kind == EngineEvent::Kind::kStep) {
+      grouped[event.stream_id].push_back(event.step);
+    }
   }
   ASSERT_EQ(grouped.size(), batch.size());
   for (const auto& [key, series] : batch) {

@@ -76,6 +76,18 @@ void ExpectIdenticalSteps(const std::vector<StepResult>& a,
   }
 }
 
+// Drains the engine's queue into per-stream step series.
+std::map<std::string, std::vector<StepResult>> GroupSteps(
+    StreamEngine& engine) {
+  std::map<std::string, std::vector<StepResult>> grouped;
+  for (const EngineEvent& event : engine.DrainEvents()) {
+    if (event.kind == EngineEvent::Kind::kStep) {
+      grouped[event.stream_id].push_back(event.step);
+    }
+  }
+  return grouped;
+}
+
 TEST(EngineProfilesTest, RegisterProfileValidation) {
   StreamEngineOptions options;
   options.num_shards = 1;
@@ -138,10 +150,15 @@ TEST(EngineProfilesTest, ProfileConflictQuarantinesTheStream) {
   ASSERT_TRUE(engine->Submit("k", bags[2]).ok());  // Dropped (quarantined).
   engine->Flush();
 
-  const auto errors = engine->DrainErrors();
+  std::vector<EngineEvent> errors;
+  for (EngineEvent& event : engine->DrainEvents()) {
+    if (event.kind == EngineEvent::Kind::kError) {
+      errors.push_back(std::move(event));
+    }
+  }
   ASSERT_EQ(errors.size(), 1u);
-  EXPECT_EQ(errors.front().first, "k");
-  EXPECT_NE(errors.front().second.message().find("bound to profile"),
+  EXPECT_EQ(errors.front().stream_id, "k");
+  EXPECT_NE(errors.front().error.message().find("bound to profile"),
             std::string::npos);
   EXPECT_EQ(engine->dropped_count(), 1u);
   EXPECT_EQ(engine->live_stream_count(), 0u);
@@ -175,10 +192,7 @@ TEST(EngineProfilesTest, MultiProfileResultsInvariantToShardCount) {
       }
     }
     engine->Flush();
-    std::map<std::string, std::vector<StepResult>> grouped;
-    for (const StreamStepResult& r : engine->Drain()) {
-      grouped[r.stream_id].push_back(r.step);
-    }
+    auto grouped = GroupSteps(*engine);
     ASSERT_EQ(grouped.size(), kStreams);
     // The two profiles really ran different pipelines: the first inspection
     // point lands at pushed - tau', so KL (tau' = 4) starts at t = 4 and the
@@ -221,10 +235,7 @@ TEST(EngineProfilesTest, ProfileStreamsMatchStandaloneDetectorsForAnyPoolSize) {
     ASSERT_TRUE(engine->Submit("net-0", bags["net-0"][t], "lr").ok());
   }
   engine->Flush();
-  std::map<std::string, std::vector<StepResult>> grouped;
-  for (const StreamStepResult& r : engine->Drain()) {
-    grouped[r.stream_id].push_back(r.step);
-  }
+  const auto grouped = GroupSteps(*engine);
 
   // Default profile: the historical (engine seed, key) derivation.
   DetectorOptions act = KlDetector();
@@ -313,11 +324,9 @@ TEST(EngineProfilesTest, EventSinkReceivesEveryKind) {
   EXPECT_EQ(errors, 1u);
   // With a sink installed nothing is queued.
   EXPECT_TRUE(engine->DrainEvents().empty());
-  EXPECT_TRUE(engine->Drain().empty());
-  EXPECT_TRUE(engine->DrainErrors().empty());
 }
 
-TEST(EngineProfilesTest, DrainEventsAndLegacyDrainsFilterOneQueue) {
+TEST(EngineProfilesTest, DrainEventsReturnsEveryKindFromOneQueue) {
   StreamEngineOptions options;
   options.num_shards = 1;
   options.detector = KlDetector();
@@ -332,40 +341,23 @@ TEST(EngineProfilesTest, DrainEventsAndLegacyDrainsFilterOneQueue) {
   ASSERT_TRUE(engine->Submit("bad", Bag{{1.0, 2.0}, {3.0}}).ok());
   engine->Flush();
 
-  // Legacy Drain() takes the steps and leaves the error in the queue.
-  EXPECT_EQ(engine->Drain().size(), 1u);
-  std::vector<EngineEvent> rest = engine->DrainEvents();
-  ASSERT_EQ(rest.size(), 1u);
-  EXPECT_EQ(rest.front().kind, EngineEvent::Kind::kError);
-  EXPECT_EQ(rest.front().stream_id, "bad");
-  // Everything is gone now.
-  EXPECT_TRUE(engine->DrainErrors().empty());
-  EXPECT_TRUE(engine->DrainEvents().empty());
-}
-
-TEST(EngineProfilesTest, LegacyDrainsDiscardQueuedEvictions) {
-  // A pre-event-API caller polling only Drain()/DrainErrors() must not leak
-  // eviction events into an ever-growing queue; the legacy drains flush
-  // them (evicted_count() keeps the total).
-  StreamEngineOptions options;
-  options.num_shards = 1;
-  options.detector = KlDetector();
-  options.detector.bootstrap.replicates = 0;
-  options.max_idle_submissions = 2;
-  std::unique_ptr<StreamEngine> engine =
-      StreamEngine::Create(options).MoveValueUnsafe();
-
-  const BagSequence bags = JumpStream(5, 0, 6);
-  ASSERT_TRUE(engine->Submit("idler", bags[0]).ok());
-  for (std::size_t t = 0; t < 4; ++t) {
-    ASSERT_TRUE(engine->Submit("steady", bags[t]).ok());
+  // One step and one error, in one queue.
+  std::vector<EngineEvent> events = engine->DrainEvents();
+  ASSERT_EQ(events.size(), 2u);
+  std::size_t steps = 0, errors = 0;
+  for (const EngineEvent& event : events) {
+    if (event.kind == EngineEvent::Kind::kStep) {
+      ++steps;
+      EXPECT_EQ(event.stream_id, "good");
+    } else if (event.kind == EngineEvent::Kind::kError) {
+      ++errors;
+      EXPECT_EQ(event.stream_id, "bad");
+    }
   }
-  ASSERT_TRUE(engine->Submit("idler", bags[1]).ok());  // Lazy eviction.
-  engine->Flush();
-  EXPECT_EQ(engine->evicted_count(), 1u);
-
-  EXPECT_TRUE(engine->Drain().empty());  // No full window yet, no steps...
-  EXPECT_TRUE(engine->DrainEvents().empty());  // ...and the eviction is gone.
+  EXPECT_EQ(steps, 1u);
+  EXPECT_EQ(errors, 1u);
+  // Everything is gone now.
+  EXPECT_TRUE(engine->DrainEvents().empty());
 }
 
 }  // namespace

@@ -49,37 +49,41 @@ StreamEngineOptions SmallEngine(std::size_t shards) {
   return options;
 }
 
+// Drains the engine's queue and keeps its kStep events, in queue order.
+std::vector<EngineEvent> DrainSteps(StreamEngine& engine) {
+  std::vector<EngineEvent> steps;
+  for (EngineEvent& event : engine.DrainEvents()) {
+    if (event.kind == EngineEvent::Kind::kStep) {
+      steps.push_back(std::move(event));
+    }
+  }
+  return steps;
+}
+
 TEST(StreamEngineTest, RejectsBadOptions) {
-  // Deliberately exercises the legacy constructor shim: every bad option
-  // must keep surfacing through init_status() (Create-parity is pinned in
-  // api/spec_test.cc).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
   StreamEngineOptions options = SmallEngine(2);
   options.shard_queue_capacity = 0;
-  EXPECT_FALSE(StreamEngine(options).init_status().ok());
+  EXPECT_FALSE(StreamEngine::Create(options).ok());
 
   StreamEngineOptions bad_detector = SmallEngine(2);
   bad_detector.detector.tau = 1;
-  EXPECT_FALSE(StreamEngine(bad_detector).init_status().ok());
+  EXPECT_FALSE(StreamEngine::Create(bad_detector).ok());
 
-  // Bad arena tuning surfaces through init_status like every other option
-  // (instead of aborting inside the BufferArena constructor).
+  // Bad arena tuning fails creation like every other option (instead of
+  // aborting inside the BufferArena constructor).
   StreamEngineOptions bad_arena = SmallEngine(2);
   bad_arena.arena.min_buffer_capacity = 100;  // Not a power of two.
-  EXPECT_FALSE(StreamEngine(bad_arena).init_status().ok());
+  EXPECT_FALSE(StreamEngine::Create(bad_arena).ok());
 
   StreamEngineOptions inverted_arena = SmallEngine(2);
   inverted_arena.arena.min_buffer_capacity = 64;
   inverted_arena.arena.max_buffer_capacity = 32;
-  EXPECT_FALSE(StreamEngine(inverted_arena).init_status().ok());
-#pragma GCC diagnostic pop
+  EXPECT_FALSE(StreamEngine::Create(inverted_arena).ok());
 }
 
 TEST(StreamEngineTest, SubmitFlushDrainProcessesEveryBag) {
   auto engine_owner = StreamEngine::Create(SmallEngine(3)).MoveValueUnsafe();
   StreamEngine& engine = *engine_owner;
-  ASSERT_TRUE(engine.init_status().ok());
   const std::size_t kStreams = 6;
   const std::size_t kLength = 12;
   for (std::size_t s = 0; s < kStreams; ++s) {
@@ -92,13 +96,13 @@ TEST(StreamEngineTest, SubmitFlushDrainProcessesEveryBag) {
   EXPECT_EQ(engine.submitted_count(), kStreams * kLength);
   EXPECT_EQ(engine.processed_count(), kStreams * kLength);
   EXPECT_EQ(engine.stream_count(), kStreams);
-  std::vector<StreamStepResult> results = engine.Drain();
+  std::vector<EngineEvent> results = DrainSteps(engine);
   // Each stream yields length - (tau + tau') + 1 = 12 - 8 + 1 = 5 results.
   EXPECT_EQ(results.size(), kStreams * 5u);
   EXPECT_EQ(engine.result_count(), kStreams * 5u);
   // Per-stream results arrive in time order.
   std::map<std::string, std::uint64_t> last_time;
-  for (const StreamStepResult& r : results) {
+  for (const EngineEvent& r : results) {
     auto it = last_time.find(r.stream_id);
     if (it != last_time.end()) {
       EXPECT_GT(r.step.time, it->second);
@@ -106,14 +110,13 @@ TEST(StreamEngineTest, SubmitFlushDrainProcessesEveryBag) {
     last_time[r.stream_id] = r.step.time;
   }
   EXPECT_EQ(last_time.size(), kStreams);
-  // Drain removes: a second drain is empty.
-  EXPECT_TRUE(engine.Drain().empty());
+  // Draining removes: a second drain is empty.
+  EXPECT_TRUE(engine.DrainEvents().empty());
 }
 
 TEST(StreamEngineTest, RunBatchDetectsPlantedChanges) {
   auto engine_owner = StreamEngine::Create(SmallEngine(4)).MoveValueUnsafe();
   StreamEngine& engine = *engine_owner;
-  ASSERT_TRUE(engine.init_status().ok());
   std::map<std::string, BagSequence> streams;
   streams["changing-a"] = JumpStream(30, 15, 1);
   streams["changing-b"] = JumpStream(30, 15, 2);
@@ -134,27 +137,6 @@ TEST(StreamEngineTest, RunBatchDetectsPlantedChanges) {
   EXPECT_TRUE(AlarmTimes(batch->at("stationary")).empty());
 }
 
-TEST(StreamEngineTest, CallbackDeliversResultsOnShardThreads) {
-  auto engine_owner = StreamEngine::Create(SmallEngine(2)).MoveValueUnsafe();
-  StreamEngine& engine = *engine_owner;
-  std::atomic<int> callbacks{0};
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  engine.set_callback([&](const StreamStepResult& r) {
-    EXPECT_FALSE(r.stream_id.empty());
-    callbacks.fetch_add(1);
-  });
-#pragma GCC diagnostic pop
-  BagSequence bags = JumpStream(12, 0, 5);
-  for (const Bag& bag : bags) {
-    ASSERT_TRUE(engine.Submit("cb", bag).ok());
-  }
-  engine.Flush();
-  EXPECT_EQ(callbacks.load(), 5);
-  // Callback mode bypasses the drainable queue.
-  EXPECT_TRUE(engine.Drain().empty());
-}
-
 TEST(StreamEngineTest, QuarantinesFailingStreamOnly) {
   auto engine_owner = StreamEngine::Create(SmallEngine(2)).MoveValueUnsafe();
   StreamEngine& engine = *engine_owner;
@@ -167,15 +149,19 @@ TEST(StreamEngineTest, QuarantinesFailingStreamOnly) {
     ASSERT_TRUE(engine.Submit("bad", bag).ok());  // Dropped after failure.
   }
   engine.Flush();
-  auto errors = engine.DrainErrors();
+  std::vector<EngineEvent> errors;
+  std::vector<EngineEvent> results;
+  for (EngineEvent& event : engine.DrainEvents()) {
+    if (event.kind == EngineEvent::Kind::kError) errors.push_back(event);
+    if (event.kind == EngineEvent::Kind::kStep) results.push_back(event);
+  }
   ASSERT_EQ(errors.size(), 1u);
-  EXPECT_EQ(errors.front().first, "bad");
-  EXPECT_FALSE(errors.front().second.ok());
+  EXPECT_EQ(errors.front().stream_id, "bad");
+  EXPECT_FALSE(errors.front().error.ok());
   EXPECT_EQ(engine.dropped_count(), 12u);
   // The healthy stream was unaffected.
-  std::vector<StreamStepResult> results = engine.Drain();
   EXPECT_EQ(results.size(), 5u);
-  for (const StreamStepResult& r : results) EXPECT_EQ(r.stream_id, "good");
+  for (const EngineEvent& r : results) EXPECT_EQ(r.stream_id, "good");
 }
 
 TEST(StreamEngineTest, QuarantineFreesTheStreamsDetector) {
@@ -192,7 +178,11 @@ TEST(StreamEngineTest, QuarantineFreesTheStreamsDetector) {
   ASSERT_TRUE(engine.Submit("doomed", Bag{{1.0, 2.0}, {3.0}}).ok());
   engine.Flush();
   EXPECT_EQ(engine.live_stream_count(), 0u);
-  EXPECT_EQ(engine.DrainErrors().size(), 1u);
+  std::size_t errors = 0;
+  for (const EngineEvent& event : engine.DrainEvents()) {
+    if (event.kind == EngineEvent::Kind::kError) ++errors;
+  }
+  EXPECT_EQ(errors, 1u);
 }
 
 TEST(StreamEngineTest, RunBatchRefusesStreamsQuarantinedEarlier) {
@@ -234,8 +224,8 @@ TEST(StreamEngineTest, FlatBagSubmitMatchesNestedSubmit) {
   }
   nested.Flush();
   flat.Flush();
-  const std::vector<StreamStepResult> a = nested.Drain();
-  const std::vector<StreamStepResult> b = flat.Drain();
+  const std::vector<EngineEvent> a = DrainSteps(nested);
+  const std::vector<EngineEvent> b = DrainSteps(flat);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].step.time, b[i].step.time);
@@ -249,23 +239,22 @@ TEST(StreamEngineTest, TrySubmitReturnsUnavailableWhenShardQueueFull) {
   options.shard_queue_capacity = 2;
   auto engine_owner = StreamEngine::Create(options).MoveValueUnsafe();
   StreamEngine& engine = *engine_owner;
-  ASSERT_TRUE(engine.init_status().ok());
 
-  // Park the single worker inside the result callback so the queue can be
-  // filled deterministically.
+  // Park the single worker inside the event sink so the queue can be filled
+  // deterministically.
   std::promise<void> entered;
   std::promise<void> release;
   std::shared_future<void> release_future = release.get_future().share();
   std::atomic<bool> signaled{false};
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  engine.set_callback([&](const StreamStepResult&) {
-    if (!signaled.exchange(true)) {
-      entered.set_value();
-      release_future.wait();
-    }
-  });
-#pragma GCC diagnostic pop
+  ASSERT_TRUE(engine
+                  .set_event_sink([&](const EngineEvent& event) {
+                    if (event.kind == EngineEvent::Kind::kStep &&
+                        !signaled.exchange(true)) {
+                      entered.set_value();
+                      release_future.wait();
+                    }
+                  })
+                  .ok());
 
   // tau + tau' = 8 pushes produce the first result, which blocks the worker.
   const BagSequence bags = JumpStream(8, 0, 21);
@@ -301,7 +290,6 @@ TEST(StreamEngineTest, IdleStreamsAreEvictedAndRestartFresh) {
   options.max_idle_submissions = 4;
   auto engine_owner = StreamEngine::Create(options).MoveValueUnsafe();
   StreamEngine& engine = *engine_owner;
-  ASSERT_TRUE(engine.init_status().ok());
 
   const BagSequence cold_bags = JumpStream(12, 0, 31);
   // First segment of the cold stream.
@@ -321,7 +309,7 @@ TEST(StreamEngineTest, IdleStreamsAreEvictedAndRestartFresh) {
   EXPECT_EQ(engine.evicted_count(), 1u);
 
   std::vector<StepResult> cold_results;
-  for (const StreamStepResult& r : engine.Drain()) {
+  for (const EngineEvent& r : DrainSteps(engine)) {
     if (r.stream_id == "cold") cold_results.push_back(r.step);
   }
   // Reference: a fresh detector fed only the second segment (the first
@@ -354,8 +342,7 @@ TEST(StreamEngineTest, EvictionIsDeterministicAcrossShardCounts) {
     options.max_idle_submissions = 24;
     auto engine_owner = StreamEngine::Create(options).MoveValueUnsafe();
     StreamEngine& engine = *engine_owner;
-    ASSERT_TRUE(engine.init_status().ok());
-    // Alternate bursts so some keys go idle past the threshold mid-run; the
+      // Alternate bursts so some keys go idle past the threshold mid-run; the
     // submission order (and hence the global idle clock) is fixed.
     std::map<std::string, BagSequence> bags;
     for (std::size_t s = 0; s < kStreams; ++s) {
@@ -372,7 +359,7 @@ TEST(StreamEngineTest, EvictionIsDeterministicAcrossShardCounts) {
     }
     engine.Flush();
     std::map<std::string, std::vector<double>> grouped;
-    for (const StreamStepResult& r : engine.Drain()) {
+    for (const EngineEvent& r : DrainSteps(engine)) {
       grouped[r.stream_id].push_back(r.step.score);
     }
     EXPECT_GT(engine.evicted_count(), 0u) << shards << " shards";
@@ -390,7 +377,6 @@ TEST(StreamEngineTest, IdleSweepReclaimsDetectorMemory) {
   options.max_idle_submissions = 16;
   auto engine_owner = StreamEngine::Create(options).MoveValueUnsafe();
   StreamEngine& engine = *engine_owner;
-  ASSERT_TRUE(engine.init_status().ok());
 
   // One bag for a key that then goes silent forever.
   ASSERT_TRUE(engine.Submit("silent", JumpStream(1, 0, 41).front()).ok());

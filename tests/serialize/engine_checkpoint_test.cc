@@ -227,12 +227,6 @@ TEST(EngineCheckpointTest, CheckpointEventsCarryBlobSizes) {
     }
   }
   EXPECT_TRUE(saw_checkpoint);
-
-  // The legacy drains predate checkpoint events and must stay step/error
-  // only: a second export followed by the legacy pair sees neither kind.
-  ASSERT_TRUE(engine->ExportStream("stream-1", &blob).ok());
-  EXPECT_TRUE(engine->Drain().empty());
-  EXPECT_TRUE(engine->DrainErrors().empty());
 }
 
 TEST(EngineCheckpointTest, ImportConflictsAreTypedErrors) {
