@@ -13,10 +13,19 @@ namespace bagcpd {
 
 namespace {
 
-// How many tasks a shard processes between idle-eviction sweeps. The sweep
-// only reclaims memory: any detector it frees would also have been recreated
-// from scratch by the lazy per-task check, so results are unaffected.
+// How many tasks a shard processes between idle sweeps. The sweep only
+// reclaims memory (see SweepIdle), so its shard-dependent timing never
+// changes a result.
 constexpr std::uint64_t kIdleSweepPeriod = 512;
+
+// The one horizon rule: true when more than `horizon` engine-wide
+// submissions came between a key's last bag (`last_seq`) and a bag at
+// `next_seq`. A horizon of 0 means none.
+bool PastHorizon(std::uint64_t last_seq, std::uint64_t next_seq,
+                 std::uint64_t horizon) {
+  return horizon > 0 && next_seq > last_seq &&
+         next_seq - last_seq - 1 > horizon;
+}
 
 }  // namespace
 
@@ -327,193 +336,170 @@ void StreamEngine::EmitEvent(EngineEvent event) {
   events_.push_back(std::move(event));
 }
 
-void StreamEngine::QuarantineStream(Shard& shard, const std::string& stream_id,
-                                    std::string profile, std::uint64_t seq,
-                                    const Status& error,
-                                    std::uint64_t latency_ns) {
-  shard.quarantined.emplace(stream_id, error);
-  // A quarantined key never recovers; its fault history and snapshot go too.
-  shard.recovery.erase(stream_id);
-  auto existing = shard.detectors.find(stream_id);
-  if (existing != shard.detectors.end()) {
-    resident_bytes_.fetch_sub(existing->second.state_bytes);
-    shard.detectors.erase(existing);
+void StreamEngine::Transition(Shard& shard, StreamTable::iterator it,
+                              Move move, std::uint64_t seq,
+                              std::uint64_t latency_ns, const Status& error,
+                              std::uint64_t blob_bytes) {
+  Stream& stream = it->second;
+  const Phase from = stream.phase;
+  if (from == Phase::kLive) {
+    resident_bytes_.fetch_sub(stream.state_bytes);
+    stream.state_bytes = 0;
+    stream.detector.reset();
     live_streams_.fetch_sub(1);
-  }
-  auto spilled = shard.spilled.find(stream_id);
-  if (spilled != shard.spilled.end()) {
-    // A quarantined key never rehydrates; drop its spill file too.
-    std::remove(spilled->second.path.c_str());
-    shard.spilled.erase(spilled);
-  }
-  {
-    std::lock_guard<std::mutex> lock(events_mu_);
-    quarantined_keys_.insert(stream_id);
+  } else if (from == Phase::kSpilled) {
+    std::remove(stream.spill_path.c_str());
+    stream.spill_path.clear();
   }
   EngineEvent event;
-  event.kind = EngineEvent::Kind::kError;
-  event.stream_id = stream_id;
-  event.profile = std::move(profile);
+  event.stream_id = it->first;
+  event.profile = stream.profile;
   event.sequence = seq;
   event.enqueue_to_process_ns = latency_ns;
+  event.blob_bytes = blob_bytes;
   event.error = error;
+  switch (move) {
+    case Move::kCreate:
+      stream.phase = Phase::kLive;
+      live_streams_.fetch_add(1);
+      streams_created_.fetch_add(1);
+      return;
+    case Move::kRestore:
+      stream.phase = Phase::kLive;
+      live_streams_.fetch_add(1);
+      restored_.fetch_add(1);
+      if (spill_enabled()) UpdateResidentBytes(stream);
+      event.kind = EngineEvent::Kind::kRestore;
+      break;
+    case Move::kSpill:
+      stream.phase = Phase::kSpilled;
+      spilled_.fetch_add(1);
+      event.kind = EngineEvent::Kind::kCheckpoint;
+      break;
+    case Move::kFault:
+      stream.phase = Phase::kDown;
+      stream_faults_.fetch_add(1);
+      event.kind = EngineEvent::Kind::kStreamFault;
+      break;
+    case Move::kQuarantine:
+      // A quarantined key never recovers; its fault history and snapshot go.
+      stream.phase = Phase::kQuarantined;
+      stream.error = error;
+      stream.fault_count = 0;
+      stream.cooldown_until = 0;
+      std::string().swap(stream.snapshot);
+      event.kind = EngineEvent::Kind::kError;
+      break;
+    case Move::kForget:
+      // A forgotten key restarts from scratch with a clean fault history.
+      evicted_.fetch_add(1);
+      if (from == Phase::kSpilled) spill_gc_.fetch_add(1);
+      shard.streams.erase(it);
+      event.kind = EngineEvent::Kind::kEviction;
+      break;
+  }
   EmitEvent(std::move(event));
 }
 
-void StreamEngine::HandleStreamFailure(Shard& shard,
-                                       const std::string& stream_id,
-                                       const std::string& profile,
+void StreamEngine::HandleStreamFailure(Shard& shard, StreamTable::iterator it,
                                        std::uint64_t seq, const Status& error,
                                        std::uint64_t latency_ns) {
   if (options_.max_stream_faults == 0) {
     // Historical contract: the first failure quarantines forever.
-    QuarantineStream(shard, stream_id, profile, seq, error, latency_ns);
+    Transition(shard, it, Move::kQuarantine, seq, latency_ns, error);
     return;
   }
-  RecoveryState& rec = shard.recovery[stream_id];
-  rec.profile = profile;
-  ++rec.fault_count;
-  stream_faults_.fetch_add(1);
+  Stream& stream = it->second;
+  ++stream.fault_count;
   // The bag that surfaced the failure is consumed without a result, and the
   // failed detector's state is not trustworthy: tear it down either way.
   dropped_.fetch_add(1);
-  auto existing = shard.detectors.find(stream_id);
-  if (existing != shard.detectors.end()) {
-    resident_bytes_.fetch_sub(existing->second.state_bytes);
-    shard.detectors.erase(existing);
-    live_streams_.fetch_sub(1);
-  }
-  EngineEvent event;
-  event.kind = EngineEvent::Kind::kStreamFault;
-  event.stream_id = stream_id;
-  event.profile = profile;
-  event.sequence = seq;
-  event.enqueue_to_process_ns = latency_ns;
-  event.error = error;
-  EmitEvent(std::move(event));
-  if (rec.fault_count > options_.max_stream_faults) {
+  Transition(shard, it, Move::kFault, seq, latency_ns, error);
+  if (stream.fault_count > options_.max_stream_faults) {
     // Budget exhausted; the quarantine carries the final straw.
-    QuarantineStream(shard, stream_id, profile, seq, error, latency_ns);
+    Transition(shard, it, Move::kQuarantine, seq, latency_ns, error);
     return;
   }
   if (options_.fault_backoff_submissions > 0) {
     // Linear backoff on the global submission sequence: deterministic for a
     // fixed submission order, unlike any wall-clock delay.
-    rec.cooldown_until =
+    stream.cooldown_until =
         seq + options_.fault_backoff_submissions *
-                  static_cast<std::uint64_t>(rec.fault_count);
+                  static_cast<std::uint64_t>(stream.fault_count);
   }
   // Restore from the rolling snapshot when one exists. Each attempt can
   // itself fail (a corrupt blob, or the ckpt.import fault point in a drill);
   // after max_restore_failures such failures the snapshot is declared
-  // poisoned and discarded, and the stream restarts from scratch — lazily,
-  // on its next accepted bag, with its usual per-key seed.
-  while (!rec.snapshot.empty()) {
-    if (rec.restore_failures >= options_.max_restore_failures) {
-      rec.snapshot.clear();
-      rec.restore_failures = 0;
+  // poisoned and discarded, and the stream stays kDown: it restarts from
+  // scratch on its next accepted bag, with its usual per-key seed.
+  while (!stream.snapshot.empty()) {
+    if (stream.restore_failures >= options_.max_restore_failures) {
+      stream.snapshot.clear();
+      stream.restore_failures = 0;
       break;
     }
     const Status restored =
-        ImportStreamLocked(shard, stream_id, rec.profile, rec.snapshot,
-                           rec.snapshot.size(), seq, latency_ns);
+        ImportStreamLocked(shard, it->first, stream.profile, stream.snapshot,
+                           stream.snapshot.size(), seq, latency_ns);
     if (restored.ok()) {
-      rec.restore_failures = 0;
+      stream.restore_failures = 0;
       return;
     }
-    ++rec.restore_failures;
+    ++stream.restore_failures;
   }
 }
 
-void StreamEngine::MaybeSnapshotStream(Shard& shard,
-                                       const std::string& stream_id,
-                                       StreamState& state) {
+void StreamEngine::MaybeSnapshotStream(Stream& stream) {
   if (options_.snapshot_interval == 0) return;
-  if (state.detector->pushed_count() % options_.snapshot_interval != 0) {
+  if (stream.detector->pushed_count() % options_.snapshot_interval != 0) {
     return;
   }
   std::string blob;
   // An export failure just keeps the previous snapshot: strictly better than
   // discarding it, and the next interval retries.
-  if (!state.detector->ExportState(&blob).ok()) return;
-  RecoveryState& rec = shard.recovery[stream_id];
-  rec.profile = state.profile;
-  rec.snapshot = std::move(blob);
-  rec.restore_failures = 0;
+  if (!stream.detector->ExportState(&blob).ok()) return;
+  stream.snapshot = std::move(blob);
+  stream.restore_failures = 0;
 }
 
-void StreamEngine::CollectSpilledStream(Shard& shard,
-                                        const std::string& stream_id,
-                                        std::uint64_t now_seq) {
-  auto it = shard.spilled.find(stream_id);
-  if (it == shard.spilled.end()) return;
-  std::remove(it->second.path.c_str());
-  EngineEvent event;
-  event.kind = EngineEvent::Kind::kEviction;
-  event.stream_id = stream_id;
-  event.profile = it->second.profile;
-  event.sequence = now_seq;
-  shard.spilled.erase(it);
-  // The collected key restarts from scratch, so its fault history goes too.
-  shard.recovery.erase(stream_id);
-  evicted_.fetch_add(1);
-  spill_gc_.fetch_add(1);
-  EmitEvent(std::move(event));
+Result<std::unique_ptr<BagStreamDetector>> StreamEngine::NewDetector(
+    Shard& shard, const std::string& stream_id,
+    const std::string& profile) const {
+  DetectorOptions per_stream = ProfileOptions(profile);
+  per_stream.seed = DeriveStreamSeed(stream_id, profile);
+  BAGCPD_ASSIGN_OR_RETURN(std::unique_ptr<BagStreamDetector> detector,
+                          BagStreamDetector::Create(per_stream));
+  // Signature builds and restores recycle buffers through the shard's pool;
+  // the arena outlives every detector (member declaration order).
+  detector->set_buffer_arena(shard.arena);
+  return detector;
 }
 
 void StreamEngine::SweepIdle(Shard& shard, std::uint64_t now_seq) {
-  // Reclaims detectors idle past the threshold. Without spilling, any stream
-  // erased here would also be restarted by the lazy check on its next bag
-  // (its gap can only grow), so the sweep changes memory usage, never
-  // results. With spilling, victims are exported instead of destroyed and
-  // rehydrate bitwise on their next bag — again memory only, never results.
-  // Spill-file GC: keys that spilled and never returned are reclaimed here
-  // (the lazy per-task check cannot see them — it only runs when a key's
-  // next bag arrives). Sweep timing is shard-dependent, so only counters and
-  // kEviction timing vary with sharding; results never do (a collected key
-  // restarts from scratch either way).
-  if (options_.spill_gc_submissions > 0) {
-    std::vector<std::string> expired;
-    for (const auto& [key, rec] : shard.spilled) {
-      if (now_seq > rec.last_seq &&
-          now_seq - rec.last_seq > options_.spill_gc_submissions) {
-        expired.push_back(key);
-      }
-    }
-    for (const std::string& key : expired) {
-      CollectSpilledStream(shard, key, now_seq);
-    }
+  // Any later bag of a key has a sequence past now_seq, so a key past the
+  // horizon at now_seq + 1 would be forgotten by its next bag's check in
+  // Process anyway: forgetting it here changes memory, never results. With
+  // spilling, a live key idle past max_idle_submissions is spilled first; it
+  // rehydrates bitwise on its next bag, or a later sweep forgets it. Memory
+  // again. Quarantined keys stay, so RunBatch can refuse them.
+  const std::uint64_t next_seq = now_seq + 1;
+  auto spill_due = [&](const Stream& stream) {
+    return spill_enabled() && stream.phase == Phase::kLive &&
+           PastHorizon(stream.last_seq, next_seq,
+                       options_.max_idle_submissions);
+  };
+  auto forget_due = [&](const Stream& stream) {
+    return stream.phase != Phase::kQuarantined &&
+           PastHorizon(stream.last_seq, next_seq, horizon());
+  };
+  std::vector<std::string> idle;
+  for (const auto& [key, stream] : shard.streams) {
+    if (spill_due(stream) || forget_due(stream)) idle.push_back(key);
   }
-  const std::uint64_t max_idle = options_.max_idle_submissions;
-  if (max_idle == 0) return;
-  if (spill_enabled()) {
-    std::vector<std::string> victims;
-    for (const auto& [key, state] : shard.detectors) {
-      if (now_seq > state.last_seq && now_seq - state.last_seq > max_idle) {
-        victims.push_back(key);
-      }
-    }
-    for (const std::string& key : victims) {
-      SpillStream(shard, key, now_seq);
-    }
-    return;
-  }
-  for (auto it = shard.detectors.begin(); it != shard.detectors.end();) {
-    if (now_seq > it->second.last_seq &&
-        now_seq - it->second.last_seq > max_idle) {
-      EngineEvent event;
-      event.kind = EngineEvent::Kind::kEviction;
-      event.stream_id = it->first;
-      event.profile = it->second.profile;
-      event.sequence = now_seq;
-      shard.recovery.erase(it->first);
-      it = shard.detectors.erase(it);
-      evicted_.fetch_add(1);
-      live_streams_.fetch_sub(1);
-      EmitEvent(std::move(event));
-    } else {
-      ++it;
-    }
+  for (const std::string& key : idle) {
+    auto it = shard.streams.find(key);
+    if (spill_due(it->second) && SpillStream(shard, it, now_seq)) continue;
+    if (forget_due(it->second)) Transition(shard, it, Move::kForget, now_seq);
   }
 }
 
@@ -531,28 +517,60 @@ void StreamEngine::Process(Shard& shard, Task task) {
   while (latency_ns > prev_max &&
          !latency_max_ns_.compare_exchange_weak(prev_max, latency_ns)) {
   }
-  if (shard.quarantined.count(task.stream_id) > 0) {
-    dropped_.fetch_add(1);
-    return;
+  // One lookup, then one fixed order of decisions for every phase. Each
+  // depends only on the key's bags and the global submission sequence, so
+  // the outcome is the same for every shard count.
+  auto it = shard.streams.find(task.stream_id);
+  if (it != shard.streams.end()) {
+    const Stream& stream = it->second;
+    if (stream.phase == Phase::kQuarantined) {
+      dropped_.fetch_add(1);
+      return;
+    }
+    if (PastHorizon(stream.last_seq, task.seq, horizon())) {
+      // Idle past the horizon, whatever the phase: forget the key, and this
+      // bag starts it afresh with a clean history.
+      Transition(shard, it, Move::kForget, task.seq, latency_ns);
+      it = shard.streams.end();
+    } else if (stream.profile != task.profile) {
+      // A key is bound to one profile until it is forgotten; a conflicting
+      // submission is a caller bug, surfaced like any other stream failure.
+      // The event carries the BOUND profile; the message names both.
+      Transition(shard, it, Move::kQuarantine, task.seq, latency_ns,
+                 Status::Invalid("stream '" + task.stream_id +
+                                 "' is bound to profile '" + stream.profile +
+                                 "' but was submitted with profile '" +
+                                 task.profile + "'"));
+      return;
+    } else {
+      // Any bag of the key, even one dropped below, is activity: a key that
+      // keeps sending through a backoff window is not idle.
+      it->second.last_seq = task.seq;
+    }
   }
+  // The key's entry, created bound to this bag's profile on first sight.
+  auto bind = [&] {
+    if (it == shard.streams.end()) {
+      it = shard.streams.try_emplace(task.stream_id).first;
+      it->second.profile = task.profile;
+      it->second.last_seq = task.seq;
+    }
+  };
   if (!task.bag.ok()) {
     // Flattening failed at the ingest boundary: quarantine exactly like a
     // detector failure so later bags of this key are dropped, not processed
     // out of order, and any detector built by earlier good bags is freed.
-    QuarantineStream(shard, task.stream_id, task.profile, task.seq,
-                     task.bag.status(), latency_ns);
+    bind();
+    Transition(shard, it, Move::kQuarantine, task.seq, latency_ns,
+               task.bag.status());
     return;
   }
-  {
+  if (it != shard.streams.end() && task.seq <= it->second.cooldown_until) {
     // Backoff window from an earlier contained failure: bags inside it are
     // dropped. Keyed to the submission sequence, so the window covers the
     // same bags for every shard count.
-    auto rec_it = shard.recovery.find(task.stream_id);
-    if (rec_it != shard.recovery.end() &&
-        task.seq <= rec_it->second.cooldown_until) {
-      dropped_.fetch_add(1);
-      return;
-    }
+    dropped_.fetch_add(1);
+    return;
   }
   if (!task.ingest_error.ok()) {
     // The ingest boundary tagged this bag (non-finite values or an injected
@@ -570,128 +588,35 @@ void StreamEngine::Process(Shard& shard, Task task) {
     EmitEvent(std::move(event));
     return;
   }
-  if (spill_enabled()) {
-    auto spilled_it = shard.spilled.find(task.stream_id);
-    if (spilled_it != shard.spilled.end()) {
-      if (spilled_it->second.profile != task.profile) {
-        // The binding survives the spill: a conflicting submission is the
-        // same caller bug as against a resident stream.
-        QuarantineStream(shard, task.stream_id, spilled_it->second.profile,
-                         task.seq,
-                         Status::Invalid("stream '" + task.stream_id +
-                                         "' is bound to profile '" +
-                                         spilled_it->second.profile +
-                                         "' but was submitted with profile '" +
-                                         task.profile + "'"),
-                         latency_ns);
-        return;
-      }
-      if (options_.spill_gc_submissions > 0 &&
-          task.seq - spilled_it->second.last_seq - 1 >
-              options_.spill_gc_submissions) {
-        // The key outlived the GC horizon before this bag arrived: collect
-        // the stale file now (the sweep may simply not have run yet) so the
-        // keep-or-restart decision is a pure function of the submission
-        // sequence, then fall through to a from-scratch restart.
-        CollectSpilledStream(shard, task.stream_id, task.seq);
-      } else {
-        const Status restored =
-            RehydrateStream(shard, task.stream_id, task.seq, latency_ns);
-        if (!restored.ok()) {
-          // Enters the recovery ladder: with a fault budget the stream
-          // restarts (from snapshot or scratch) and THIS bag is dropped;
-          // without one it quarantines exactly as before.
-          HandleStreamFailure(shard, task.stream_id, task.profile, task.seq,
-                              restored, latency_ns);
-          return;
-        }
-      }
-    }
-  }
-  auto it = shard.detectors.find(task.stream_id);
-  // The lazy idle-restart only exists without spilling: a spilling engine
-  // preserves idle state (on disk at worst) instead of discarding it.
-  if (!spill_enabled() && it != shard.detectors.end() &&
-      options_.max_idle_submissions > 0 &&
-      task.seq - it->second.last_seq - 1 > options_.max_idle_submissions) {
-    // The key sat idle past the threshold: restart it from scratch. The
-    // decision depends only on the global submission sequence, so it is
-    // identical for any shard count.
-    EngineEvent event;
-    event.kind = EngineEvent::Kind::kEviction;
-    event.stream_id = task.stream_id;
-    event.profile = it->second.profile;
-    event.sequence = task.seq;
-    event.enqueue_to_process_ns = latency_ns;
-    shard.detectors.erase(it);
-    it = shard.detectors.end();
-    // An evicted key restarts with a clean fault history (same decision the
-    // sweep-based eviction makes); keyed to the sequence, so deterministic.
-    shard.recovery.erase(task.stream_id);
-    evicted_.fetch_add(1);
-    live_streams_.fetch_sub(1);
-    EmitEvent(std::move(event));
-  }
-  if (it != shard.detectors.end() && it->second.profile != task.profile) {
-    // A key is bound to one profile for its whole (un-evicted) life; a
-    // conflicting submission is a caller bug, surfaced like any other
-    // stream failure. Depends only on submission order, so the outcome is
-    // shard-count deterministic. The event carries the BOUND profile (the
-    // EngineEvent.profile contract); the message names both.
-    QuarantineStream(shard, task.stream_id, it->second.profile, task.seq,
-                     Status::Invalid("stream '" + task.stream_id +
-                                     "' is bound to profile '" +
-                                     it->second.profile +
-                                     "' but was submitted with profile '" +
-                                     task.profile + "'"),
-                     latency_ns);
-    return;
-  }
-  if (it == shard.detectors.end()) {
-    // A stream torn down by a contained fault keeps its profile binding in
-    // the recovery record; a conflicting later submission is the same caller
-    // bug as against a resident stream.
-    auto rec_it = shard.recovery.find(task.stream_id);
-    if (rec_it != shard.recovery.end() &&
-        !rec_it->second.profile.empty() &&
-        rec_it->second.profile != task.profile) {
-      QuarantineStream(shard, task.stream_id, rec_it->second.profile, task.seq,
-                       Status::Invalid("stream '" + task.stream_id +
-                                       "' is bound to profile '" +
-                                       rec_it->second.profile +
-                                       "' but was submitted with profile '" +
-                                       task.profile + "'"),
-                       latency_ns);
+  bind();
+  Stream& stream = it->second;
+  if (stream.phase == Phase::kSpilled) {
+    const Status restored = RehydrateStream(shard, it, task.seq, latency_ns);
+    if (!restored.ok()) {
+      // Enters the recovery ladder: with a fault budget the stream restarts
+      // (from snapshot or scratch) and THIS bag is dropped; without one it
+      // quarantines.
+      HandleStreamFailure(shard, it, task.seq, restored, latency_ns);
       return;
     }
-    DetectorOptions per_stream = ProfileOptions(task.profile);
-    per_stream.seed = DeriveStreamSeed(task.stream_id, task.profile);
-    StreamState state;
+  } else if (stream.phase == Phase::kDown) {
     // Cannot fail: every registered profile was validated up front and the
     // engine only changes the seed.
     Result<std::unique_ptr<BagStreamDetector>> created =
-        BagStreamDetector::Create(per_stream);
+        NewDetector(shard, task.stream_id, stream.profile);
     BAGCPD_CHECK_MSG(created.ok(), "validated profile failed Create: %s",
                      created.status().ToString().c_str());
-    state.detector = created.MoveValueUnsafe();
-    state.profile = task.profile;
-    // Signature builds for this stream recycle buffers through the shard's
-    // pool; the arena outlives every detector (member declaration order).
-    state.detector->set_buffer_arena(shard.arena);
-    it = shard.detectors.emplace(task.stream_id, std::move(state)).first;
-    streams_created_.fetch_add(1);
-    live_streams_.fetch_add(1);
+    stream.detector = created.MoveValueUnsafe();
+    Transition(shard, it, Move::kCreate, task.seq);
   }
-  it->second.last_seq = task.seq;
   Result<std::optional<StepResult>> step =
-      it->second.detector->Push(task.bag.ValueOrDie().view());
+      stream.detector->Push(task.bag.ValueOrDie().view());
   if (!step.ok()) {
-    HandleStreamFailure(shard, task.stream_id, task.profile, task.seq,
-                        step.status(), latency_ns);
+    HandleStreamFailure(shard, it, task.seq, step.status(), latency_ns);
     return;
   }
-  if (spill_enabled()) UpdateResidentBytes(it->second);
-  MaybeSnapshotStream(shard, task.stream_id, it->second);
+  if (spill_enabled()) UpdateResidentBytes(stream);
+  MaybeSnapshotStream(stream);
   if (!step.ValueOrDie().has_value()) return;
   EngineEvent event;
   event.kind = EngineEvent::Kind::kStep;
@@ -754,13 +679,13 @@ Result<std::map<std::string, std::vector<StepResult>>> StreamEngine::RunBatch(
   DrainEvents();
   // A key quarantined by earlier traffic would have its batch bags silently
   // dropped; refuse up front instead.
-  {
-    std::lock_guard<std::mutex> lock(events_mu_);
-    for (const auto& [key, bags] : streams) {
-      if (quarantined_keys_.count(key) > 0) {
-        return Status::Invalid("stream '" + key +
-                               "' was quarantined by an earlier failure");
-      }
+  for (const auto& [key, bags] : streams) {
+    Shard& shard = *shards_[ShardOf(key)];
+    std::unique_lock<std::mutex> lock = QuiesceShard(shard);
+    auto it = shard.streams.find(key);
+    if (it != shard.streams.end() && it->second.phase == Phase::kQuarantined) {
+      return Status::Invalid("stream '" + key +
+                             "' was quarantined by an earlier failure");
     }
   }
   // Interleave submissions time-step-first so every shard has work from the
@@ -805,14 +730,14 @@ std::unique_lock<std::mutex> StreamEngine::QuiesceShard(Shard& shard) {
   return lock;
 }
 
-void StreamEngine::UpdateResidentBytes(StreamState& state) {
-  const std::size_t now = state.detector->EstimatedStateBytes();
-  if (now >= state.state_bytes) {
-    resident_bytes_.fetch_add(now - state.state_bytes);
+void StreamEngine::UpdateResidentBytes(Stream& stream) {
+  const std::size_t now = stream.detector->EstimatedStateBytes();
+  if (now >= stream.state_bytes) {
+    resident_bytes_.fetch_add(now - stream.state_bytes);
   } else {
-    resident_bytes_.fetch_sub(state.state_bytes - now);
+    resident_bytes_.fetch_sub(stream.state_bytes - now);
   }
-  state.state_bytes = now;
+  stream.state_bytes = now;
 }
 
 std::string StreamEngine::SpillPathFor(const std::string& stream_id) {
@@ -823,10 +748,10 @@ std::string StreamEngine::SpillPathFor(const std::string& stream_id) {
          std::to_string(spill_file_seq_.fetch_add(1)) + ".ckpt";
 }
 
-bool StreamEngine::SpillStream(Shard& shard, const std::string& stream_id,
+bool StreamEngine::SpillStream(Shard& shard, StreamTable::iterator it,
                                std::uint64_t now_seq) {
-  auto it = shard.detectors.find(stream_id);
-  if (it == shard.detectors.end()) return false;
+  const std::string& stream_id = it->first;
+  Stream& stream = it->second;
   // `spill.write` fault point: behaves exactly like a failed file write —
   // the stream stays resident, nothing is lost, memory pressure persists.
   if (fault::FaultFires(fault::FaultPoint::kSpillWrite,
@@ -835,51 +760,32 @@ bool StreamEngine::SpillStream(Shard& shard, const std::string& stream_id,
     return false;
   }
   std::string detector_blob;
-  if (!it->second.detector->ExportState(&detector_blob).ok()) return false;
+  if (!stream.detector->ExportState(&detector_blob).ok()) return false;
   std::string stream_blob;
-  serialize::BuildStreamBlob(stream_id, it->second.profile, detector_blob,
+  serialize::BuildStreamBlob(stream_id, stream.profile, detector_blob,
                              &stream_blob);
-  SpilledStream rec;
-  rec.path = SpillPathFor(stream_id);
-  rec.profile = it->second.profile;
-  rec.last_seq = it->second.last_seq;
-  rec.blob_bytes = stream_blob.size();
-  if (!serialize::WriteFileBytes(rec.path, stream_blob).ok()) {
+  std::string path = SpillPathFor(stream_id);
+  if (!serialize::WriteFileBytes(path, stream_blob).ok()) {
     // Stream stays resident: memory pressure persists but nothing is lost.
-    std::remove(rec.path.c_str());
+    std::remove(path.c_str());
     return false;
   }
-  EngineEvent event;
-  event.kind = EngineEvent::Kind::kCheckpoint;
-  event.stream_id = stream_id;
-  event.profile = it->second.profile;
-  event.sequence = now_seq;
-  event.blob_bytes = rec.blob_bytes;
-  resident_bytes_.fetch_sub(it->second.state_bytes);
-  // Record the spill BEFORE erasing the detector entry: callers (the budget
-  // LRU in particular) pass a stream_id that aliases the map node's key, so
-  // the erase must be the last read of it.
-  shard.spilled.emplace(stream_id, std::move(rec));
-  shard.detectors.erase(it);
-  live_streams_.fetch_sub(1);
-  spilled_.fetch_add(1);
-  EmitEvent(std::move(event));
+  stream.spill_path = std::move(path);
+  Transition(shard, it, Move::kSpill, now_seq, /*latency_ns=*/0, Status(),
+             stream_blob.size());
   return true;
 }
 
-Status StreamEngine::RehydrateStream(Shard& shard, const std::string& stream_id,
+Status StreamEngine::RehydrateStream(Shard& shard, StreamTable::iterator it,
                                      std::uint64_t seq,
                                      std::uint64_t latency_ns) {
-  auto rec_it = shard.spilled.find(stream_id);
-  SpilledStream rec = std::move(rec_it->second);
-  shard.spilled.erase(rec_it);
-  // `spill.read` fault point: behaves exactly like an unreadable spill file.
-  // The record is consumed like on any other failure (the caller runs the
-  // recovery ladder), and the file is deleted below with the shared epilog.
+  const std::string& stream_id = it->first;
+  const Stream& stream = it->second;
+  // `spill.read` fault point: behaves exactly like an unreadable spill file
+  // (the caller's recovery ladder deletes it with the phase change).
   if (fault::FaultFires(fault::FaultPoint::kSpillRead,
                         Rng::StableHash64(stream_id),
                         fault_spill_read_ops_.fetch_add(1) + 1)) {
-    std::remove(rec.path.c_str());
     return Status::IoError(
         "fault-injected: spill.read (simulated unreadable spill file)");
   }
@@ -889,22 +795,19 @@ Status StreamEngine::RehydrateStream(Shard& shard, const std::string& stream_id,
   Status status = [&]() -> Status {
     BAGCPD_ASSIGN_OR_RETURN(
         std::size_t bytes,
-        serialize::ReadFileBytes(rec.path, shard.arena, &storage));
+        serialize::ReadFileBytes(stream.spill_path, shard.arena, &storage));
     const std::string_view blob = serialize::FileBytesView(storage, bytes);
     BAGCPD_ASSIGN_OR_RETURN(serialize::StreamBlobParts parts,
                             serialize::ParseStreamBlob(blob));
-    if (parts.key != stream_id || parts.profile != rec.profile) {
-      return Status::IoError("spill file '" + rec.path +
+    if (parts.key != stream_id || parts.profile != stream.profile) {
+      return Status::IoError("spill file '" + stream.spill_path +
                              "' does not match stream '" + stream_id + "'");
     }
-    return ImportStreamLocked(shard, stream_id, rec.profile,
+    return ImportStreamLocked(shard, stream_id, stream.profile,
                               parts.detector_blob, blob.size(), seq,
                               latency_ns);
   }();
   shard.arena->Release(std::move(storage));
-  // The spill file is consumed either way: on success the state is resident
-  // again, on failure the caller quarantines the stream.
-  std::remove(rec.path.c_str());
   return status;
 }
 
@@ -914,15 +817,17 @@ void StreamEngine::EnforceSpillBudget(Shard& shard, std::uint64_t now_seq) {
   // single hot stream cannot thrash through its own spill file. Other shards
   // enforce the same budget from their own workers.
   while (resident_bytes_.load() > options_.spill_resident_bytes) {
-    const std::string* victim = nullptr;
+    auto victim = shard.streams.end();
     std::uint64_t coldest = now_seq;
-    for (const auto& [key, state] : shard.detectors) {
-      if (state.last_seq < coldest) {
-        coldest = state.last_seq;
-        victim = &key;
+    for (auto it = shard.streams.begin(); it != shard.streams.end(); ++it) {
+      if (it->second.phase == Phase::kLive && it->second.last_seq < coldest) {
+        coldest = it->second.last_seq;
+        victim = it;
       }
     }
-    if (victim == nullptr || !SpillStream(shard, *victim, now_seq)) return;
+    if (victim == shard.streams.end() || !SpillStream(shard, victim, now_seq)) {
+      return;
+    }
   }
 }
 
@@ -936,41 +841,36 @@ Status StreamEngine::ExportStream(const std::string& stream_id,
 Status StreamEngine::ExportStreamLocked(Shard& shard,
                                         const std::string& stream_id,
                                         std::string* blob) {
-  auto quarantined = shard.quarantined.find(stream_id);
-  if (quarantined != shard.quarantined.end()) {
+  auto it = shard.streams.find(stream_id);
+  if (it != shard.streams.end() && it->second.phase == Phase::kQuarantined) {
     return Status::Invalid("stream '" + stream_id + "' is quarantined: " +
-                           quarantined->second.ToString());
+                           it->second.error.ToString());
   }
-  std::string profile;
-  auto it = shard.detectors.find(stream_id);
-  if (it != shard.detectors.end()) {
+  if (it == shard.streams.end() || it->second.phase == Phase::kDown) {
+    return Status::Invalid("no stream with key '" + stream_id + "'");
+  }
+  const Stream& stream = it->second;
+  if (stream.phase == Phase::kLive) {
     std::string detector_blob;
-    BAGCPD_RETURN_NOT_OK(it->second.detector->ExportState(&detector_blob));
+    BAGCPD_RETURN_NOT_OK(stream.detector->ExportState(&detector_blob));
     blob->clear();
-    serialize::BuildStreamBlob(stream_id, it->second.profile, detector_blob,
-                               blob);
-    profile = it->second.profile;
+    serialize::BuildStreamBlob(stream_id, stream.profile, detector_blob, blob);
   } else {
-    auto spilled = shard.spilled.find(stream_id);
-    if (spilled == shard.spilled.end()) {
-      return Status::Invalid("no stream with key '" + stream_id + "'");
-    }
     // A spilled stream's file already IS its engine-stream blob.
     std::vector<double> storage;
     Result<std::size_t> read =
-        serialize::ReadFileBytes(spilled->second.path, shard.arena, &storage);
+        serialize::ReadFileBytes(stream.spill_path, shard.arena, &storage);
     if (!read.ok()) {
       shard.arena->Release(std::move(storage));
       return read.status();
     }
     blob->assign(serialize::FileBytesView(storage, read.ValueOrDie()));
     shard.arena->Release(std::move(storage));
-    profile = spilled->second.profile;
   }
   EngineEvent event;
   event.kind = EngineEvent::Kind::kCheckpoint;
   event.stream_id = stream_id;
-  event.profile = std::move(profile);
+  event.profile = stream.profile;
   event.sequence = submit_seq_.load();
   event.blob_bytes = blob->size();
   EmitEvent(std::move(event));
@@ -993,15 +893,17 @@ Status StreamEngine::ImportStream(const std::string& stream_id,
   }
   Shard& shard = *shards_[ShardOf(stream_id)];
   std::unique_lock<std::mutex> lock = QuiesceShard(shard);
-  if (shard.quarantined.count(stream_id) > 0) {
-    return Status::Invalid("stream '" + stream_id +
-                           "' was quarantined by an earlier failure");
-  }
-  if (shard.detectors.count(stream_id) > 0 ||
-      shard.spilled.count(stream_id) > 0) {
-    return Status::Invalid(
-        "stream '" + stream_id +
-        "' is already bound; an import may not replace live state");
+  auto it = shard.streams.find(stream_id);
+  if (it != shard.streams.end()) {
+    if (it->second.phase == Phase::kQuarantined) {
+      return Status::Invalid("stream '" + stream_id +
+                             "' was quarantined by an earlier failure");
+    }
+    if (it->second.phase != Phase::kDown) {
+      return Status::Invalid(
+          "stream '" + stream_id +
+          "' is already bound; an import may not replace live state");
+    }
   }
   return ImportStreamLocked(shard, stream_id, profile, parts.detector_blob,
                             blob.size(), submit_seq_.load(),
@@ -1023,32 +925,20 @@ Status StreamEngine::ImportStreamLocked(Shard& shard,
                         fault_ckpt_import_ops_.fetch_add(1) + 1)) {
     return fault::InjectedFaultError(fault::FaultPoint::kCkptImport);
   }
-  DetectorOptions per_stream = ProfileOptions(profile);
-  per_stream.seed = DeriveStreamSeed(stream_id, profile);
   // The spec gate inside ImportState compares the blob's result keys against
-  // these options' (seed included), so a wrong profile definition or engine
-  // seed surfaces as Invalid here rather than as silently different scores.
+  // the profile's options (seed included), so a wrong profile definition or
+  // engine seed surfaces as Invalid here rather than as silently different
+  // scores.
   BAGCPD_ASSIGN_OR_RETURN(std::unique_ptr<BagStreamDetector> detector,
-                          BagStreamDetector::Create(per_stream));
-  detector->set_buffer_arena(shard.arena);
+                          NewDetector(shard, stream_id, profile));
   BAGCPD_RETURN_NOT_OK(detector->ImportState(detector_blob));
-  StreamState state;
-  state.detector = std::move(detector);
-  state.profile = profile;
-  state.last_seq = last_seq;
-  auto it = shard.detectors.emplace(stream_id, std::move(state)).first;
-  if (spill_enabled()) UpdateResidentBytes(it->second);
   // Restores continue an existing stream, so streams_created_ stays put.
-  live_streams_.fetch_add(1);
-  restored_.fetch_add(1);
-  EngineEvent event;
-  event.kind = EngineEvent::Kind::kRestore;
-  event.stream_id = stream_id;
-  event.profile = profile;
-  event.sequence = last_seq;
-  event.enqueue_to_process_ns = latency_ns;
-  event.blob_bytes = blob_bytes;
-  EmitEvent(std::move(event));
+  auto it = shard.streams.try_emplace(stream_id).first;
+  it->second.profile = profile;
+  it->second.detector = std::move(detector);
+  it->second.last_seq = last_seq;
+  Transition(shard, it, Move::kRestore, last_seq, latency_ns, Status(),
+             blob_bytes);
   return Status::OK();
 }
 
@@ -1062,9 +952,11 @@ Status StreamEngine::Checkpoint(std::string* blob) {
     Shard& shard = *shard_ptr;
     std::unique_lock<std::mutex> lock = QuiesceShard(shard);
     std::vector<std::string> keys;
-    keys.reserve(shard.detectors.size() + shard.spilled.size());
-    for (const auto& [key, state] : shard.detectors) keys.push_back(key);
-    for (const auto& [key, rec] : shard.spilled) keys.push_back(key);
+    for (const auto& [key, stream] : shard.streams) {
+      if (stream.phase == Phase::kLive || stream.phase == Phase::kSpilled) {
+        keys.push_back(key);
+      }
+    }
     std::sort(keys.begin(), keys.end());
     for (const std::string& key : keys) {
       std::string stream_blob;

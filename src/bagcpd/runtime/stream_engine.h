@@ -21,10 +21,33 @@
 // idle eviction is an EngineEvent delivered either to a caller-installed
 // sink (set_event_sink) or into a drainable queue (DrainEvents).
 //
+// Stream lifecycle: each shard keeps one table from key to stream, and a
+// stream is in one of four phases — live (a resident detector), spilled
+// (its state in a spill file), down (torn down by a contained fault, to
+// restart on its next bag) or quarantined (failed for good; its bags are
+// dropped). A key the engine has forgotten has no entry. Every bag meets
+// the same decisions in the same order, whatever the phase:
+//   1. quarantined: drop the bag;
+//   2. past the horizon: forget the key (kEviction) and treat the bag as
+//      the first of a new stream with a clean fault history;
+//   3. bound to another profile: quarantine;
+//   4. ragged: quarantine; in a backoff window or tagged bad at ingest:
+//      drop;
+//   5. spilled: rehydrate; down or new: create a detector;
+//   6. push.
+// The horizon is one rule: a key is past it when strictly more than H
+// engine-wide submissions came between its last bag and this one, where H
+// is spill_gc_submissions with spilling and max_idle_submissions without
+// (H = 0: no horizon). Each decision is a function of the key's own bags
+// and the global submission sequence, so results are the same for every
+// shard count. A periodic per-shard sweep applies the same horizon to keys
+// that never return (and, with spilling, moves idle live keys to disk); it
+// changes memory and counters, never results.
+//
 // This is the serving layer the ROADMAP's "millions of streams" target grows
 // on: Submit() for online pushes, TrySubmit() for non-blocking ingest,
-// RunBatch() for offline sweeps over a keyed corpus, and optional
-// idle-stream eviction so mostly-idle keys do not pin detector memory.
+// RunBatch() for offline sweeps over a keyed corpus, and the idle horizon
+// and spilling so mostly-idle keys do not pin detector memory.
 
 #ifndef BAGCPD_RUNTIME_STREAM_ENGINE_H_
 #define BAGCPD_RUNTIME_STREAM_ENGINE_H_
@@ -42,7 +65,6 @@
 #include <string_view>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -95,19 +117,21 @@ struct StreamEngineOptions {
   /// watch the counters; kError events still queue, so failures are never
   /// lost.
   bool collect_results = true;
-  /// When > 0, a stream key is evicted once strictly more than this many
-  /// engine-wide submissions (of any key) have been enqueued since the key's
-  /// previous bag: its detector (window state, log-EMD table, CI history) is
-  /// destroyed, and a later bag for the key starts a fresh detector with the
-  /// same per-key seed. Idleness is measured on the global submission
-  /// sequence — never on shard-local activity — so for every key that
-  /// receives another bag, the evict-or-continue decision (and therefore
-  /// every result) is independent of the shard count. Keys that never
-  /// return are reclaimed by a periodic per-shard sweep whose timing does
-  /// depend on sharding, so evicted_count()/live_stream_count() — and the
-  /// timing of kEviction events — may differ across shard counts even though
-  /// results never do.
-  /// 0 disables eviction (streams live forever).
+  /// Without spilling, the horizon: when > 0, a key whose previous bag lies
+  /// strictly more than this many engine-wide submissions (of any key)
+  /// back is forgotten — live or down, its detector and fault history are
+  /// dropped (kEviction) — and its next bag starts a fresh detector with
+  /// the same per-key seed. With spilling (spill_directory set) it only
+  /// decides when the sweep moves an idle live stream to disk, and
+  /// spill_gc_submissions is the horizon instead. The gap is counted on the
+  /// global submission sequence, never on shard-local activity, so the
+  /// forget-or-continue decision for a returning key, and so every result,
+  /// is the same for any shard count. Keys that never return are reclaimed
+  /// by a periodic per-shard sweep whose timing depends on sharding: the
+  /// counters (evicted_count(), live_stream_count(), spilled_count()) and
+  /// the timing of kEviction events may differ across shard counts,
+  /// results never. 0: no horizon without spilling (streams live forever),
+  /// no idle spilling with it.
   std::uint64_t max_idle_submissions = 0;
   /// Per-shard buffer-arena tuning. Each shard owns one BufferArena; ingest
   /// flattening and the shard's detector signature builds recycle buffers
@@ -120,9 +144,10 @@ struct StreamEngineOptions {
   /// directory and frees the detector; the next bag for the key transparently
   /// re-imports the blob and continues with bitwise-identical results — no
   /// restart, so with spilling on max_idle_submissions governs when state
-  /// leaves memory, never whether it survives. The directory must already
-  /// exist and be writable; a stream whose spill file cannot be read back is
-  /// quarantined like any other stream failure. Empty disables spilling.
+  /// leaves memory, and only spill_gc_submissions decides whether it
+  /// survives. The directory must already exist and be writable; a stream
+  /// whose spill file cannot be read back fails like any other stream
+  /// (quarantine, or the fault budget's restart). Empty disables spilling.
   std::string spill_directory;
   /// Engine-wide resident-detector-state byte budget for the spill LRU; when
   /// > 0 (requires spill_directory) each shard spills its coldest streams —
@@ -161,12 +186,16 @@ struct StreamEngineOptions {
   /// declared poisoned and discarded (the stream then restarts from scratch
   /// with its usual per-key seed).
   std::size_t max_restore_failures = 2;
-  /// Spill-file garbage collection for keys that never return. When > 0
-  /// (requires spill_directory), a spilled stream whose key has not been seen
-  /// for strictly more than this many engine-wide submissions has its spill
-  /// file deleted and its record dropped (kEviction event, counted in both
-  /// evicted_count() and spill_gc_count()); a later bag restarts the stream
-  /// from scratch. 0 keeps spill files forever.
+  /// With spilling, the horizon (see max_idle_submissions for the rule and
+  /// its shard-count contract). When > 0 (requires spill_directory), a key
+  /// whose previous bag lies strictly more than this many engine-wide
+  /// submissions back is forgotten, whatever its phase: its spill file is
+  /// deleted (counted in spill_gc_count()), a live detector or a down
+  /// stream's fault history is dropped, a kEviction event is emitted and
+  /// evicted_count() grows; a later bag restarts the stream from scratch.
+  /// The check on the key's next bag decides this; the sweep only reclaims
+  /// keys that never return (spilling an idle live key first, collecting
+  /// it on a later sweep). 0: no horizon, spill files are kept forever.
   std::uint64_t spill_gc_submissions = 0;
   /// Fault-injection spec armed on the process-wide injector at engine
   /// construction, e.g. "spill.read:every-n:3" (syntax in
@@ -185,8 +214,12 @@ struct EngineEvent {
   enum class Kind {
     /// `step` holds the detector output for `stream_id`.
     kStep,
-    /// `stream_id` sat idle past max_idle_submissions and its detector was
-    /// destroyed; a later bag restarts it from scratch.
+    /// `stream_id` went past the horizon (max_idle_submissions, or
+    /// spill_gc_submissions with spilling) and was forgotten: its detector,
+    /// spill file and fault history are gone, and a later bag restarts it
+    /// from scratch. Whether a returning key restarts is the same for every
+    /// shard count; only when the sweep reports a key that never returns
+    /// depends on sharding.
     kEviction,
     /// `error` holds the failure that quarantined `stream_id` (ragged bag,
     /// detector failure, or a profile conflict). Later bags are dropped.
@@ -400,15 +433,15 @@ class StreamEngine {
   /// \brief Number of detectors created so far (a key evicted and seen again
   /// counts twice).
   std::size_t stream_count() const { return streams_created_.load(); }
-  /// \brief Number of idle-stream evictions so far.
+  /// \brief Number of keys forgotten past the horizon so far (kEviction).
   std::uint64_t evicted_count() const { return evicted_.load(); }
-  /// \brief Detectors currently resident across all shards.
+  /// \brief Detectors currently resident across all shards (live streams).
   std::size_t live_stream_count() const { return live_streams_.load(); }
   /// \brief Contained stream failures so far (kStreamFault events charged
   /// against a fault budget; quarantines surface in kError events instead).
   std::uint64_t stream_fault_count() const { return stream_faults_.load(); }
-  /// \brief Spill files garbage-collected so far (keys that never returned;
-  /// also counted in evicted_count()).
+  /// \brief Keys forgotten while spilled, their spill file deleted (also
+  /// counted in evicted_count()).
   std::uint64_t spill_gc_count() const { return spill_gc_.load(); }
   /// \brief Aggregated buffer-pool counters across all shard arenas.
   BufferArenaStats arena_stats() const;
@@ -431,7 +464,7 @@ class StreamEngine {
     // detector failure), not reject the Submit call. The initializer only
     // makes Task default-constructible for the worker's pop loop.
     Result<FlatBag> bag = Status::Invalid("empty task");
-    // Global submission sequence number; drives idle eviction.
+    // Global submission sequence number; the horizon is measured on it.
     std::uint64_t seq = 0;
     // Non-OK when the ingest boundary tagged this bag as bad (non-finite
     // values, or an injected arena.alloc fault): the shard drops the bag with
@@ -442,24 +475,35 @@ class StreamEngine {
     std::chrono::steady_clock::time_point enqueued_at;
   };
 
-  struct StreamState {
-    std::unique_ptr<BagStreamDetector> detector;
-    // Profile the key bound to at detector creation.
-    std::string profile;
-    std::uint64_t last_seq = 0;
-    // Last EstimatedStateBytes() reading, folded into resident_bytes_;
-    // maintained only when spilling is enabled.
-    std::size_t state_bytes = 0;
+  // Where a stream's state lives. A key the engine never saw, or has
+  // forgotten, has no entry at all.
+  enum class Phase {
+    kLive,         // resident detector
+    kSpilled,      // state in a spill file, no detector
+    kDown,         // torn down by a contained fault, restarts on its next bag
+    kQuarantined,  // failed for good; later bags are dropped
   };
 
-  // Self-healing bookkeeping for one stream key. Lives OUTSIDE StreamState so
-  // it survives detector teardown and spilling; erased on quarantine and on
-  // eviction/GC (an evicted key restarts with a clean history). Never part of
-  // Checkpoint(): snapshots are recovery metadata, not engine state.
-  struct RecoveryState {
-    // Profile the key bound to; snapshots restore against it and a
-    // conflicting later submission quarantines like a resident conflict.
+  // One stream key's whole engine-side state, owned by its shard's worker.
+  struct Stream {
+    // A fresh entry holds nothing until its first move (see Move).
+    Phase phase = Phase::kDown;
+    // Profile the key is bound to; every event of the key carries it.
     std::string profile;
+    // Sequence of the key's last bag, dropped bags included (an import
+    // stamps the sequence it ran at); the horizon is measured from here.
+    std::uint64_t last_seq = 0;
+    // kLive: the detector and its last EstimatedStateBytes() reading, folded
+    // into resident_bytes_ (maintained only when spilling is enabled).
+    std::unique_ptr<BagStreamDetector> detector;
+    std::size_t state_bytes = 0;
+    // kSpilled: the spill file holding the engine-stream blob.
+    std::string spill_path;
+    // kQuarantined: why.
+    Status error;
+    // Recovery fields. They survive teardown and spilling, are cleared by a
+    // quarantine, and go with the entry when the key is forgotten. Never
+    // part of Checkpoint(): snapshots are recovery metadata, not state.
     // Failures charged against max_stream_faults so far.
     std::size_t fault_count = 0;
     // Bags with seq <= cooldown_until are dropped (the backoff window).
@@ -470,14 +514,18 @@ class StreamEngine {
     // Failed restore attempts against the current snapshot.
     std::size_t restore_failures = 0;
   };
+  using StreamTable = std::unordered_map<std::string, Stream>;
 
-  // A stream whose detector state lives in a spill file instead of memory.
-  struct SpilledStream {
-    std::string path;
-    std::string profile;
-    std::uint64_t last_seq = 0;
-    std::uint64_t blob_bytes = 0;
-  };
+  // A phase change, named by what it records. Each move has one target
+  // phase and, except kCreate, one event:
+  //   kCreate     -> kLive, fresh detector     (streams_created_)
+  //   kRestore    -> kLive, from a state blob  (restored_, kRestore)
+  //   kSpill      kLive -> kSpilled            (spilled_, kCheckpoint)
+  //   kFault      -> kDown                     (stream_faults_, kStreamFault)
+  //   kQuarantine -> kQuarantined              (kError)
+  //   kForget     -> no entry                  (evicted_, spill_gc_ when
+  //                                             spilled, kEviction)
+  enum class Move { kCreate, kRestore, kSpill, kFault, kQuarantine, kForget };
 
   struct Shard {
     std::mutex mu;
@@ -488,14 +536,9 @@ class StreamEngine {
     std::condition_variable drained;
     std::deque<Task> queue;
     bool busy = false;
-    // Touched only by this shard's worker thread (keyed state lives with the
-    // shard that owns the key).
-    std::unordered_map<std::string, StreamState> detectors;
-    // Spilled keys of this shard (same ownership rules as detectors).
-    std::unordered_map<std::string, SpilledStream> spilled;
-    // Per-key fault/recovery bookkeeping (same ownership rules as detectors).
-    std::unordered_map<std::string, RecoveryState> recovery;
-    std::unordered_map<std::string, Status> quarantined;
+    // Every stream key routed to this shard. Touched only by this shard's
+    // worker thread, or by a caller holding QuiesceShard's lock.
+    StreamTable streams;
     // Worker-local counter driving the periodic idle sweep.
     std::uint64_t processed_since_sweep = 0;
   };
@@ -517,27 +560,31 @@ class StreamEngine {
                                  const std::string& profile) const;
   // Routes an event to the sink or the queue.
   void EmitEvent(EngineEvent event);
-  // `profile` is taken by value: callers pass the bound profile held by the
-  // detector, spill or recovery entry that this function erases.
-  void QuarantineStream(Shard& shard, const std::string& stream_id,
-                        std::string profile, std::uint64_t seq,
-                        const Status& error, std::uint64_t latency_ns = 0);
+  // The one place a stream changes phase. Leaving kLive frees the detector
+  // and its resident bytes, leaving kSpilled deletes the spill file; then
+  // the move's counter and event are recorded (see Move). A live-entering
+  // move expects the new detector already in the entry. kForget erases
+  // `it`. The event carries `seq`, `latency_ns`, and `error` or
+  // `blob_bytes` where the kind has them.
+  void Transition(Shard& shard, StreamTable::iterator it, Move move,
+                  std::uint64_t seq, std::uint64_t latency_ns = 0,
+                  const Status& error = Status(), std::uint64_t blob_bytes = 0);
   // Recovery ladder for a failed stream: quarantines when max_stream_faults
   // is 0 (the historical contract) or the budget is exhausted; otherwise
-  // tears the detector down, emits kStreamFault, opens the backoff window,
-  // and restores from the rolling snapshot when one exists (falling back to
-  // a from-scratch restart once the snapshot fails too often).
-  void HandleStreamFailure(Shard& shard, const std::string& stream_id,
-                           const std::string& profile, std::uint64_t seq,
-                           const Status& error, std::uint64_t latency_ns);
+  // moves the stream kDown, opens the backoff window, and restores from the
+  // rolling snapshot when one exists (falling back to a from-scratch
+  // restart on the next bag once the snapshot fails too often).
+  void HandleStreamFailure(Shard& shard, StreamTable::iterator it,
+                           std::uint64_t seq, const Status& error,
+                           std::uint64_t latency_ns);
   // Refreshes the stream's rolling recovery snapshot when the push count
   // hits the snapshot interval.
-  void MaybeSnapshotStream(Shard& shard, const std::string& stream_id,
-                           StreamState& state);
-  // Deletes a spilled key's file and record past the GC horizon (kEviction
-  // event); a later bag restarts the stream from scratch.
-  void CollectSpilledStream(Shard& shard, const std::string& stream_id,
-                            std::uint64_t now_seq);
+  void MaybeSnapshotStream(Stream& stream);
+  // A detector for `stream_id` under `profile`, seeded and pooled as the
+  // engine seeds and pools every stream.
+  Result<std::unique_ptr<BagStreamDetector>> NewDetector(
+      Shard& shard, const std::string& stream_id,
+      const std::string& profile) const;
   void WorkerLoop(std::size_t shard_index);
   void Process(Shard& shard, Task task);
   void SweepIdle(Shard& shard, std::uint64_t now_seq);
@@ -545,6 +592,12 @@ class StreamEngine {
 
   // -- Checkpoint / spill internals --------------------------------------
   bool spill_enabled() const { return !options_.spill_directory.empty(); }
+  // The horizon H past which a key is forgotten: spill_gc_submissions with
+  // spilling, max_idle_submissions without; 0 means none.
+  std::uint64_t horizon() const {
+    return spill_enabled() ? options_.spill_gc_submissions
+                           : options_.max_idle_submissions;
+  }
   // Blocks until `shard` has no queued or in-flight task and returns the
   // held lock: the worker is parked on its empty-queue wait and Submit is
   // blocked on the mutex, so the caller may touch shard-owned state.
@@ -553,23 +606,23 @@ class StreamEngine {
   Status ExportStreamLocked(Shard& shard, const std::string& stream_id,
                             std::string* blob);
   // ImportStream body past validation: builds the detector, restores the
-  // blob into it, registers the stream, emits kRestore. `restoring_spill`
-  // distinguishes a transparent rehydrate (keeps the spill record's
-  // last_seq) from an explicit import (stamped with the current sequence).
+  // blob into it, and only then moves the key's entry (created if absent)
+  // to kLive with last_seq = `last_seq`. A failure leaves the table as it
+  // was.
   Status ImportStreamLocked(Shard& shard, const std::string& stream_id,
                             const std::string& profile,
                             std::string_view detector_blob,
                             std::uint64_t blob_bytes, std::uint64_t last_seq,
                             std::uint64_t latency_ns);
-  // Exports `stream_id`'s resident detector to a fresh spill file; true on
-  // success (the detector is freed), false if the stream stays resident
-  // (export or write failed — memory pressure persists but nothing is lost).
-  bool SpillStream(Shard& shard, const std::string& stream_id,
+  // Exports a live stream's detector to a fresh spill file and moves it
+  // kSpilled; false if the stream stays live (export or write failed —
+  // memory pressure persists but nothing is lost).
+  bool SpillStream(Shard& shard, StreamTable::iterator it,
                    std::uint64_t now_seq);
-  // Reads a spilled key's file back into a resident detector (through the
-  // shard arena). The spill record is consumed either way; a failure
-  // quarantines the stream at the caller.
-  Status RehydrateStream(Shard& shard, const std::string& stream_id,
+  // Reads a spilled stream's file back into a live detector (through the
+  // shard arena). On failure the stream stays kSpilled and the caller's
+  // recovery ladder moves it on (which deletes the file).
+  Status RehydrateStream(Shard& shard, StreamTable::iterator it,
                          std::uint64_t seq, std::uint64_t latency_ns);
   // Spills this shard's coldest streams while the engine-wide resident total
   // exceeds the budget (never the stream whose bag triggered the check).
@@ -577,7 +630,7 @@ class StreamEngine {
   // Fresh spill-file path for `stream_id` (hash + running counter).
   std::string SpillPathFor(const std::string& stream_id);
   // Folds a new EstimatedStateBytes reading into the resident accounting.
-  void UpdateResidentBytes(StreamState& state);
+  void UpdateResidentBytes(Stream& stream);
 
   StreamEngineOptions options_;
   EventSink sink_;
@@ -626,12 +679,9 @@ class StreamEngine {
   std::atomic<std::uint64_t> latency_total_ns_{0};
   std::atomic<std::uint64_t> latency_max_ns_{0};
 
-  // The event queue behind DrainEvents (unused when a sink is installed). quarantined_keys_ lives under the same lock: every
-  // key ever quarantined, never drained, so RunBatch can refuse keys that
-  // failed in earlier traffic.
+  // The event queue behind DrainEvents (unused when a sink is installed).
   mutable std::mutex events_mu_;
   std::vector<EngineEvent> events_;
-  std::unordered_set<std::string> quarantined_keys_;
 };
 
 }  // namespace bagcpd

@@ -164,27 +164,6 @@ TEST(StreamEngineTest, QuarantinesFailingStreamOnly) {
   for (const EngineEvent& r : results) EXPECT_EQ(r.stream_id, "good");
 }
 
-TEST(StreamEngineTest, QuarantineFreesTheStreamsDetector) {
-  // Whether the failure is a ragged bag at the boundary or a detector error,
-  // the quarantined key's detector must be released, not pinned forever.
-  auto engine_owner = StreamEngine::Create(SmallEngine(1)).MoveValueUnsafe();
-  StreamEngine& engine = *engine_owner;
-  const BagSequence good = JumpStream(3, 0, 13);
-  for (const Bag& bag : good) {
-    ASSERT_TRUE(engine.Submit("doomed", bag).ok());
-  }
-  engine.Flush();
-  EXPECT_EQ(engine.live_stream_count(), 1u);
-  ASSERT_TRUE(engine.Submit("doomed", Bag{{1.0, 2.0}, {3.0}}).ok());
-  engine.Flush();
-  EXPECT_EQ(engine.live_stream_count(), 0u);
-  std::size_t errors = 0;
-  for (const EngineEvent& event : engine.DrainEvents()) {
-    if (event.kind == EngineEvent::Kind::kError) ++errors;
-  }
-  EXPECT_EQ(errors, 1u);
-}
-
 TEST(StreamEngineTest, RunBatchRefusesStreamsQuarantinedEarlier) {
   // A stream that failed during online traffic must fail a later batch that
   // includes it, not silently return an empty series.
@@ -369,26 +348,6 @@ TEST(StreamEngineTest, EvictionIsDeterministicAcrossShardCounts) {
     }
     EXPECT_EQ(grouped, baseline) << shards << " shards";
   }
-}
-
-TEST(StreamEngineTest, IdleSweepReclaimsDetectorMemory) {
-  StreamEngineOptions options = SmallEngine(1);
-  options.detector.bootstrap.replicates = 0;
-  options.max_idle_submissions = 16;
-  auto engine_owner = StreamEngine::Create(options).MoveValueUnsafe();
-  StreamEngine& engine = *engine_owner;
-
-  // One bag for a key that then goes silent forever.
-  ASSERT_TRUE(engine.Submit("silent", JumpStream(1, 0, 41).front()).ok());
-  // Enough follow-on traffic to cross the periodic sweep threshold (512).
-  const Bag filler = JumpStream(1, 0, 42).front();
-  for (int i = 0; i < 600; ++i) {
-    ASSERT_TRUE(engine.Submit("busy", filler).ok());
-  }
-  engine.Flush();
-  // The sweep freed the silent key's detector without it ever returning.
-  EXPECT_GE(engine.evicted_count(), 1u);
-  EXPECT_EQ(engine.live_stream_count(), 1u);
 }
 
 TEST(StreamEngineTest, BackpressureDoesNotDeadlockTinyQueues) {
