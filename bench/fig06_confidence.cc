@@ -14,6 +14,7 @@
 
 #include "bagcpd/analysis/ascii_plot.h"
 #include "bagcpd/analysis/mds.h"
+#include "bagcpd/common/flat_bag.h"
 #include "bagcpd/core/detector.h"
 #include "bagcpd/data/ci_datasets.h"
 #include "bagcpd/emd/emd.h"
@@ -62,8 +63,10 @@ int Main() {
     // matrix walks every signature back to back through the cache.
     SignatureSet signatures;
     for (std::size_t t = 0; t < ds.bags.size(); ++t) {
+      const FlatBag bag =
+          bench::Unwrap(FlatBag::FromBag(ds.bags[t]), "flatten");
       const Signature sig =
-          bench::Unwrap(builder.Build(ds.bags[t], t), "signature");
+          bench::Unwrap(builder.Build(bag.view(), t), "signature");
       bench::UnwrapStatus(signatures.Append(sig), "append signature");
     }
     Matrix emd = bench::Unwrap(

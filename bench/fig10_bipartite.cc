@@ -14,6 +14,7 @@
 
 #include "bagcpd/analysis/ascii_plot.h"
 #include "bagcpd/analysis/metrics.h"
+#include "bagcpd/common/flat_bag.h"
 #include "bagcpd/core/detector.h"
 #include "bagcpd/emd/emd.h"
 #include "bagcpd/graph/features.h"
@@ -129,7 +130,9 @@ int Main() {
           ExtractGraphFeature(stream.graphs[t],
                               GraphFeature::kSourceStrength),
           "feature");
-      Signature sig = bench::Unwrap(builder.Build(bag, t), "signature");
+      const FlatBag flat = bench::Unwrap(FlatBag::FromBag(bag), "flatten");
+      Signature sig =
+          bench::Unwrap(builder.Build(flat.view(), t), "signature");
       bench::UnwrapStatus((t < cp ? before : after).Append(sig), "append");
     }
     const Matrix within = bench::Unwrap(

@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "bagcpd/analysis/ascii_plot.h"
+#include "bagcpd/common/flat_bag.h"
 #include "bagcpd/core/detector.h"
 #include "bagcpd/emd/emd.h"
 #include "bagcpd/graph/enron_simulator.h"
@@ -113,7 +114,9 @@ int Main() {
           ExtractGraphFeature(stream.weekly_graphs[t],
                               GraphFeature::kDestinationStrength),
           "feature");
-      Signature sig = bench::Unwrap(builder.Build(bag, t), "signature");
+      const FlatBag flat = bench::Unwrap(FlatBag::FromBag(bag), "flatten");
+      Signature sig =
+          bench::Unwrap(builder.Build(flat.view(), t), "signature");
       if (t < calm_weeks) {
         bench::UnwrapStatus(calm.Append(sig), "append calm");
       }

@@ -133,8 +133,9 @@ void BagStreamDetector::Reset() {
 }
 
 Result<std::optional<StepResult>> BagStreamDetector::Push(const Bag& bag) {
-  // The boundary flatten recycles through the attached arena too, like the
-  // signature build below.
+  // Nested bags are accepted here, at the facade, and flattened once; every
+  // layer below takes BagView. The flatten recycles through the attached
+  // arena too, like the signature build below.
   BAGCPD_ASSIGN_OR_RETURN(FlatBag flat, FlatBag::FromBag(bag, arena_));
   return Push(flat.view());
 }
@@ -152,11 +153,10 @@ Result<std::optional<StepResult>> BagStreamDetector::Push(BagView bag) {
                         next_index_ + 1)) {
     return fault::InjectedFaultError(fault::FaultPoint::kDetectorPush);
   }
-  // The quantizer assembles straight into the window ring's next slot
+  // Every quantizer assembles straight into the window ring's next slot
   // (borrowed-slot build) — no intermediate signature materialized or copied
-  // on the push path. Histogram, whose bin count is unbounded, falls back to
-  // the copying path inside BuildInto. A failed build leaves the ring as it
-  // was.
+  // on the push path; histogram bins the bag first and borrows a slot of
+  // exactly its bin count. A failed build leaves the ring as it was.
   BAGCPD_RETURN_NOT_OK(builder_.BuildInto(bag, next_index_, arena_, &window_));
   ++next_index_;
   Result<std::optional<StepResult>> step = Step();

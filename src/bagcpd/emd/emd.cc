@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <mutex>
 
 #include "bagcpd/common/check.h"
@@ -52,61 +51,32 @@ Result<double> ComputeEmd(SignatureView a, SignatureView b,
   return workspace.Compute(a, b, ground);
 }
 
-namespace {
-
-// Shared batch kernels over any indexable source of views, so the
-// SignatureSet and std::vector<Signature> entry points run the exact same
-// EMD sequence (bitwise-identical matrices).
-using ViewAt = std::function<SignatureView(std::size_t)>;
-
-Result<Matrix> PairwiseEmdImpl(const ViewAt& at, std::size_t n,
-                               GroundDistance ground) {
+Result<Matrix> PairwiseEmdMatrix(const SignatureSet& signatures,
+                                 GroundDistance ground) {
+  const std::size_t n = signatures.size();
   if (n == 0) return Status::Invalid("no signatures");
   // One workspace reused across all C(n, 2) solves, batched one row at a
-  // time: row i is a shared-left ComputeBatch over at(i) vs at(i+1..n-1), so
-  // all of the row's cost matrices fill in one vectorized pass and the
-  // upper-triangle cells are written contiguously. Pair order, and therefore
-  // the first surfaced error, matches the historical per-pair loop; so do
-  // the values, bit for bit (ComputeBatch always runs the full
-  // transportation solve, never the 1-d sweep).
+  // time: row i is a shared-left ComputeBatch of signature i against
+  // signatures i+1..n-1, so all of the row's cost matrices fill in one
+  // vectorized pass and the upper-triangle cells are written contiguously.
+  // Pair order, and therefore the first surfaced error, matches the
+  // historical per-pair loop; so do the values, bit for bit (ComputeBatch
+  // always runs the full transportation solve, never the 1-d sweep).
   EmdWorkspace workspace;
   Matrix m(n, n, 0.0);
   std::vector<SignatureView> rights;
   rights.reserve(n - 1);
   for (std::size_t i = 0; i + 1 < n; ++i) {
     rights.clear();
-    for (std::size_t j = i + 1; j < n; ++j) rights.push_back(at(j));
-    BAGCPD_RETURN_NOT_OK(workspace.ComputeBatch(
-        at(i), rights.data(), rights.size(), ground, &m(i, i + 1)));
+    for (std::size_t j = i + 1; j < n; ++j) {
+      rights.push_back(signatures.view(j));
+    }
+    BAGCPD_RETURN_NOT_OK(workspace.ComputeBatch(signatures.view(i),
+                                                rights.data(), rights.size(),
+                                                ground, &m(i, i + 1)));
     for (std::size_t j = i + 1; j < n; ++j) m(j, i) = m(i, j);
   }
   return m;
-}
-
-Result<Matrix> CrossDistanceImpl(const ViewAt& at_a, std::size_t n,
-                                 const ViewAt& at_b, std::size_t m,
-                                 GroundDistance ground) {
-  if (n == 0 || m == 0) return Status::Invalid("no signatures");
-  // Row-batched like PairwiseEmdImpl: each output row is one shared-left
-  // ComputeBatch writing straight into the row-major Matrix storage.
-  EmdWorkspace workspace;
-  Matrix out(n, m);
-  std::vector<SignatureView> rights;
-  rights.reserve(m);
-  for (std::size_t j = 0; j < m; ++j) rights.push_back(at_b(j));
-  for (std::size_t i = 0; i < n; ++i) {
-    BAGCPD_RETURN_NOT_OK(workspace.ComputeBatch(at_a(i), rights.data(), m,
-                                                ground, &out(i, 0)));
-  }
-  return out;
-}
-
-}  // namespace
-
-Result<Matrix> PairwiseEmdMatrix(const SignatureSet& signatures,
-                                 GroundDistance ground) {
-  return PairwiseEmdImpl([&](std::size_t i) { return signatures.view(i); },
-                         signatures.size(), ground);
 }
 
 Result<Matrix> PairwiseEmdMatrix(const SignatureSet& signatures,
@@ -158,19 +128,24 @@ Result<Matrix> PairwiseEmdMatrix(const SignatureSet& signatures,
   return m;
 }
 
-Result<Matrix> PairwiseEmdMatrix(const std::vector<Signature>& signatures,
-                                 GroundDistance ground) {
-  return PairwiseEmdImpl(
-      [&](std::size_t i) { return SignatureView(signatures[i]); },
-      signatures.size(), ground);
-}
-
 Result<Matrix> CrossDistanceMatrix(const SignatureSet& a,
                                    const SignatureSet& b,
                                    GroundDistance ground) {
-  return CrossDistanceImpl([&](std::size_t i) { return a.view(i); }, a.size(),
-                           [&](std::size_t j) { return b.view(j); }, b.size(),
-                           ground);
+  const std::size_t n = a.size();
+  const std::size_t m = b.size();
+  if (n == 0 || m == 0) return Status::Invalid("no signatures");
+  // Row-batched like PairwiseEmdMatrix: each output row is one shared-left
+  // ComputeBatch writing straight into the row-major Matrix storage.
+  EmdWorkspace workspace;
+  Matrix out(n, m);
+  std::vector<SignatureView> rights;
+  rights.reserve(m);
+  for (std::size_t j = 0; j < m; ++j) rights.push_back(b.view(j));
+  for (std::size_t i = 0; i < n; ++i) {
+    BAGCPD_RETURN_NOT_OK(workspace.ComputeBatch(a.view(i), rights.data(), m,
+                                                ground, &out(i, 0)));
+  }
+  return out;
 }
 
 Result<Matrix> CrossDistanceMatrix(const SignatureSet& a,
@@ -208,14 +183,6 @@ Result<Matrix> CrossDistanceMatrix(const SignatureSet& a,
   });
   BAGCPD_RETURN_NOT_OK(first_error);
   return out;
-}
-
-Result<Matrix> CrossDistanceMatrix(const std::vector<Signature>& a,
-                                   const std::vector<Signature>& b,
-                                   GroundDistance ground) {
-  return CrossDistanceImpl(
-      [&](std::size_t i) { return SignatureView(a[i]); }, a.size(),
-      [&](std::size_t j) { return SignatureView(b[j]); }, b.size(), ground);
 }
 
 }  // namespace bagcpd

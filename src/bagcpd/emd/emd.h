@@ -7,13 +7,10 @@
 // All entry points take SignatureView, so owning Signatures (implicit
 // conversion), SignatureSet members, and SignatureRing slots all flow through
 // one code path. The batch helpers take SignatureSet — one shared buffer for
-// the whole batch — with std::vector<Signature> shims for incremental
-// migration; both produce bitwise-identical matrices.
+// the whole batch; callers holding owning Signatures Append them into one.
 
 #ifndef BAGCPD_EMD_EMD_H_
 #define BAGCPD_EMD_EMD_H_
-
-#include <vector>
 
 #include "bagcpd/common/matrix.h"
 #include "bagcpd/common/result.h"
@@ -66,10 +63,6 @@ Result<Matrix> PairwiseEmdMatrix(const SignatureSet& signatures,
 Result<Matrix> PairwiseEmdMatrix(const SignatureSet& signatures,
                                  GroundDistance ground, ThreadPool* pool);
 
-/// \brief AoS compatibility shim; identical output to the SignatureSet form.
-Result<Matrix> PairwiseEmdMatrix(const std::vector<Signature>& signatures,
-                                 GroundDistance ground = GroundDistance::kEuclidean);
-
 /// \brief Dense |a| x |b| matrix of EMDs between two signature sets (the
 /// cross-entropy table of the information estimators).
 Result<Matrix> CrossDistanceMatrix(const SignatureSet& a,
@@ -84,11 +77,6 @@ Result<Matrix> CrossDistanceMatrix(const SignatureSet& a,
 Result<Matrix> CrossDistanceMatrix(const SignatureSet& a,
                                    const SignatureSet& b,
                                    GroundDistance ground, ThreadPool* pool);
-
-/// \brief AoS compatibility shim; identical output to the SignatureSet form.
-Result<Matrix> CrossDistanceMatrix(const std::vector<Signature>& a,
-                                   const std::vector<Signature>& b,
-                                   GroundDistance ground = GroundDistance::kEuclidean);
 
 }  // namespace bagcpd
 

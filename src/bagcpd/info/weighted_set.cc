@@ -7,7 +7,6 @@
 namespace bagcpd {
 
 Status WeightedSignatureSet::Validate(double tol) const {
-  BAGCPD_RETURN_NOT_OK(gather_status);
   if (signatures.empty()) return Status::Invalid("weighted set is empty");
   if (signatures.size() != weights.size()) {
     return Status::Invalid("weighted set size mismatch");
@@ -34,34 +33,6 @@ WeightedSignatureSet WeightedSignatureSet::Uniform(SignatureSet signatures) {
                        : 1.0 / static_cast<double>(signatures.size());
   set.weights.assign(signatures.size(), w);
   set.signatures = std::move(signatures);
-  return set;
-}
-
-WeightedSignatureSet WeightedSignatureSet::Uniform(
-    std::vector<Signature> signatures) {
-  SignatureSet gathered;
-  Status gather = Status::OK();
-  std::size_t centers = 0;
-  for (const Signature& s : signatures) centers += s.size();
-  if (!signatures.empty()) {
-    gathered.Reserve(signatures.size(), centers, signatures.front().dim());
-  }
-  for (std::size_t i = 0; i < signatures.size(); ++i) {
-    // Invalid members are kept for Validate() to report. A member the
-    // shared-buffer layout cannot even hold (mixed dimensions) becomes an
-    // empty placeholder slot plus a sticky gather error — still recoverable.
-    Status appended = gathered.AppendUnchecked(signatures[i]);
-    if (!appended.ok()) {
-      // An empty placeholder keeps member indices aligned with weights.
-      (void)gathered.AppendUnchecked(SignatureView());
-      if (gather.ok()) {
-        gather = Status::Invalid("signature " + std::to_string(i) + ": " +
-                                 appended.message());
-      }
-    }
-  }
-  WeightedSignatureSet set = Uniform(std::move(gathered));
-  set.gather_status = std::move(gather);
   return set;
 }
 

@@ -5,7 +5,8 @@
 // Members live in a SignatureSet — one shared center buffer, one shared
 // weight buffer — so the estimators' distance-matrix builds stream all
 // signatures through the cache instead of chasing per-signature heap blocks.
-// The Uniform(std::vector<Signature>) shim keeps AoS call sites working.
+// Members may be invalid (SignatureSet::AppendUnchecked); Validate() reports
+// them as a Status, so no estimator aborts on bad input.
 
 #ifndef BAGCPD_INFO_WEIGHTED_SET_H_
 #define BAGCPD_INFO_WEIGHTED_SET_H_
@@ -23,28 +24,15 @@ struct WeightedSignatureSet {
   SignatureSet signatures;
   /// gamma_i: non-negative, summing to one (checked by Validate()).
   std::vector<double> weights;
-  /// Sticky error from gathering the members (e.g. an AoS vector whose
-  /// signatures disagree on dimension, which the shared-buffer layout cannot
-  /// represent). Validate() reports it first, so construction never aborts
-  /// and every estimator surfaces the problem as a Status — the historical
-  /// error-handling contract.
-  Status gather_status = Status::OK();
 
   std::size_t size() const { return signatures.size(); }
 
-  /// \brief Structural validation: gather_status OK, sizes match, weights on
-  /// the simplex (within `tol` of summing to one), every signature valid.
+  /// \brief Structural validation: sizes match, weights on the simplex
+  /// (within `tol` of summing to one), every signature valid.
   Status Validate(double tol = 1e-9) const;
 
   /// \brief Builds a set with uniform weights 1/n.
   static WeightedSignatureSet Uniform(SignatureSet signatures);
-
-  /// \brief AoS shim: gathers the vector into a SignatureSet, then weights
-  /// uniformly. Never aborts: invalid members (empty, non-positive weights)
-  /// are stored as-is, and an unrepresentable gather (mixed dimensions)
-  /// parks the error in gather_status — both surface recoverably through
-  /// Validate(), matching the historical behaviour.
-  static WeightedSignatureSet Uniform(std::vector<Signature> signatures);
 };
 
 /// \brief The per-element discount weights of paper Eq. 15, normalized to the

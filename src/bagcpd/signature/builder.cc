@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "bagcpd/common/check.h"
 #include "bagcpd/common/enum_names.h"
 
 namespace bagcpd {
@@ -50,133 +49,93 @@ Result<SignatureMethod> ParseSignatureMethod(const std::string& name) {
 
 Result<Signature> SignatureBuilder::Build(BagView bag, std::uint64_t bag_index,
                                           BufferArena* arena) const {
-  BAGCPD_ASSIGN_OR_RETURN(Signature sig, BuildRaw(bag, bag_index, arena));
-  // In-place normalization keeps the (possibly arena-pooled) packed buffer;
-  // the arithmetic is identical to the copying Normalized().
-  if (options_.normalize) sig.NormalizeInPlace();
-  return sig;
-}
-
-Result<Signature> SignatureBuilder::Build(const Bag& bag,
-                                          std::uint64_t bag_index,
-                                          BufferArena* arena) const {
-  BAGCPD_ASSIGN_OR_RETURN(FlatBag flat, FlatBag::FromBag(bag, arena));
-  return Build(flat.view(), bag_index, arena);
+  std::optional<SignatureAssembler> sink;
+  BAGCPD_RETURN_NOT_OK(Emit(bag, bag_index, arena, nullptr, &sink));
+  return sink->Finish();
 }
 
 Status SignatureBuilder::BuildInto(BagView bag, std::uint64_t bag_index,
                                    BufferArena* arena,
                                    SignatureRing* ring) const {
-  // Histogram's bin count is data-dependent with no a-priori bound, so it
-  // cannot pre-size a borrowed slot; it builds normally and copies in.
-  if (options_.method == SignatureMethod::kHistogram) {
-    BAGCPD_ASSIGN_OR_RETURN(Signature sig, Build(bag, bag_index, arena));
-    ring->PushBack(sig);
-    return Status::OK();
+  std::optional<SignatureAssembler> sink;
+  const Status emitted = Emit(bag, bag_index, arena, ring, &sink);
+  if (!emitted.ok()) {
+    if (sink.has_value()) ring->CancelBorrow();
+    return emitted;
   }
-  // Validate before borrowing: the quantizers validate again internally
-  // (cheap shape checks), but the slot's dimension comes from the bag.
-  BAGCPD_RETURN_NOT_OK(ValidateBagView(bag));
-  if (options_.method != SignatureMethod::kCentroid && options_.k == 0) {
-    return Status::Invalid("k must be >= 1");
-  }
-  const std::size_t max_k = options_.method == SignatureMethod::kCentroid
-                                ? 1
-                                : std::min(options_.k, bag.size());
-  double* slot = ring->BorrowSlot(max_k, bag.dim());
-  SignatureAssembler assembler(slot, max_k, bag.dim());
-
-  const std::uint64_t seed = MixSeed(options_.seed ^ MixSeed(bag_index));
-  Status built = Status::OK();
-  switch (options_.method) {
-    case SignatureMethod::kKMeans: {
-      KMeansOptions opts;
-      opts.k = options_.k;
-      opts.seed = seed;
-      built = KMeansQuantizeInto(bag, opts, arena, &assembler);
-      break;
-    }
-    case SignatureMethod::kKMedoids: {
-      KMedoidsOptions opts;
-      opts.k = options_.k;
-      opts.seed = seed;
-      built = KMedoidsQuantizeInto(bag, opts, arena, &assembler);
-      break;
-    }
-    case SignatureMethod::kLvq: {
-      LvqOptions opts;
-      opts.k = options_.k;
-      opts.seed = seed;
-      built = LvqQuantizeInto(bag, opts, arena, &assembler);
-      break;
-    }
-    case SignatureMethod::kCentroid:
-      assembler.Add(BagMean(bag), static_cast<double>(bag.size()));
-      break;
-    case SignatureMethod::kHistogram:
-      break;  // Handled above.
-  }
-  if (!built.ok()) {
-    ring->CancelBorrow();
-    return built;
-  }
-  const std::size_t k = assembler.FinishInPlace();
-  if (k == 0) {
-    ring->CancelBorrow();
-    return Status::Invalid("signature has no centers");
-  }
-  if (options_.normalize) {
-    // Same arithmetic as Signature::NormalizeInPlace over the slot's packed
-    // weight block (sequential sum, then one divide per weight).
-    double* w = slot + k * bag.dim();
-    double total = 0.0;
-    for (std::size_t i = 0; i < k; ++i) total += w[i];
-    BAGCPD_CHECK_MSG(total > 0.0, "normalizing a zero-mass signature");
-    for (std::size_t i = 0; i < k; ++i) w[i] /= total;
-  }
-  ring->CommitBorrowed(k);
+  ring->CommitBorrowed(sink->FinishInPlace());
   return Status::OK();
 }
 
-Result<Signature> SignatureBuilder::BuildRaw(BagView bag,
-                                             std::uint64_t bag_index,
-                                             BufferArena* arena) const {
+Status SignatureBuilder::Emit(BagView bag, std::uint64_t bag_index,
+                              BufferArena* arena, SignatureRing* ring,
+                              std::optional<SignatureAssembler>* sink) const {
+  // Validate before opening the sink: its dimension comes from the bag.
+  BAGCPD_RETURN_NOT_OK(ValidateBagView(bag));
+  const std::size_t d = bag.dim();
+  const auto open = [&](std::size_t max_k) {
+    if (ring != nullptr) {
+      sink->emplace(ring->BorrowSlot(max_k, d), max_k, d);
+    } else {
+      sink->emplace(max_k, d, arena);
+    }
+    return &**sink;
+  };
+  // The clustering quantizers emit at most min(k, n) centers.
+  const auto open_clusters = [&]() -> Result<SignatureAssembler*> {
+    if (options_.k == 0) return Status::Invalid("k must be >= 1");
+    return open(std::min(options_.k, bag.size()));
+  };
+
   const std::uint64_t seed = MixSeed(options_.seed ^ MixSeed(bag_index));
+  Status emitted = Status::OK();
   switch (options_.method) {
     case SignatureMethod::kKMeans: {
       KMeansOptions opts;
       opts.k = options_.k;
       opts.seed = seed;
-      BAGCPD_ASSIGN_OR_RETURN(KMeansResult res,
-                              KMeansQuantize(bag, opts, arena));
-      return std::move(res.signature);
+      BAGCPD_ASSIGN_OR_RETURN(SignatureAssembler* out, open_clusters());
+      emitted = KMeansQuantizeInto(bag, opts, arena, out);
+      break;
     }
     case SignatureMethod::kKMedoids: {
       KMedoidsOptions opts;
       opts.k = options_.k;
       opts.seed = seed;
-      BAGCPD_ASSIGN_OR_RETURN(KMedoidsResult res,
-                              KMedoidsQuantize(bag, opts, arena));
-      return std::move(res.signature);
+      BAGCPD_ASSIGN_OR_RETURN(SignatureAssembler* out, open_clusters());
+      emitted = KMedoidsQuantizeInto(bag, opts, arena, out);
+      break;
     }
     case SignatureMethod::kLvq: {
       LvqOptions opts;
       opts.k = options_.k;
       opts.seed = seed;
-      return LvqQuantize(bag, opts, arena);
+      BAGCPD_ASSIGN_OR_RETURN(SignatureAssembler* out, open_clusters());
+      emitted = LvqQuantizeInto(bag, opts, arena, out);
+      break;
     }
     case SignatureMethod::kHistogram: {
       HistogramOptions opts;
       opts.bin_width = options_.bin_width;
       opts.origin = options_.histogram_origin;
-      return HistogramQuantize(bag, opts, arena);
+      // The bin count is data-dependent: bin first, then open a sink of
+      // exactly that many centers.
+      BAGCPD_ASSIGN_OR_RETURN(HistogramBins bins,
+                              HistogramBins::Compute(bag, opts));
+      bins.EmitInto(open(bins.size()));
+      break;
     }
-    case SignatureMethod::kCentroid: {
-      BAGCPD_RETURN_NOT_OK(ValidateBagView(bag));
-      return CentroidSignature(bag, arena);
-    }
+    case SignatureMethod::kCentroid:
+      open(1)->Add(BagMean(bag), static_cast<double>(bag.size()));
+      break;
   }
-  return Status::Invalid("unknown signature method");
+  BAGCPD_RETURN_NOT_OK(emitted);
+  if (!sink->has_value()) return Status::Invalid("unknown signature method");
+  if ((*sink)->count() == 0) {
+    return Status::Invalid("signature has no centers");
+  }
+  if (options_.normalize) (*sink)->NormalizeWeights();
+  return Status::OK();
 }
 
 }  // namespace bagcpd

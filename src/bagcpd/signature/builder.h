@@ -1,16 +1,21 @@
 // SignatureBuilder: the single configuration point choosing how bags are
 // summarized into signatures. The detector and all experiment harnesses go
-// through this interface. The primary entry point takes a zero-copy BagView;
-// the nested-Bag overload flattens once and is bitwise-identical.
+// through this interface, on zero-copy BagViews; nested bags are flattened
+// once at the facade (FlatBag::FromBag) before they get here.
+//
+// Both entry points share one assembly path: a single private Emit holds
+// the method switch and writes the quantizer's (center, weight) pairs into
+// a SignatureAssembler. Build() gives it an owning assembler and adopts the
+// buffer; BuildInto() gives it one borrowed over the next SignatureRing slot.
 
 #ifndef BAGCPD_SIGNATURE_BUILDER_H_
 #define BAGCPD_SIGNATURE_BUILDER_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "bagcpd/common/flat_bag.h"
 #include "bagcpd/common/point.h"
 #include "bagcpd/common/result.h"
 #include "bagcpd/signature/histogram.h"
@@ -82,29 +87,29 @@ class SignatureBuilder {
   Result<Signature> Build(BagView bag, std::uint64_t bag_index = 0,
                           BufferArena* arena = nullptr) const;
 
-  /// \brief Nested-bag convenience: validates and flattens once, then runs
-  /// the view path. Output is bitwise-identical to the flat entry point.
-  Result<Signature> Build(const Bag& bag, std::uint64_t bag_index = 0,
-                          BufferArena* arena = nullptr) const;
-
   /// \brief Builds the signature of `bag` directly into `ring`'s next slot —
   /// the quantizer assembles into the ring's own storage (borrowed slot), so
   /// the detector push path performs no intermediate signature copy. The
-  /// committed slot is bitwise-identical to Build() + SignatureRing::PushBack.
-  /// Histogram is the one method whose cluster count is data-dependent and
-  /// unbounded; it keeps the copying path internally. On error the ring is
-  /// unchanged.
+  /// slot is sized to the method's cluster bound: min(k, n) for the
+  /// clustering quantizers, 1 for the centroid, and the exact occupied-bin
+  /// count for histogram, which bins the bag before borrowing. The committed
+  /// slot, and the ring's footprint, match Build() + SignatureRing::PushBack
+  /// bit for bit. On error the ring is unchanged.
   Status BuildInto(BagView bag, std::uint64_t bag_index, BufferArena* arena,
                    SignatureRing* ring) const;
 
   const SignatureBuilderOptions& options() const { return options_; }
 
  private:
-  /// \brief Quantizes without the normalization step.
-  Result<Signature> BuildRaw(BagView bag, std::uint64_t bag_index,
-                             BufferArena* arena) const;
+  /// \brief The one method switch: validates `bag`, quantizes it and emits
+  /// the (normalized iff options().normalize) signature into `*sink`, which
+  /// it opens once the cluster bound is known — over a slot borrowed from
+  /// `ring` when `ring` is non-null, else owning (from `arena` if given).
+  /// On error an opened sink may hold a borrow the caller must cancel.
+  Status Emit(BagView bag, std::uint64_t bag_index, BufferArena* arena,
+              SignatureRing* ring,
+              std::optional<SignatureAssembler>* sink) const;
 
- private:
   SignatureBuilderOptions options_;
 };
 

@@ -1,66 +1,59 @@
 #include "bagcpd/signature/histogram.h"
 
 #include <cmath>
-#include <cstdint>
-#include <map>
-#include <vector>
-
-#include "bagcpd/common/check.h"
 
 namespace bagcpd {
 
-Result<Signature> HistogramQuantize(BagView bag,
-                                    const HistogramOptions& options,
-                                    BufferArena* arena) {
+Result<HistogramBins> HistogramBins::Compute(BagView bag,
+                                             const HistogramOptions& options) {
   BAGCPD_RETURN_NOT_OK(ValidateBagView(bag));
   if (!(options.bin_width > 0.0)) {
     return Status::Invalid("bin_width must be > 0");
   }
 
   const std::size_t d = bag.dim();
-
-  struct BinStats {
-    double count = 0.0;
-    Point sum;
-  };
-  // Multi-index of the bin -> stats. std::map keeps deterministic ordering.
-  std::map<std::vector<std::int64_t>, BinStats> bins;
-
+  HistogramBins out;
+  out.options_ = options;
+  out.dim_ = d;
   std::vector<std::int64_t> key(d);
   for (const PointView x : bag) {
     for (std::size_t j = 0; j < d; ++j) {
       key[j] = static_cast<std::int64_t>(
           std::floor((x[j] - options.origin) / options.bin_width));
     }
-    BinStats& stats = bins[key];
+    Stats& stats = out.bins_[key];
     if (stats.sum.empty()) stats.sum.assign(d, 0.0);
     stats.count += 1.0;
     for (std::size_t j = 0; j < d; ++j) stats.sum[j] += x[j];
   }
-
-  SignatureAssembler assembler(bins.size(), d, arena);
-  Point center(d);
-  for (const auto& [index, stats] : bins) {
-    if (options.use_bin_centers) {
-      for (std::size_t j = 0; j < d; ++j) {
-        center[j] = options.origin +
-                    (static_cast<double>(index[j]) + 0.5) * options.bin_width;
-      }
-    } else {
-      for (std::size_t j = 0; j < d; ++j) center[j] = stats.sum[j] / stats.count;
-    }
-    assembler.Add(center, stats.count);
-  }
-  Signature sig = assembler.Finish();
-  BAGCPD_RETURN_NOT_OK(sig.Validate());
-  return sig;
+  return out;
 }
 
-Result<Signature> HistogramQuantize(const Bag& bag,
+void HistogramBins::EmitInto(SignatureAssembler* sink) const {
+  Point center(dim_);
+  for (const auto& [index, stats] : bins_) {
+    if (options_.use_bin_centers) {
+      for (std::size_t j = 0; j < dim_; ++j) {
+        center[j] = options_.origin +
+                    (static_cast<double>(index[j]) + 0.5) * options_.bin_width;
+      }
+    } else {
+      for (std::size_t j = 0; j < dim_; ++j) {
+        center[j] = stats.sum[j] / stats.count;
+      }
+    }
+    sink->Add(center, stats.count);
+  }
+}
+
+Result<Signature> HistogramQuantize(BagView bag,
                                     const HistogramOptions& options,
                                     BufferArena* arena) {
-  BAGCPD_ASSIGN_OR_RETURN(FlatBag flat, FlatBag::FromBag(bag, arena));
-  return HistogramQuantize(flat.view(), options, arena);
+  BAGCPD_ASSIGN_OR_RETURN(HistogramBins bins,
+                          HistogramBins::Compute(bag, options));
+  SignatureAssembler assembler(bins.size(), bag.dim(), arena);
+  bins.EmitInto(&assembler);
+  return assembler.Finish();
 }
 
 }  // namespace bagcpd

@@ -6,7 +6,10 @@
 #ifndef BAGCPD_SIGNATURE_HISTOGRAM_H_
 #define BAGCPD_SIGNATURE_HISTOGRAM_H_
 
-#include "bagcpd/common/flat_bag.h"
+#include <cstdint>
+#include <map>
+#include <vector>
+
 #include "bagcpd/common/point.h"
 #include "bagcpd/common/result.h"
 #include "bagcpd/signature/signature.h"
@@ -25,14 +28,37 @@ struct HistogramOptions {
   bool use_bin_centers = true;
 };
 
+/// \brief A bag sorted into the histogram grid, before any signature
+/// exists. size() is the exact number of centers EmitInto() adds, so a
+/// caller sizes its SignatureAssembler — or borrows a SignatureRing slot —
+/// to fit.
+class HistogramBins {
+ public:
+  /// \brief Bins `bag`; fails on an invalid bag or a non-positive width.
+  static Result<HistogramBins> Compute(BagView bag,
+                                       const HistogramOptions& options);
+
+  /// \brief Number of occupied bins.
+  std::size_t size() const { return bins_.size(); }
+
+  /// \brief Adds one (center, count) pair per occupied bin, in grid order.
+  /// `sink` has room for at least size() centers of the bag's dimension.
+  void EmitInto(SignatureAssembler* sink) const;
+
+ private:
+  struct Stats {
+    double count = 0.0;
+    Point sum;
+  };
+
+  HistogramOptions options_;
+  std::size_t dim_ = 0;
+  // Multi-index of the bin -> stats. std::map keeps deterministic ordering.
+  std::map<std::vector<std::int64_t>, Stats> bins_;
+};
+
 /// \brief Histogram-quantizes `bag`; weights are per-bin counts.
 Result<Signature> HistogramQuantize(BagView bag,
-                                    const HistogramOptions& options,
-                                    BufferArena* arena = nullptr);
-
-/// \brief Nested-bag convenience: validates and flattens once, then runs the
-/// view path. Output is bitwise-identical to the flat entry point.
-Result<Signature> HistogramQuantize(const Bag& bag,
                                     const HistogramOptions& options,
                                     BufferArena* arena = nullptr);
 

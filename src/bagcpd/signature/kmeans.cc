@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "bagcpd/common/check.h"
 #include "bagcpd/common/rng.h"
 
 namespace bagcpd {
@@ -88,15 +87,17 @@ std::size_t NearestCenter(PointView x, const std::vector<double>& centers,
   return best;
 }
 
-// Core Lloyd run shared by both entry points; when `sink` is non-null the
-// surviving clusters stream into it (borrowed-slot assembly) instead of the
-// result signature. Identical arithmetic either way.
-Result<KMeansResult> QuantizeImpl(BagView bag, const KMeansOptions& options,
-                                  BufferArena* arena,
-                                  SignatureAssembler* sink) {
+Status CheckArgs(BagView bag, const KMeansOptions& options) {
   BAGCPD_RETURN_NOT_OK(ValidateBagView(bag));
   if (options.k == 0) return Status::Invalid("k must be >= 1");
+  return Status::OK();
+}
 
+// Core Lloyd run behind both entry points (arguments already checked): the
+// surviving clusters always stream into `sink`, an owning assembler for
+// KMeansQuantize or a borrowed ring slot for KMeansQuantizeInto.
+KMeansResult QuantizeImpl(BagView bag, const KMeansOptions& options,
+                          BufferArena* arena, SignatureAssembler* sink) {
   const std::size_t n = bag.size();
   const std::size_t d = bag.dim();
   const std::size_t k = std::min(options.k, n);
@@ -177,22 +178,11 @@ Result<KMeansResult> QuantizeImpl(BagView bag, const KMeansOptions& options,
   }
 
   // Drop empty clusters (can remain after the final assignment), compacting
-  // the surviving rows into the signature's packed buffer (one allocation,
-  // no per-add weight shifting) — or straight into the caller's sink.
-  if (sink != nullptr) {
-    for (std::size_t c = 0; c < k; ++c) {
-      if (weights[c] > 0.0) {
-        sink->Add(PointView(centers.data() + c * d, d), weights[c]);
-      }
+  // the surviving rows into the sink (no per-add weight shifting).
+  for (std::size_t c = 0; c < k; ++c) {
+    if (weights[c] > 0.0) {
+      sink->Add(PointView(centers.data() + c * d, d), weights[c]);
     }
-  } else {
-    SignatureAssembler assembler(k, d, arena);
-    for (std::size_t c = 0; c < k; ++c) {
-      if (weights[c] > 0.0) {
-        assembler.Add(PointView(centers.data() + c * d, d), weights[c]);
-      }
-    }
-    out.signature = assembler.Finish();
   }
   // Remap assignments to the compacted cluster indices.
   std::vector<std::size_t> remap(k, 0);
@@ -202,7 +192,6 @@ Result<KMeansResult> QuantizeImpl(BagView bag, const KMeansOptions& options,
   for (std::size_t i = 0; i < n; ++i) assignment[i] = remap[assignment[i]];
 
   out.assignment = std::move(assignment);
-  if (sink == nullptr) BAGCPD_RETURN_NOT_OK(out.signature.Validate());
   return out;
 }
 
@@ -210,19 +199,18 @@ Result<KMeansResult> QuantizeImpl(BagView bag, const KMeansOptions& options,
 
 Result<KMeansResult> KMeansQuantize(BagView bag, const KMeansOptions& options,
                                     BufferArena* arena) {
-  return QuantizeImpl(bag, options, arena, nullptr);
+  BAGCPD_RETURN_NOT_OK(CheckArgs(bag, options));
+  SignatureAssembler sink(std::min(options.k, bag.size()), bag.dim(), arena);
+  KMeansResult out = QuantizeImpl(bag, options, arena, &sink);
+  out.signature = sink.Finish();
+  return out;
 }
 
 Status KMeansQuantizeInto(BagView bag, const KMeansOptions& options,
                           BufferArena* arena, SignatureAssembler* sink) {
-  return QuantizeImpl(bag, options, arena, sink).status();
-}
-
-Result<KMeansResult> KMeansQuantize(const Bag& bag,
-                                    const KMeansOptions& options,
-                                    BufferArena* arena) {
-  BAGCPD_ASSIGN_OR_RETURN(FlatBag flat, FlatBag::FromBag(bag, arena));
-  return KMeansQuantize(flat.view(), options, arena);
+  BAGCPD_RETURN_NOT_OK(CheckArgs(bag, options));
+  QuantizeImpl(bag, options, arena, sink);
+  return Status::OK();
 }
 
 }  // namespace bagcpd

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 
-#include "bagcpd/common/flat_bag.h"
 #include "bagcpd/common/point.h"
 #include "bagcpd/common/result.h"
 #include "bagcpd/signature/signature.h"
@@ -53,17 +52,11 @@ Result<KMeansResult> KMeansQuantize(BagView bag, const KMeansOptions& options,
 /// \brief Same clustering, but the surviving (center, weight) pairs stream
 /// into `sink` — a SignatureAssembler sized for at least min(options.k,
 /// bag.size()) centers, typically in borrowed-buffer mode over a
-/// SignatureRing slot — instead of materializing a Signature. The pairs are
-/// bitwise-identical to the KMeansQuantize signature's. On error the sink
-/// holds whatever was added so far; the caller abandons it.
+/// SignatureRing slot — instead of materializing a Signature. KMeansQuantize
+/// is this call over an owning assembler, so the pairs are identical. On
+/// error nothing has been added.
 Status KMeansQuantizeInto(BagView bag, const KMeansOptions& options,
                           BufferArena* arena, SignatureAssembler* sink);
-
-/// \brief Nested-bag convenience: validates and flattens once, then runs the
-/// view path. Output is bitwise-identical to the flat entry point.
-Result<KMeansResult> KMeansQuantize(const Bag& bag,
-                                    const KMeansOptions& options,
-                                    BufferArena* arena = nullptr);
 
 }  // namespace bagcpd
 

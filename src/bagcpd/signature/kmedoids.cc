@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "bagcpd/common/check.h"
 #include "bagcpd/common/rng.h"
 
 namespace bagcpd {
@@ -30,16 +29,18 @@ double DeviationToNearest(BagView bag,
   return total;
 }
 
-// Core BUILD/SWAP run shared by both entry points; a non-null `sink`
-// receives the surviving (medoid, weight) pairs directly (borrowed-slot
-// assembly) instead of the result signature. Identical arithmetic either way.
-Result<KMedoidsResult> QuantizeImpl(BagView bag,
-                                    const KMedoidsOptions& options,
-                                    BufferArena* arena,
-                                    SignatureAssembler* sink) {
+Status CheckArgs(BagView bag, const KMedoidsOptions& options) {
   BAGCPD_RETURN_NOT_OK(ValidateBagView(bag));
   if (options.k == 0) return Status::Invalid("k must be >= 1");
+  return Status::OK();
+}
 
+// Core BUILD/SWAP run behind both entry points (arguments already checked):
+// the surviving (medoid, weight) pairs always stream into `sink`, an owning
+// assembler for KMedoidsQuantize or a borrowed ring slot for
+// KMedoidsQuantizeInto.
+KMedoidsResult QuantizeImpl(BagView bag, const KMedoidsOptions& options,
+                            BufferArena* arena, SignatureAssembler* sink) {
   const std::size_t n = bag.size();
   const std::size_t k = std::min(options.k, n);
   LazyMt19937_64 urbg(options.seed);  // The std::mt19937_64 stream, lazily.
@@ -112,24 +113,12 @@ Result<KMedoidsResult> QuantizeImpl(BagView bag,
   out.total_deviation = best_total;
   std::vector<double> weights(medoids.size(), 0.0);
   for (std::size_t i = 0; i < n; ++i) weights[assignment[i]] += 1.0;
-  if (sink != nullptr) {
-    for (std::size_t m = 0; m < medoids.size(); ++m) {
-      if (weights[m] > 0.0) {
-        sink->Add(bag[medoids[m]], weights[m]);
-        out.medoid_indices.push_back(medoids[m]);
-      }
-    }
-    return out;
-  }
-  SignatureAssembler assembler(medoids.size(), bag.dim(), arena);
   for (std::size_t m = 0; m < medoids.size(); ++m) {
     if (weights[m] > 0.0) {
-      assembler.Add(bag[medoids[m]], weights[m]);
+      sink->Add(bag[medoids[m]], weights[m]);
       out.medoid_indices.push_back(medoids[m]);
     }
   }
-  out.signature = assembler.Finish();
-  BAGCPD_RETURN_NOT_OK(out.signature.Validate());
   return out;
 }
 
@@ -138,19 +127,18 @@ Result<KMedoidsResult> QuantizeImpl(BagView bag,
 Result<KMedoidsResult> KMedoidsQuantize(BagView bag,
                                         const KMedoidsOptions& options,
                                         BufferArena* arena) {
-  return QuantizeImpl(bag, options, arena, nullptr);
+  BAGCPD_RETURN_NOT_OK(CheckArgs(bag, options));
+  SignatureAssembler sink(std::min(options.k, bag.size()), bag.dim(), arena);
+  KMedoidsResult out = QuantizeImpl(bag, options, arena, &sink);
+  out.signature = sink.Finish();
+  return out;
 }
 
 Status KMedoidsQuantizeInto(BagView bag, const KMedoidsOptions& options,
                             BufferArena* arena, SignatureAssembler* sink) {
-  return QuantizeImpl(bag, options, arena, sink).status();
-}
-
-Result<KMedoidsResult> KMedoidsQuantize(const Bag& bag,
-                                        const KMedoidsOptions& options,
-                                        BufferArena* arena) {
-  BAGCPD_ASSIGN_OR_RETURN(FlatBag flat, FlatBag::FromBag(bag, arena));
-  return KMedoidsQuantize(flat.view(), options, arena);
+  BAGCPD_RETURN_NOT_OK(CheckArgs(bag, options));
+  QuantizeImpl(bag, options, arena, sink);
+  return Status::OK();
 }
 
 }  // namespace bagcpd

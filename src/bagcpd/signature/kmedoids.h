@@ -7,7 +7,6 @@
 
 #include <cstdint>
 
-#include "bagcpd/common/flat_bag.h"
 #include "bagcpd/common/point.h"
 #include "bagcpd/common/result.h"
 #include "bagcpd/signature/signature.h"
@@ -44,15 +43,10 @@ Result<KMedoidsResult> KMedoidsQuantize(BagView bag,
 /// \brief Same clustering, streaming the surviving (medoid, weight) pairs
 /// into `sink` (sized for at least min(options.k, bag.size()) centers,
 /// typically borrowed over a SignatureRing slot) instead of materializing a
-/// Signature; the pairs are bitwise-identical to KMedoidsQuantize's.
+/// Signature. KMedoidsQuantize is this call over an owning assembler, so the
+/// pairs are identical.
 Status KMedoidsQuantizeInto(BagView bag, const KMedoidsOptions& options,
                             BufferArena* arena, SignatureAssembler* sink);
-
-/// \brief Nested-bag convenience: validates and flattens once, then runs the
-/// view path. Output is bitwise-identical to the flat entry point.
-Result<KMedoidsResult> KMedoidsQuantize(const Bag& bag,
-                                        const KMedoidsOptions& options,
-                                        BufferArena* arena = nullptr);
 
 }  // namespace bagcpd
 

@@ -3,22 +3,25 @@
 #include <algorithm>
 #include <limits>
 
-#include "bagcpd/common/check.h"
 #include "bagcpd/common/rng.h"
 
 namespace bagcpd {
 
 namespace {
 
-// Core competitive-learning run shared by both entry points; a non-null
-// `sink` receives the surviving (prototype, weight) pairs directly
-// (borrowed-slot assembly). Identical arithmetic either way.
-Result<Signature> QuantizeImpl(BagView bag, const LvqOptions& options,
-                               BufferArena* arena, SignatureAssembler* sink) {
+Status CheckArgs(BagView bag, const LvqOptions& options) {
   BAGCPD_RETURN_NOT_OK(ValidateBagView(bag));
   if (options.k == 0) return Status::Invalid("k must be >= 1");
   if (options.epochs <= 0) return Status::Invalid("epochs must be >= 1");
+  return Status::OK();
+}
 
+// Core competitive-learning run behind both entry points (arguments already
+// checked): the surviving (prototype, weight) pairs always stream into
+// `sink`, an owning assembler for LvqQuantize or a borrowed ring slot for
+// LvqQuantizeInto.
+void QuantizeImpl(BagView bag, const LvqOptions& options, BufferArena* arena,
+                  SignatureAssembler* sink) {
   const std::size_t n = bag.size();
   const std::size_t d = bag.dim();
   const std::size_t k = std::min(options.k, n);
@@ -79,41 +82,28 @@ Result<Signature> QuantizeImpl(BagView bag, const LvqOptions& options,
     weights[winner] += 1.0;
   }
 
-  if (sink != nullptr) {
-    for (std::size_t m = 0; m < k; ++m) {
-      if (weights[m] > 0.0) {
-        sink->Add(PointView(prototypes.data() + m * d, d), weights[m]);
-      }
-    }
-    return Signature();
-  }
-  SignatureAssembler assembler(k, d, arena);
   for (std::size_t m = 0; m < k; ++m) {
     if (weights[m] > 0.0) {
-      assembler.Add(PointView(prototypes.data() + m * d, d), weights[m]);
+      sink->Add(PointView(prototypes.data() + m * d, d), weights[m]);
     }
   }
-  Signature sig = assembler.Finish();
-  BAGCPD_RETURN_NOT_OK(sig.Validate());
-  return sig;
 }
 
 }  // namespace
 
 Result<Signature> LvqQuantize(BagView bag, const LvqOptions& options,
                               BufferArena* arena) {
-  return QuantizeImpl(bag, options, arena, nullptr);
+  BAGCPD_RETURN_NOT_OK(CheckArgs(bag, options));
+  SignatureAssembler sink(std::min(options.k, bag.size()), bag.dim(), arena);
+  QuantizeImpl(bag, options, arena, &sink);
+  return sink.Finish();
 }
 
 Status LvqQuantizeInto(BagView bag, const LvqOptions& options,
                        BufferArena* arena, SignatureAssembler* sink) {
-  return QuantizeImpl(bag, options, arena, sink).status();
-}
-
-Result<Signature> LvqQuantize(const Bag& bag, const LvqOptions& options,
-                              BufferArena* arena) {
-  BAGCPD_ASSIGN_OR_RETURN(FlatBag flat, FlatBag::FromBag(bag, arena));
-  return LvqQuantize(flat.view(), options, arena);
+  BAGCPD_RETURN_NOT_OK(CheckArgs(bag, options));
+  QuantizeImpl(bag, options, arena, sink);
+  return Status::OK();
 }
 
 }  // namespace bagcpd

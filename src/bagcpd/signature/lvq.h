@@ -9,7 +9,6 @@
 
 #include <cstdint>
 
-#include "bagcpd/common/flat_bag.h"
 #include "bagcpd/common/point.h"
 #include "bagcpd/common/result.h"
 #include "bagcpd/signature/signature.h"
@@ -35,14 +34,10 @@ Result<Signature> LvqQuantize(BagView bag, const LvqOptions& options,
 /// \brief Same quantization, streaming the surviving (prototype, weight)
 /// pairs into `sink` (sized for at least min(options.k, bag.size()) centers,
 /// typically borrowed over a SignatureRing slot) instead of materializing a
-/// Signature; the pairs are bitwise-identical to LvqQuantize's.
+/// Signature. LvqQuantize is this call over an owning assembler, so the
+/// pairs are identical.
 Status LvqQuantizeInto(BagView bag, const LvqOptions& options,
                        BufferArena* arena, SignatureAssembler* sink);
-
-/// \brief Nested-bag convenience: validates and flattens once, then runs the
-/// view path. Output is bitwise-identical to the flat entry point.
-Result<Signature> LvqQuantize(const Bag& bag, const LvqOptions& options,
-                              BufferArena* arena = nullptr);
 
 }  // namespace bagcpd
 

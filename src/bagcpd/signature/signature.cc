@@ -30,6 +30,14 @@ double SumWeights(const double* weights, std::size_t k) {
   return acc;
 }
 
+// The one normalization every signature form shares: a sequential sum, then
+// one divide per weight.
+void NormalizeWeightsInPlace(double* weights, std::size_t k) {
+  const double total = SumWeights(weights, k);
+  BAGCPD_CHECK_MSG(total > 0.0, "normalizing a zero-mass signature");
+  for (std::size_t i = 0; i < k; ++i) weights[i] /= total;
+}
+
 }  // namespace
 
 SignatureView::SignatureView(const Signature& s)
@@ -129,10 +137,7 @@ double Signature::TotalWeight() const {
 }
 
 void Signature::NormalizeInPlace() {
-  const double total = TotalWeight();
-  BAGCPD_CHECK_MSG(total > 0.0, "normalizing a zero-mass signature");
-  double* w = mutable_weights();
-  for (std::size_t k = 0; k < k_; ++k) w[k] /= total;
+  NormalizeWeightsInPlace(mutable_weights(), k_);
 }
 
 Signature Signature::Normalized() const {
@@ -211,6 +216,10 @@ void SignatureAssembler::Add(PointView center, double weight) {
   ++count_;
 }
 
+void SignatureAssembler::NormalizeWeights() {
+  NormalizeWeightsInPlace(base() + max_count_ * dim_, count_);
+}
+
 std::size_t SignatureAssembler::FinishInPlace() {
   BAGCPD_CHECK_MSG(borrowed_ != nullptr,
                    "SignatureAssembler: FinishInPlace needs borrowed mode");
@@ -247,17 +256,9 @@ Signature SignatureAssembler::Finish() {
 
 Signature CentroidSignature(BagView bag, BufferArena* arena) {
   BAGCPD_CHECK(!bag.empty());
-  Signature sig;
-  sig.ReserveCenters(1, bag.dim(), arena);
-  sig.AddCenter(BagMean(bag), static_cast<double>(bag.size()));
-  return sig;
-}
-
-Signature CentroidSignature(const Bag& bag) {
-  BAGCPD_CHECK(!bag.empty());
-  Signature sig;
-  sig.AddCenter(BagMean(bag), static_cast<double>(bag.size()));
-  return sig;
+  SignatureAssembler assembler(1, bag.dim(), arena);
+  assembler.Add(BagMean(bag), static_cast<double>(bag.size()));
+  return assembler.Finish();
 }
 
 }  // namespace bagcpd

@@ -255,8 +255,13 @@ class SignatureAssembler {
 
   std::size_t count() const { return count_; }
 
-  /// \brief Finalizes into a Signature owning the packed buffer. The
-  /// assembler is left empty; at most one Finish per assembler.
+  /// \brief Divides the weights added so far by their total, in place, with
+  /// the same arithmetic as Signature::NormalizeInPlace.
+  void NormalizeWeights();
+
+  /// \brief Finalizes into a Signature owning the packed buffer, trimmed to
+  /// count()*(dim+1) doubles whatever max_count was. The assembler is left
+  /// empty; at most one Finish per assembler.
   Signature Finish();
 
   /// \brief Borrowed-mode finalize: compacts the staged weights down to the
@@ -280,7 +285,6 @@ class SignatureAssembler {
 /// the full bag weight. This is the degenerate "centroid" summarization the
 /// paper argues against (Section 1) — kept as a baseline representation.
 Signature CentroidSignature(BagView bag, BufferArena* arena = nullptr);
-Signature CentroidSignature(const Bag& bag);
 
 }  // namespace bagcpd
 

@@ -34,46 +34,11 @@ Status SignatureSet::AppendUnchecked(SignatureView sig) {
   return Status::OK();
 }
 
-void SignatureSet::Reserve(std::size_t signatures, std::size_t centers_hint,
-                           std::size_t dim) {
-  if (dim_ == 0) dim_ = dim;
-  centers_.reserve(centers_.size() + centers_hint * dim_);
-  weights_.reserve(weights_.size() + centers_hint);
-  offsets_.reserve(offsets_.size() + signatures);
-}
-
 void SignatureSet::Clear() {
   centers_.clear();
   weights_.clear();
   offsets_.assign(1, 0);
   dim_ = 0;
-}
-
-Result<SignatureSet> SignatureSet::FromSignatures(
-    const std::vector<Signature>& signatures) {
-  SignatureSet set;
-  std::size_t centers = 0;
-  for (const Signature& s : signatures) centers += s.size();
-  if (!signatures.empty()) {
-    set.Reserve(signatures.size(), centers, signatures.front().dim());
-  }
-  for (std::size_t i = 0; i < signatures.size(); ++i) {
-    Status appended = set.Append(signatures[i]);
-    if (!appended.ok()) {
-      return Status::Invalid("signature " + std::to_string(i) + ": " +
-                             appended.message());
-    }
-  }
-  return set;
-}
-
-std::vector<Signature> SignatureSet::ToSignatures() const {
-  std::vector<Signature> out;
-  out.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) {
-    out.push_back(view(i).ToSignature());
-  }
-  return out;
 }
 
 void SignatureRing::Reset(std::size_t capacity) {

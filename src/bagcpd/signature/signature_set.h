@@ -10,9 +10,8 @@
 // state as signatures are pushed and the oldest retired.
 //
 // Both containers hand out SignatureView (signature/signature.h) — the same
-// non-owning view every distance kernel consumes — so `std::vector<Signature>`
-// call sites migrate incrementally (see the FromSignatures/ToSignatures
-// shims) with bitwise-identical results.
+// non-owning view every distance kernel consumes. Batches are gathered by
+// Append-ing signatures (owning ones convert to views implicitly).
 
 #ifndef BAGCPD_SIGNATURE_SIGNATURE_SET_H_
 #define BAGCPD_SIGNATURE_SIGNATURE_SET_H_
@@ -20,7 +19,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "bagcpd/common/result.h"
 #include "bagcpd/common/status.h"
 #include "bagcpd/signature/signature.h"
 
@@ -77,27 +75,14 @@ class SignatureSet {
   Status Append(SignatureView sig);
 
   /// \brief Appends without per-member validation: empty members and
-  /// non-positive weights are stored as-is for a later Validate() pass to
-  /// report recoverably (WeightedSignatureSet relies on this to preserve
-  /// Status-based error handling). Only a dimension mismatch — which the
-  /// shared-buffer layout cannot represent — still fails.
+  /// non-positive weights are stored as-is for a later Validate() pass
+  /// (e.g. WeightedSignatureSet::Validate) to report recoverably. Only a
+  /// dimension mismatch — which the shared-buffer layout cannot represent —
+  /// still fails.
   Status AppendUnchecked(SignatureView sig);
-
-  /// \brief Pre-sizes the shared buffers for `signatures` members totalling
-  /// about `centers_hint` centers of dimension `dim`.
-  void Reserve(std::size_t signatures, std::size_t centers_hint,
-               std::size_t dim);
 
   /// \brief Drops all members (buffers keep their capacity).
   void Clear();
-
-  /// \brief Migration shim: gathers an AoS vector into the SoA layout.
-  /// Fails if any member is invalid or the dimensions disagree.
-  static Result<SignatureSet> FromSignatures(
-      const std::vector<Signature>& signatures);
-
-  /// \brief Migration shim: scatters back into owning packed signatures.
-  std::vector<Signature> ToSignatures() const;
 
   /// \brief The shared buffers (diagnostics / tests).
   const std::vector<double>& center_data() const { return centers_; }

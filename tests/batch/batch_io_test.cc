@@ -10,12 +10,15 @@
 
 #include "bagcpd/batch/synthetic.h"
 #include "bagcpd/common/buffer_arena.h"
+#include "testing/temp_dir.h"
 
 namespace bagcpd {
 namespace {
 
+// Every file lives in one directory, removed when the test binary exits.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
+  static const ScopedTempDir dir("bagcpd-batch-io");
+  return dir.File(name);
 }
 
 std::string ReadAll(const std::string& path) {

@@ -20,6 +20,7 @@
 #include "bagcpd/common/buffer_arena.h"
 #include "bagcpd/core/detector.h"
 #include "bagcpd/runtime/stream_engine.h"
+#include "testing/temp_dir.h"
 
 namespace bagcpd {
 namespace {
@@ -649,8 +650,9 @@ TEST(BatchTableOracleTest, BuildMatchesReferenceOrderOnRandomTables) {
                           FromBits(0xfff8000000000003ull)};
   const char* kKeys[] = {"b", "a", "aa", "B", "k10", "k9"};
   SplitMix64 rng{2024};
-  const std::string bin = ::testing::TempDir() + "batch_oracle.bin";
-  const std::string csv = ::testing::TempDir() + "batch_oracle.csv";
+  const ScopedTempDir dir("bagcpd-batch-table");
+  const std::string bin = dir.File("batch_oracle.bin");
+  const std::string csv = dir.File("batch_oracle.csv");
   std::size_t binary_round_trips = 0;
   std::size_t csv_round_trips = 0;
   std::size_t refusals = 0;

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bagcpd/common/flat_bag.h"
 #include "bagcpd/common/rng.h"
 #include "bagcpd/core/detector.h"
 #include "bagcpd/data/gmm.h"
@@ -473,8 +474,8 @@ Signature KMeansSignature(const GaussianMixture& mix, std::size_t k,
   options.k = k;
   options.normalize = true;
   options.seed = seed;
-  return SignatureBuilder(options).Build(mix.SampleBag(50, &rng), 0)
-      .ValueOrDie();
+  const FlatBag bag = FlatBag::FromBag(mix.SampleBag(50, &rng)).ValueOrDie();
+  return SignatureBuilder(options).Build(bag, 0).ValueOrDie();
 }
 
 TEST(SinkhornEmdTest, GoldenValuesAreBitExact) {

@@ -119,11 +119,10 @@ TEST(EmdTest, RejectsNegativeGroundDistance) {
 }
 
 TEST(EmdTest, PairwiseMatrixIsSymmetricWithZeroDiagonal) {
-  std::vector<Signature> sigs = {
-      Sig({{0.0}}, {1.0}),
-      Sig({{2.0}}, {1.0}),
-      Sig({{5.0}}, {1.0}),
-  };
+  SignatureSet sigs;
+  for (double x : {0.0, 2.0, 5.0}) {
+    ASSERT_TRUE(sigs.Append(Sig({{x}}, {1.0})).ok());
+  }
   Result<Matrix> m = PairwiseEmdMatrix(sigs);
   ASSERT_TRUE(m.ok());
   EXPECT_DOUBLE_EQ((*m)(0, 0), 0.0);

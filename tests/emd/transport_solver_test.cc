@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bagcpd/common/flat_bag.h"
 #include "bagcpd/common/rng.h"
 #include "bagcpd/core/detector.h"
 #include "bagcpd/core/scores.h"
@@ -258,7 +259,8 @@ TEST(TransportSolverTest, DetectorStepsIdenticalToFirstPrinciplesRebuild) {
   SignatureBuilder builder(options.signature);
   std::vector<Signature> sigs;
   for (std::size_t t = 0; t < bags.size(); ++t) {
-    sigs.push_back(builder.Build(bags[t], t).ValueOrDie());
+    const FlatBag bag = FlatBag::FromBag(bags[t]).ValueOrDie();
+    sigs.push_back(builder.Build(bag, t).ValueOrDie());
   }
   EmdWorkspace workspace;
   const std::vector<double> pi_ref(
@@ -435,16 +437,17 @@ TEST(TransportSolverTest, PaperRegimeSignaturesMatchReferenceBitwise) {
         options.k = k;
         const GaussianMixture ref_bags =
             GaussianMixture::Isotropic({0.0, 0.0}, 1.0);
-        const Signature a = SignatureBuilder(options)
-                                .Build(ref_bags.SampleBag(50, &rng), trial)
-                                .ValueOrDie();
+        const FlatBag ref_bag =
+            FlatBag::FromBag(ref_bags.SampleBag(50, &rng)).ValueOrDie();
+        const Signature a =
+            SignatureBuilder(options).Build(ref_bag, trial).ValueOrDie();
         options.k = l;
         const GaussianMixture test_bags = GaussianMixture::Isotropic(
             {0.5 * static_cast<double>(trial), 0.0}, 1.0);
+        const FlatBag test_bag =
+            FlatBag::FromBag(test_bags.SampleBag(50, &rng)).ValueOrDie();
         const Signature b =
-            SignatureBuilder(options)
-                .Build(test_bags.SampleBag(50, &rng), 100 + trial)
-                .ValueOrDie();
+            SignatureBuilder(options).Build(test_bag, 100 + trial).ValueOrDie();
         ASSERT_EQ(a.size(), k);
         ASSERT_EQ(b.size(), l);
         if (!normalize) {

@@ -7,7 +7,6 @@
 // Corrupt and truncated spill files ride the same ladder as injected faults.
 // Every armed test uses ScopedFault (the injector is process-wide).
 
-#include <dirent.h>
 
 #include <cmath>
 #include <cstdio>
@@ -26,6 +25,7 @@
 #include "bagcpd/fault/fault_injector.h"
 #include "bagcpd/runtime/stream_engine.h"
 #include "bagcpd/runtime/thread_pool.h"
+#include "testing/temp_dir.h"
 
 namespace bagcpd {
 namespace {
@@ -135,26 +135,6 @@ std::vector<StepResult> Replay(const StreamEngineOptions& engine_options,
     }
   }
   return out;
-}
-
-std::string MakeSpillDir() {
-  std::string tmpl = ::testing::TempDir() + "bagcpd-fault-XXXXXX";
-  const char* dir = mkdtemp(tmpl.data());
-  EXPECT_NE(dir, nullptr);
-  return tmpl;
-}
-
-std::vector<std::string> ListFiles(const std::string& dir) {
-  std::vector<std::string> files;
-  DIR* handle = opendir(dir.c_str());
-  EXPECT_NE(handle, nullptr) << dir;
-  if (handle == nullptr) return files;
-  while (dirent* entry = readdir(handle)) {
-    const std::string name = entry->d_name;
-    if (name != "." && name != "..") files.push_back(dir + "/" + name);
-  }
-  closedir(handle);
-  return files;
 }
 
 // ---------------------------------------------------------------------------
@@ -399,7 +379,8 @@ TEST(FaultMatrixTest, PoisonedSnapshotFallsBackToFreshRestart) {
   ASSERT_TRUE(armed.status().ok());
 
   StreamEngineOptions options = SmallEngine(1);
-  options.spill_directory = MakeSpillDir();
+  const ScopedTempDir spill_dir("bagcpd-fault");
+  options.spill_directory = spill_dir.path();
   options.max_idle_submissions = 4;
   options.max_stream_faults = 3;
   options.snapshot_interval = 2;
@@ -453,7 +434,8 @@ TEST(FaultMatrixTest, SpillWriteFaultKeepsStreamResident) {
   ASSERT_TRUE(armed.status().ok());
 
   StreamEngineOptions options = SmallEngine(1);
-  options.spill_directory = MakeSpillDir();
+  const ScopedTempDir spill_dir("bagcpd-fault");
+  options.spill_directory = spill_dir.path();
   options.max_idle_submissions = 4;
   auto engine = StreamEngine::Create(options).MoveValueUnsafe();
 
@@ -497,7 +479,8 @@ TEST(FaultMatrixTest, SpillReadFaultRestoresFromSnapshot) {
   ASSERT_TRUE(armed.status().ok());
 
   StreamEngineOptions options = SmallEngine(1);
-  options.spill_directory = MakeSpillDir();
+  const ScopedTempDir spill_dir("bagcpd-fault");
+  options.spill_directory = spill_dir.path();
   options.max_idle_submissions = 4;
   options.max_stream_faults = 2;
   options.snapshot_interval = 2;
@@ -545,7 +528,8 @@ TEST(FaultMatrixTest, CorruptSpillFileQuarantinesWithoutBudget) {
   // max_stream_faults = 0 a truncated spill file quarantines the stream on
   // its next bag — typed kError, other streams untouched.
   StreamEngineOptions options = SmallEngine(1);
-  options.spill_directory = MakeSpillDir();
+  const ScopedTempDir spill_dir("bagcpd-fault");
+  options.spill_directory = spill_dir.path();
   options.max_idle_submissions = 4;
   auto engine = StreamEngine::Create(options).MoveValueUnsafe();
 
@@ -592,7 +576,8 @@ TEST(FaultMatrixTest, CorruptSpillFileIsContainedWithBudget) {
   // The same corruption with a fault budget: the stream restarts from
   // scratch instead of quarantining and keeps producing results.
   StreamEngineOptions options = SmallEngine(1);
-  options.spill_directory = MakeSpillDir();
+  const ScopedTempDir spill_dir("bagcpd-fault");
+  options.spill_directory = spill_dir.path();
   options.max_idle_submissions = 4;
   options.max_stream_faults = 2;
   auto engine = StreamEngine::Create(options).MoveValueUnsafe();
@@ -772,7 +757,8 @@ TEST(FaultMatrixTest, BackoffWindowDropsBagsDeterministically) {
 
 TEST(FaultMatrixTest, SpillGcReclaimsKeysThatNeverReturn) {
   StreamEngineOptions options = SmallEngine(1);
-  options.spill_directory = MakeSpillDir();
+  const ScopedTempDir spill_dir("bagcpd-fault");
+  options.spill_directory = spill_dir.path();
   options.max_idle_submissions = 4;
   options.spill_gc_submissions = 100;
   auto engine = StreamEngine::Create(options).MoveValueUnsafe();
@@ -1061,7 +1047,8 @@ TEST(FaultMatrixTest, ValidationRejectsIncoherentRecoveryOptions) {
 }
 
 TEST(FaultMatrixTest, EngineSpecRoundTripsFaultContainmentKeys) {
-  const std::string dir = MakeSpillDir();
+  const ScopedTempDir spill_dir("bagcpd-fault");
+  const std::string dir = spill_dir.path();
   api::EngineSpec spec;
   spec.NumShards(2)
       .Seed(9)

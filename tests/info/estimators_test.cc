@@ -14,8 +14,8 @@ Signature PointMass(double x) {
 }
 
 WeightedSignatureSet UniformSet(std::vector<double> positions) {
-  std::vector<Signature> sigs;
-  for (double x : positions) sigs.push_back(PointMass(x));
+  SignatureSet sigs;
+  for (double x : positions) EXPECT_TRUE(sigs.Append(PointMass(x)).ok());
   return WeightedSignatureSet::Uniform(std::move(sigs));
 }
 
@@ -147,24 +147,17 @@ TEST(EstimatorsTest, MatrixLevelPrimitivesMatchConveniences) {
 }
 
 TEST(EstimatorsTest, UniformKeepsInvalidMembersForRecoverableValidate) {
-  // The AoS Uniform shim must not abort on invalid member signatures: the
-  // estimators report them through Status, as they always have.
-  std::vector<Signature> sigs;
-  sigs.push_back(PointMass(0.0));
-  sigs.push_back(Signature::FromFlat({1.0}, 1, {0.0}));  // Zero weight.
+  // Uniform must not abort on invalid member signatures (stored through
+  // SignatureSet::AppendUnchecked): the estimators report them through
+  // Status, as they always have. Mixed dimensions never get this far —
+  // SignatureSet's append rejects them (signature_set_test).
+  SignatureSet sigs;
+  ASSERT_TRUE(sigs.AppendUnchecked(PointMass(0.0)).ok());
+  ASSERT_TRUE(  // Zero weight.
+      sigs.AppendUnchecked(Signature::FromFlat({1.0}, 1, {0.0})).ok());
   WeightedSignatureSet set = WeightedSignatureSet::Uniform(std::move(sigs));
   EXPECT_FALSE(set.Validate().ok());
   EXPECT_FALSE(AutoEntropy(set).ok());
-
-  // Mixed dimensions cannot live in the shared buffers; Uniform must still
-  // not abort — the error parks in gather_status and flows out as a Status.
-  std::vector<Signature> mixed;
-  mixed.push_back(PointMass(0.0));
-  mixed.push_back(Signature::FromCenters({{1.0, 2.0}}, {1.0}));
-  WeightedSignatureSet ragged = WeightedSignatureSet::Uniform(std::move(mixed));
-  EXPECT_FALSE(ragged.gather_status.ok());
-  EXPECT_FALSE(ragged.Validate().ok());
-  EXPECT_FALSE(AutoEntropy(ragged).ok());
 }
 
 TEST(EstimatorsTest, InformationContentIsSingletonCrossEntropy) {
@@ -173,7 +166,7 @@ TEST(EstimatorsTest, InformationContentIsSingletonCrossEntropy) {
   Signature s = PointMass(0.7);
   WeightedSignatureSet sp = UniformSet({1.5, 3.0, 6.0});
   WeightedSignatureSet singleton;
-  singleton.signatures = SignatureSet::FromSignatures({s}).ValueOrDie();
+  ASSERT_TRUE(singleton.signatures.Append(s).ok());
   singleton.weights = {1.0};
   const double info = InformationContent(s, sp).ValueOrDie();
   const double cross = CrossEntropy(singleton, sp).ValueOrDie();

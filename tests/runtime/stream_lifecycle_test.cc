@@ -7,11 +7,7 @@
 // the global submission sequence, never on the shard count or on when a
 // shard happened to sweep.
 
-#include <dirent.h>
-#include <unistd.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,6 +19,7 @@
 #include "bagcpd/data/gmm.h"
 #include "bagcpd/fault/fault_injector.h"
 #include "bagcpd/runtime/stream_engine.h"
+#include "testing/temp_dir.h"
 
 namespace bagcpd {
 namespace {
@@ -71,40 +68,6 @@ void SubmitJunk(StreamEngine* engine, std::size_t count) {
     ASSERT_TRUE(engine->Submit("junk", filler).ok());
   }
 }
-
-std::vector<std::string> ListFiles(const std::string& dir) {
-  std::vector<std::string> files;
-  DIR* handle = opendir(dir.c_str());
-  EXPECT_NE(handle, nullptr) << dir;
-  if (handle == nullptr) return files;
-  while (dirent* entry = readdir(handle)) {
-    const std::string name = entry->d_name;
-    if (name != "." && name != "..") files.push_back(dir + "/" + name);
-  }
-  closedir(handle);
-  return files;
-}
-
-// A fresh spill directory, removed with whatever is left in it.
-class SpillDir {
- public:
-  SpillDir() : path_(::testing::TempDir() + "bagcpd-lifecycle-XXXXXX") {
-    EXPECT_NE(mkdtemp(path_.data()), nullptr);
-  }
-  ~SpillDir() {
-    for (const std::string& file : ListFiles(path_)) {
-      std::remove(file.c_str());
-    }
-    rmdir(path_.c_str());
-  }
-  SpillDir(const SpillDir&) = delete;
-  SpillDir& operator=(const SpillDir&) = delete;
-
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 // A fresh detector seeded exactly as the engine seeds `key`, fed `bags`.
 std::vector<StepResult> Replay(const StreamEngineOptions& engine_options,
@@ -268,7 +231,7 @@ const std::vector<LifecycleRow>& Rows() {
 void RunRow(const LifecycleRow& row) {
   SCOPED_TRACE(row.name);
   StreamEngineOptions options = SmallEngine(1);
-  SpillDir spill_dir;
+  ScopedTempDir spill_dir("bagcpd-lifecycle");
   if (row.shape.spill) options.spill_directory = spill_dir.path();
   options.spill_resident_bytes = row.shape.budget;
   options.max_idle_submissions = row.shape.max_idle;
@@ -369,7 +332,7 @@ TEST(StreamLifecycleTest, SpillGcRestartIsShardInvariant) {
   for (std::size_t t = 8; t < 16; ++t) post_gap.push_back(&cold[t]);
   for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     StreamEngineOptions options = SmallEngine(shards);
-    SpillDir spill_dir;
+    ScopedTempDir spill_dir("bagcpd-lifecycle");
     options.spill_directory = spill_dir.path();
     options.max_idle_submissions = 4;
     options.spill_gc_submissions = 100;

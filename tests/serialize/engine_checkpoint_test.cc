@@ -18,6 +18,7 @@
 #include "bagcpd/data/gmm.h"
 #include "bagcpd/runtime/stream_engine.h"
 #include "bagcpd/serialize/checkpoint.h"
+#include "testing/temp_dir.h"
 
 namespace bagcpd {
 namespace {
@@ -111,13 +112,6 @@ void ExpectIdenticalSeries(
       EXPECT_EQ(x.alarm, y.alarm) << what << " " << key << " step " << i;
     }
   }
-}
-
-std::string MakeSpillDir() {
-  std::string tmpl = ::testing::TempDir() + "bagcpd-spill-XXXXXX";
-  const char* dir = mkdtemp(tmpl.data());
-  EXPECT_NE(dir, nullptr);
-  return tmpl;
 }
 
 TEST(EngineCheckpointTest, CheckpointRestoreBitwiseAcrossShardCounts) {
@@ -301,7 +295,8 @@ TEST(EngineCheckpointTest, SpillThenTouchRoundTrip) {
 
   for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     StreamEngineOptions options = EngineOptions(shards);
-    options.spill_directory = MakeSpillDir();
+    const ScopedTempDir spill_dir("bagcpd-spill");
+    options.spill_directory = spill_dir.path();
     options.spill_resident_bytes = 1;  // Force the budget LRU constantly.
     auto engine = StreamEngine::Create(options).MoveValueUnsafe();
     SubmitRange(engine.get(), corpus, 0, 14);
@@ -348,7 +343,8 @@ TEST(EngineCheckpointTest, CheckpointCoversSpilledStreams) {
   const auto expected = DrainSteps(reference.get());
 
   StreamEngineOptions options = EngineOptions(2);
-  options.spill_directory = MakeSpillDir();
+  const ScopedTempDir spill_dir("bagcpd-spill");
+  options.spill_directory = spill_dir.path();
   options.spill_resident_bytes = 1;
   auto spilling = StreamEngine::Create(options).MoveValueUnsafe();
   SubmitRange(spilling.get(), corpus, 0, 7);
@@ -377,7 +373,8 @@ TEST(EngineCheckpointTest, CheckpointCoversSpilledStreams) {
 TEST(EngineCheckpointTest, ResidentBytesTrackSpill) {
   const auto corpus = Corpus(2, 10);
   StreamEngineOptions options = EngineOptions(1);
-  options.spill_directory = MakeSpillDir();
+  const ScopedTempDir spill_dir("bagcpd-spill");
+  options.spill_directory = spill_dir.path();
   auto engine = StreamEngine::Create(options).MoveValueUnsafe();
   SubmitRange(engine.get(), corpus, 0, 10);
   engine->Flush();

@@ -5,13 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include "bagcpd/common/flat_bag.h"
 #include "bagcpd/common/rng.h"
 
 namespace bagcpd {
 namespace {
 
+FlatBag Flat(const Bag& bag) { return FlatBag::FromBag(bag).ValueOrDie(); }
+
 // Three tight, well-separated clusters around (0,0), (10,0), (0,10).
-Bag MakeThreeClusters(std::size_t per_cluster, std::uint64_t seed) {
+FlatBag MakeThreeClusters(std::size_t per_cluster, std::uint64_t seed) {
   Rng rng(seed);
   Bag bag;
   const std::vector<Point> centers = {{0.0, 0.0}, {10.0, 0.0}, {0.0, 10.0}};
@@ -20,11 +23,11 @@ Bag MakeThreeClusters(std::size_t per_cluster, std::uint64_t seed) {
       bag.push_back(rng.MultivariateGaussianIso(c, 0.3));
     }
   }
-  return bag;
+  return Flat(bag);
 }
 
 TEST(KMeansTest, RecoversSeparatedClusters) {
-  Bag bag = MakeThreeClusters(40, 1);
+  const FlatBag bag = MakeThreeClusters(40, 1);
   KMeansOptions options;
   options.k = 3;
   options.seed = 42;
@@ -46,7 +49,7 @@ TEST(KMeansTest, RecoversSeparatedClusters) {
 }
 
 TEST(KMeansTest, WeightsSumToBagSize) {
-  Bag bag = MakeThreeClusters(30, 2);
+  const FlatBag bag = MakeThreeClusters(30, 2);
   KMeansOptions options;
   options.k = 5;
   Result<KMeansResult> res = KMeansQuantize(bag, options);
@@ -55,7 +58,7 @@ TEST(KMeansTest, WeightsSumToBagSize) {
 }
 
 TEST(KMeansTest, AssignmentsMatchWeights) {
-  Bag bag = MakeThreeClusters(20, 3);
+  const FlatBag bag = MakeThreeClusters(20, 3);
   KMeansOptions options;
   options.k = 3;
   Result<KMeansResult> res = KMeansQuantize(bag, options);
@@ -71,7 +74,7 @@ TEST(KMeansTest, AssignmentsMatchWeights) {
 }
 
 TEST(KMeansTest, KClampedToBagSize) {
-  Bag bag = {{0.0}, {1.0}, {2.0}};
+  const FlatBag bag = Flat({{0.0}, {1.0}, {2.0}});
   KMeansOptions options;
   options.k = 10;
   Result<KMeansResult> res = KMeansQuantize(bag, options);
@@ -81,7 +84,7 @@ TEST(KMeansTest, KClampedToBagSize) {
 }
 
 TEST(KMeansTest, DeterministicForSeed) {
-  Bag bag = MakeThreeClusters(25, 4);
+  const FlatBag bag = MakeThreeClusters(25, 4);
   KMeansOptions options;
   options.k = 4;
   options.seed = 99;
@@ -96,7 +99,7 @@ TEST(KMeansTest, DeterministicForSeed) {
 }
 
 TEST(KMeansTest, DuplicatePointsHandled) {
-  Bag bag(10, Point{1.0, 1.0});  // All identical.
+  const FlatBag bag = Flat(Bag(10, Point{1.0, 1.0}));  // All identical.
   KMeansOptions options;
   options.k = 3;
   Result<KMeansResult> res = KMeansQuantize(bag, options);
@@ -106,17 +109,17 @@ TEST(KMeansTest, DuplicatePointsHandled) {
 }
 
 TEST(KMeansTest, RejectsEmptyBag) {
-  EXPECT_FALSE(KMeansQuantize(Bag{}, KMeansOptions{}).ok());
+  EXPECT_FALSE(KMeansQuantize(BagView(), KMeansOptions{}).ok());
 }
 
 TEST(KMeansTest, RejectsZeroK) {
   KMeansOptions options;
   options.k = 0;
-  EXPECT_FALSE(KMeansQuantize(Bag{{1.0}}, options).ok());
+  EXPECT_FALSE(KMeansQuantize(Flat({{1.0}}), options).ok());
 }
 
 TEST(KMeansTest, InertiaDecreasesWithMoreClusters) {
-  Bag bag = MakeThreeClusters(30, 5);
+  const FlatBag bag = MakeThreeClusters(30, 5);
   double prev = 1e18;
   for (std::size_t k : {1u, 2u, 3u, 6u}) {
     KMeansOptions options;
@@ -134,7 +137,7 @@ TEST(KMeansTest, InertiaDecreasesWithMoreClusters) {
 class KMeansParamTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(KMeansParamTest, ProducesValidSignature) {
-  Bag bag = MakeThreeClusters(15, 6);
+  const FlatBag bag = MakeThreeClusters(15, 6);
   KMeansOptions options;
   options.k = GetParam();
   options.seed = 11;

@@ -1,7 +1,8 @@
-// Bit-exact pins of the seeded quantizers (k-means, k-medoids, LVQ), as %a
-// hex literals: every center coordinate, then every weight. They were
-// captured before the quantizers moved from Rng to LazyMt19937_64 streams,
-// and hold because both engines yield the same words.
+// Bit-exact pins of the quantizers, as %a hex literals: every center
+// coordinate, then every weight. The seeded ones (k-means, k-medoids, LVQ)
+// were captured before they moved from Rng to LazyMt19937_64 streams, and
+// hold because both engines yield the same words; histogram and centroid
+// were captured before every quantizer emitted through one assembler path.
 
 #include <cstdint>
 #include <cstdio>
@@ -10,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include "bagcpd/common/flat_bag.h"
 #include "bagcpd/common/rng.h"
+#include "bagcpd/signature/histogram.h"
 #include "bagcpd/signature/kmeans.h"
 #include "bagcpd/signature/kmedoids.h"
 #include "bagcpd/signature/lvq.h"
@@ -22,7 +25,7 @@ namespace {
 // bit-identical on every platform. Point i repeats point i % distinct, which
 // lets a case force the quantizers' all-points-coincide branches; the
 // distinct points fall into three offset blobs.
-Bag PinBag(std::size_t n, std::size_t d, std::size_t distinct,
+FlatBag PinBag(std::size_t n, std::size_t d, std::size_t distinct,
            std::uint64_t salt) {
   Bag bag;
   for (std::size_t i = 0; i < n; ++i) {
@@ -35,7 +38,7 @@ Bag PinBag(std::size_t n, std::size_t d, std::size_t distinct,
     }
     bag.push_back(x);
   }
-  return bag;
+  return FlatBag::FromBag(bag).ValueOrDie();
 }
 
 // Center block (row-major), then the weight block.
@@ -166,6 +169,75 @@ TEST(QuantizerGoldenTest, LvqSignaturesAreBitExact) {
         LvqQuantize(PinBag(c.n, c.d, c.distinct, c.salt), options);
     ASSERT_TRUE(res.ok());
     ExpectPinned(Packed(*res), c.expected);
+  }
+}
+
+TEST(QuantizerGoldenTest, HistogramSignaturesAreBitExact) {
+  struct HistogramCase {
+    std::size_t n, d, distinct;
+    std::uint64_t salt;
+    double bin_width, origin;
+    bool use_bin_centers;
+    std::vector<double> expected;
+  };
+  const HistogramCase cases[] = {
+      {40, 1, 40, 21, 1.5, 0.0, true,
+       {0x1.8p-1, 0x1.2p+1, 0x1.ep+1, 0x1.5p+2, 0x1.08p+3, 0x1.38p+3,
+        0x1.6p+3, 0x1.8p+1, 0x1.8p+1, 0x1.4p+3, 0x1p+2, 0x1.2p+3}},
+      {40, 2, 40, 22, 2.0, -0.25, true,
+       {0x1.8p-1, 0x1.3p+2, 0x1.8p-1, 0x1.bp+2, 0x1.6p+1, 0x1.3p+2, 0x1.3p+2,
+        0x1.18p+3, 0x1.3p+2, 0x1.58p+3, 0x1.bp+2, 0x1.58p+3, 0x1.18p+3,
+        0x1.8p-1, 0x1.18p+3, 0x1.6p+1, 0x1.58p+3, 0x1.8p-1, 0x1.2p+3,
+        0x1.8p+1, 0x1p+1, 0x1.2p+3, 0x1.8p+1, 0x1p+0, 0x1.6p+3, 0x1p+0,
+        0x1p+0}},
+      // Sample-mean centers.
+      {30, 3, 30, 23, 3.0, 0.5, false,
+       {0x1.7116bf88047bp-4, 0x1.2cf96c36948e4p+2, 0x1.316606ab8b156p+3,
+        0x1.4e8d32f067d7ep+0, 0x1.42a43ca7f8922p+2, 0x1.19881381df91cp+3,
+        0x1.ca58bc32fb692p-1, 0x1.6a6c946c39188p+2, 0x1.348af8f85d651p+3,
+        0x1.1dc05287e020ap+2, 0x1.0adb59043a91ap+3, 0x1.8b9955a0063f8p-3,
+        0x1.464815ce3eb8ap+2, 0x1.168ea40eff00dp+3, 0x1.81102c45a95c5p+0,
+        0x1.065d574273698p+2, 0x1.37956a8d7cc5cp+3, 0x1.0e836e61f7afcp-3,
+        0x1.66a87f4b363fcp+2, 0x1.37c8e9a94d021p+3, 0x1.92b8d4991c3fap+0,
+        0x1.18cf38c5e61a8p+3, 0x1.1a43e560092d9p-2, 0x1.2779d0e29e518p+2,
+        0x1.164400b2d07a6p+3, 0x1.3fb3b6d9fa235p+0, 0x1.4aa28d3c0464dp+2,
+        0x1.3afd258641c7ap+3, 0x1.50317468819fcp-1, 0x1.30517cfbc44c4p+2,
+        0x1p+0, 0x1p+3, 0x1p+0, 0x1p+1, 0x1.4p+2, 0x1p+1, 0x1p+0, 0x1p+2,
+        0x1.4p+2, 0x1p+0}},
+      // Repeated points pile into few bins.
+      {12, 2, 3, 24, 0.75, 0.0, false,
+       {0x1.80613a61a4e69p+0, 0x1.4722692a62c44p+2, 0x1.3dc346b4f3444p+2,
+        0x1.0ae0fcc946485p+3, 0x1.307ea6f933f9ep+3, 0x1.54337e4d2f39ap-1,
+        0x1p+2, 0x1p+2, 0x1p+2}},
+  };
+  for (const HistogramCase& c : cases) {
+    SCOPED_TRACE("salt " + std::to_string(c.salt));
+    HistogramOptions options;
+    options.bin_width = c.bin_width;
+    options.origin = c.origin;
+    options.use_bin_centers = c.use_bin_centers;
+    Result<Signature> res =
+        HistogramQuantize(PinBag(c.n, c.d, c.distinct, c.salt), options);
+    ASSERT_TRUE(res.ok());
+    ExpectPinned(Packed(*res), c.expected);
+  }
+}
+
+TEST(QuantizerGoldenTest, CentroidSignaturesAreBitExact) {
+  const PinCase cases[] = {
+      {50, 2, 50, 0, 31, 0,
+       {0x1.38ad67664f4e6p+2, 0x1.43fb38ee9fabfp+2, 0x1.9p+5}},
+      {17, 3, 17, 0, 32, 0,
+       {0x1.2aa6e79063ebcp+2, 0x1.51c9c2788974bp+2, 0x1.44efa832a192ep+2,
+        0x1.1p+4}},
+      // Two distinct points, repeated.
+      {9, 1, 2, 0, 33, 0, {0x1.833153a128491p+1, 0x1.2p+3}},
+  };
+  for (const PinCase& c : cases) {
+    SCOPED_TRACE("salt " + std::to_string(c.salt));
+    ExpectPinned(
+        Packed(CentroidSignature(PinBag(c.n, c.d, c.distinct, c.salt))),
+        c.expected);
   }
 }
 

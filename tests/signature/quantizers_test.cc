@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bagcpd/common/flat_bag.h"
 #include "bagcpd/common/rng.h"
 #include "bagcpd/signature/builder.h"
 #include "bagcpd/signature/histogram.h"
@@ -11,6 +12,8 @@
 
 namespace bagcpd {
 namespace {
+
+FlatBag Flat(const Bag& bag) { return FlatBag::FromBag(bag).ValueOrDie(); }
 
 Bag MakeTwoClusters(std::size_t per_cluster, std::uint64_t seed) {
   Rng rng(seed);
@@ -28,7 +31,7 @@ TEST(KMedoidsTest, MedoidsAreBagPoints) {
   Bag bag = MakeTwoClusters(20, 1);
   KMedoidsOptions options;
   options.k = 2;
-  Result<KMedoidsResult> res = KMedoidsQuantize(bag, options);
+  Result<KMedoidsResult> res = KMedoidsQuantize(Flat(bag), options);
   ASSERT_TRUE(res.ok());
   for (std::size_t m = 0; m < res->signature.size(); ++m) {
     const Point center = res->signature.center(m).ToPoint();
@@ -44,7 +47,7 @@ TEST(KMedoidsTest, SeparatesClusters) {
   KMedoidsOptions options;
   options.k = 2;
   options.seed = 3;
-  Result<KMedoidsResult> res = KMedoidsQuantize(bag, options);
+  Result<KMedoidsResult> res = KMedoidsQuantize(Flat(bag), options);
   ASSERT_TRUE(res.ok());
   ASSERT_EQ(res->signature.size(), 2u);
   const double d = EuclideanDistance(res->signature.center(0),
@@ -54,10 +57,10 @@ TEST(KMedoidsTest, SeparatesClusters) {
 }
 
 TEST(KMedoidsTest, RejectsEmptyBagAndZeroK) {
-  EXPECT_FALSE(KMedoidsQuantize(Bag{}, KMedoidsOptions{}).ok());
+  EXPECT_FALSE(KMedoidsQuantize(BagView(), KMedoidsOptions{}).ok());
   KMedoidsOptions zero;
   zero.k = 0;
-  EXPECT_FALSE(KMedoidsQuantize(Bag{{1.0}}, zero).ok());
+  EXPECT_FALSE(KMedoidsQuantize(Flat({{1.0}}), zero).ok());
 }
 
 TEST(LvqTest, SeparatesClusters) {
@@ -65,7 +68,7 @@ TEST(LvqTest, SeparatesClusters) {
   LvqOptions options;
   options.k = 2;
   options.seed = 5;
-  Result<Signature> sig = LvqQuantize(bag, options);
+  Result<Signature> sig = LvqQuantize(Flat(bag), options);
   ASSERT_TRUE(sig.ok());
   ASSERT_EQ(sig->size(), 2u);
   EXPECT_GT(EuclideanDistance(sig->center(0), sig->center(1)), 5.0);
@@ -75,7 +78,7 @@ TEST(LvqTest, SeparatesClusters) {
 TEST(LvqTest, RejectsBadOptions) {
   LvqOptions bad_epochs;
   bad_epochs.epochs = 0;
-  EXPECT_FALSE(LvqQuantize(Bag{{1.0}}, bad_epochs).ok());
+  EXPECT_FALSE(LvqQuantize(Flat({{1.0}}), bad_epochs).ok());
 }
 
 TEST(HistogramTest, ExactCountsOnCraftedData) {
@@ -83,7 +86,7 @@ TEST(HistogramTest, ExactCountsOnCraftedData) {
   Bag bag = {{0.1}, {0.9}, {1.5}, {2.2}, {2.8}, {2.9}};
   HistogramOptions options;
   options.bin_width = 1.0;
-  Result<Signature> sig = HistogramQuantize(bag, options);
+  Result<Signature> sig = HistogramQuantize(Flat(bag), options);
   ASSERT_TRUE(sig.ok());
   ASSERT_EQ(sig->size(), 3u);
   // Map ordered (bin 0, 1, 2) -> counts (2, 1, 3); centers at 0.5, 1.5, 2.5.
@@ -100,7 +103,7 @@ TEST(HistogramTest, SampleMeanCenters) {
   HistogramOptions options;
   options.bin_width = 1.0;
   options.use_bin_centers = false;
-  Result<Signature> sig = HistogramQuantize(bag, options);
+  Result<Signature> sig = HistogramQuantize(Flat(bag), options);
   ASSERT_TRUE(sig.ok());
   ASSERT_EQ(sig->size(), 1u);
   EXPECT_DOUBLE_EQ(sig->center(0)[0], 0.25);
@@ -110,7 +113,7 @@ TEST(HistogramTest, NegativeValuesAndOrigin) {
   Bag bag = {{-0.5}, {-1.5}};
   HistogramOptions options;
   options.bin_width = 1.0;
-  Result<Signature> sig = HistogramQuantize(bag, options);
+  Result<Signature> sig = HistogramQuantize(Flat(bag), options);
   ASSERT_TRUE(sig.ok());
   ASSERT_EQ(sig->size(), 2u);
   EXPECT_DOUBLE_EQ(sig->center(0)[0], -1.5);
@@ -121,7 +124,7 @@ TEST(HistogramTest, MultiDimensionalBins) {
   Bag bag = {{0.2, 0.2}, {0.8, 0.8}, {1.2, 0.3}};
   HistogramOptions options;
   options.bin_width = 1.0;
-  Result<Signature> sig = HistogramQuantize(bag, options);
+  Result<Signature> sig = HistogramQuantize(Flat(bag), options);
   ASSERT_TRUE(sig.ok());
   EXPECT_EQ(sig->size(), 2u);  // (0,0) bin holds two points; (1,0) one.
   EXPECT_DOUBLE_EQ(sig->TotalWeight(), 3.0);
@@ -136,8 +139,8 @@ TEST(HistogramTest, OriginShiftByBinWidthIsNeutral) {
   base.origin = 0.0;
   HistogramOptions shifted = base;
   shifted.origin = -1.0;
-  Signature s1 = HistogramQuantize(bag, base).ValueOrDie();
-  Signature s2 = HistogramQuantize(bag, shifted).ValueOrDie();
+  Signature s1 = HistogramQuantize(Flat(bag), base).ValueOrDie();
+  Signature s2 = HistogramQuantize(Flat(bag), shifted).ValueOrDie();
   ASSERT_EQ(s1.size(), s2.size());
   EXPECT_EQ(s1.flat_centers(), s2.flat_centers());
   EXPECT_EQ(s1.weights(), s2.weights());
@@ -150,13 +153,13 @@ TEST(BuilderTest, NormalizeOptionYieldsUnitMass) {
   options.k = 4;
   options.normalize = true;
   SignatureBuilder builder(options);
-  Signature sig = builder.Build(bag, 0).ValueOrDie();
+  Signature sig = builder.Build(Flat(bag), 0).ValueOrDie();
   EXPECT_NEAR(sig.TotalWeight(), 1.0, 1e-12);
 }
 
 TEST(SignatureTest, NormalizedIsIdempotent) {
   Bag bag = {{0.0}, {1.0}, {1.0}};
-  Signature sig = CentroidSignature(bag).Normalized();
+  Signature sig = CentroidSignature(Flat(bag)).Normalized();
   Signature twice = sig.Normalized();
   EXPECT_EQ(sig.weights(), twice.weights());
 }
@@ -164,7 +167,7 @@ TEST(SignatureTest, NormalizedIsIdempotent) {
 TEST(HistogramTest, RejectsNonPositiveWidth) {
   HistogramOptions options;
   options.bin_width = 0.0;
-  EXPECT_FALSE(HistogramQuantize(Bag{{1.0}}, options).ok());
+  EXPECT_FALSE(HistogramQuantize(Flat({{1.0}}), options).ok());
 }
 
 TEST(BuilderTest, DispatchesAllMethods) {
@@ -178,7 +181,7 @@ TEST(BuilderTest, DispatchesAllMethods) {
     options.k = 4;
     options.bin_width = 2.0;
     SignatureBuilder builder(options);
-    Result<Signature> sig = builder.Build(bag, 0);
+    Result<Signature> sig = builder.Build(Flat(bag), 0);
     ASSERT_TRUE(sig.ok()) << SignatureMethodName(method) << ": "
                           << sig.status().ToString();
     EXPECT_TRUE(sig->Validate().ok());
@@ -196,8 +199,8 @@ TEST(BuilderTest, DeterministicPerBagIndex) {
   options.k = 3;
   options.seed = 21;
   SignatureBuilder builder(options);
-  Result<Signature> a = builder.Build(bag, 5);
-  Result<Signature> b = builder.Build(bag, 5);
+  Result<Signature> a = builder.Build(Flat(bag), 5);
+  Result<Signature> b = builder.Build(Flat(bag), 5);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->flat_centers(), b->flat_centers());
   EXPECT_EQ(a->weights(), b->weights());

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "bagcpd/common/rng.h"
-#include "bagcpd/emd/emd.h"
 
 namespace bagcpd {
 namespace {
@@ -24,10 +23,11 @@ Signature RandomSignature(Rng* rng, std::size_t k, std::size_t dim) {
 TEST(SignatureSetTest, RoundTripMatchesVectorOfSignatures) {
   Rng rng(41);
   std::vector<Signature> originals;
+  SignatureSet set;
   for (std::size_t i = 0; i < 6; ++i) {
     originals.push_back(RandomSignature(&rng, 2 + i % 3, 3));
+    ASSERT_TRUE(set.Append(originals.back()).ok());
   }
-  SignatureSet set = SignatureSet::FromSignatures(originals).ValueOrDie();
   ASSERT_EQ(set.size(), originals.size());
   EXPECT_EQ(set.dim(), 3u);
 
@@ -43,11 +43,10 @@ TEST(SignatureSetTest, RoundTripMatchesVectorOfSignatures) {
     }
   }
 
-  // And scatter back to owning signatures round-trips exactly.
-  const std::vector<Signature> back = set.ToSignatures();
-  ASSERT_EQ(back.size(), originals.size());
-  for (std::size_t i = 0; i < back.size(); ++i) {
-    EXPECT_EQ(back[i].packed(), originals[i].packed());
+  // And copying a member back out to an owning signature round-trips
+  // exactly.
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    EXPECT_EQ(set.view(i).ToSignature().packed(), originals[i].packed());
   }
 }
 
@@ -103,6 +102,19 @@ TEST(SignatureSetTest, AppendUncheckedDefersValidationToValidate) {
   EXPECT_FALSE(set.AppendUnchecked(wrong_dim).ok());
 }
 
+TEST(SignatureSetTest, MixedDimensionGatherFailsWithStatus) {
+  // Gathering a 1-d and a 2-d signature into one set reports a Status from
+  // either append (the shared buffers cannot hold both) instead of
+  // aborting, and keeps the members gathered so far.
+  SignatureSet set;
+  ASSERT_TRUE(set.Append(Signature::FromCenters({{0.0}}, {1.0})).ok());
+  const Signature wider = Signature::FromCenters({{1.0, 2.0}}, {1.0});
+  EXPECT_FALSE(set.Append(wider).ok());
+  EXPECT_FALSE(set.AppendUnchecked(wider).ok());
+  EXPECT_EQ(set.size(), 1u);
+  EXPECT_EQ(set.dim(), 1u);
+}
+
 TEST(SignatureSetTest, MovedFromSetIsEmptyAndReusable) {
   Rng rng(55);
   SignatureSet set;
@@ -117,50 +129,6 @@ TEST(SignatureSetTest, MovedFromSetIsEmptyAndReusable) {
   ASSERT_TRUE(set.Append(RandomSignature(&rng, 2, 5)).ok());
   EXPECT_EQ(set.size(), 1u);
   EXPECT_EQ(set.dim(), 5u);
-}
-
-TEST(SignatureSetTest, FromSignaturesReportsOffendingIndex) {
-  Rng rng(3);
-  std::vector<Signature> mixed = {RandomSignature(&rng, 2, 2),
-                                  RandomSignature(&rng, 2, 5)};
-  Result<SignatureSet> set = SignatureSet::FromSignatures(mixed);
-  ASSERT_FALSE(set.ok());
-  EXPECT_NE(set.status().message().find("signature 1"), std::string::npos);
-}
-
-TEST(SignatureSetTest, PairwiseEmdMatrixMatchesVectorPathBitwise) {
-  Rng rng(99);
-  std::vector<Signature> sigs;
-  for (std::size_t i = 0; i < 5; ++i) {
-    sigs.push_back(RandomSignature(&rng, 2 + i % 2, 2));
-  }
-  SignatureSet set = SignatureSet::FromSignatures(sigs).ValueOrDie();
-  const Matrix from_vector = PairwiseEmdMatrix(sigs).ValueOrDie();
-  const Matrix from_set = PairwiseEmdMatrix(set).ValueOrDie();
-  ASSERT_EQ(from_set.rows(), from_vector.rows());
-  for (std::size_t i = 0; i < from_set.rows(); ++i) {
-    for (std::size_t j = 0; j < from_set.cols(); ++j) {
-      EXPECT_EQ(from_set(i, j), from_vector(i, j)) << i << "," << j;
-    }
-  }
-}
-
-TEST(SignatureSetTest, CrossDistanceMatrixMatchesVectorPathBitwise) {
-  Rng rng(123);
-  std::vector<Signature> a, b;
-  for (std::size_t i = 0; i < 4; ++i) a.push_back(RandomSignature(&rng, 3, 2));
-  for (std::size_t i = 0; i < 3; ++i) b.push_back(RandomSignature(&rng, 2, 2));
-  SignatureSet sa = SignatureSet::FromSignatures(a).ValueOrDie();
-  SignatureSet sb = SignatureSet::FromSignatures(b).ValueOrDie();
-  const Matrix from_vector = CrossDistanceMatrix(a, b).ValueOrDie();
-  const Matrix from_set = CrossDistanceMatrix(sa, sb).ValueOrDie();
-  ASSERT_EQ(from_set.rows(), 4u);
-  ASSERT_EQ(from_set.cols(), 3u);
-  for (std::size_t i = 0; i < from_set.rows(); ++i) {
-    for (std::size_t j = 0; j < from_set.cols(); ++j) {
-      EXPECT_EQ(from_set(i, j), from_vector(i, j)) << i << "," << j;
-    }
-  }
 }
 
 TEST(SignatureRingTest, SlidesWithoutReallocationInSteadyState) {

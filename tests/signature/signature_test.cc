@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "bagcpd/common/flat_bag.h"
+
 namespace bagcpd {
 namespace {
 
@@ -110,7 +112,7 @@ TEST(SignatureTest, MutableCenterWritesThrough) {
 }
 
 TEST(SignatureTest, CentroidSignatureCollapsesBag) {
-  Bag bag = {{0.0, 0.0}, {4.0, 2.0}};
+  const FlatBag bag = FlatBag::FromBag({{0.0, 0.0}, {4.0, 2.0}}).ValueOrDie();
   Signature s = CentroidSignature(bag);
   EXPECT_EQ(s.size(), 1u);
   EXPECT_DOUBLE_EQ(s.center(0)[0], 2.0);
