@@ -1,6 +1,8 @@
-// Multi-stream engine throughput: RunBatch over K concurrent streams at
-// several shard counts, reporting aggregate bags/sec and streams/sec. Emits
-// BENCH_engine.json next to the binary's working directory.
+// Multi-stream engine throughput: K concurrent streams fed through
+// StreamEngine::Submit (round-robin, time step first), then Flush and
+// DrainEvents, at several shard counts, reporting aggregate bags/sec and
+// streams/sec. Emits BENCH_engine.json next to the binary's working
+// directory.
 //
 //   micro_engine [num_streams] [bags_per_stream] [thread_list]
 //   e.g. micro_engine 64 40 1,2,4,8
@@ -89,7 +91,8 @@ int Main(int argc, char** argv) {
 
   bench::PrintHeader(
       "micro_engine: concurrent multi-stream throughput",
-      "StreamEngine::RunBatch, aggregate bags/sec vs. shard count");
+      "StreamEngine Submit + Flush + DrainEvents, aggregate bags/sec vs. "
+      "shard count");
   std::printf("streams=%zu bags/stream=%zu bag_size=20 replicates=50\n\n",
               num_streams, bags_per_stream);
 
@@ -110,8 +113,21 @@ int Main(int argc, char** argv) {
     StreamEngine& engine = *engine_owner;
 
     const auto start = std::chrono::steady_clock::now();
-    auto batch = bench::Unwrap(engine.RunBatch(streams), "RunBatch");
+    for (std::size_t t = 0; t < bags_per_stream; ++t) {
+      for (const auto& [key, bags] : streams) {
+        bench::UnwrapStatus(engine.Submit(key, bags[t]), "Submit");
+      }
+    }
+    engine.Flush();
+    const std::vector<EngineEvent> events = engine.DrainEvents();
     const auto stop = std::chrono::steady_clock::now();
+    for (const EngineEvent& event : events) {
+      if (event.kind == EngineEvent::Kind::kError) {
+        std::fprintf(stderr, "FATAL: stream %s failed: %s\n",
+                     event.stream_id.c_str(), event.error.ToString().c_str());
+        return 1;
+      }
+    }
     const double seconds =
         std::chrono::duration<double>(stop - start).count();
 

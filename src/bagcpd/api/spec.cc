@@ -644,11 +644,8 @@ Result<BatchRunnerOptions> BatchSpec::Build() const {
   BAGCPD_ASSIGN_OR_RETURN(options.detector, detector_.Build());
   options.profiles.clear();
   for (const auto& [name, spec] : profiles_) {
-    if (options.profiles.count(name) > 0) {
-      return Status::Invalid("profile '" + name + "' is already registered");
-    }
     BAGCPD_ASSIGN_OR_RETURN(DetectorOptions profile, spec.Build());
-    options.profiles.emplace(name, profile);
+    BAGCPD_RETURN_NOT_OK(AddProfile(name, profile, &options.profiles));
   }
   BAGCPD_RETURN_NOT_OK(ValidateBatchRunnerOptions(options));
   return options;

@@ -53,6 +53,7 @@
 #include "bagcpd/core/bootstrap.h"
 #include "bagcpd/core/detector.h"
 #include "bagcpd/core/feature_selector.h"
+#include "bagcpd/core/profiles.h"
 #include "bagcpd/core/scores.h"
 #include "bagcpd/core/segmentation.h"
 

@@ -7,36 +7,13 @@
 
 #include "bagcpd/common/check.h"
 #include "bagcpd/common/point.h"
-#include "bagcpd/runtime/stream_engine.h"
+#include "bagcpd/core/profiles.h"
 #include "bagcpd/runtime/thread_pool.h"
 
 namespace bagcpd {
 namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-
-// Canonicalizes a profile reference against the run's registry: empty and
-// "default" mean the default profile; anything else must be a registered
-// name.
-Result<std::string> CanonicalProfile(const BatchRunnerOptions& options,
-                                     const std::string& profile) {
-  if (profile.empty() || profile == kDefaultProfileName) {
-    return std::string(kDefaultProfileName);
-  }
-  if (options.profiles.count(profile) == 0) {
-    return Status::Invalid("unknown detector profile '" + profile + "'");
-  }
-  return profile;
-}
-
-const DetectorOptions& OptionsForProfile(const BatchRunnerOptions& options,
-                                         const std::string& canonical) {
-  if (canonical == kDefaultProfileName) return options.detector;
-  auto it = options.profiles.find(canonical);
-  BAGCPD_CHECK_MSG(it != options.profiles.end(), "unresolved profile '%s'",
-                   canonical.c_str());
-  return it->second;
-}
 
 // The profile a group is scored under: a non-empty profile column in the
 // table data wins; otherwise the caller's per-key route; otherwise the
@@ -49,10 +26,11 @@ Result<std::string> ResolveGroupProfile(const BatchRunnerOptions& options,
   auto routed = options.profile_by_key.find(key);
   if (!table_profile.empty()) {
     BAGCPD_ASSIGN_OR_RETURN(std::string canonical,
-                            CanonicalProfile(options, table_profile));
+                            CanonicalProfile(options.profiles, table_profile));
     if (routed != options.profile_by_key.end()) {
-      BAGCPD_ASSIGN_OR_RETURN(std::string routed_canonical,
-                              CanonicalProfile(options, routed->second));
+      BAGCPD_ASSIGN_OR_RETURN(
+          std::string routed_canonical,
+          CanonicalProfile(options.profiles, routed->second));
       if (routed_canonical != canonical) {
         return Status::Invalid("group '" + key + "' carries profile '" +
                                canonical +
@@ -63,7 +41,7 @@ Result<std::string> ResolveGroupProfile(const BatchRunnerOptions& options,
     return canonical;
   }
   if (routed != options.profile_by_key.end()) {
-    return CanonicalProfile(options, routed->second);
+    return CanonicalProfile(options.profiles, routed->second);
   }
   return std::string(kDefaultProfileName);
 }
@@ -71,31 +49,15 @@ Result<std::string> ResolveGroupProfile(const BatchRunnerOptions& options,
 }  // namespace
 
 Status ValidateBatchRunnerOptions(const BatchRunnerOptions& options) {
-  BAGCPD_RETURN_NOT_OK(ValidateDetectorOptions(options.detector));
-  if (options.detector.seed != 0) {
-    return Status::Invalid(
-        "BatchRunnerOptions.detector.seed must be 0: per-group seeds derive "
-        "from BatchRunnerOptions.seed and the group key (set the run seed "
-        "instead)");
-  }
+  BAGCPD_RETURN_NOT_OK(ValidateProfile(kDefaultProfileName, options.detector));
+  // Named profiles meet the rules StreamEngine::RegisterProfile applies.
+  ProfileMap registered;
   for (const auto& [name, profile] : options.profiles) {
-    if (name.empty() || name == kDefaultProfileName) {
-      return Status::Invalid("profile name '" + name +
-                             "' is reserved (the default profile is "
-                             "BatchRunnerOptions.detector)");
-    }
-    BAGCPD_RETURN_NOT_OK(ValidateDetectorOptions(profile));
-    if (profile.seed != 0) {
-      return Status::Invalid("profile '" + name +
-                             "' has a nonzero detector seed: per-group seeds "
-                             "derive from the run seed, the group key, and "
-                             "the profile name");
-    }
+    BAGCPD_RETURN_NOT_OK(AddProfile(name, profile, &registered));
   }
-  // Dangling routes are caller bugs surfaced before any work, matching
-  // StreamEngine::RunBatch's up-front resolution.
+  // Dangling routes are caller bugs, surfaced before any work is done.
   for (const auto& [key, profile] : options.profile_by_key) {
-    Result<std::string> canonical = CanonicalProfile(options, profile);
+    Result<std::string> canonical = CanonicalProfile(options.profiles, profile);
     if (!canonical.ok()) {
       return Status::Invalid("profile_by_key['" + key + "']: " +
                              canonical.status().message());
@@ -178,18 +140,14 @@ Result<BatchResultTable> RunBatchColumnar(const BatchTable& table,
     BufferArena* arena = arenas[s].get();
     for (std::size_t g = begin; g < end; ++g) {
       if (!resolution[g].ok()) continue;
-      const std::string& profile = resolution[g].ValueOrDie();
-      DetectorOptions per_group = OptionsForProfile(options, profile);
-      per_group.seed =
-          DerivePerStreamSeed(options.seed, table.group_key(g), profile);
       // Cannot fail: the profile was validated up front and only the seed
       // differs.
-      Result<std::unique_ptr<BagStreamDetector>> created =
-          BagStreamDetector::Create(per_group);
+      Result<std::unique_ptr<BagStreamDetector>> created = NewProfileDetector(
+          options.detector, options.profiles, options.seed, table.group_key(g),
+          resolution[g].ValueOrDie(), arena);
       BAGCPD_CHECK_MSG(created.ok(), "validated profile failed Create: %s",
                        created.status().ToString().c_str());
       std::unique_ptr<BagStreamDetector> detector = created.MoveValueUnsafe();
-      detector->set_buffer_arena(arena);
 
       const std::size_t steps = table.group_step_count(g);
       const std::size_t offset = row_offset[g];

@@ -1,20 +1,21 @@
-// RunBatchColumnar: the offline counterpart of StreamEngine::RunBatch, driven
-// by a BatchTable instead of per-key BagSequences. One call sweeps every
-// group (key) of the table through its own BagStreamDetector and returns one
-// flat BatchResultTable — the `ts_detect_changepoints_by` shape of the
+// RunBatchColumnar: the library's one offline sweep, the batch counterpart of
+// feeding every key through StreamEngine::Submit. One call sweeps every
+// group (key) of a BatchTable through its own BagStreamDetector and returns
+// one flat BatchResultTable — the `ts_detect_changepoints_by` shape of the
 // anofox-forecast extension, with the same row-accounting discipline: one
 // output row per input step of every healthy group, every group the run
 // could NOT score listed in `quarantined` with the exact reason, and every
 // step whose bag held a non-finite value listed in `skipped` (the step's row
 // stays, unscored; the group keeps going). Nothing is silently dropped.
 //
-// Determinism: each group's detector is seeded via DerivePerStreamSeed — the
-// identical (engine seed, key, profile) derivation StreamEngine uses — and
-// processes its own steps in time order on one thread. Group-to-shard
-// chunking is a pure function of (group count, num_shards), and no state is
-// shared between groups, so the result table is bitwise-identical for every
-// (num_shards, thread pool size) combination, including the serial
-// one-detector-per-group reference loop.
+// Determinism: each group's detector comes from NewProfileDetector
+// (core/profiles.h), the constructor StreamEngine uses, so it is seeded by
+// the identical (engine seed, key, profile) derivation, and it processes its
+// own steps in time order on one thread. Group-to-shard chunking is a pure
+// function of (group count, num_shards), and no state is shared between
+// groups, so the result table is bitwise-identical for every (num_shards,
+// thread pool size) combination, including the serial one-detector-per-group
+// reference loop.
 
 #ifndef BAGCPD_BATCH_BATCH_RUNNER_H_
 #define BAGCPD_BATCH_BATCH_RUNNER_H_

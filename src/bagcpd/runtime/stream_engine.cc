@@ -29,16 +29,6 @@ bool PastHorizon(std::uint64_t last_seq, std::uint64_t next_seq,
 
 }  // namespace
 
-std::uint64_t DerivePerStreamSeed(std::uint64_t engine_seed,
-                                  const std::string& stream_id,
-                                  const std::string& profile) {
-  std::uint64_t base = engine_seed ^ Rng::StableHash64(stream_id);
-  if (!profile.empty() && profile != kDefaultProfileName) {
-    base ^= Rng::MixSeed64(Rng::StableHash64(profile));
-  }
-  return Rng::MixSeed64(base);
-}
-
 Status ValidateStreamEngineOptions(const StreamEngineOptions& options) {
   if (options.shard_queue_capacity < 1) {
     return Status::Invalid("shard_queue_capacity must be >= 1");
@@ -48,15 +38,7 @@ Status ValidateStreamEngineOptions(const StreamEngineOptions& options) {
   BAGCPD_RETURN_NOT_OK(ValidateBufferArenaOptions(options.arena));
   // Fail fast on a detector misconfiguration instead of quarantining every
   // stream on first push.
-  BAGCPD_RETURN_NOT_OK(ValidateDetectorOptions(options.detector));
-  // Historically a nonzero detector.seed was silently ignored (per-stream
-  // seeds derive from the engine seed); reject it so the footgun is loud.
-  if (options.detector.seed != 0) {
-    return Status::Invalid(
-        "StreamEngineOptions.detector.seed must be 0: per-stream seeds derive "
-        "from StreamEngineOptions.seed and the stream key (set the engine "
-        "seed instead)");
-  }
+  BAGCPD_RETURN_NOT_OK(ValidateProfile(kDefaultProfileName, options.detector));
   if (options.spill_resident_bytes > 0 && options.spill_directory.empty()) {
     return Status::Invalid(
         "spill_resident_bytes needs a spill_directory to spill into");
@@ -113,27 +95,11 @@ StreamEngine::~StreamEngine() { Shutdown(); }
 
 Status StreamEngine::RegisterProfile(const std::string& name,
                                      const DetectorOptions& profile) {
-  if (name.empty() || name == kDefaultProfileName) {
-    return Status::Invalid(
-        "profile name '" + name +
-        "' is reserved (the default profile is StreamEngineOptions.detector)");
-  }
   if (submit_seq_.load() > 0) {
     return Status::Invalid(
         "RegisterProfile must be called before the first Submit");
   }
-  if (profiles_.count(name) > 0) {
-    return Status::Invalid("profile '" + name + "' is already registered");
-  }
-  BAGCPD_RETURN_NOT_OK(ValidateDetectorOptions(profile));
-  if (profile.seed != 0) {
-    return Status::Invalid(
-        "profile '" + name +
-        "' has a nonzero detector seed: per-stream seeds derive from the "
-        "engine seed, the stream key, and the profile name");
-  }
-  profiles_.emplace(name, profile);
-  return Status::OK();
+  return AddProfile(name, profile, &profiles_);
 }
 
 Status StreamEngine::set_event_sink(EventSink sink) {
@@ -154,40 +120,10 @@ std::size_t StreamEngine::ShardOf(const std::string& stream_id) const {
          shards_.size();
 }
 
-Result<std::string> StreamEngine::ResolveProfile(
-    const std::string& profile) const {
-  if (profile.empty() || profile == kDefaultProfileName) {
-    return std::string(kDefaultProfileName);
-  }
-  if (profiles_.count(profile) == 0) {
-    return Status::Invalid("unknown detector profile '" + profile +
-                           "' (register it before the first Submit)");
-  }
-  return profile;
-}
-
-const DetectorOptions& StreamEngine::ProfileOptions(
-    const std::string& profile) const {
-  if (profile == kDefaultProfileName) return options_.detector;
-  auto it = profiles_.find(profile);
-  BAGCPD_CHECK_MSG(it != profiles_.end(), "unresolved profile '%s'",
-                   profile.c_str());
-  return it->second;
-}
-
-std::uint64_t StreamEngine::DeriveStreamSeed(const std::string& stream_id,
-                                             const std::string& profile) const {
-  // Seeded by (engine seed, key, profile) only — never by shard index or
-  // count — so a stream's entire output is reproducible under resharding and
-  // a restarted stream behaves exactly like a fresh one. Shared with the
-  // offline batch runner so RunBatchColumnar reproduces engine seeding
-  // bit for bit.
-  return DerivePerStreamSeed(options_.seed, stream_id, profile);
-}
-
 Status StreamEngine::Submit(const std::string& stream_id, const Bag& bag,
                             const std::string& profile) {
-  BAGCPD_ASSIGN_OR_RETURN(std::string canonical, ResolveProfile(profile));
+  BAGCPD_ASSIGN_OR_RETURN(std::string canonical,
+                          CanonicalProfile(profiles_, profile));
   // Flatten exactly once at the ingest boundary, into a buffer recycled
   // through the target shard's arena (released on the shard thread when the
   // task dies — the cross-thread pattern the arena supports). A ragged bag
@@ -201,7 +137,8 @@ Status StreamEngine::Submit(const std::string& stream_id, const Bag& bag,
 
 Status StreamEngine::Submit(const std::string& stream_id, FlatBag bag,
                             const std::string& profile) {
-  BAGCPD_ASSIGN_OR_RETURN(std::string canonical, ResolveProfile(profile));
+  BAGCPD_ASSIGN_OR_RETURN(std::string canonical,
+                          CanonicalProfile(profiles_, profile));
   Result<FlatBag> flat(std::move(bag));
   return SubmitImpl(stream_id, canonical, ShardOf(stream_id), &flat,
                     /*blocking=*/true);
@@ -209,7 +146,8 @@ Status StreamEngine::Submit(const std::string& stream_id, FlatBag bag,
 
 Status StreamEngine::TrySubmit(const std::string& stream_id, const Bag& bag,
                                const std::string& profile) {
-  BAGCPD_ASSIGN_OR_RETURN(std::string canonical, ResolveProfile(profile));
+  BAGCPD_ASSIGN_OR_RETURN(std::string canonical,
+                          CanonicalProfile(profiles_, profile));
   const std::size_t shard_index = ShardOf(stream_id);
   Result<FlatBag> flat = FlatBag::FromBag(bag, arenas_[shard_index].get());
   return SubmitImpl(stream_id, canonical, shard_index, &flat,
@@ -218,7 +156,8 @@ Status StreamEngine::TrySubmit(const std::string& stream_id, const Bag& bag,
 
 Status StreamEngine::TrySubmit(const std::string& stream_id, FlatBag&& bag,
                                const std::string& profile) {
-  BAGCPD_ASSIGN_OR_RETURN(std::string canonical, ResolveProfile(profile));
+  BAGCPD_ASSIGN_OR_RETURN(std::string canonical,
+                          CanonicalProfile(profiles_, profile));
   Result<FlatBag> flat(std::move(bag));
   const Status status = SubmitImpl(stream_id, canonical, ShardOf(stream_id),
                                    &flat, /*blocking=*/false);
@@ -465,14 +404,10 @@ void StreamEngine::MaybeSnapshotStream(Stream& stream) {
 Result<std::unique_ptr<BagStreamDetector>> StreamEngine::NewDetector(
     Shard& shard, const std::string& stream_id,
     const std::string& profile) const {
-  DetectorOptions per_stream = ProfileOptions(profile);
-  per_stream.seed = DeriveStreamSeed(stream_id, profile);
-  BAGCPD_ASSIGN_OR_RETURN(std::unique_ptr<BagStreamDetector> detector,
-                          BagStreamDetector::Create(per_stream));
   // Signature builds and restores recycle buffers through the shard's pool;
   // the arena outlives every detector (member declaration order).
-  detector->set_buffer_arena(shard.arena);
-  return detector;
+  return NewProfileDetector(options_.detector, profiles_, options_.seed,
+                            stream_id, profile, shard.arena);
 }
 
 void StreamEngine::SweepIdle(Shard& shard, std::uint64_t now_seq) {
@@ -481,7 +416,7 @@ void StreamEngine::SweepIdle(Shard& shard, std::uint64_t now_seq) {
   // Process anyway: forgetting it here changes memory, never results. With
   // spilling, a live key idle past max_idle_submissions is spilled first; it
   // rehydrates bitwise on its next bag, or a later sweep forgets it. Memory
-  // again. Quarantined keys stay, so RunBatch can refuse them.
+  // again. Quarantined keys stay: their later bags are still dropped.
   const std::uint64_t next_seq = now_seq + 1;
   auto spill_due = [&](const Stream& stream) {
     return spill_enabled() && stream.phase == Phase::kLive &&
@@ -640,83 +575,6 @@ std::vector<EngineEvent> StreamEngine::DrainEvents() {
   std::lock_guard<std::mutex> lock(events_mu_);
   std::vector<EngineEvent> out;
   out.swap(events_);
-  return out;
-}
-
-Result<std::map<std::string, std::vector<StepResult>>> StreamEngine::RunBatch(
-    const std::map<std::string, BagSequence>& streams,
-    const std::string& profile) {
-  return RunBatch(streams, /*profile_by_key=*/{}, profile);
-}
-
-Result<std::map<std::string, std::vector<StepResult>>> StreamEngine::RunBatch(
-    const std::map<std::string, BagSequence>& streams,
-    const std::map<std::string, std::string>& profile_by_key,
-    const std::string& default_profile) {
-  if (sink_ || !options_.collect_results) {
-    return Status::Invalid(
-        "RunBatch needs collect_results = true and no event sink");
-  }
-  BAGCPD_ASSIGN_OR_RETURN(std::string fallback,
-                          ResolveProfile(default_profile));
-  // Resolve every key's route up front: an unknown profile name must fail
-  // the batch before any bag is enqueued, never after a partial sweep.
-  // Routing-map entries for keys outside `streams` are ignored by the same
-  // token — only the routes this batch will actually use are validated.
-  std::map<std::string, std::string> route;
-  for (const auto& [key, bags] : streams) {
-    auto it = profile_by_key.find(key);
-    if (it == profile_by_key.end()) {
-      route.emplace(key, fallback);
-    } else {
-      BAGCPD_ASSIGN_OR_RETURN(std::string canonical,
-                              ResolveProfile(it->second));
-      route.emplace(key, std::move(canonical));
-    }
-  }
-  // Isolate this batch from any earlier online traffic still in the queues.
-  Flush();
-  DrainEvents();
-  // A key quarantined by earlier traffic would have its batch bags silently
-  // dropped; refuse up front instead.
-  for (const auto& [key, bags] : streams) {
-    Shard& shard = *shards_[ShardOf(key)];
-    std::unique_lock<std::mutex> lock = QuiesceShard(shard);
-    auto it = shard.streams.find(key);
-    if (it != shard.streams.end() && it->second.phase == Phase::kQuarantined) {
-      return Status::Invalid("stream '" + key +
-                             "' was quarantined by an earlier failure");
-    }
-  }
-  // Interleave submissions time-step-first so every shard has work from the
-  // start instead of filling one stream's shard at a time.
-  std::size_t max_len = 0;
-  for (const auto& [key, bags] : streams) {
-    max_len = std::max(max_len, bags.size());
-  }
-  for (std::size_t t = 0; t < max_len; ++t) {
-    for (const auto& [key, bags] : streams) {
-      if (t < bags.size()) {
-        BAGCPD_RETURN_NOT_OK(Submit(key, bags[t], route[key]));
-      }
-    }
-  }
-  Flush();
-  // One pass over the queue: the first kError fails the batch, kStep events
-  // fill the series (each stream's in time order), other kinds are dropped.
-  std::map<std::string, std::vector<StepResult>> out;
-  for (const auto& [key, bags] : streams) {
-    out.emplace(key, std::vector<StepResult>());
-  }
-  for (const EngineEvent& event : DrainEvents()) {
-    if (event.kind == EngineEvent::Kind::kError) {
-      return Status::Invalid("stream '" + event.stream_id +
-                             "' failed: " + event.error.ToString());
-    }
-    if (event.kind == EngineEvent::Kind::kStep) {
-      out[event.stream_id].push_back(event.step);
-    }
-  }
   return out;
 }
 

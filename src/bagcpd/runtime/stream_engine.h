@@ -5,7 +5,8 @@
 // the hot path, bounded per-shard queues for backpressure, and per-stream
 // results that are bitwise-independent of the shard count (each detector is
 // seeded from the engine seed, a platform-stable hash of its key, and — for
-// non-default profiles — the profile name, never from shard placement).
+// non-default profiles — the profile name, never from shard placement; the
+// profile rules live in core/profiles.h).
 //
 // Heterogeneous streams: the engine carries a set of *named detector
 // profiles* (RegisterProfile). Each stream key binds to one profile on first
@@ -45,9 +46,10 @@
 // changes memory and counters, never results.
 //
 // This is the serving layer the ROADMAP's "millions of streams" target grows
-// on: Submit() for online pushes, TrySubmit() for non-blocking ingest,
-// RunBatch() for offline sweeps over a keyed corpus, and the idle horizon
-// and spilling so mostly-idle keys do not pin detector memory.
+// on: Submit() for online pushes, TrySubmit() for non-blocking ingest, and
+// the idle horizon and spilling so mostly-idle keys do not pin detector
+// memory. Offline sweeps over a recorded corpus run through RunBatchColumnar
+// (batch/batch_runner.h), which seeds every key exactly as this engine does.
 
 #ifndef BAGCPD_RUNTIME_STREAM_ENGINE_H_
 #define BAGCPD_RUNTIME_STREAM_ENGINE_H_
@@ -58,7 +60,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -73,24 +74,9 @@
 #include "bagcpd/common/point.h"
 #include "bagcpd/common/result.h"
 #include "bagcpd/core/detector.h"
+#include "bagcpd/core/profiles.h"
 
 namespace bagcpd {
-
-/// \brief Name of the implicit profile backing StreamEngineOptions::detector;
-/// Submit() with no profile argument routes here. The name is reserved:
-/// RegisterProfile rejects it.
-inline constexpr const char kDefaultProfileName[] = "default";
-
-/// \brief The per-stream detector seed: a pure function of (engine seed,
-/// stream key, canonical profile name) — never of shard placement — with the
-/// default profile reproducing the historical (engine seed, key) derivation
-/// bit for bit. Exposed as a free function so offline runners (see
-/// batch/batch_runner.h) seed their detectors exactly like a StreamEngine
-/// with the same engine seed would; `profile` must already be canonical
-/// (empty canonicalizes to kDefaultProfileName here for convenience).
-std::uint64_t DerivePerStreamSeed(std::uint64_t engine_seed,
-                                  const std::string& stream_id,
-                                  const std::string& profile);
 
 /// \brief Configuration of a StreamEngine.
 struct StreamEngineOptions {
@@ -341,36 +327,6 @@ class StreamEngine {
   /// one stream always appear in submission order.
   std::vector<EngineEvent> DrainEvents();
 
-  /// \brief Offline sweep: feeds every sequence through the engine (bags
-  /// interleaved round-robin across streams to keep all shards busy), waits
-  /// for completion, and returns the per-stream result series. Streams are
-  /// routed to `profile` (default profile when empty).
-  ///
-  /// Requires collect_results and no sink, and drains the event queue. The
-  /// batch fails if any requested stream is already quarantined or fails
-  /// during the sweep.
-  /// Deterministic for a fixed engine seed: per-stream output is identical
-  /// for any num_shards. Note that detectors persist across calls, so a key
-  /// already fed online (or by a previous batch) continues from its existing
-  /// window state; use a fresh engine for a from-scratch sweep.
-  Result<std::map<std::string, std::vector<StepResult>>> RunBatch(
-      const std::map<std::string, BagSequence>& streams,
-      const std::string& profile = std::string());
-
-  /// \brief Heterogeneous sweep: like RunBatch above, but each key routes to
-  /// its entry in `profile_by_key` (falling back to `default_profile`, then
-  /// to the default profile, when absent). Every referenced profile must be
-  /// registered — an unknown name fails the whole batch up front, before any
-  /// submission. Map entries for keys not present in `streams` are ignored,
-  /// so one long-lived routing map can serve many partial sweeps. A key
-  /// already bound to a different profile by earlier traffic is quarantined
-  /// deterministically when its first conflicting bag is processed, which
-  /// fails the batch like any other stream failure.
-  Result<std::map<std::string, std::vector<StepResult>>> RunBatch(
-      const std::map<std::string, BagSequence>& streams,
-      const std::map<std::string, std::string>& profile_by_key,
-      const std::string& default_profile = std::string());
-
   // -- Checkpointing (wire format in serialize/checkpoint.h) -------------
 
   /// \brief Snapshots one stream — key, profile binding, and complete
@@ -548,16 +504,6 @@ class StreamEngine {
   Status SubmitImpl(const std::string& stream_id, const std::string& profile,
                     std::size_t shard_index, Result<FlatBag>* bag,
                     bool blocking);
-  // Maps a submission's profile argument to its canonical registered name
-  // (empty -> default), or fails for an unknown profile.
-  Result<std::string> ResolveProfile(const std::string& profile) const;
-  // The detector options behind a canonical profile name.
-  const DetectorOptions& ProfileOptions(const std::string& profile) const;
-  // Per-stream detector seed: a pure function of (engine seed, key, profile)
-  // — never of shard placement — with the default profile reproducing the
-  // historical (engine seed, key) derivation bit for bit.
-  std::uint64_t DeriveStreamSeed(const std::string& stream_id,
-                                 const std::string& profile) const;
   // Routes an event to the sink or the queue.
   void EmitEvent(EngineEvent event);
   // The one place a stream changes phase. Leaving kLive frees the detector
@@ -580,8 +526,8 @@ class StreamEngine {
   // Refreshes the stream's rolling recovery snapshot when the push count
   // hits the snapshot interval.
   void MaybeSnapshotStream(Stream& stream);
-  // A detector for `stream_id` under `profile`, seeded and pooled as the
-  // engine seeds and pools every stream.
+  // A detector for `stream_id` under the canonical `profile`, seeded by
+  // (engine seed, key, profile) and pooled through the shard's arena.
   Result<std::unique_ptr<BagStreamDetector>> NewDetector(
       Shard& shard, const std::string& stream_id,
       const std::string& profile) const;
@@ -636,7 +582,7 @@ class StreamEngine {
   EventSink sink_;
   // Named profiles beyond the implicit "default" (read-only once traffic
   // starts; RegisterProfile enforces that).
-  std::map<std::string, DetectorOptions> profiles_;
+  ProfileMap profiles_;
   // One arena per shard; declared before shards_ so every pooled buffer
   // still referenced by shard state (queued FlatBags, detector scratch) dies
   // before its arena does.

@@ -1,8 +1,16 @@
 #include "bagcpd/signature/histogram.h"
 
 #include <cmath>
+#include <cstdio>
 
 namespace bagcpd {
+namespace {
+
+// -2^63, the smallest int64 and exactly a double; the valid bin indices are
+// [kMinBinIndex, -kMinBinIndex).
+constexpr double kMinBinIndex = -9223372036854775808.0;
+
+}  // namespace
 
 Result<HistogramBins> HistogramBins::Compute(BagView bag,
                                              const HistogramOptions& options) {
@@ -18,8 +26,20 @@ Result<HistogramBins> HistogramBins::Compute(BagView bag,
   std::vector<std::int64_t> key(d);
   for (const PointView x : bag) {
     for (std::size_t j = 0; j < d; ++j) {
-      key[j] = static_cast<std::int64_t>(
-          std::floor((x[j] - options.origin) / options.bin_width));
+      const double index =
+          std::floor((x[j] - options.origin) / options.bin_width);
+      // Casting a double outside [-2^63, 2^63) to int64 is undefined; a
+      // finite value far from the origin at a small width gets there.
+      if (!(index >= kMinBinIndex && index < -kMinBinIndex)) {
+        char message[256];
+        std::snprintf(message, sizeof(message),
+                      "histogram bin index of value %.17g on axis %zu is "
+                      "outside the int64 range (bin_width %.17g, origin "
+                      "%.17g)",
+                      x[j], j, options.bin_width, options.origin);
+        return Status::Invalid(message);
+      }
+      key[j] = static_cast<std::int64_t>(index);
     }
     Stats& stats = out.bins_[key];
     if (stats.sum.empty()) stats.sum.assign(d, 0.0);

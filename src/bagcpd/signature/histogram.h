@@ -34,7 +34,8 @@ struct HistogramOptions {
 /// to fit.
 class HistogramBins {
  public:
-  /// \brief Bins `bag`; fails on an invalid bag or a non-positive width.
+  /// \brief Bins `bag`; fails on an invalid bag, a non-positive width, or a
+  /// value whose bin index falls outside the int64 range.
   static Result<HistogramBins> Compute(BagView bag,
                                        const HistogramOptions& options);
 

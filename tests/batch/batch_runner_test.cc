@@ -11,7 +11,7 @@
 
 #include "bagcpd/batch/synthetic.h"
 #include "bagcpd/core/detector.h"
-#include "bagcpd/runtime/stream_engine.h"
+#include "bagcpd/core/profiles.h"
 #include "bagcpd/runtime/thread_pool.h"
 
 namespace bagcpd {
@@ -181,59 +181,6 @@ TEST(BatchRunnerTest, BootstrapIntervalsMatchSerialReference) {
     }
   }
   EXPECT_TRUE(saw_interval);
-}
-
-TEST(BatchRunnerTest, MatchesStreamEngineRunBatchBitwise) {
-  // The engine and the columnar runner must agree bitwise given the same
-  // seed: both derive per-key detector seeds through DerivePerStreamSeed.
-  const Result<BatchTable> table_or = GenerateBatchSeries(SmallCorpus(12));
-  ASSERT_TRUE(table_or.ok());
-  const BatchTable& table = table_or.ValueOrDie();
-
-  BatchRunnerOptions options;
-  options.detector = FastDetector();
-  options.detector.bootstrap.replicates = 30;
-  options.seed = 5;
-  options.num_shards = 3;
-  const Result<BatchResultTable> columnar = RunBatchColumnar(table, options);
-  ASSERT_TRUE(columnar.ok());
-
-  StreamEngineOptions engine_options;
-  engine_options.num_shards = 2;
-  engine_options.detector = options.detector;
-  engine_options.seed = options.seed;
-  auto engine = StreamEngine::Create(engine_options).MoveValueUnsafe();
-  std::map<std::string, BagSequence> streams;
-  for (std::size_t g = 0; g < table.group_count(); ++g) {
-    BagSequence bags;
-    for (std::size_t s = 0; s < table.group_step_count(g); ++s) {
-      bags.push_back(table.step_bag(g, s).ToBag());
-    }
-    streams.emplace(table.group_key(g), std::move(bags));
-  }
-  const auto engine_results = engine->RunBatch(streams);
-  ASSERT_TRUE(engine_results.ok());
-
-  for (std::size_t r = 0; r < columnar.ValueOrDie().row_count(); ++r) {
-    const BatchResultTable& t = columnar.ValueOrDie();
-    if (!t.has_score[r]) continue;
-    const std::string& key = t.keys[t.group[r]];
-    const std::vector<StepResult>& series =
-        engine_results.ValueOrDie().at(key);
-    // Engine results are per-inspection-time; find the matching one.
-    bool found = false;
-    for (const StepResult& step : series) {
-      if (step.time == t.step[r]) {
-        found = true;
-        EXPECT_EQ(std::memcmp(&step.score, &t.score[r], sizeof(double)), 0);
-        EXPECT_EQ(std::memcmp(&step.ci_lo, &t.ci_lo[r], sizeof(double)), 0);
-        EXPECT_EQ(std::memcmp(&step.ci_up, &t.ci_up[r], sizeof(double)), 0);
-        EXPECT_EQ(std::memcmp(&step.xi, &t.xi[r], sizeof(double)), 0);
-        EXPECT_EQ(step.alarm, t.is_change[r] != 0);
-      }
-    }
-    EXPECT_TRUE(found) << key << " step " << t.step[r];
-  }
 }
 
 TEST(BatchRunnerTest, QuarantinedGroupsAreReportedNeverDropped) {

@@ -257,6 +257,20 @@ TEST(DetectorTest, PushRejectsRaggedBag) {
   EXPECT_FALSE(detector.Push({{1.0, 2.0}, {3.0}}).ok());
 }
 
+TEST(DetectorTest, PushRejectsHistogramIndexOutsideInt64) {
+  DetectorOptions options = FastOptions();
+  options.signature.method = SignatureMethod::kHistogram;
+  options.signature.bin_width = 1.0;
+  auto detector = BagStreamDetector::Create(options).MoveValueUnsafe();
+  ASSERT_TRUE(detector->Push({{0.25}, {0.5}}).ok());
+  const Result<std::optional<StepResult>> pushed =
+      detector->Push({{1e300}, {0.5}});
+  ASSERT_FALSE(pushed.ok());
+  EXPECT_EQ(pushed.status().code(), StatusCode::kInvalidArgument);
+  // The failed push consumed nothing.
+  EXPECT_EQ(detector->pushed_count(), 1u);
+}
+
 TEST(DetectorTest, WeightSchemeNames) {
   EXPECT_STREQ(WeightSchemeName(WeightScheme::kUniform), "uniform");
   EXPECT_STREQ(WeightSchemeName(WeightScheme::kDiscounted), "discounted");

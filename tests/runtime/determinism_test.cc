@@ -4,7 +4,7 @@
 // including the fully serial paths. These tests pin that contract for pool
 // sizes 0 (inline), 1, 2, and 8 across the three parallel entry points:
 // BootstrapScoreInterval, BagStreamDetector::Run (EMD prefill + bootstrap),
-// and StreamEngine::RunBatch.
+// and a StreamEngine sweep (Submit, Flush, DrainEvents).
 
 #include <cmath>
 #include <map>
@@ -20,6 +20,7 @@
 #include "bagcpd/data/gmm.h"
 #include "bagcpd/runtime/stream_engine.h"
 #include "bagcpd/runtime/thread_pool.h"
+#include "testing/engine_sweep.h"
 
 namespace bagcpd {
 namespace {
@@ -140,7 +141,7 @@ TEST(DeterminismTest, DetectorRunInvariantToPoolSize) {
   }
 }
 
-TEST(DeterminismTest, EngineRunBatchInvariantToShardCount) {
+TEST(DeterminismTest, EngineSweepInvariantToShardCount) {
   std::map<std::string, BagSequence> streams;
   for (int s = 0; s < 8; ++s) {
     streams["stream-" + std::to_string(s)] =
@@ -155,7 +156,7 @@ TEST(DeterminismTest, EngineRunBatchInvariantToShardCount) {
     options.seed = 77;
     auto engine_owner = StreamEngine::Create(options).MoveValueUnsafe();
     StreamEngine& engine = *engine_owner;
-    auto batch = engine.RunBatch(streams);
+    auto batch = SweepEngine(engine, streams);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     if (baseline.empty()) {
       baseline = *batch;
@@ -244,7 +245,7 @@ TEST(DeterminismTest, EngineArenaTuningNeverChangesResults) {
       }
       auto engine_owner = StreamEngine::Create(options).MoveValueUnsafe();
       StreamEngine& engine = *engine_owner;
-      auto batch = engine.RunBatch(streams);
+      auto batch = SweepEngine(engine, streams);
       ASSERT_TRUE(batch.ok()) << batch.status().ToString();
       if (baseline.empty()) {
         baseline = *batch;
@@ -260,8 +261,9 @@ TEST(DeterminismTest, EngineArenaTuningNeverChangesResults) {
   }
 }
 
-TEST(DeterminismTest, EngineOnlineMatchesBatch) {
-  // Submit/Flush/Drain and RunBatch must agree result-for-result per stream.
+TEST(DeterminismTest, EngineSubmissionOrderNeverChangesResults) {
+  // Key-by-key and round-robin (time step first) submission must agree
+  // result-for-result per stream.
   std::map<std::string, BagSequence> streams;
   streams["a"] = JumpStream(16, 8, 1);
   streams["b"] = JumpStream(16, 0, 2);
@@ -274,7 +276,7 @@ TEST(DeterminismTest, EngineOnlineMatchesBatch) {
   auto batch_engine_owner = StreamEngine::Create(options).MoveValueUnsafe();
 
   StreamEngine& batch_engine = *batch_engine_owner;
-  auto batch = batch_engine.RunBatch(streams).ValueOrDie();
+  auto batch = SweepEngine(batch_engine, streams).ValueOrDie();
 
   auto online_owner = StreamEngine::Create(options).MoveValueUnsafe();
 
@@ -293,7 +295,7 @@ TEST(DeterminismTest, EngineOnlineMatchesBatch) {
   }
   ASSERT_EQ(grouped.size(), batch.size());
   for (const auto& [key, series] : batch) {
-    ExpectIdenticalSteps(series, grouped[key], "online vs batch: " + key);
+    ExpectIdenticalSteps(series, grouped[key], "key by key vs round-robin: " + key);
   }
 }
 

@@ -12,6 +12,7 @@
 #include "bagcpd/common/rng.h"
 #include "bagcpd/core/detector.h"
 #include "bagcpd/data/gmm.h"
+#include "testing/engine_sweep.h"
 
 namespace bagcpd {
 namespace {
@@ -114,14 +115,14 @@ TEST(StreamEngineTest, SubmitFlushDrainProcessesEveryBag) {
   EXPECT_TRUE(engine.DrainEvents().empty());
 }
 
-TEST(StreamEngineTest, RunBatchDetectsPlantedChanges) {
+TEST(StreamEngineTest, SweepDetectsPlantedChanges) {
   auto engine_owner = StreamEngine::Create(SmallEngine(4)).MoveValueUnsafe();
   StreamEngine& engine = *engine_owner;
   std::map<std::string, BagSequence> streams;
   streams["changing-a"] = JumpStream(30, 15, 1);
   streams["changing-b"] = JumpStream(30, 15, 2);
   streams["stationary"] = JumpStream(30, 0, 3);
-  auto batch = engine.RunBatch(streams);
+  auto batch = SweepEngine(engine, streams);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   ASSERT_EQ(batch->size(), 3u);
   for (const char* key : {"changing-a", "changing-b"}) {
@@ -162,26 +163,6 @@ TEST(StreamEngineTest, QuarantinesFailingStreamOnly) {
   // The healthy stream was unaffected.
   EXPECT_EQ(results.size(), 5u);
   for (const EngineEvent& r : results) EXPECT_EQ(r.stream_id, "good");
-}
-
-TEST(StreamEngineTest, RunBatchRefusesStreamsQuarantinedEarlier) {
-  // A stream that failed during online traffic must fail a later batch that
-  // includes it, not silently return an empty series.
-  auto engine_owner = StreamEngine::Create(SmallEngine(2)).MoveValueUnsafe();
-  StreamEngine& engine = *engine_owner;
-  Bag ragged = {{1.0, 2.0}, {3.0}};
-  ASSERT_TRUE(engine.Submit("poisoned", ragged).ok());
-  engine.Flush();
-  std::map<std::string, BagSequence> streams;
-  streams["poisoned"] = JumpStream(12, 0, 8);
-  streams["fresh"] = JumpStream(12, 0, 9);
-  Result<std::map<std::string, std::vector<StepResult>>> batch =
-      engine.RunBatch(streams);
-  ASSERT_FALSE(batch.ok());
-  EXPECT_NE(batch.status().ToString().find("poisoned"), std::string::npos);
-  // Without the quarantined key the batch goes through.
-  streams.erase("poisoned");
-  EXPECT_TRUE(engine.RunBatch(streams).ok());
 }
 
 TEST(StreamEngineTest, SubmitAfterShutdownFails) {
@@ -365,7 +346,7 @@ TEST(StreamEngineTest, BackpressureDoesNotDeadlockTinyQueues) {
   EXPECT_EQ(engine.processed_count(), 60u);
 }
 
-TEST(StreamEngineTest, RunBatchProfileMapRoutesPerKey) {
+TEST(StreamEngineTest, ProfileRoutingPerKeyMatchesASingleProfileSweep) {
   // "alt" has a shorter window: tau + tau' = 6 instead of 8, so a routed
   // stream of length 12 yields 7 results instead of 5.
   DetectorOptions alt = SmallDetector();
@@ -381,8 +362,7 @@ TEST(StreamEngineTest, RunBatchProfileMapRoutesPerKey) {
   streams["plain"] = JumpStream(12, 0, 62);
   std::map<std::string, std::string> routes;
   routes["routed"] = "alt";
-  routes["absent-key"] = "alt";  // Not in `streams`: must be ignored.
-  auto batch = engine.RunBatch(streams, routes);
+  auto batch = SweepEngine(engine, streams, routes);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_EQ(batch->at("routed").size(), 7u);
   EXPECT_EQ(batch->at("plain").size(), 5u);
@@ -393,7 +373,7 @@ TEST(StreamEngineTest, RunBatchProfileMapRoutesPerKey) {
   ASSERT_TRUE(alt_engine->RegisterProfile("alt", alt).ok());
   std::map<std::string, BagSequence> routed_only;
   routed_only["routed"] = JumpStream(12, 0, 61);
-  auto alt_batch = alt_engine->RunBatch(routed_only, "alt");
+  auto alt_batch = SweepEngine(*alt_engine, routed_only, routes);
   ASSERT_TRUE(alt_batch.ok());
   const std::vector<StepResult>& a = batch->at("routed");
   const std::vector<StepResult>& b = alt_batch->at("routed");
@@ -403,39 +383,6 @@ TEST(StreamEngineTest, RunBatchProfileMapRoutesPerKey) {
     EXPECT_EQ(a[i].score, b[i].score);
     EXPECT_EQ(a[i].alarm, b[i].alarm);
   }
-}
-
-TEST(StreamEngineTest, RunBatchProfileMapRejectsUnknownProfileUpFront) {
-  auto engine_owner = StreamEngine::Create(SmallEngine(2)).MoveValueUnsafe();
-  StreamEngine& engine = *engine_owner;
-  std::map<std::string, BagSequence> streams;
-  streams["k"] = JumpStream(10, 0, 63);
-  std::map<std::string, std::string> routes;
-  routes["k"] = "never-registered";
-  auto batch = engine.RunBatch(streams, routes);
-  EXPECT_FALSE(batch.ok());
-  // Failed before any submission: the engine is untouched and reusable.
-  EXPECT_EQ(engine.submitted_count(), 0u);
-  ASSERT_TRUE(engine.RunBatch(streams).ok());
-}
-
-TEST(StreamEngineTest, RunBatchProfileMapConflictFailsTheBatch) {
-  DetectorOptions alt = SmallDetector();
-  alt.tau = 3;
-  auto engine_owner = StreamEngine::Create(SmallEngine(1)).MoveValueUnsafe();
-  StreamEngine& engine = *engine_owner;
-  ASSERT_TRUE(engine.RegisterProfile("alt", alt).ok());
-
-  // The key binds to the default profile through online traffic first.
-  ASSERT_TRUE(engine.Submit("k", JumpStream(1, 0, 64).front()).ok());
-  engine.Flush();
-
-  std::map<std::string, BagSequence> streams;
-  streams["k"] = JumpStream(10, 0, 65);
-  std::map<std::string, std::string> routes;
-  routes["k"] = "alt";
-  auto batch = engine.RunBatch(streams, routes);
-  EXPECT_FALSE(batch.ok());  // Profile conflict quarantines the stream.
 }
 
 TEST(StreamEngineTest, LatencyStatsCoverEveryProcessedSubmission) {

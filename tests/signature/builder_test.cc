@@ -129,5 +129,28 @@ TEST(SignatureBuilderTest, FailedBuildIntoLeavesRingUnchanged) {
   }
 }
 
+TEST(SignatureBuilderTest, HistogramIndexOverflowLeavesRingUnchanged) {
+  SignatureBuilderOptions options;
+  options.method = SignatureMethod::kHistogram;
+  options.bin_width = 1.0;
+  const SignatureBuilder builder(options);
+  SignatureRing ring(2);
+  ASSERT_TRUE(builder.BuildInto(MakeBag(10, 1, 1).view(), 0, nullptr, &ring)
+                  .ok());
+  const std::size_t bytes = ring.memory_bytes();
+  const std::vector<double> before(
+      ring.view(0).centers_data(),
+      ring.view(0).centers_data() + ring.view(0).size());
+  FlatBag far(1);
+  ASSERT_TRUE(far.Append(Point{1e300}).ok());
+  ASSERT_TRUE(far.Append(Point{0.5}).ok());
+  const Status status = builder.BuildInto(far.view(), 1, nullptr, &ring);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ring.size(), 1u);
+  EXPECT_EQ(ring.memory_bytes(), bytes);
+  EXPECT_TRUE(SameBits(before.data(), ring.view(0).centers_data(),
+                       before.size()));
+}
+
 }  // namespace
 }  // namespace bagcpd

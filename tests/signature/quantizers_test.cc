@@ -170,6 +170,24 @@ TEST(HistogramTest, RejectsNonPositiveWidth) {
   EXPECT_FALSE(HistogramQuantize(Flat({{1.0}}), options).ok());
 }
 
+TEST(HistogramTest, RejectsBinIndexOutsideInt64) {
+  // floor(1e300 / 1) has no int64 value; casting it would be undefined.
+  HistogramOptions options;
+  options.bin_width = 1.0;
+  for (const double far : {1e300, -1e300, 0x1p63}) {
+    const Result<Signature> sig = HistogramQuantize(Flat({{far}, {0.5}}),
+                                                    options);
+    ASSERT_FALSE(sig.ok()) << far;
+    EXPECT_EQ(sig.status().code(), StatusCode::kInvalidArgument) << far;
+    EXPECT_NE(sig.status().message().find("int64"), std::string::npos);
+  }
+  // The last representable bins still quantize.
+  const Result<Signature> edge =
+      HistogramQuantize(Flat({{-0x1p63}, {0x1p62}}), options);
+  ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+  EXPECT_EQ(edge->size(), 2u);
+}
+
 TEST(BuilderTest, DispatchesAllMethods) {
   Bag bag = MakeTwoClusters(20, 6);
   for (SignatureMethod method :

@@ -2,8 +2,9 @@
 """CI perf gate: fail the multi-core perf job when the engine stops scaling.
 
 Parses the BENCH_engine.json emitted by bench/micro_engine.cc and enforces
-that RunBatch at --threads shards is at least --min-speedup times faster than
-the single-shard baseline (the ">2x @ 4 threads" criterion from the roadmap).
+that the engine sweep (Submit round-robin, Flush, DrainEvents) at --threads
+shards is at least --min-speedup times faster than the single-shard baseline
+(the ">2x @ 4 threads" criterion from the roadmap).
 Optionally also enforces the arena-ingest floor from BENCH_flatbag.json.
 
 Also enforces the EMD-solver floor from BENCH_emd.json (bench/micro_emd.cc):
