@@ -131,7 +131,8 @@ Result<BatchResultTable> RunBatchColumnar(const BatchTable& table,
 
   // Contiguous deterministic chunking: shard s owns groups
   // [s * base + min(s, rem), ...) — a pure function of (num_groups,
-  // num_shards), mirroring ThreadPool::ParallelFor's split discipline.
+  // num_shards), mirroring ThreadPool::ParallelForChunked's split
+  // discipline.
   const std::size_t base = num_groups / num_shards;
   const std::size_t rem = num_groups % num_shards;
   const auto shard_body = [&](std::size_t s) {
@@ -189,11 +190,12 @@ Result<BatchResultTable> RunBatchColumnar(const BatchTable& table,
       }
     }
   };
-  if (options.pool != nullptr && options.pool->size() > 0) {
-    options.pool->ParallelFor(0, num_shards, shard_body);
-  } else {
-    for (std::size_t s = 0; s < num_shards; ++s) shard_body(s);
-  }
+  // Failures land in `outcome`, so the chunk body itself never fails.
+  ForEachChunk(options.pool, 0, num_shards,
+               [&](std::size_t first, std::size_t last) {
+                 for (std::size_t s = first; s < last; ++s) shard_body(s);
+                 return Status::OK();
+               });
 
   // Serial epilogue: build the result-group directory and the quarantine
   // report, compacting out the rows of groups that failed mid-run. The

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <utility>
 
 #include "bagcpd/common/check.h"
@@ -111,12 +110,10 @@ Result<BootstrapInterval> BootstrapScoreInterval(
       bayesian ? BayesianAlpha(pi_test) : std::vector<double>();
   const std::size_t replicates = static_cast<std::size_t>(options.replicates);
   std::vector<double> replicate_scores(replicates, 0.0);
-  // The lowest replicate whose retries all failed, and that failure.
-  std::mutex failure_mu;
-  std::size_t failed_replicate = replicates;
-  Status failure;
   constexpr std::size_t kBlock = LazyMt19937_64::kMaxBlock;
-  auto run_replicates = [&](std::size_t begin, std::size_t end) {
+  // A chunk stops at its first replicate whose retries all fail, so the
+  // error returned is the lowest such replicate's, for any chunking.
+  auto run_replicates = [&](std::size_t begin, std::size_t end) -> Status {
     std::vector<double> gamma_ref(pi_ref.size());
     std::vector<double> gamma_test(pi_test.size());
     std::vector<int> counts(std::max(pi_ref.size(), pi_test.size()));
@@ -147,24 +144,12 @@ Result<BootstrapInterval> BootstrapScoreInterval(
           replicate_scores[r] = score.ValueOrDie();
           break;
         }
-        if (attempt == 63) {
-          // Later replicates of this chunk cannot lower the index.
-          std::lock_guard<std::mutex> lock(failure_mu);
-          if (r < failed_replicate) {
-            failed_replicate = r;
-            failure = score.status();
-          }
-          return;
-        }
+        if (attempt == 63) return score.status();
       }
     }
+    return Status::OK();
   };
-  if (pool != nullptr) {
-    pool->ParallelForChunked(0, replicates, run_replicates);
-  } else {
-    run_replicates(0, replicates);
-  }
-  BAGCPD_RETURN_NOT_OK(failure);
+  BAGCPD_RETURN_NOT_OK(ForEachChunk(pool, 0, replicates, run_replicates));
 
   BootstrapInterval out;
   out.replicate_mean = Mean(replicate_scores);

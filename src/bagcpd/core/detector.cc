@@ -87,9 +87,9 @@ BagStreamDetector::BagStreamDetector(const DetectorOptions& options)
       rng_(options.seed),
       solver_(options.emd) {
   // Fault-injection scope: the per-stream seed identifies this detector's
-  // solves deterministically. Threaded through options_.emd so the serial
-  // solver AND the pooled path (which passes options_.emd explicitly to
-  // thread-local solvers) see the same scope. No effect unless a fault is
+  // solves deterministically. Threaded through options_.emd so solver_ AND
+  // the thread-local solvers of pooled chunks (which take options_.emd
+  // through set_options) see the same scope. No effect unless a fault is
   // armed; never serialized.
   options_.emd.fault_scope = options_.seed;
   solver_.set_options(options_.emd);
@@ -97,7 +97,6 @@ BagStreamDetector::BagStreamDetector(const DetectorOptions& options)
   window_.Reset(full);
   log_table_.assign(full * full, 0.0);
   batch_lefts_.reserve(full - 1);
-  batch_emd_.reserve(full - 1);
   // The score-context matrices are sized once here and refilled in place
   // every step; their diagonals stay at the 0.0 the scores ignore.
   ctx_.info = options_.info;
@@ -200,41 +199,6 @@ void BagStreamDetector::FoldColumn(std::size_t q, const double* emd) {
   }
 }
 
-Status BagStreamDetector::SolveColumnsPooled(std::size_t first_q,
-                                             std::size_t pairs,
-                                             std::vector<double>* out) {
-  const std::size_t w = window_.size();
-  std::vector<SignatureView> lefts;
-  std::vector<SignatureView> rights;
-  lefts.reserve(pairs);
-  rights.reserve(pairs);
-  for (std::size_t q = first_q; q < w; ++q) {
-    for (std::size_t p = 0; p < q; ++p) {
-      lefts.push_back(window_.view(p));
-      rights.push_back(window_.view(q));
-    }
-  }
-  out->assign(pairs, 0.0);
-  std::vector<Status> statuses(pairs, Status::OK());
-  // Each chunk runs ONE batched solve over its contiguous slice of the pair
-  // list on a per-pool-thread solver (concurrent solves never share scratch;
-  // the explicit-options overload lets one shared thread-local solver serve
-  // streams with different emd= selections). ComputeBatch detects runs of
-  // shared right operands — the whole steady-state list shares the newest
-  // signature — and hoists their transpose. Any chunking yields the same
-  // values because each pair's EMD depends only on its two signatures; a
-  // chunk's first error lands at its first index, so the scan below surfaces
-  // the lowest failing pair, as the serial column walk does.
-  pool_->ParallelForChunked(0, pairs, [&](std::size_t begin, std::size_t end) {
-    const Status s = ThreadLocalEmdSolver().ComputeBatch(
-        lefts.data() + begin, rights.data() + begin, end - begin,
-        options_.ground, options_.emd, out->data() + begin);
-    if (!s.ok()) statuses[begin] = s;
-  });
-  for (const Status& s : statuses) BAGCPD_RETURN_NOT_OK(s);
-  return Status::OK();
-}
-
 Status BagStreamDetector::UpdateRollingTable() {
   // The slide already retired the oldest row/column (its slot is the newest
   // signature's), so a primed table needs only the newest column's (w - 1)
@@ -244,28 +208,46 @@ Status BagStreamDetector::UpdateRollingTable() {
   const std::size_t first_q = table_primed_ ? w - 1 : 1;
   const std::size_t pairs = (w * (w - 1) - first_q * (first_q - 1)) / 2;
   BAGCPD_RETURN_NOT_OK(AdvanceEmdFaultCounter(pairs));
-  if (pool_ != nullptr) {
-    std::vector<double> emd;
-    BAGCPD_RETURN_NOT_OK(SolveColumnsPooled(first_q, pairs, &emd));
-    const double* column = emd.data();
-    for (std::size_t q = first_q; q < w; ++q) {
-      FoldColumn(q, column);
-      column += q;
-    }
-  } else {
-    // One batched solve per column, sharing the right operand.
-    for (std::size_t q = first_q; q < w; ++q) {
-      batch_lefts_.clear();
-      for (std::size_t p = 0; p < q; ++p) {
-        batch_lefts_.push_back(window_.view(p));
-      }
-      batch_emd_.resize(q);
-      BAGCPD_RETURN_NOT_OK(solver_.ComputeBatch(batch_lefts_.data(), q,
-                                                window_.view(q),
-                                                options_.ground,
-                                                batch_emd_.data()));
-      FoldColumn(q, batch_emd_.data());
-    }
+  // The pairs are numbered column by column from first_q; column q holds
+  // the q pairs (p, q), p < q, whose lefts are a prefix of batch_lefts_.
+  batch_lefts_.clear();
+  for (std::size_t p = 0; p + 1 < w; ++p) {
+    batch_lefts_.push_back(window_.view(p));
+  }
+  batch_emd_.resize(pairs);
+  // One body solves the pairs [begin, end): one shared-right batch per
+  // column segment it covers. Without a pool it runs once over every pair on
+  // solver_, one batch per column; with one, each chunk runs on its thread's
+  // solver. Each pair's EMD depends only on its two signatures, so every
+  // chunking yields the same values, and ForEachChunk surfaces the error of
+  // the lowest failing pair, as the one-chunk walk does.
+  BAGCPD_RETURN_NOT_OK(ForEachChunk(
+      pool_, 0, pairs, [&](std::size_t begin, std::size_t end) -> Status {
+        EmdSolver* solver = &solver_;
+        if (pool_ != nullptr) {
+          solver = &ThreadLocalEmdSolver();
+          solver->set_options(options_.emd);
+        }
+        std::size_t q = first_q;
+        std::size_t column = 0;  // Number of column q's first pair.
+        while (column + q <= begin) {
+          column += q;
+          ++q;
+        }
+        for (std::size_t i = begin; i < end; ++q) {
+          const std::size_t count = std::min(end, column + q) - i;
+          BAGCPD_RETURN_NOT_OK(solver->ComputeBatch(
+              batch_lefts_.data() + (i - column), count, window_.view(q),
+              options_.ground, batch_emd_.data() + i));
+          i += count;
+          column += q;
+        }
+        return Status::OK();
+      }));
+  const double* column = batch_emd_.data();
+  for (std::size_t q = first_q; q < w; ++q) {
+    FoldColumn(q, column);
+    column += q;
   }
   table_primed_ = true;
   return Status::OK();

@@ -151,18 +151,20 @@ class BagStreamDetector {
 
   /// \brief Window pairs handed to the EMD solver since the last Reset()
   /// (diagnostics / benchmarks): C(tau + tau', 2) for the first full window,
-  /// then (tau + tau' - 1) per step, on the serial and pooled paths alike.
+  /// then (tau + tau' - 1) per step, with or without a pool.
   std::uint64_t emd_solve_count() const { return emd_solve_count_; }
 
   const DetectorOptions& options() const { return options_; }
 
   /// \brief Attaches a compute pool (non-owning; may be nullptr to detach).
   ///
-  /// With a pool, each step solves its new window EMDs via ParallelFor and
-  /// chunks the bootstrap replicate loop over the pool. Results are
-  /// bitwise-identical to the serial path for any pool size: the EMD of a
-  /// pair does not depend on which thread solves it, and bootstrap replicates
-  /// draw from per-replicate forked RNG streams.
+  /// A step solves its new window EMDs with one chunk body: without a pool
+  /// it runs once over every pair on the detector's own solver; with one,
+  /// ParallelForChunked runs it on each chunk of the pairs, on the thread's
+  /// ThreadLocalEmdSolver(), and the bootstrap replicate loop is chunked
+  /// over the pool too. Results are bitwise-identical for any pool size: the
+  /// EMD of a pair does not depend on which thread solves it, and bootstrap
+  /// replicates draw from per-replicate forked RNG streams.
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
   ThreadPool* thread_pool() const { return pool_; }
 
@@ -229,11 +231,6 @@ class BagStreamDetector {
   // log_table_: the newest column once the table is primed, every column of
   // the first full window otherwise. Column q holds the pairs (p, q), p < q.
   Status UpdateRollingTable();
-  // The pooled path of UpdateRollingTable: every pair of columns
-  // [first_q, w) solved in chunks on per-pool-thread solvers, into `out` in
-  // column order.
-  Status SolveColumnsPooled(std::size_t first_q, std::size_t pairs,
-                            std::vector<double>* out);
   void FoldColumn(std::size_t q, const double* emd);
   // `emd.solve` fault point: advances the per-stream solved-pair ordinal by
   // `solved` and returns the injected error if any ordinal in the advanced
@@ -249,8 +246,8 @@ class BagStreamDetector {
   ThreadPool* pool_ = nullptr;
   BufferArena* arena_ = nullptr;
   // Reusable EMD solver (exact workspace or approximate, per options_.emd)
-  // for the serial path; the pooled path solves on per-pool-thread solvers
-  // instead (identical values).
+  // for the unpooled path; pooled chunks solve on their threads'
+  // ThreadLocalEmdSolver() instead (identical values).
   EmdSolver solver_;
   // Sliding window of the most recent tau + tau' signatures packed into one
   // shared ring buffer; view(0) is the oldest and has global index
@@ -267,8 +264,10 @@ class BagStreamDetector {
   std::vector<double> log_table_;
   std::size_t table_base_ = 0;
   bool table_primed_ = false;
-  // Scratch for the serial path's per-column batched solves, reserved once to
-  // the window size so the steady-state serial path stays allocation-free.
+  // Scratch of UpdateRollingTable, pooled or not: the views of window
+  // positions 0..w-2 (every column's lefts are a prefix) and the step's EMDs
+  // in column order. batch_emd_ grows to C(w, 2) on the first full window;
+  // a primed step needs w - 1 of it, so steady-state steps allocate nothing.
   std::vector<SignatureView> batch_lefts_;
   std::vector<double> batch_emd_;
   // Window pairs handed to the solver since Reset(): the ordinal behind the

@@ -54,20 +54,6 @@ Status EmdSolver::ComputeBatch(const SignatureView* as, std::size_t count,
   return Status::OK();
 }
 
-Status EmdSolver::ComputeBatch(const SignatureView* as,
-                               const SignatureView* bs, std::size_t count,
-                               GroundDistance ground,
-                               const EmdSolverOptions& options, double* out) {
-  if (options.kind == EmdSolverKind::kExact) {
-    workspace_.set_heap_threshold(options.heap_at);
-    return workspace_.ComputeBatch(as, bs, count, ground, out);
-  }
-  for (std::size_t p = 0; p < count; ++p) {
-    BAGCPD_ASSIGN_OR_RETURN(out[p], Compute(as[p], bs[p], ground, options));
-  }
-  return Status::OK();
-}
-
 void EmdSolver::ShrinkToCeiling() {
   if (retained_byte_ceiling_ == 0) return;
   if (retained_bytes() <= retained_byte_ceiling_) return;

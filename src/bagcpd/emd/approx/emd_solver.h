@@ -7,9 +7,10 @@
 // 1-d sweeps without touching the cost matrix at all.
 //
 // Ownership mirrors EmdWorkspace (see README "Performance"): a
-// BagStreamDetector owns one EmdSolver for its serial scoring path; pool
-// workers use ThreadLocalEmdSolver() with the explicit-options Compute
-// overload. Not thread-safe; never share one across concurrent solves.
+// BagStreamDetector owns one EmdSolver for its unpooled scoring path; its
+// pooled chunks run on ThreadLocalEmdSolver(), after set_options() with the
+// detector's options. Not thread-safe; never share one across concurrent
+// solves.
 
 #ifndef BAGCPD_EMD_APPROX_EMD_SOLVER_H_
 #define BAGCPD_EMD_APPROX_EMD_SOLVER_H_
@@ -47,9 +48,8 @@ class EmdSolver {
   Result<double> Compute(SignatureView a, SignatureView b,
                          GroundDistance ground);
 
-  /// \brief Same solve under explicit options — the thread-local prefill
-  /// path, where one shared per-thread solver serves streams with different
-  /// `emd=` selections.
+  /// \brief Same solve under explicit options (the per-pair step of the
+  /// approximate kinds' batch loop).
   Result<double> Compute(SignatureView a, SignatureView b,
                          GroundDistance ground,
                          const EmdSolverOptions& options);
@@ -63,12 +63,6 @@ class EmdSolver {
   /// solves in pair order.
   Status ComputeBatch(const SignatureView* as, std::size_t count,
                       SignatureView b, GroundDistance ground, double* out);
-
-  /// \brief General pair-span batch under explicit options (the pooled
-  /// prefill path). `out[p]` == `Compute(as[p], bs[p], ground, options)`.
-  Status ComputeBatch(const SignatureView* as, const SignatureView* bs,
-                      std::size_t count, GroundDistance ground,
-                      const EmdSolverOptions& options, double* out);
 
   /// \brief The exact-path workspace (also the cost-matrix provider for
   /// sinkhorn). Exposed for tests and detailed/flow computations.
@@ -117,9 +111,10 @@ class EmdSolver {
   std::uint64_t fallback_count_ = 0;
 };
 
-/// \brief Per-thread solver for pool workers (detector prefill, parallel
-/// matrix fills). Same caveats as ThreadLocalEmdWorkspace — never call from
-/// code that can run inside another solve.
+/// \brief Per-thread solver for the detector's pooled chunks; one solver
+/// serves every detector whose chunks run on the thread, so each chunk sets
+/// its detector's options first. Same caveats as ThreadLocalEmdWorkspace —
+/// never call from code that can run inside another solve.
 EmdSolver& ThreadLocalEmdSolver();
 
 }  // namespace bagcpd

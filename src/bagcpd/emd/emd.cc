@@ -1,8 +1,7 @@
 #include "bagcpd/emd/emd.h"
 
 #include <algorithm>
-#include <cmath>
-#include <mutex>
+#include <vector>
 
 #include "bagcpd/common/check.h"
 #include "bagcpd/emd/emd_1d.h"
@@ -12,8 +11,9 @@
 namespace bagcpd {
 
 // Every entry point below runs on an EmdWorkspace (emd/transport_solver.h):
-// the serial batch helpers keep one workspace for the whole matrix, the
-// parallel overloads use one workspace per pool thread, and the free
+// a matrix fill runs one chunk body, which solves on one workspace for the
+// whole matrix without a pool and on each pool thread's workspace with one
+// (runtime/thread_pool.h ForEachChunk), and the free
 // enum-dispatched two-signature functions share the calling thread's
 // workspace — so steady state everywhere is allocation-free. The fn-based
 // overloads run user code inside the solve and therefore use a local
@@ -52,136 +52,75 @@ Result<double> ComputeEmd(SignatureView a, SignatureView b,
 }
 
 Result<Matrix> PairwiseEmdMatrix(const SignatureSet& signatures,
-                                 GroundDistance ground) {
+                                 GroundDistance ground, ThreadPool* pool) {
   const std::size_t n = signatures.size();
   if (n == 0) return Status::Invalid("no signatures");
-  // One workspace reused across all C(n, 2) solves, batched one row at a
-  // time: row i is a shared-left ComputeBatch of signature i against
-  // signatures i+1..n-1, so all of the row's cost matrices fill in one
-  // vectorized pass and the upper-triangle cells are written contiguously.
-  // Pair order, and therefore the first surfaced error, matches the
-  // historical per-pair loop; so do the values, bit for bit (ComputeBatch
-  // always runs the full transportation solve, never the 1-d sweep).
-  EmdWorkspace workspace;
+  // Chunks cover the flat index of the strict upper triangle, row by row,
+  // so the static split divides the actual work. A chunk solves each row
+  // segment it covers as one shared-left ComputeBatch — row i's signature
+  // against a run of signatures j > i — written straight into the row-major
+  // matrix; without a pool the one chunk is every row in order. Each pair's
+  // EMD depends only on its two signatures, so the matrix is bitwise the
+  // same for any pool size (ComputeBatch always runs the full
+  // transportation solve, never the 1-d sweep), and the error returned is
+  // the lowest failing pair's.
+  std::vector<SignatureView> views;
+  views.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) views.push_back(signatures.view(i));
   Matrix m(n, n, 0.0);
-  std::vector<SignatureView> rights;
-  rights.reserve(n - 1);
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    rights.clear();
-    for (std::size_t j = i + 1; j < n; ++j) {
-      rights.push_back(signatures.view(j));
-    }
-    BAGCPD_RETURN_NOT_OK(workspace.ComputeBatch(signatures.view(i),
-                                                rights.data(), rights.size(),
-                                                ground, &m(i, i + 1)));
+  EmdWorkspace serial;
+  BAGCPD_RETURN_NOT_OK(ForEachChunk(
+      pool, 0, n * (n - 1) / 2,
+      [&](std::size_t begin, std::size_t end) -> Status {
+        EmdWorkspace& workspace =
+            pool == nullptr ? serial : ThreadLocalEmdWorkspace();
+        std::size_t i = 0;
+        std::size_t row = 0;  // Flat index of pair (i, i + 1).
+        while (row + (n - 1 - i) <= begin) {
+          row += n - 1 - i;
+          ++i;
+        }
+        for (std::size_t p = begin; p < end; ++i) {
+          const std::size_t j = i + 1 + (p - row);
+          const std::size_t count = std::min(end, row + (n - 1 - i)) - p;
+          BAGCPD_RETURN_NOT_OK(workspace.ComputeBatch(
+              views[i], views.data() + j, count, ground, &m(i, j)));
+          p += count;
+          row += n - 1 - i;
+        }
+        return Status::OK();
+      }));
+  for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) m(j, i) = m(i, j);
   }
   return m;
 }
 
-Result<Matrix> PairwiseEmdMatrix(const SignatureSet& signatures,
-                                 GroundDistance ground, ThreadPool* pool) {
-  if (pool == nullptr) return PairwiseEmdMatrix(signatures, ground);
-  const std::size_t n = signatures.size();
-  if (n == 0) return Status::Invalid("no signatures");
-  // ParallelFor over the flat index of the strict upper triangle so the
-  // static chunking splits the actual workload; each worker recovers its
-  // (i, j) arithmetically and writes its two (distinct) matrix cells
-  // directly — no O(n^2) pair/status side tables next to the O(n^2) output.
-  // Every pair's EMD depends only on its two signatures, so the matrix
-  // matches the serial overload bit for bit for any pool size.
-  const std::size_t total = n * (n - 1) / 2;
-  Matrix m(n, n, 0.0);
-  // Flat index of pair (i, i + 1), i.e. pairs with first index < i.
-  auto start_of = [n](std::size_t i) {
-    return i * (n - 1) - (i * (i - 1)) / 2;
-  };
-  std::mutex error_mu;
-  std::size_t first_error_p = total;  // total == "no error".
-  Status first_error;
-  pool->ParallelFor(0, total, [&](std::size_t p) {
-    // Largest i with start_of(i) <= p: solve the quadratic, then nudge for
-    // floating-point error (the loops move at most a step or two).
-    const double root = (n - 0.5) - std::sqrt((n - 0.5) * (n - 0.5) -
-                                              2.0 * static_cast<double>(p));
-    std::size_t i = static_cast<std::size_t>(
-        std::max(0.0, std::min(static_cast<double>(n - 2), root)));
-    while (i > 0 && start_of(i) > p) --i;
-    while (i < n - 2 && start_of(i + 1) <= p) ++i;
-    const std::size_t j = i + 1 + (p - start_of(i));
-    Result<double> d = ThreadLocalEmdWorkspace().Compute(
-        signatures.view(i), signatures.view(j), ground);
-    if (d.ok()) {
-      m(i, j) = d.ValueOrDie();
-      m(j, i) = d.ValueOrDie();
-    } else {
-      // Deterministically surface the error the serial loop would hit first
-      // (the smallest flat index), independent of thread timing.
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (p < first_error_p) {
-        first_error_p = p;
-        first_error = d.status();
-      }
-    }
-  });
-  BAGCPD_RETURN_NOT_OK(first_error);
-  return m;
-}
-
-Result<Matrix> CrossDistanceMatrix(const SignatureSet& a,
-                                   const SignatureSet& b,
-                                   GroundDistance ground) {
-  const std::size_t n = a.size();
-  const std::size_t m = b.size();
-  if (n == 0 || m == 0) return Status::Invalid("no signatures");
-  // Row-batched like PairwiseEmdMatrix: each output row is one shared-left
-  // ComputeBatch writing straight into the row-major Matrix storage.
-  EmdWorkspace workspace;
-  Matrix out(n, m);
-  std::vector<SignatureView> rights;
-  rights.reserve(m);
-  for (std::size_t j = 0; j < m; ++j) rights.push_back(b.view(j));
-  for (std::size_t i = 0; i < n; ++i) {
-    BAGCPD_RETURN_NOT_OK(workspace.ComputeBatch(a.view(i), rights.data(), m,
-                                                ground, &out(i, 0)));
-  }
-  return out;
-}
-
 Result<Matrix> CrossDistanceMatrix(const SignatureSet& a,
                                    const SignatureSet& b,
                                    GroundDistance ground, ThreadPool* pool) {
-  if (pool == nullptr) return CrossDistanceMatrix(a, b, ground);
   const std::size_t n = a.size();
   const std::size_t m = b.size();
   if (n == 0 || m == 0) return Status::Invalid("no signatures");
-  // Deterministic row chunking: ParallelFor splits the n rows purely as a
-  // function of (n, pool size), each worker batch-solves whole rows through
-  // its thread-local workspace (one shared-left ComputeBatch per row, same
-  // as the serial impl), and every cell depends only on its two signatures —
-  // so the matrix is bitwise-identical to the serial overload for any pool
-  // size.
-  Matrix out(n, m);
+  // Chunks cover rows; each row is one shared-left ComputeBatch writing
+  // straight into the row-major Matrix storage, and without a pool the one
+  // chunk is every row in order. Bitwise the same for any pool size, with
+  // the lowest failing row's error, as in PairwiseEmdMatrix.
   std::vector<SignatureView> rights;
   rights.reserve(m);
   for (std::size_t j = 0; j < m; ++j) rights.push_back(b.view(j));
-  std::mutex error_mu;
-  std::size_t first_error_row = n;  // n == "no error".
-  Status first_error;
-  pool->ParallelFor(0, n, [&](std::size_t i) {
-    const Status s = ThreadLocalEmdWorkspace().ComputeBatch(
-        a.view(i), rights.data(), m, ground, &out(i, 0));
-    if (s.ok()) return;
-    // Surface the error the serial row-major loop would hit first,
-    // independent of thread timing: ComputeBatch already stops a row at its
-    // first failing column, and the lowest failing row wins here.
-    std::lock_guard<std::mutex> lock(error_mu);
-    if (i < first_error_row) {
-      first_error_row = i;
-      first_error = s;
-    }
-  });
-  BAGCPD_RETURN_NOT_OK(first_error);
+  Matrix out(n, m);
+  EmdWorkspace serial;
+  BAGCPD_RETURN_NOT_OK(ForEachChunk(
+      pool, 0, n, [&](std::size_t begin, std::size_t end) -> Status {
+        EmdWorkspace& workspace =
+            pool == nullptr ? serial : ThreadLocalEmdWorkspace();
+        for (std::size_t i = begin; i < end; ++i) {
+          BAGCPD_RETURN_NOT_OK(workspace.ComputeBatch(
+              a.view(i), rights.data(), m, ground, &out(i, 0)));
+        }
+        return Status::OK();
+      }));
   return out;
 }
 

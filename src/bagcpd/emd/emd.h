@@ -51,32 +51,26 @@ Result<double> ComputeEmd(SignatureView a, SignatureView b,
 
 /// \brief Dense symmetric matrix of pairwise EMDs over a set of signatures
 /// (used by the Fig. 6 EMD heat maps and MDS embeddings).
+///
+/// With a `pool`, the C(n, 2) transportation problems are solved in
+/// ParallelForChunked's chunks (the split is a pure function of the pair
+/// count and pool size); without one, the calling thread solves them as one
+/// chunk. Each EMD depends only on its two signatures, so the matrix is
+/// bitwise-identical for any pool size, and a failure returns the error of
+/// the lowest failing pair in row-major order.
 Result<Matrix> PairwiseEmdMatrix(const SignatureSet& signatures,
-                                 GroundDistance ground = GroundDistance::kEuclidean);
-
-/// \brief Parallel variant: solves the C(n, 2) transportation problems over
-/// `pool` (ParallelFor with deterministic chunking — the chunk split is a
-/// pure function of the pair count and pool size). Each EMD depends only on
-/// its two signatures, so the matrix is bitwise-identical to the serial
-/// overload for any pool size; `pool == nullptr` falls back to the serial
-/// path outright.
-Result<Matrix> PairwiseEmdMatrix(const SignatureSet& signatures,
-                                 GroundDistance ground, ThreadPool* pool);
+                                 GroundDistance ground = GroundDistance::kEuclidean,
+                                 ThreadPool* pool = nullptr);
 
 /// \brief Dense |a| x |b| matrix of EMDs between two signature sets (the
-/// cross-entropy table of the information estimators).
+/// cross-entropy table of the information estimators). With a `pool` the
+/// rows are solved in ParallelForChunked's chunks, otherwise as one chunk on
+/// the calling thread; bitwise-identical for any pool size, and a failure
+/// returns the error of the lowest failing pair in row-major order.
 Result<Matrix> CrossDistanceMatrix(const SignatureSet& a,
                                    const SignatureSet& b,
-                                   GroundDistance ground = GroundDistance::kEuclidean);
-
-/// \brief Parallel variant: fills the |a| x |b| table over `pool` with
-/// deterministic row chunking (the split is a pure function of the row count
-/// and pool size; each worker fills whole rows). Bitwise-identical to the
-/// serial overload for any pool size; `pool == nullptr` falls back to it
-/// outright.
-Result<Matrix> CrossDistanceMatrix(const SignatureSet& a,
-                                   const SignatureSet& b,
-                                   GroundDistance ground, ThreadPool* pool);
+                                   GroundDistance ground = GroundDistance::kEuclidean,
+                                   ThreadPool* pool = nullptr);
 
 }  // namespace bagcpd
 

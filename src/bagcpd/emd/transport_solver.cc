@@ -771,26 +771,6 @@ Result<double> EmdWorkspace::Compute(SignatureView a, SignatureView b,
   return emd;
 }
 
-Status EmdWorkspace::ComputeBatch(const SignatureView* as,
-                                  const SignatureView* bs, std::size_t count,
-                                  GroundDistance ground, double* out) {
-  // Detect dynamically-shared operands (a span built from repeated views)
-  // so callers that materialize pair lists still get the hoisted fills.
-  const auto aliases = [](const SignatureView& x, const SignatureView& y) {
-    return x.centers_data() == y.centers_data() &&
-           x.weights_data() == y.weights_data() && x.size() == y.size() &&
-           x.dim() == y.dim();
-  };
-  bool same_a = count > 0;
-  bool same_b = count > 0;
-  for (std::size_t p = 1; p < count && (same_a || same_b); ++p) {
-    same_a = same_a && aliases(as[p], as[0]);
-    same_b = same_b && aliases(bs[p], bs[0]);
-  }
-  return ComputeBatchImpl(as, same_a ? 0 : 1, bs, same_b ? 0 : 1, count,
-                          ground, out);
-}
-
 Status EmdWorkspace::ComputeBatch(SignatureView a, const SignatureView* bs,
                                   std::size_t count, GroundDistance ground,
                                   double* out) {
@@ -808,34 +788,41 @@ Status EmdWorkspace::ComputeBatchImpl(const SignatureView* as,
                                       const SignatureView* bs,
                                       std::size_t bs_stride, std::size_t count,
                                       GroundDistance ground, double* out) {
-  if (count == 0) return Status::OK();
-  // Validate every pair up front, in pair order (a before b within a pair,
-  // shared operands once at their first appearance) — the first error is
-  // exactly the one the serial per-pair loop would surface. Shape maxima
-  // and the flat cost-block offsets fall out of the same scan.
+  // Validate the pairs in pair order (a before b within a pair, the shared
+  // operand once, at pair 0). The first pair that fails ends the batch: the
+  // pairs before it are still solved, and their cost-block or solve errors
+  // come first, so the batch surfaces exactly the error the per-pair Compute
+  // loop would. Shape maxima and the flat cost-block offsets fall out of the
+  // same scan.
+  Status invalid;
   std::size_t max_k = 0;
   std::size_t max_l = 0;
   std::size_t total_cost = 0;
   for (std::size_t p = 0; p < count; ++p) {
     const SignatureView& a = as[p * as_stride];
     const SignatureView& b = bs[p * bs_stride];
-    if (as_stride != 0 || p == 0) BAGCPD_RETURN_NOT_OK(a.Validate());
-    if (bs_stride != 0 || p == 0) BAGCPD_RETURN_NOT_OK(b.Validate());
-    if (a.dim() != b.dim()) {
-      return Status::Invalid("signatures have different dimensions");
+    if (as_stride != 0 || p == 0) invalid = a.Validate();
+    if (invalid.ok() && (bs_stride != 0 || p == 0)) invalid = b.Validate();
+    if (invalid.ok() && a.dim() != b.dim()) {
+      invalid = Status::Invalid("signatures have different dimensions");
+    }
+    if (!invalid.ok()) {
+      count = p;
+      break;
     }
     max_k = std::max(max_k, a.size());
     max_l = std::max(max_l, b.size());
     total_cost += a.size() * b.size();
   }
+  if (count == 0) return invalid;
   LayoutShape(max_k, max_l);
   Ensure(&batch_cost_, total_cost);
   Ensure(&batch_off_, count + 1);
 
   // Fill phase. batch_off_[p] addresses pair p's cost block: with a shared
   // left operand it is a COLUMN offset into one wide row-major
-  // (k x sum L_p) matrix filled in a single kernel pass; otherwise it is a
-  // flat offset to a contiguous (K_p x L_p) block.
+  // (k x sum L_p) matrix filled in a single kernel pass; with a shared right
+  // operand it is a flat offset to a contiguous (K_p x L) block.
   const bool shared_left = as_stride == 0;
   std::size_t wide_l = 0;
   if (shared_left) {
@@ -846,7 +833,7 @@ Status EmdWorkspace::ComputeBatchImpl(const SignatureView* as,
     double* bt = b_transposed_.data();
     std::size_t off = 0;
     for (std::size_t p = 0; p < count; ++p) {
-      const SignatureView& b = bs[p * bs_stride];
+      const SignatureView& b = bs[p];
       const double* bc = b.centers_data();
       const std::size_t l = b.size();
       batch_off_[p] = off;
@@ -864,41 +851,22 @@ Status EmdWorkspace::ComputeBatchImpl(const SignatureView* as,
     FillCostBlock(as->centers_data(), k, d, bt, wide_l, ground,
                   batch_cost_.data());
   } else {
-    const double* shared_bt = nullptr;
-    if (bs_stride == 0) {
-      // Shared right operand (the detector's rolling-table shape):
-      // transpose B once, reuse it for every pair's fill.
-      const std::size_t d = bs->dim();
-      const std::size_t l = bs->size();
-      Ensure(&b_transposed_, d * l);
-      double* bt = b_transposed_.data();
-      const double* bc = bs->centers_data();
-      for (std::size_t j = 0; j < l; ++j) {
-        for (std::size_t t = 0; t < d; ++t) {
-          bt[t * l + j] = bc[j * d + t];
-        }
+    // Shared right operand (the detector's rolling-table shape): transpose
+    // B once, reuse it for every pair's fill.
+    const std::size_t d = bs->dim();
+    const std::size_t l = bs->size();
+    Ensure(&b_transposed_, d * l);
+    double* bt = b_transposed_.data();
+    const double* bc = bs->centers_data();
+    for (std::size_t j = 0; j < l; ++j) {
+      for (std::size_t t = 0; t < d; ++t) {
+        bt[t * l + j] = bc[j * d + t];
       }
-      shared_bt = bt;
     }
     std::size_t off = 0;
     for (std::size_t p = 0; p < count; ++p) {
-      const SignatureView& a = as[p * as_stride];
-      const SignatureView& b = bs[p * bs_stride];
-      const std::size_t d = a.dim();
-      const std::size_t l = b.size();
+      const SignatureView& a = as[p];
       batch_off_[p] = off;
-      const double* bt = shared_bt;
-      if (bt == nullptr) {
-        Ensure(&b_transposed_, d * l);
-        double* scratch = b_transposed_.data();
-        const double* bc = b.centers_data();
-        for (std::size_t j = 0; j < l; ++j) {
-          for (std::size_t t = 0; t < d; ++t) {
-            scratch[t * l + j] = bc[j * d + t];
-          }
-        }
-        bt = scratch;
-      }
       FillCostBlock(a.centers_data(), a.size(), d, bt, l, ground,
                     batch_cost_.data() + off);
       off += a.size() * l;
@@ -926,7 +894,7 @@ Status EmdWorkspace::ComputeBatchImpl(const SignatureView* as,
         SolveNetwork(a, b, cost, stride, &emd, &total_flow, &path_cost));
     out[p] = emd;
   }
-  return Status::OK();
+  return invalid;
 }
 
 Result<EmdSolution> EmdWorkspace::SolveDetailed(SignatureView a,

@@ -44,21 +44,21 @@
 //  * A batched ground-distance kernel fills the cost matrix directly from
 //    the two packed signature buffers, dispatching ONCE on the
 //    GroundDistance enum instead of through a GroundDistanceFn per arc.
-//  * ComputeBatch solves a span of (A, B) pairs in one call: shared operands
-//    are detected (the detector's rolling-table refill shares its newest
-//    signature; the matrix helpers share a row signature), the shared side's
-//    transpose is hoisted out of the per-pair fill — one vectorized pass
-//    over all K x L cost matrices per shared left signature — and the
+//  * ComputeBatch solves a run of pairs sharing one operand in one call (the
+//    detector's rolling-table column shares its newest signature on the
+//    right; a matrix row shares its signature on the left): the shared
+//    side's transpose is hoisted out of the per-pair fill — one vectorized
+//    pass over all K x L cost matrices per shared left signature — and the
 //    potentials/dist/prev/heap scratch is reused across pairs without
 //    re-allocation. Every per-pair value is bitwise-identical to the
 //    corresponding serial Compute call.
 //
 // Ownership rules (see README "Performance"): a BagStreamDetector owns one
-// workspace for its serial scoring path; batch entry points
-// (PairwiseEmdMatrix / CrossDistanceMatrix) use one local workspace per
-// call; pool workers (parallel matrices, detector prefill) use
-// ThreadLocalEmdWorkspace(). A workspace is NOT thread-safe — never share
-// one across concurrent solves.
+// workspace (inside its EmdSolver) for its unpooled scoring path; a matrix
+// fill (PairwiseEmdMatrix / CrossDistanceMatrix) without a pool uses one
+// local workspace per call; every chunk that runs on a pool uses its
+// thread's ThreadLocalEmdWorkspace() / ThreadLocalEmdSolver(). A workspace
+// is NOT thread-safe — never share one across concurrent solves.
 
 #ifndef BAGCPD_EMD_TRANSPORT_SOLVER_H_
 #define BAGCPD_EMD_TRANSPORT_SOLVER_H_
@@ -124,26 +124,21 @@ class EmdWorkspace {
   Result<EmdSolution> ComputeDetailed(SignatureView a, SignatureView b,
                                       GroundDistance ground);
 
-  /// \brief Solves `count` signature pairs in one call: `out[p]` is
-  /// bitwise-identical to `Compute(as[p], bs[p], ground)`. Shared operands
-  /// across the span are detected and their transpose/validation hoisted out
-  /// of the per-pair loop; all scratch (cost block, network, Dijkstra state)
-  /// is reused across pairs, so steady-state batches allocate nothing. On
-  /// error the batch stops at the first failing pair (pair order, then the
-  /// same row-major entry order as the serial path) and `out` is only
-  /// partially written.
-  Status ComputeBatch(const SignatureView* as, const SignatureView* bs,
-                      std::size_t count, GroundDistance ground, double* out);
-
-  /// \brief Shared-left convenience: `out[p]` == `Compute(a, bs[p], ground)`.
-  /// All cost matrices are filled in ONE vectorized pass over a concatenated
-  /// (d x sum L_p) transposed demand block.
+  /// \brief Solves `count` pairs sharing a left operand in one call: `out[p]`
+  /// is bitwise-identical to `Compute(a, bs[p], ground)`. All cost matrices
+  /// are filled in ONE vectorized pass over a concatenated (d x sum L_p)
+  /// transposed demand block, and all scratch (cost block, network, Dijkstra
+  /// state) is reused across pairs, so steady-state batches allocate
+  /// nothing. On error the batch returns the error of the first failing pair
+  /// in pair order — the one the per-pair Compute loop would surface — and
+  /// `out` is written only for the pairs before it.
   Status ComputeBatch(SignatureView a, const SignatureView* bs,
                       std::size_t count, GroundDistance ground, double* out);
 
-  /// \brief Shared-right convenience: `out[p]` == `Compute(as[p], b, ground)`
-  /// — the detector's rolling-table shape, where the newest window signature
-  /// is the right operand of every new solve. B is transposed once.
+  /// \brief Shared-right form: `out[p]` == `Compute(as[p], b, ground)` — the
+  /// detector's rolling-table shape, where the newest window signature is the
+  /// right operand of every new solve. B is transposed once; scratch reuse
+  /// and error order as in the shared-left form.
   Status ComputeBatch(const SignatureView* as, std::size_t count,
                       SignatureView b, GroundDistance ground, double* out);
 
@@ -251,8 +246,9 @@ class EmdWorkspace {
   // the cost/transpose blocks, which the batch paths manage separately).
   void LayoutShape(std::size_t k, std::size_t l);
 
-  // Shared implementation behind the three public ComputeBatch overloads.
-  // A stride of 0 means "every pair uses *as / *bs" (shared operand).
+  // Shared implementation behind the two public ComputeBatch overloads.
+  // Exactly one stride is 0, meaning "every pair uses *as / *bs" (the shared
+  // operand).
   Status ComputeBatchImpl(const SignatureView* as, std::size_t as_stride,
                           const SignatureView* bs, std::size_t bs_stride,
                           std::size_t count, GroundDistance ground,
@@ -299,7 +295,8 @@ class EmdWorkspace {
   std::size_t heap_size_ = 0;
 
   // Multi-pair batch scratch: one flat cost block for all pairs (wide
-  // row-major k x sum(L_p) for shared-left, per-pair contiguous otherwise)
+  // row-major k x sum(L_p) for shared-left, per-pair contiguous for
+  // shared-right)
   // plus the per-pair offsets into it.
   std::vector<double> batch_cost_;
   std::vector<std::size_t> batch_off_;
@@ -311,8 +308,7 @@ class EmdWorkspace {
 };
 
 /// \brief Per-thread workspace used by the free enum-dispatched ComputeEmd
-/// entry point and by pool workers (parallel matrix fills, detector
-/// prefill). Each thread gets its own instance, so concurrent solves never
+/// entry point and by the pooled chunks of the matrix fills. Each thread gets its own instance, so concurrent solves never
 /// share scratch state. Never solve through this from code that can run
 /// INSIDE another solve (a custom GroundDistanceFn) — such paths must use a
 /// local workspace, as the fn-based free entry points do.

@@ -9,7 +9,7 @@ namespace bagcpd {
 namespace {
 
 // The pool (if any) whose worker is executing on this thread. Lets
-// ParallelFor detect re-entrant use from one of its own workers, where
+// ParallelForChunked detect re-entrant use from one of its own workers, where
 // blocking on queued chunks could deadlock (the worker cannot drain its own
 // queue while waiting on the latch).
 thread_local const ThreadPool* tls_worker_pool = nullptr;
@@ -77,16 +77,6 @@ void ThreadPool::SubmitTo(std::size_t shard_index, std::function<void()> task) {
     shard.tasks.push_back(std::move(task));
   }
   shard.not_empty.notify_one();
-}
-
-void ThreadPool::ParallelFor(std::size_t begin, std::size_t end,
-                             const std::function<void(std::size_t)>& body) {
-  ParallelForChunked(begin, end,
-                     [&body](std::size_t chunk_begin, std::size_t chunk_end) {
-                       for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-                         body(i);
-                       }
-                     });
 }
 
 void ThreadPool::ParallelForChunked(

@@ -1,6 +1,9 @@
 #include "bagcpd/emd/emd.h"
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -132,33 +135,51 @@ TEST(EmdTest, PairwiseMatrixIsSymmetricWithZeroDiagonal) {
   EXPECT_DOUBLE_EQ((*m)(2, 0), (*m)(0, 2));
 }
 
-TEST(EmdTest, ParallelPairwiseMatrixBitwiseEqualsSerial) {
-  // The ThreadPool overload must reproduce the serial matrix bit for bit for
-  // any pool size (and exercise odd sizes so the triangular index inversion
-  // is hit across chunk boundaries).
-  Rng rng(31);
+// `count` random 2-d signatures of `k` centers each, in one set.
+SignatureSet RandomSet(Rng* rng, std::size_t count, std::size_t k,
+                       double x_shift) {
   SignatureSet set;
-  for (int s = 0; s < 13; ++s) {
+  for (std::size_t s = 0; s < count; ++s) {
     std::vector<Point> centers;
     std::vector<double> weights;
-    for (int k = 0; k < 3; ++k) {
-      centers.push_back({rng.Uniform() * 4.0, rng.Uniform() * 4.0});
-      weights.push_back(0.5 + rng.Uniform());
+    for (std::size_t c = 0; c < k; ++c) {
+      centers.push_back({rng->Uniform() * 4.0 + x_shift, rng->Uniform() * 4.0});
+      weights.push_back(0.5 + rng->Uniform());
     }
-    ASSERT_TRUE(set.Append(Sig(centers, std::move(weights))).ok());
+    EXPECT_TRUE(set.Append(Sig(centers, std::move(weights))).ok());
   }
-  const Matrix serial = PairwiseEmdMatrix(set).ValueOrDie();
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    ThreadPool pool(threads);
-    const Matrix parallel =
-        PairwiseEmdMatrix(set, GroundDistance::kEuclidean, &pool)
-            .ValueOrDie();
-    ASSERT_EQ(parallel.rows(), serial.rows());
-    for (std::size_t i = 0; i < serial.rows(); ++i) {
-      for (std::size_t j = 0; j < serial.cols(); ++j) {
-        EXPECT_EQ(parallel(i, j), serial(i, j))
-            << threads << " threads @ (" << i << ", " << j << ")";
-      }
+  return set;
+}
+
+void ExpectBitwiseEqual(const Matrix& want, const Matrix& got,
+                        const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (std::size_t i = 0; i < want.rows(); ++i) {
+    for (std::size_t j = 0; j < want.cols(); ++j) {
+      EXPECT_EQ(got(i, j), want(i, j)) << what << " @ (" << i << ", " << j << ")";
+    }
+  }
+}
+
+constexpr std::size_t kPoolSizes[] = {0, 1, 2, 8};
+
+TEST(EmdTest, ParallelPairwiseMatrixBitwiseEqualsSerial) {
+  // The pooled fill must reproduce the serial matrix bit for bit for any
+  // pool size, from sets with no pair at all to odd sizes whose row segments
+  // are split across chunk boundaries.
+  Rng rng(31);
+  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{13}}) {
+    const SignatureSet set = RandomSet(&rng, n, 3, 0.0);
+    const Matrix serial = PairwiseEmdMatrix(set).ValueOrDie();
+    for (std::size_t threads : kPoolSizes) {
+      ThreadPool pool(threads);
+      ExpectBitwiseEqual(
+          serial,
+          PairwiseEmdMatrix(set, GroundDistance::kEuclidean, &pool)
+              .ValueOrDie(),
+          "n=" + std::to_string(n) + ", " + std::to_string(threads) +
+              " threads");
     }
   }
 }
@@ -168,46 +189,63 @@ TEST(EmdTest, ParallelCrossDistanceMatrixBitwiseEqualsSerial) {
   // per-thread workspaces) must reproduce the serial matrix bit for bit for
   // any pool size, including ragged shapes that split unevenly across rows.
   Rng rng(47);
-  SignatureSet a;
-  SignatureSet b;
-  for (int s = 0; s < 7; ++s) {
-    std::vector<Point> centers;
-    std::vector<double> weights;
-    for (int k = 0; k < 3; ++k) {
-      centers.push_back({rng.Uniform() * 4.0, rng.Uniform() * 4.0});
-      weights.push_back(0.5 + rng.Uniform());
+  const SignatureSet b = RandomSet(&rng, 11, 4, -2.0);
+  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{13}}) {
+    const SignatureSet a = RandomSet(&rng, n, 3, 0.0);
+    const Matrix serial = CrossDistanceMatrix(a, b).ValueOrDie();
+    for (std::size_t threads : kPoolSizes) {
+      ThreadPool pool(threads);
+      ExpectBitwiseEqual(
+          serial,
+          CrossDistanceMatrix(a, b, GroundDistance::kEuclidean, &pool)
+              .ValueOrDie(),
+          "n=" + std::to_string(n) + ", " + std::to_string(threads) +
+              " threads");
     }
-    ASSERT_TRUE(a.Append(Sig(centers, std::move(weights))).ok());
   }
-  for (int s = 0; s < 11; ++s) {
-    std::vector<Point> centers;
-    std::vector<double> weights;
-    for (int k = 0; k < 4; ++k) {
-      centers.push_back({rng.Uniform() * 4.0 - 2.0, rng.Uniform() * 4.0});
-      weights.push_back(0.5 + rng.Uniform());
+}
+
+TEST(EmdTest, PooledMatrixFillsReturnTheSerialError) {
+  // Two bad members of 13: one with a non-finite center at index 2 and an
+  // empty one at index 11. As rows of a cross-distance fill they fall in
+  // different chunks at pool size 2 (rows [0, 5), [5, 9), [9, 13)), and
+  // pairwise row 0 splits across chunks at pool size 8. Every fill must
+  // fail with the serial call's error: the lowest failing pair's in
+  // row-major order, here the non-finite cost of pair (0, 2).
+  Rng rng(59);
+  const SignatureSet good = RandomSet(&rng, 13, 3, 0.0);
+  SignatureSet bad;
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    if (i == 2) {
+      Signature s = good.view(i).ToSignature();
+      s.mutable_center(1)[0] = std::numeric_limits<double>::infinity();
+      ASSERT_TRUE(bad.AppendUnchecked(s).ok());
+    } else if (i == 11) {
+      ASSERT_TRUE(bad.AppendUnchecked(SignatureView()).ok());
+    } else {
+      ASSERT_TRUE(bad.AppendUnchecked(good.view(i)).ok());
     }
-    ASSERT_TRUE(b.Append(Sig(centers, std::move(weights))).ok());
   }
-  const Matrix serial = CrossDistanceMatrix(a, b).ValueOrDie();
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+  const GroundDistance ground = GroundDistance::kEuclidean;
+  const Status pairwise = PairwiseEmdMatrix(bad).status();
+  const Status rows = CrossDistanceMatrix(bad, good).status();
+  const Status cols = CrossDistanceMatrix(good, bad).status();
+  for (const Status& serial : {pairwise, rows, cols}) {
+    EXPECT_NE(serial.message().find("non-finite"), std::string::npos)
+        << serial;
+  }
+  for (std::size_t threads : kPoolSizes) {
     ThreadPool pool(threads);
-    const Matrix parallel =
-        CrossDistanceMatrix(a, b, GroundDistance::kEuclidean, &pool)
-            .ValueOrDie();
-    ASSERT_EQ(parallel.rows(), serial.rows());
-    ASSERT_EQ(parallel.cols(), serial.cols());
-    for (std::size_t i = 0; i < serial.rows(); ++i) {
-      for (std::size_t j = 0; j < serial.cols(); ++j) {
-        EXPECT_EQ(parallel(i, j), serial(i, j))
-            << threads << " threads @ (" << i << ", " << j << ")";
-      }
-    }
+    EXPECT_EQ(PairwiseEmdMatrix(bad, ground, &pool).status().ToString(),
+              pairwise.ToString())
+        << threads << " threads";
+    EXPECT_EQ(CrossDistanceMatrix(bad, good, ground, &pool).status().ToString(),
+              rows.ToString())
+        << threads << " threads";
+    EXPECT_EQ(CrossDistanceMatrix(good, bad, ground, &pool).status().ToString(),
+              cols.ToString())
+        << threads << " threads";
   }
-  // nullptr falls back to the serial overload outright.
-  const Matrix fallback =
-      CrossDistanceMatrix(a, b, GroundDistance::kEuclidean, nullptr)
-          .ValueOrDie();
-  EXPECT_EQ(fallback.MaxAbsDiff(serial), 0.0);
 }
 
 TEST(EmdTest, RubnerStyleExample) {

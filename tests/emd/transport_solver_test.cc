@@ -538,14 +538,14 @@ TEST(TransportSolverTest, HeapPathAllocationCounterFreezes) {
 }
 
 TEST(TransportSolverTest, ComputeBatchMatchesPerPairBitwise) {
-  // All three overloads against the per-pair loop, on every ground distance.
+  // Both batch forms against the per-pair loop, on every ground distance.
   Rng rng(838);
   EmdWorkspace workspace;
   EmdWorkspace reference;
   for (const GroundDistance ground :
        {GroundDistance::kEuclidean, GroundDistance::kSquaredEuclidean,
         GroundDistance::kManhattan}) {
-    // Distinct pairs with varying shapes (the general overload).
+    // Varying shapes on both sides: every (a, b) pair of the two stores.
     std::vector<Signature> a_store;
     std::vector<Signature> b_store;
     for (const std::size_t k :
@@ -556,14 +556,14 @@ TEST(TransportSolverTest, ComputeBatchMatchesPerPairBitwise) {
     std::vector<SignatureView> as(a_store.begin(), a_store.end());
     std::vector<SignatureView> bs(b_store.begin(), b_store.end());
     std::vector<double> batch(as.size());
-    ASSERT_TRUE(workspace
-                    .ComputeBatch(as.data(), bs.data(), as.size(), ground,
-                                  batch.data())
-                    .ok());
-    for (std::size_t p = 0; p < as.size(); ++p) {
-      EXPECT_EQ(batch[p],
-                reference.Compute(as[p], bs[p], ground).ValueOrDie())
-          << "general p=" << p;
+    for (const SignatureView& b : bs) {
+      ASSERT_TRUE(
+          workspace.ComputeBatch(as.data(), as.size(), b, ground, batch.data())
+              .ok());
+      for (std::size_t p = 0; p < as.size(); ++p) {
+        EXPECT_EQ(batch[p], reference.Compute(as[p], b, ground).ValueOrDie())
+            << "varying shapes p=" << p << " L=" << b.size();
+      }
     }
 
     // Shared left: one row of a cross-distance matrix.
@@ -587,19 +587,6 @@ TEST(TransportSolverTest, ComputeBatchMatchesPerPairBitwise) {
       EXPECT_EQ(batch[p],
                 reference.Compute(as[p], shared, ground).ValueOrDie())
           << "shared-right p=" << p;
-    }
-
-    // The general overload must also detect dynamically-aliased operands
-    // (every slot the same view) and still match the per-pair loop.
-    std::vector<SignatureView> aliased(bs.size(), SignatureView(shared));
-    ASSERT_TRUE(workspace
-                    .ComputeBatch(aliased.data(), bs.data(), bs.size(), ground,
-                                  batch.data())
-                    .ok());
-    for (std::size_t p = 0; p < bs.size(); ++p) {
-      EXPECT_EQ(batch[p],
-                reference.Compute(shared, bs[p], ground).ValueOrDie())
-          << "aliased p=" << p;
     }
   }
 }
@@ -645,17 +632,16 @@ TEST(TransportSolverTest, ComputeBatchErrorCases) {
 
   // An empty batch is a no-op success.
   EXPECT_TRUE(workspace
-                  .ComputeBatch(nullptr, nullptr, 0,
+                  .ComputeBatch(nullptr, 0, SignatureView(good),
                                 GroundDistance::kEuclidean, nullptr)
                   .ok());
 
-  // A bad pair anywhere in the span fails the whole batch up front (pair
-  // order, like the serial loop): dimension mismatch and empty signature.
+  // A bad pair anywhere in the span fails the batch: dimension mismatch and
+  // empty signature.
   std::vector<SignatureView> as = {good, good, wrong_dim};
-  std::vector<SignatureView> bs = {also_good, also_good, also_good};
   std::vector<double> out(as.size(), -1.0);
   EXPECT_FALSE(workspace
-                   .ComputeBatch(as.data(), bs.data(), as.size(),
+                   .ComputeBatch(as.data(), as.size(), SignatureView(also_good),
                                  GroundDistance::kEuclidean, out.data())
                    .ok());
   std::vector<SignatureView> with_empty = {good, empty};
@@ -669,6 +655,50 @@ TEST(TransportSolverTest, ComputeBatchErrorCases) {
             EmdWorkspace()
                 .Compute(good, also_good, GroundDistance::kEuclidean)
                 .ValueOrDie());
+}
+
+TEST(TransportSolverTest, ComputeBatchSurfacesThePerPairLoopsFirstError) {
+  // An earlier pair whose cost block is non-finite fails before a later pair
+  // with no centers, in both batch forms, exactly as the per-pair Compute
+  // loop does; the pairs before the failure are still solved.
+  Rng rng(859);
+  const Signature good = RandomSignature(&rng, 4, 2);
+  const Signature also_good = RandomSignature(&rng, 3, 2);
+  Signature non_finite = RandomSignature(&rng, 3, 2);
+  non_finite.mutable_center(1)[0] = std::numeric_limits<double>::infinity();
+  SignatureSet set;
+  for (SignatureView s : {SignatureView(good), SignatureView(non_finite),
+                          SignatureView(), SignatureView(also_good)}) {
+    ASSERT_TRUE(set.AppendUnchecked(s).ok());
+  }
+  std::vector<SignatureView> views;
+  for (std::size_t i = 0; i < set.size(); ++i) views.push_back(set.view(i));
+  EmdWorkspace reference;
+  Status first;
+  for (const SignatureView& v : views) {
+    first = reference.Compute(v, good, GroundDistance::kEuclidean).status();
+    if (!first.ok()) break;
+  }
+  ASSERT_FALSE(first.ok());
+  EXPECT_NE(first.message().find("non-finite"), std::string::npos) << first;
+  EmdWorkspace workspace;
+  std::vector<double> out(views.size(), -1.0);
+  EXPECT_EQ(workspace.ComputeBatch(views.data(), views.size(),
+                                   SignatureView(good),
+                                   GroundDistance::kEuclidean, out.data()),
+            first);
+  EXPECT_EQ(out[0], reference.Compute(good, good, GroundDistance::kEuclidean)
+                        .ValueOrDie());
+  EXPECT_EQ(workspace.ComputeBatch(SignatureView(good), views.data(),
+                                   views.size(), GroundDistance::kEuclidean,
+                                   out.data()),
+            first);
+  // The same batch without the non-finite member fails on the empty one.
+  std::vector<SignatureView> no_non_finite = {views[0], views[2], views[3]};
+  const Status empty = workspace.ComputeBatch(
+      no_non_finite.data(), no_non_finite.size(), SignatureView(good),
+      GroundDistance::kEuclidean, out.data());
+  EXPECT_EQ(empty, SignatureView().Validate());
 }
 
 TEST(TransportSolverTest, EmdSolverComputeBatchMatchesComputeForEveryKind) {
@@ -706,12 +736,15 @@ TEST(TransportSolverTest, EmdSolverComputeBatchMatchesComputeForEveryKind) {
                     .ValueOrDie())
           << spec << " p=" << p;
     }
-    // The explicit-options pair-span overload (the pooled-prefill path).
-    std::vector<SignatureView> rights(olders.size(), SignatureView(newest));
+    // A default solver given the options by set_options (a pooled chunk's
+    // thread-local solver) batches the same values.
+    EmdSolver pooled;
+    pooled.set_options(options);
     std::vector<double> batch2(olders.size());
-    ASSERT_TRUE(solver
-                    .ComputeBatch(olders.data(), rights.data(), olders.size(),
-                                  GroundDistance::kSquaredEuclidean, options,
+    ASSERT_TRUE(pooled
+                    .ComputeBatch(olders.data(), olders.size(),
+                                  SignatureView(newest),
+                                  GroundDistance::kSquaredEuclidean,
                                   batch2.data())
                     .ok())
         << spec;

@@ -809,10 +809,9 @@ TEST(FaultMatrixTest, SpillGcReclaimsKeysThatNeverReturn) {
 // Detector-level fault points: pool invariance and graceful EMD degradation.
 
 TEST(FaultMatrixTest, EmdSolveFaultIsPoolInvariant) {
-  // The emd.solve ordinal advances identically on the serial and pooled
-  // prefill paths (the prefill's missing set equals the serial fold's miss
-  // set), so the SAME push faults at every pool size, with every prior score
-  // bitwise identical.
+  // A step advances the emd.solve ordinal by its whole pair count before any
+  // solve, with or without a pool, so the SAME push faults at every pool
+  // size, with every prior score bitwise identical.
   const BagSequence bags = KeyStream("emd", 12);
   DetectorOptions options = SmallDetector();
   options.seed = 42;

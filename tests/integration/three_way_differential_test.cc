@@ -17,7 +17,8 @@
 // Results never depend on a buffer arena, so the arena the columnar runner
 // attaches is checked on its own: a hook in this test binary counts heap
 // allocations, and each extra step of a columnar run must cost no more than
-// it costs a detector that recycles through an arena.
+// it costs a detector that recycles through an arena. The same hook bounds
+// the steady-state allocations per push of a pooled standalone detector.
 
 #include <atomic>
 #include <cstdlib>
@@ -28,6 +29,7 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -370,6 +372,51 @@ TEST(ThreeWayDifferentialArenaTest, ColumnarStepsRecycleThroughTheArena) {
       standalone(long_streams) - standalone(short_streams);
   EXPECT_LE(columnar_extra, arena_extra)
       << "heap allocations for " << kKeys * 2 * kSteps << " extra steps";
+}
+
+// Heap allocations per push over `measured` pushes of one standalone
+// detector that has already taken `warm_up` bags, on a pool of `pool_size`
+// threads (0: serial), recycling through an arena.
+double AllocationsPerPush(const BagSequence& bags, std::size_t warm_up,
+                          std::size_t measured, std::size_t pool_size) {
+  std::unique_ptr<ThreadPool> pool;
+  if (pool_size > 0) pool = std::make_unique<ThreadPool>(pool_size);
+  BufferArena arena;
+  DetectorOptions options =
+      DefaultDetector(EmdSolverKind::kExact, SignatureMethod::kKMeans);
+  options.seed = ReferenceSeed(KeyName(0), kDefaultProfileName);
+  auto detector = BagStreamDetector::Create(options).MoveValueUnsafe();
+  detector->set_thread_pool(pool.get());
+  detector->set_buffer_arena(&arena);
+  for (std::size_t t = 0; t < warm_up; ++t) {
+    EXPECT_TRUE(detector->Push(bags[t]).ok());
+  }
+  const std::uint64_t allocations = CountAllocations([&] {
+    for (std::size_t t = warm_up; t < warm_up + measured; ++t) {
+      EXPECT_TRUE(detector->Push(bags[t]).ok());
+    }
+  });
+  return static_cast<double>(allocations) / static_cast<double>(measured);
+}
+
+TEST(ThreeWayDifferentialArenaTest, PooledDetectorStepAllocationsAreBounded) {
+  // A pooled step's EMD column allocates only what the pool's dispatch
+  // does (its chunk tasks and their latch), never a per-step buffer. The
+  // bounds are the measured steady-state counts per push of the default
+  // detector here (exact EMD, k-means k = 3, w = 8, 8 bootstrap replicates)
+  // with an arena, which also hold the chunked bootstrap's allocations and
+  // the k-means build's. The serial count (11) is in the failure message.
+  constexpr std::size_t kWarmUp = 40;
+  constexpr std::size_t kMeasured = 20;
+  const BagSequence bags =
+      Sequences(Corpus(1, kWarmUp + kMeasured)).at(KeyName(0));
+  const double serial = AllocationsPerPush(bags, kWarmUp, kMeasured, 0);
+  const std::pair<std::size_t, double> bounds[] = {{2, 27.2}, {4, 39.4}};
+  for (const auto& [pool_size, bound] : bounds) {
+    const double pooled =
+        AllocationsPerPush(bags, kWarmUp, kMeasured, pool_size);
+    EXPECT_LE(pooled, bound) << "pool " << pool_size << "; serial " << serial;
+  }
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // engine batch results — is bitwise-identical for any pool/shard size,
 // including the fully serial paths. These tests pin that contract for pool
 // sizes 0 (inline), 1, 2, and 8 across the three parallel entry points:
-// BootstrapScoreInterval, BagStreamDetector::Run (EMD prefill + bootstrap),
+// BootstrapScoreInterval, BagStreamDetector::Run (EMD columns + bootstrap),
 // and a StreamEngine sweep (Submit, Flush, DrainEvents).
 
 #include <cmath>

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,7 +23,9 @@ TEST(ThreadPoolTest, ZeroThreadsRunsInline) {
   pool.Submit([&] { ++counter; });
   // Inline execution: visible immediately, no synchronization needed.
   EXPECT_EQ(counter, 1);
-  pool.ParallelFor(0, 10, [&](std::size_t) { ++counter; });
+  pool.ParallelForChunked(0, 10, [&](std::size_t b, std::size_t e) {
+    counter += static_cast<int>(e - b);
+  });
   EXPECT_EQ(counter, 11);
 }
 
@@ -52,28 +58,30 @@ TEST(ThreadPoolTest, SubmitToSameShardPreservesFifoOrder) {
   for (int i = 0; i < 50; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
+TEST(ThreadPoolTest, ParallelForChunkedCoversEveryIndexExactlyOnce) {
   for (std::size_t threads : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                               std::size_t{8}}) {
     ThreadPool pool(threads);
     std::vector<std::atomic<int>> hits(257);
     for (auto& h : hits) h.store(0);
-    pool.ParallelFor(0, hits.size(),
-                     [&](std::size_t i) { hits[i].fetch_add(1); });
+    pool.ParallelForChunked(0, hits.size(), [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+    });
     for (std::size_t i = 0; i < hits.size(); ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
     }
   }
 }
 
-TEST(ThreadPoolTest, ParallelForHandlesEmptyAndTinyRanges) {
+TEST(ThreadPoolTest, ParallelForChunkedHandlesEmptyAndTinyRanges) {
   ThreadPool pool(4);
   int counter = 0;
-  pool.ParallelFor(5, 5, [&](std::size_t) { ++counter; });
+  pool.ParallelForChunked(5, 5, [&](std::size_t, std::size_t) { ++counter; });
   EXPECT_EQ(counter, 0);
   std::atomic<int> one{0};
-  pool.ParallelFor(7, 8, [&](std::size_t i) {
-    EXPECT_EQ(i, 7u);
+  pool.ParallelForChunked(7, 8, [&](std::size_t b, std::size_t e) {
+    EXPECT_EQ(b, 7u);
+    EXPECT_EQ(e, 8u);
     one.fetch_add(1);
   });
   EXPECT_EQ(one.load(), 1);
@@ -97,19 +105,19 @@ TEST(ThreadPoolTest, ParallelForChunkedPartitionsRange) {
   }
 }
 
-TEST(ThreadPoolTest, ParallelForRunsConcurrentTasksToCompletion) {
+TEST(ThreadPoolTest, ParallelForChunkedRunsConcurrentTasksToCompletion) {
   // A body that blocks until all chunks have started would deadlock if the
   // pool lost tasks; with enough threads it must complete.
   ThreadPool pool(2);
   std::atomic<long> total{0};
-  pool.ParallelFor(0, 1000, [&](std::size_t i) {
-    total.fetch_add(static_cast<long>(i));
+  pool.ParallelForChunked(0, 1000, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) total.fetch_add(static_cast<long>(i));
   });
   EXPECT_EQ(total.load(), 999L * 1000L / 2);
 }
 
-TEST(ThreadPoolTest, NestedParallelForFromWorkerFallsBackInline) {
-  // Regression: a ParallelFor issued from inside one of the pool's own tasks
+TEST(ThreadPoolTest, NestedParallelForChunkedFromWorkerFallsBackInline) {
+  // Regression: a parallel loop issued from inside one of the pool's own tasks
   // used to queue chunks behind the very worker that was blocking on them —
   // a deadlock whenever the inner range spilled onto the caller's shard.
   // The pool now detects re-entrancy and runs the inner loop inline; every
@@ -119,10 +127,14 @@ TEST(ThreadPoolTest, NestedParallelForFromWorkerFallsBackInline) {
   constexpr std::size_t kInner = 32;
   std::vector<std::atomic<int>> hits(kOuter * kInner);
   for (auto& h : hits) h.store(0);
-  pool.ParallelFor(0, kOuter, [&](std::size_t outer) {
-    pool.ParallelFor(0, kInner, [&](std::size_t inner) {
-      hits[outer * kInner + inner].fetch_add(1);
-    });
+  pool.ParallelForChunked(0, kOuter, [&](std::size_t ob, std::size_t oe) {
+    for (std::size_t outer = ob; outer < oe; ++outer) {
+      pool.ParallelForChunked(0, kInner, [&](std::size_t ib, std::size_t ie) {
+        for (std::size_t inner = ib; inner < ie; ++inner) {
+          hits[outer * kInner + inner].fetch_add(1);
+        }
+      });
+    }
   });
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
@@ -130,7 +142,8 @@ TEST(ThreadPoolTest, NestedParallelForFromWorkerFallsBackInline) {
 }
 
 TEST(ThreadPoolTest, NestedSubmitDetectionOnlyAppliesToOwningPool) {
-  // A worker of pool A calling ParallelFor on pool B must still parallelize
+  // A worker of pool A calling ParallelForChunked on pool B must still
+  // parallelize
   // on B — the inline fallback is scoped to re-entrancy on the same pool.
   ThreadPool outer(1);
   ThreadPool inner(2);
@@ -142,9 +155,9 @@ TEST(ThreadPoolTest, NestedSubmitDetectionOnlyAppliesToOwningPool) {
   bool done = false;
   outer.SubmitTo(0, [&] {
     outer_was_worker.store(outer.InWorkerThread() && !inner.InWorkerThread());
-    inner.ParallelFor(0, 64, [&](std::size_t) {
+    inner.ParallelForChunked(0, 64, [&](std::size_t b, std::size_t e) {
       if (inner.InWorkerThread()) saw_inner_worker.store(true);
-      ran.fetch_add(1);
+      ran.fetch_add(static_cast<int>(e - b));
     });
     std::lock_guard<std::mutex> lock(mu);
     done = true;
@@ -155,6 +168,44 @@ TEST(ThreadPoolTest, NestedSubmitDetectionOnlyAppliesToOwningPool) {
   EXPECT_TRUE(outer_was_worker.load());
   EXPECT_EQ(ran.load(), 64);
   EXPECT_TRUE(saw_inner_worker.load());
+}
+
+TEST(ThreadPoolTest, ForEachChunkWithoutPoolRunsTheRangeAsOneChunk) {
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  const auto record = [&](std::size_t b, std::size_t e) {
+    chunks.emplace_back(b, e);
+    return Status::OK();
+  };
+  EXPECT_TRUE(ForEachChunk(nullptr, 3, 9, record).ok());
+  EXPECT_TRUE(ForEachChunk(nullptr, 4, 4, record).ok());  // Runs no chunk.
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(chunks[0], std::make_pair(std::size_t{3}, std::size_t{9}));
+}
+
+TEST(ThreadPoolTest, ForEachChunkReturnsTheLowestFailingIndexForAnyPool) {
+  // Indices 37 and 80 fail. Each chunk stops at its first failure; the chunk
+  // holding 37 sleeps first so that, on a pool, the later failure is usually
+  // recorded before it. Every pool size must still return index 37's error,
+  // as the one-chunk serial walk does.
+  const auto body = [](std::size_t b, std::size_t e) {
+    if (b <= 37 && 37 < e && b > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    for (std::size_t i = b; i < e; ++i) {
+      if (i == 37 || i == 80) {
+        return Status::Invalid("index " + std::to_string(i));
+      }
+    }
+    return Status::OK();
+  };
+  const Status serial = ForEachChunk(nullptr, 0, 100, body);
+  EXPECT_EQ(serial.message(), "index 37");
+  for (std::size_t threads : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                              std::size_t{8}}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(ForEachChunk(&pool, 0, 100, body), serial)
+        << threads << " threads";
+  }
 }
 
 }  // namespace
