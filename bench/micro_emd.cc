@@ -1,9 +1,9 @@
 // EMD transport-solver microbenchmark: the workspace-backed dense solver
-// (emd/transport_solver.h) against the generic MinCostFlow reference path it
-// replaced — per-solve latency at K = 4 / 8 / 16 / 64 (K = 8 is the paper
-// default and the dense-scan regime; only K = 16 is gated), steady-state
-// allocations per solve (the workspace growth counter), and pairwise-matrix
-// throughput.
+// (emd/transport_solver.h) against the generic min-cost-flow reference path
+// it replaced (tests/reference/min_cost_flow.h) — per-solve latency at
+// K = 4 / 8 / 16 / 64 (K = 8 is the paper default and the dense-scan
+// regime; only K = 16 is gated), steady-state allocations per solve (the
+// workspace growth counter), and pairwise-matrix throughput.
 // Both paths must agree bitwise on every instance; the harness aborts if a
 // single solve diverges. A second sweep (K = 4..256) races the approximate
 // solvers (emd/approx: sinkhorn, sliced) against the exact workspace, and a
@@ -38,12 +38,12 @@
 #include "bagcpd/emd/approx/emd_solver.h"
 #include "bagcpd/emd/approx/options.h"
 #include "bagcpd/emd/emd.h"
-#include "bagcpd/emd/min_cost_flow.h"
 #include "bagcpd/emd/transport_solver.h"
 #include "bagcpd/graph/enron_simulator.h"
 #include "bagcpd/graph/features.h"
 #include "bagcpd/signature/signature_set.h"
 #include "bench_util.h"
+#include "reference/min_cost_flow.h"
 
 namespace bagcpd {
 namespace {
@@ -64,40 +64,14 @@ Signature RandomSignature(Rng* rng, std::size_t k, std::size_t dim) {
   return s;
 }
 
-// The pre-workspace ComputeEmd path, verbatim: build a fresh MinCostFlow
-// network (vector-of-vectors adjacency, heap Dijkstra), solve, and extract
-// the full EmdSolution the old ComputeEmdDetailed always materialized.
-double ReferenceEmd(SignatureView a, SignatureView b,
-                    const GroundDistanceFn& ground) {
-  const std::size_t k = a.size();
-  const std::size_t l = b.size();
-  const double total_flow = std::min(a.TotalWeight(), b.TotalWeight());
-  const std::size_t source = 0;
-  const std::size_t sink = k + l + 1;
-  MinCostFlow network(k + l + 2);
-  for (std::size_t i = 0; i < k; ++i) {
-    network.AddArc(source, 1 + i, a.weight(i), 0.0);
-  }
-  std::vector<std::vector<int>> transport_ids(k, std::vector<int>(l));
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < l; ++j) {
-      transport_ids[i][j] =
-          network.AddArc(1 + i, 1 + k + j, std::min(a.weight(i), b.weight(j)),
-                         ground(a.center(i), b.center(j)));
-    }
-  }
-  for (std::size_t j = 0; j < l; ++j) {
-    network.AddArc(1 + k + j, sink, b.weight(j), 0.0);
-  }
-  FlowSolution flow =
-      bench::Unwrap(network.Solve(source, sink, total_flow), "reference");
-  Matrix flow_matrix(k, l);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < l; ++j) {
-      flow_matrix(i, j) = network.FlowOn(transport_ids[i][j]);
-    }
-  }
-  return flow.cost / flow.flow;
+// The pre-workspace EMD path (tests/reference/min_cost_flow.h): a fresh
+// min-cost-flow network per pair (vector-of-vectors adjacency, heap Dijkstra,
+// one std::function ground-distance call per transport arc), solved, with
+// the full flow matrix materialized.
+double ReferenceEmd(SignatureView a, SignatureView b) {
+  return bench::Unwrap(ReferenceEmdDetailed(a, b, GroundDistance::kEuclidean),
+                       "reference")
+      .emd;
 }
 
 struct SolveRow {
@@ -199,12 +173,9 @@ int Main(int argc, char** argv) {
   const int repeats = argc > 1 ? std::atoi(argv[1]) : 50;
 
   bench::PrintHeader(
-      "micro_emd: workspace transport solver vs MinCostFlow reference",
+      "micro_emd: workspace transport solver vs min-cost-flow reference",
       "per-solve latency, steady-state allocations, matrix throughput");
   std::printf("repeats=%d\n\n", repeats);
-
-  const GroundDistanceFn ground =
-      MakeGroundDistance(GroundDistance::kEuclidean);
 
   std::vector<SolveRow> rows;
   for (const std::size_t k : {std::size_t{4}, std::size_t{8}, std::size_t{16},
@@ -222,7 +193,7 @@ int Main(int argc, char** argv) {
     EmdWorkspace workspace;
     // Bitwise agreement on every instance before any timing.
     for (std::size_t p = 0; p < pool_size; ++p) {
-      const double ref = ReferenceEmd(left[p], right[p], ground);
+      const double ref = ReferenceEmd(left[p], right[p]);
       const double ours =
           bench::Unwrap(workspace.Compute(left[p], right[p],
                                           GroundDistance::kEuclidean),
@@ -248,7 +219,7 @@ int Main(int argc, char** argv) {
         3, iterations, &ref_sink, &ours_sink,
         [&](int it) {
           const std::size_t p = static_cast<std::size_t>(it) % pool_size;
-          return ReferenceEmd(left[p], right[p], ground);
+          return ReferenceEmd(left[p], right[p]);
         },
         [&](int it) {
           const std::size_t p = static_cast<std::size_t>(it) % pool_size;

@@ -44,7 +44,6 @@
 #include "bagcpd/emd/emd.h"
 #include "bagcpd/emd/emd_1d.h"
 #include "bagcpd/emd/ground_distance.h"
-#include "bagcpd/emd/min_cost_flow.h"
 #include "bagcpd/info/estimators.h"
 #include "bagcpd/info/weighted_set.h"
 

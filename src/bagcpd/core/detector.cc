@@ -125,10 +125,6 @@ void BagStreamDetector::Reset() {
   // a fresh one's results bit for bit (ImportState restores its own position
   // after this).
   rng_ = Rng(options_.seed);
-  // Per-owner memory policy: with a byte ceiling configured on the solver,
-  // oversized EMD scratch (grown by one outlier pair) is released here, at a
-  // quiet point, and regrows to the working-set size on the next solve.
-  solver_.ShrinkToCeiling();
 }
 
 Result<std::optional<StepResult>> BagStreamDetector::Push(const Bag& bag) {

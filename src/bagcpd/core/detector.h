@@ -178,9 +178,7 @@ class BagStreamDetector {
   BufferArena* buffer_arena() const { return arena_; }
 
   /// \brief The detector-owned EMD solver (exact workspace + approx
-  /// scratch). Exposed for diagnostics — allocation/solve counters — and for
-  /// the per-stream byte-ceiling policy: set a ceiling here and Reset()
-  /// releases oversized scratch (EmdSolver::ShrinkToCeiling).
+  /// scratch). Exposed for diagnostics: allocation/solve counters.
   EmdSolver& emd_solver() { return solver_; }
 
   // -- Checkpointing (implemented in serialize/detector_serialize.cc) -----

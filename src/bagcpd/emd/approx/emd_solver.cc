@@ -54,17 +54,15 @@ Status EmdSolver::ComputeBatch(const SignatureView* as, std::size_t count,
   return Status::OK();
 }
 
-void EmdSolver::ShrinkToCeiling() {
-  if (retained_byte_ceiling_ == 0) return;
-  if (retained_bytes() <= retained_byte_ceiling_) return;
-  workspace_.ReleaseBuffers();
-  sinkhorn_.Release();
-  sliced_.Release();
-}
-
 EmdSolver& ThreadLocalEmdSolver() {
   static thread_local EmdSolver solver;
   return solver;
+}
+
+EmdWorkspace& DefaultEmdWorkspace() {
+  EmdWorkspace& workspace = ThreadLocalEmdSolver().workspace();
+  workspace.set_heap_threshold(kDefaultEmdHeapAt);
+  return workspace;
 }
 
 }  // namespace bagcpd

@@ -9,8 +9,9 @@
 // Ownership mirrors EmdWorkspace (see README "Performance"): a
 // BagStreamDetector owns one EmdSolver for its unpooled scoring path; its
 // pooled chunks run on ThreadLocalEmdSolver(), after set_options() with the
-// detector's options. Not thread-safe; never share one across concurrent
-// solves.
+// detector's options, and the free EMD functions (emd/emd.h) solve on that
+// solver's workspace() (DefaultEmdWorkspace()). Not thread-safe; never share
+// one across concurrent solves.
 
 #ifndef BAGCPD_EMD_APPROX_EMD_SOLVER_H_
 #define BAGCPD_EMD_APPROX_EMD_SOLVER_H_
@@ -65,7 +66,7 @@ class EmdSolver {
                       SignatureView b, GroundDistance ground, double* out);
 
   /// \brief The exact-path workspace (also the cost-matrix provider for
-  /// sinkhorn). Exposed for tests and detailed/flow computations.
+  /// sinkhorn). The free EMD functions solve on the thread-local solver's.
   EmdWorkspace& workspace() { return workspace_; }
 
   /// \brief Successful solves across all three kinds.
@@ -86,36 +87,25 @@ class EmdSolver {
            sliced_.allocation_count();
   }
 
-  /// \brief Per-owner byte ceiling over ALL retained scratch (workspace +
-  /// sinkhorn + sliced). 0 = unlimited. Owners trigger the release at quiet
-  /// points via ShrinkToCeiling() (BagStreamDetector::Reset does).
-  void set_retained_byte_ceiling(std::size_t bytes) {
-    retained_byte_ceiling_ = bytes;
-  }
-  std::size_t retained_byte_ceiling() const { return retained_byte_ceiling_; }
-  std::size_t retained_bytes() const {
-    return workspace_.retained_bytes() + sinkhorn_.retained_bytes() +
-           sliced_.retained_bytes();
-  }
-
-  /// \brief Releases every scratch buffer if a ceiling is set and
-  /// retained_bytes() exceeds it; otherwise a no-op.
-  void ShrinkToCeiling();
-
  private:
   EmdSolverOptions options_;
   EmdWorkspace workspace_;
   SinkhornScratch sinkhorn_;
   SlicedScratch sliced_;
-  std::size_t retained_byte_ceiling_ = 0;  // 0 = never shrink.
   std::uint64_t fallback_count_ = 0;
 };
 
-/// \brief Per-thread solver for the detector's pooled chunks; one solver
-/// serves every detector whose chunks run on the thread, so each chunk sets
-/// its detector's options first. Same caveats as ThreadLocalEmdWorkspace —
-/// never call from code that can run inside another solve.
+/// \brief The calling thread's solver. The detector's pooled chunks run on
+/// it after setting their detector's options. No solve runs user code, so
+/// none re-enters it.
 EmdSolver& ThreadLocalEmdSolver();
+
+/// \brief ThreadLocalEmdSolver().workspace(), set to the default heap
+/// crossover kDefaultEmdHeapAt: the free EMD functions (emd/emd.h) and the
+/// information estimators solve on it, so a detector's `emd-heap-at=` left
+/// on the thread never carries over. Dense and heap Dijkstra agree bitwise,
+/// so the reset only keeps the speed predictable.
+EmdWorkspace& DefaultEmdWorkspace();
 
 }  // namespace bagcpd
 

@@ -153,21 +153,6 @@ Status ScalingUnderflow() {
 
 }  // namespace
 
-std::size_t SinkhornScratch::retained_bytes() const {
-  return (kernel_.capacity() + p_.capacity() + q_.capacity() + u_.capacity() +
-          v_.capacity() + ktu_.capacity()) *
-         sizeof(double);
-}
-
-void SinkhornScratch::Release() {
-  std::vector<double>().swap(kernel_);
-  std::vector<double>().swap(p_);
-  std::vector<double>().swap(q_);
-  std::vector<double>().swap(u_);
-  std::vector<double>().swap(v_);
-  std::vector<double>().swap(ktu_);
-}
-
 Result<double> SinkhornEmd(const double* cost, std::size_t k, std::size_t l,
                            const double* wa, const double* wb,
                            const EmdSolverOptions& options,

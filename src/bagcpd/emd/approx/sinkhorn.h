@@ -42,13 +42,11 @@ namespace bagcpd {
 
 /// \brief Reusable Sinkhorn iteration state. Buffers grow monotonically
 /// (allocation_count pins zero steady-state allocations, same discipline as
-/// EmdWorkspace); Release() drops them for the byte-ceiling policy.
+/// EmdWorkspace).
 class SinkhornScratch {
  public:
   std::uint64_t allocation_count() const { return allocation_count_; }
   std::uint64_t solve_count() const { return solve_count_; }
-  std::size_t retained_bytes() const;
-  void Release();
 
  private:
   friend Result<double> SinkhornEmd(const double* cost, std::size_t k,

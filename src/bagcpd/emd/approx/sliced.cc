@@ -49,25 +49,6 @@ double SweepLine(const double* pa, const double* p, const std::size_t* oa,
 
 }  // namespace
 
-std::size_t SlicedScratch::retained_bytes() const {
-  return (directions_.capacity() + proj_a_.capacity() + proj_b_.capacity() +
-          p_.capacity() + q_.capacity()) *
-             sizeof(double) +
-         (order_a_.capacity() + order_b_.capacity()) * sizeof(std::size_t);
-}
-
-void SlicedScratch::Release() {
-  std::vector<double>().swap(directions_);
-  directions_n_ = 0;
-  directions_dim_ = 0;
-  std::vector<double>().swap(proj_a_);
-  std::vector<double>().swap(proj_b_);
-  std::vector<double>().swap(p_);
-  std::vector<double>().swap(q_);
-  std::vector<std::size_t>().swap(order_a_);
-  std::vector<std::size_t>().swap(order_b_);
-}
-
 void SlicedScratch::EnsureDirections(std::size_t n, std::size_t dim) {
   if (directions_n_ == n && directions_dim_ == dim) return;
   Ensure(&directions_, n * dim);

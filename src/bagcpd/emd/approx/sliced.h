@@ -34,8 +34,6 @@ class SlicedScratch {
  public:
   std::uint64_t allocation_count() const { return allocation_count_; }
   std::uint64_t solve_count() const { return solve_count_; }
-  std::size_t retained_bytes() const;
-  void Release();
 
  private:
   friend Result<double> SlicedEmd(SignatureView a, SignatureView b,

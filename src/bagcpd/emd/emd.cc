@@ -4,32 +4,16 @@
 #include <vector>
 
 #include "bagcpd/common/check.h"
+#include "bagcpd/emd/approx/emd_solver.h"
 #include "bagcpd/emd/emd_1d.h"
 #include "bagcpd/emd/transport_solver.h"
 #include "bagcpd/runtime/thread_pool.h"
 
 namespace bagcpd {
 
-// Every entry point below runs on an EmdWorkspace (emd/transport_solver.h):
-// a matrix fill runs one chunk body, which solves on one workspace for the
-// whole matrix without a pool and on each pool thread's workspace with one
-// (runtime/thread_pool.h ForEachChunk), and the free
-// enum-dispatched two-signature functions share the calling thread's
-// workspace — so steady state everywhere is allocation-free. The fn-based
-// overloads run user code inside the solve and therefore use a local
-// workspace (re-entrancy safety over reuse). MinCostFlow remains as the
-// reference implementation; the property tests pin bitwise agreement
-// between the two.
-
 Result<EmdSolution> ComputeEmdDetailed(SignatureView a, SignatureView b,
-                                       const GroundDistanceFn& ground) {
-  // A custom ground distance may itself call back into an EMD entry point
-  // (e.g. a nested-EMD dissimilarity); the fn-based entry points therefore
-  // solve on a local workspace so a re-entrant call cannot clobber the
-  // thread-local one mid-fill. Only the enum paths — where no user code runs
-  // inside the solve — share the per-thread workspace.
-  EmdWorkspace workspace;
-  return workspace.ComputeDetailed(a, b, ground);
+                                       GroundDistance ground) {
+  return DefaultEmdWorkspace().ComputeDetailed(a, b, ground);
 }
 
 Result<double> ComputeEmd(SignatureView a, SignatureView b,
@@ -41,14 +25,7 @@ Result<double> ComputeEmd(SignatureView a, SignatureView b,
       Emd1dApplicable(a, b)) {
     return ComputeEmd1d(a, b);
   }
-  return ThreadLocalEmdWorkspace().Compute(a, b, ground);
-}
-
-Result<double> ComputeEmd(SignatureView a, SignatureView b,
-                          const GroundDistanceFn& ground) {
-  // Local workspace for the same re-entrancy reason as ComputeEmdDetailed.
-  EmdWorkspace workspace;
-  return workspace.Compute(a, b, ground);
+  return DefaultEmdWorkspace().Compute(a, b, ground);
 }
 
 Result<Matrix> PairwiseEmdMatrix(const SignatureSet& signatures,
@@ -68,12 +45,10 @@ Result<Matrix> PairwiseEmdMatrix(const SignatureSet& signatures,
   views.reserve(n);
   for (std::size_t i = 0; i < n; ++i) views.push_back(signatures.view(i));
   Matrix m(n, n, 0.0);
-  EmdWorkspace serial;
   BAGCPD_RETURN_NOT_OK(ForEachChunk(
       pool, 0, n * (n - 1) / 2,
       [&](std::size_t begin, std::size_t end) -> Status {
-        EmdWorkspace& workspace =
-            pool == nullptr ? serial : ThreadLocalEmdWorkspace();
+        EmdWorkspace& workspace = DefaultEmdWorkspace();
         std::size_t i = 0;
         std::size_t row = 0;  // Flat index of pair (i, i + 1).
         while (row + (n - 1 - i) <= begin) {
@@ -110,11 +85,9 @@ Result<Matrix> CrossDistanceMatrix(const SignatureSet& a,
   rights.reserve(m);
   for (std::size_t j = 0; j < m; ++j) rights.push_back(b.view(j));
   Matrix out(n, m);
-  EmdWorkspace serial;
   BAGCPD_RETURN_NOT_OK(ForEachChunk(
       pool, 0, n, [&](std::size_t begin, std::size_t end) -> Status {
-        EmdWorkspace& workspace =
-            pool == nullptr ? serial : ThreadLocalEmdWorkspace();
+        EmdWorkspace& workspace = DefaultEmdWorkspace();
         for (std::size_t i = begin; i < end; ++i) {
           BAGCPD_RETURN_NOT_OK(workspace.ComputeBatch(
               a.view(i), rights.data(), m, ground, &out(i, 0)));

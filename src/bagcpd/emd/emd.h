@@ -8,6 +8,10 @@
 // conversion), SignatureSet members, and SignatureRing slots all flow through
 // one code path. The batch helpers take SignatureSet — one shared buffer for
 // the whole batch; callers holding owning Signatures Append them into one.
+//
+// Every transportation solve here runs on the calling thread's
+// DefaultEmdWorkspace() (emd/approx/emd_solver.h), so steady state is
+// allocation-free.
 
 #ifndef BAGCPD_EMD_EMD_H_
 #define BAGCPD_EMD_EMD_H_
@@ -34,20 +38,25 @@ struct EmdSolution {
   Matrix flow;
 };
 
-/// \brief Computes the EMD and the optimal flow between two signatures.
+/// \brief Computes the EMD and the optimal flow between two signatures
+/// with the full transportation solve.
 ///
 /// Fails with Invalid if either signature is structurally invalid.
-Result<EmdSolution> ComputeEmdDetailed(SignatureView a, SignatureView b,
-                                       const GroundDistanceFn& ground);
+Result<EmdSolution> ComputeEmdDetailed(
+    SignatureView a, SignatureView b,
+    GroundDistance ground = GroundDistance::kEuclidean);
 
-/// \brief Convenience overload returning only the distance value, using the
-/// given built-in ground distance (default: Euclidean, the paper's choice).
+/// \brief The EMD alone (default ground distance: Euclidean, the paper's
+/// choice).
+///
+/// This is the one entry point that takes the 1-d sweep (emd/emd_1d.h):
+/// for two 1-d signatures of equal total weight under Euclidean or
+/// Manhattan it sorts instead of solving the transportation problem. The
+/// sweep's value is exact but may differ in the last bits from the
+/// transportation solve that ComputeEmdDetailed, the matrix fills, the
+/// information estimators and the detector run on the same pair.
 Result<double> ComputeEmd(SignatureView a, SignatureView b,
                           GroundDistance ground = GroundDistance::kEuclidean);
-
-/// \brief Convenience overload with a custom ground distance.
-Result<double> ComputeEmd(SignatureView a, SignatureView b,
-                          const GroundDistanceFn& ground);
 
 /// \brief Dense symmetric matrix of pairwise EMDs over a set of signatures
 /// (used by the Fig. 6 EMD heat maps and MDS embeddings).

@@ -38,6 +38,15 @@ Result<double> ComputeEmd1d(SignatureView a, SignatureView b) {
   for (std::size_t l = 0; l < b.size(); ++l) {
     events.push_back(Event{b.center(l)[0], -b.weight(l)});
   }
+  // A non-finite center makes its distance to every center of the other
+  // side non-finite, which the transportation solve rejects; reject it the
+  // same way rather than sort and sum inf or NaN into the cost.
+  for (const Event& e : events) {
+    if (!std::isfinite(e.position)) {
+      return Status::Invalid("ground distance produced a negative or "
+                             "non-finite value");
+    }
+  }
   std::sort(events.begin(), events.end(),
             [](const Event& x, const Event& y) {
               return x.position < y.position;
@@ -52,6 +61,10 @@ Result<double> ComputeEmd1d(SignatureView a, SignatureView b) {
       cost += std::abs(cdf_gap) *
               (events[i + 1].position - events[i].position);
     }
+  }
+  // Finite centers far enough apart still overflow the sum.
+  if (!std::isfinite(cost)) {
+    return Status::Invalid("EMD transport cost overflowed");
   }
   // Eq. 12 normalization by the transported mass (= the common total).
   return cost / a.TotalWeight();

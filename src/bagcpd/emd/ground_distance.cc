@@ -4,18 +4,6 @@
 
 namespace bagcpd {
 
-GroundDistanceFn MakeGroundDistance(GroundDistance kind) {
-  switch (kind) {
-    case GroundDistance::kEuclidean:
-      return [](PointView a, PointView b) { return EuclideanDistance(a, b); };
-    case GroundDistance::kSquaredEuclidean:
-      return [](PointView a, PointView b) { return SquaredDistance(a, b); };
-    case GroundDistance::kManhattan:
-      return [](PointView a, PointView b) { return ManhattanDistance(a, b); };
-  }
-  return [](PointView a, PointView b) { return EuclideanDistance(a, b); };
-}
-
 const char* GroundDistanceName(GroundDistance kind) {
   switch (kind) {
     case GroundDistance::kEuclidean:

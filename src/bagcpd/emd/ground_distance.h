@@ -4,32 +4,22 @@
 #ifndef BAGCPD_EMD_GROUND_DISTANCE_H_
 #define BAGCPD_EMD_GROUND_DISTANCE_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "bagcpd/common/point.h"
 #include "bagcpd/common/result.h"
 
 namespace bagcpd {
 
-/// \brief A ground distance is any non-negative dissimilarity between centers.
-/// It does not need to be a metric, but EMD between normalized signatures is a
-/// metric iff the ground distance is (Rubner et al. 2000).
-///
-/// Centers are passed as zero-copy PointViews over the signatures' contiguous
-/// storage; `const Point&` arguments convert implicitly.
-using GroundDistanceFn = std::function<double(PointView, PointView)>;
-
-/// \brief Built-in ground distances.
+/// \brief The ground distances between signature centers. EMD between
+/// normalized signatures is a metric iff the ground distance is (Rubner et
+/// al. 2000), so kSquaredEuclidean gives a non-metric EMD. The transport
+/// solver's cost fill dispatches on it once per cost block, not per entry.
 enum class GroundDistance {
   kEuclidean,
   kSquaredEuclidean,
   kManhattan,
 };
-
-/// \brief Returns the callable for a built-in ground distance.
-GroundDistanceFn MakeGroundDistance(GroundDistance kind);
 
 /// \brief Short lowercase name ("euclidean", ...).
 const char* GroundDistanceName(GroundDistance kind);

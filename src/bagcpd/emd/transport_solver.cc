@@ -15,7 +15,6 @@
 
 #include "bagcpd/common/check.h"
 #include "bagcpd/common/point.h"
-#include "bagcpd/emd/min_cost_flow.h"  // kFlowEpsilon, shared with the reference.
 
 namespace bagcpd {
 
@@ -44,20 +43,6 @@ void EmdWorkspace::LayoutShape(std::size_t k, std::size_t l) {
   Ensure(&live_, l_ * live_words_);
   Ensure(&heap_, nodes_);
   Ensure(&heap_pos_, nodes_);
-}
-
-Status EmdWorkspace::Layout(SignatureView a, SignatureView b) {
-  BAGCPD_RETURN_NOT_OK(a.Validate());
-  BAGCPD_RETURN_NOT_OK(b.Validate());
-  if (a.dim() != b.dim()) {
-    return Status::Invalid("signatures have different dimensions");
-  }
-  LayoutShape(a.size(), b.size());
-  Ensure(&cost_matrix_, k_ * l_);
-  // Sized in Layout (not just in the enum kernel) so that once a shape has
-  // been seen through ANY path, no path allocates for it again.
-  Ensure(&b_transposed_, a.dim() * l_);
-  return Status::OK();
 }
 
 namespace {
@@ -114,7 +99,7 @@ void FillCostBlock(const double* ac, std::size_t k, std::size_t d,
       }
       break;
     case GroundDistance::kEuclidean:
-    default:  // MakeGroundDistance falls back to Euclidean as well.
+    default:  // An out-of-range value fills as Euclidean, the default.
       for (std::size_t i = 0; i < k; ++i) {
         const double* ai = ac + i * d;
         double* row = cost + i * width;
@@ -160,9 +145,16 @@ Status ValidateCostBlock(const double* cost, std::size_t k, std::size_t l,
 
 Status EmdWorkspace::PrepareCost(SignatureView a, SignatureView b,
                                  GroundDistance ground) {
-  BAGCPD_RETURN_NOT_OK(Layout(a, b));
+  BAGCPD_RETURN_NOT_OK(a.Validate());
+  BAGCPD_RETURN_NOT_OK(b.Validate());
+  if (a.dim() != b.dim()) {
+    return Status::Invalid("signatures have different dimensions");
+  }
+  LayoutShape(a.size(), b.size());
+  Ensure(&cost_matrix_, k_ * l_);
+  Ensure(&b_transposed_, a.dim() * l_);
   // Batched kernel: one dispatch for the whole K x L matrix, streaming both
-  // packed center blocks, instead of a GroundDistanceFn call per arc. The
+  // packed center blocks, instead of a ground-distance call per arc. The
   // demand centers are transposed once into a (d x L) block so every inner
   // loop walks unit-stride over j — straight-line code the compiler
   // auto-vectorizes. See FillCostBlock for the bitwise-identity argument.
@@ -178,31 +170,14 @@ Status EmdWorkspace::PrepareCost(SignatureView a, SignatureView b,
   return ValidateCostBlock(cost_matrix_.data(), k_, l_, l_);
 }
 
-Status EmdWorkspace::Prepare(SignatureView a, SignatureView b,
-                             const GroundDistanceFn& ground) {
-  BAGCPD_RETURN_NOT_OK(Layout(a, b));
-  double* cost = cost_matrix_.data();
-  for (std::size_t i = 0; i < k_; ++i) {
-    for (std::size_t j = 0; j < l_; ++j) {
-      const double dist = ground(a.center(i), b.center(j));
-      if (!(dist >= 0.0) || !std::isfinite(dist)) {
-        return Status::Invalid("ground distance produced a negative or "
-                               "non-finite value");
-      }
-      cost[i * l_ + j] = dist;
-    }
-  }
-  return Status::OK();
-}
-
 void EmdWorkspace::BuildNetwork(SignatureView a, SignatureView b,
                                 const double* cost_block,
                                 std::size_t cost_stride) {
   // Node layout (identical to the reference construction): source = 0,
   // supply nodes 1..K, demand nodes K+1..K+L, sink = K+L+1. Per-node arc
   // order also matches the reference adjacency lists exactly — forward and
-  // residual arcs land where MinCostFlow::AddArc would have appended them —
-  // so Dijkstra relaxes arcs in the identical sequence:
+  // residual arcs land where the reference's AddArc would have appended
+  // them — so Dijkstra relaxes arcs in the identical sequence:
   //   source:    K forward arcs to the supply nodes.
   //   supply i:  residual to source, then L forward transport arcs.
   //   demand j:  K residual transport arcs (one per supply), then the
@@ -695,74 +670,9 @@ Status EmdWorkspace::SolveNetwork(SignatureView a, SignatureView b,
   return Status::OK();
 }
 
-std::size_t EmdWorkspace::retained_bytes() const {
-  std::size_t bytes = 0;
-  bytes += cost_matrix_.capacity() * sizeof(double);
-  bytes += b_transposed_.capacity() * sizeof(double);
-  bytes += arc_to_.capacity() * sizeof(std::size_t);
-  bytes += arc_rev_.capacity() * sizeof(std::size_t);
-  bytes += arc_cap_.capacity() * sizeof(double);
-  bytes += arc_cost_.capacity() * sizeof(double);
-  bytes += dist_.capacity() * sizeof(double);
-  bytes += potential_.capacity() * sizeof(double);
-  bytes += prev_arc_.capacity() * sizeof(std::size_t);
-  bytes += key_.capacity() * sizeof(double);
-  bytes += improved_.capacity() * sizeof(std::size_t);
-  bytes += live_.capacity() * sizeof(std::uint64_t);
-  bytes += heap_.capacity() * sizeof(std::size_t);
-  bytes += heap_pos_.capacity() * sizeof(std::size_t);
-  bytes += batch_cost_.capacity() * sizeof(double);
-  bytes += batch_off_.capacity() * sizeof(std::size_t);
-  return bytes;
-}
-
-void EmdWorkspace::ShrinkToCeiling() {
-  if (retained_byte_ceiling_ == 0) return;
-  if (retained_bytes() <= retained_byte_ceiling_) return;
-  ReleaseBuffers();
-}
-
-void EmdWorkspace::ReleaseBuffers() {
-  // Drop everything rather than trimming individual arrays: partial trimming
-  // would leave the buffers inconsistent with (k_, l_) and save little — the
-  // common cause of an oversized footprint is one outlier pair inflating
-  // every array at once.
-  std::vector<double>().swap(cost_matrix_);
-  std::vector<double>().swap(b_transposed_);
-  std::vector<std::size_t>().swap(arc_to_);
-  std::vector<std::size_t>().swap(arc_rev_);
-  std::vector<double>().swap(arc_cap_);
-  std::vector<double>().swap(arc_cost_);
-  std::vector<double>().swap(dist_);
-  std::vector<double>().swap(potential_);
-  std::vector<std::size_t>().swap(prev_arc_);
-  std::vector<double>().swap(key_);
-  std::vector<std::size_t>().swap(improved_);
-  std::vector<std::uint64_t>().swap(live_);
-  std::vector<std::size_t>().swap(heap_);
-  std::vector<std::size_t>().swap(heap_pos_);
-  std::vector<double>().swap(batch_cost_);
-  std::vector<std::size_t>().swap(batch_off_);
-  k_ = 0;
-  l_ = 0;
-  nodes_ = 0;
-  arcs_ = 0;
-}
-
 Result<double> EmdWorkspace::Compute(SignatureView a, SignatureView b,
                                      GroundDistance ground) {
   BAGCPD_RETURN_NOT_OK(PrepareCost(a, b, ground));
-  double emd = 0.0;
-  double total_flow = 0.0;
-  double cost = 0.0;
-  BAGCPD_RETURN_NOT_OK(SolveNetwork(a, b, cost_matrix_.data(), l_, &emd,
-                                    &total_flow, &cost));
-  return emd;
-}
-
-Result<double> EmdWorkspace::Compute(SignatureView a, SignatureView b,
-                                     const GroundDistanceFn& ground) {
-  BAGCPD_RETURN_NOT_OK(Prepare(a, b, ground));
   double emd = 0.0;
   double total_flow = 0.0;
   double cost = 0.0;
@@ -897,8 +807,10 @@ Status EmdWorkspace::ComputeBatchImpl(const SignatureView* as,
   return invalid;
 }
 
-Result<EmdSolution> EmdWorkspace::SolveDetailed(SignatureView a,
-                                                SignatureView b) {
+Result<EmdSolution> EmdWorkspace::ComputeDetailed(SignatureView a,
+                                                  SignatureView b,
+                                                  GroundDistance ground) {
+  BAGCPD_RETURN_NOT_OK(PrepareCost(a, b, ground));
   EmdSolution out;
   BAGCPD_RETURN_NOT_OK(SolveNetwork(a, b, cost_matrix_.data(), l_, &out.emd,
                                     &out.total_flow, &out.cost));
@@ -912,24 +824,6 @@ Result<EmdSolution> EmdWorkspace::SolveDetailed(SignatureView a,
     }
   }
   return out;
-}
-
-Result<EmdSolution> EmdWorkspace::ComputeDetailed(
-    SignatureView a, SignatureView b, const GroundDistanceFn& ground) {
-  BAGCPD_RETURN_NOT_OK(Prepare(a, b, ground));
-  return SolveDetailed(a, b);
-}
-
-Result<EmdSolution> EmdWorkspace::ComputeDetailed(SignatureView a,
-                                                  SignatureView b,
-                                                  GroundDistance ground) {
-  BAGCPD_RETURN_NOT_OK(PrepareCost(a, b, ground));
-  return SolveDetailed(a, b);
-}
-
-EmdWorkspace& ThreadLocalEmdWorkspace() {
-  static thread_local EmdWorkspace workspace;
-  return workspace;
 }
 
 }  // namespace bagcpd

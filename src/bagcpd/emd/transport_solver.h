@@ -1,10 +1,11 @@
 // Dedicated transportation-problem solver for the complete bipartite
 // signature network behind every EMD evaluation (paper Eqs. 8-12).
 //
-// The generic MinCostFlow reference (min_cost_flow.h) rebuilds a
-// vector-of-vectors adjacency, runs a binary-heap Dijkstra, and calls a
-// `std::function` ground distance once per transport arc — from scratch for
-// every signature pair. EmdWorkspace replaces all of that on the hot path:
+// A generic min-cost-flow solver rebuilds a vector-of-vectors adjacency,
+// runs a binary-heap Dijkstra, and evaluates the ground distance once per
+// transport arc, from scratch for every signature pair. The tests and
+// bench/micro_emd keep such a solver as their reference
+// (tests/reference/min_cost_flow.h). EmdWorkspace replaces all of that:
 //
 //  * ONE reusable workspace holds flat CSR-style arc arrays (to / capacity /
 //    cost / reverse-index), the Johnson potentials, the Dijkstra dist/prev
@@ -42,8 +43,8 @@
 //    The crossover is heap_threshold() (K + L; 0 = always dense), default
 //    kDefaultEmdHeapAt.
 //  * A batched ground-distance kernel fills the cost matrix directly from
-//    the two packed signature buffers, dispatching ONCE on the
-//    GroundDistance enum instead of through a GroundDistanceFn per arc.
+//    the two packed signature buffers, dispatching ONCE per block on the
+//    GroundDistance enum, the only kind of ground distance there is.
 //  * ComputeBatch solves a run of pairs sharing one operand in one call (the
 //    detector's rolling-table column shares its newest signature on the
 //    right; a matrix row shares its signature on the left): the shared
@@ -54,11 +55,15 @@
 //    corresponding serial Compute call.
 //
 // Ownership rules (see README "Performance"): a BagStreamDetector owns one
-// workspace (inside its EmdSolver) for its unpooled scoring path; a matrix
-// fill (PairwiseEmdMatrix / CrossDistanceMatrix) without a pool uses one
-// local workspace per call; every chunk that runs on a pool uses its
-// thread's ThreadLocalEmdWorkspace() / ThreadLocalEmdSolver(). A workspace
-// is NOT thread-safe — never share one across concurrent solves.
+// workspace (inside its EmdSolver) for its unpooled scoring path. Every
+// other solve runs on the calling thread's ThreadLocalEmdSolver(): the
+// detector's pooled chunks on the solver, and the free
+// ComputeEmd/ComputeEmdDetailed, each chunk of the matrix fills
+// (PairwiseEmdMatrix / CrossDistanceMatrix, pooled or not) and the
+// information estimators on its workspace (DefaultEmdWorkspace()). No user
+// code runs inside a solve, so no solve can re-enter the workspace it runs
+// on. A workspace is NOT thread-safe — never share one across concurrent
+// solves.
 
 #ifndef BAGCPD_EMD_TRANSPORT_SOLVER_H_
 #define BAGCPD_EMD_TRANSPORT_SOLVER_H_
@@ -73,6 +78,12 @@
 #include "bagcpd/signature/signature.h"
 
 namespace bagcpd {
+
+/// \brief Flow amounts below this are treated as zero, keeping real-valued
+/// augmentation terminating in the presence of rounding noise. The
+/// min-cost-flow reference the tests pin this solver against uses the same
+/// value: the two must augment at identical points to agree bit for bit.
+inline constexpr double kFlowEpsilon = 1e-12;
 
 /// \brief Default K+L crossover at which the exact solver's Dijkstra switches
 /// from the dense O(n^2) scan to the indexed 4-ary heap. Measured on random
@@ -91,8 +102,8 @@ inline constexpr std::size_t kDefaultEmdHeapAt = 32;
 /// \brief Reusable, allocation-free-in-steady-state EMD transport solver.
 ///
 /// Solves the full K x L transportation problem every time (no 1-d fast
-/// path), exactly like the MinCostFlow reference construction in
-/// ComputeEmdDetailed — results are bitwise-identical to it by design.
+/// path), over the same network a min-cost-flow reference builds — results
+/// are bitwise-identical to it by design.
 class EmdWorkspace {
  public:
   EmdWorkspace() = default;
@@ -104,23 +115,13 @@ class EmdWorkspace {
   EmdWorkspace(EmdWorkspace&&) = default;
   EmdWorkspace& operator=(EmdWorkspace&&) = default;
 
-  /// \brief EMD between two signatures with a built-in ground distance
-  /// (batched enum-dispatched cost kernel; the fastest path).
+  /// \brief EMD between two signatures (Eq. 12).
   Result<double> Compute(SignatureView a, SignatureView b,
                          GroundDistance ground);
-
-  /// \brief EMD with a custom ground distance (called once per (k, l) cost
-  /// matrix entry, not once per residual arc).
-  Result<double> Compute(SignatureView a, SignatureView b,
-                         const GroundDistanceFn& ground);
 
   /// \brief Full solution including the optimal flow matrix. The returned
   /// EmdSolution owns its flow Matrix (one allocation for the caller); the
   /// solve itself still runs entirely inside the workspace.
-  Result<EmdSolution> ComputeDetailed(SignatureView a, SignatureView b,
-                                      const GroundDistanceFn& ground);
-
-  /// \brief Enum-dispatched variant of ComputeDetailed.
   Result<EmdSolution> ComputeDetailed(SignatureView a, SignatureView b,
                                       GroundDistance ground);
 
@@ -172,40 +173,8 @@ class EmdWorkspace {
   /// bench/micro_emd measures and tools/check_perf_gate.py enforces.
   std::uint64_t allocation_count() const { return allocation_count_; }
 
-  /// \brief Per-owner memory ceiling for the monotonically-growing scratch.
-  /// 0 (the default) means unlimited — buffers never shrink, the historical
-  /// behavior. With a ceiling set, ShrinkToCeiling() releases ALL scratch
-  /// whenever the retained footprint exceeds the ceiling; owners call it at
-  /// quiet points (BagStreamDetector::Reset), never mid-solve. The next
-  /// solve regrows to its actual need and the regrowth is visible in
-  /// allocation_count() — which is exactly what the regression test pins.
-  void set_retained_byte_ceiling(std::size_t bytes) {
-    retained_byte_ceiling_ = bytes;
-  }
-  std::size_t retained_byte_ceiling() const { return retained_byte_ceiling_; }
-
-  /// \brief Bytes currently held across all scratch buffers (capacities, not
-  /// sizes — what the allocator actually retains).
-  std::size_t retained_bytes() const;
-
-  /// \brief Releases every scratch buffer if a ceiling is set and
-  /// retained_bytes() exceeds it; otherwise a no-op. Safe between solves.
-  void ShrinkToCeiling();
-
-  /// \brief Unconditionally releases all scratch (retained_bytes() drops to
-  /// zero; the next solve regrows). Owners with a pooled policy of their own
-  /// (EmdSolver) use this directly.
-  void ReleaseBuffers();
-
  private:
-  // Validates the pair, sizes the buffers for (K, L), and fills the cost
-  // matrix via the batched kernel (enum; public as PrepareCost) or the
-  // callback (fn).
-  Status Prepare(SignatureView a, SignatureView b,
-                 const GroundDistanceFn& ground);
-  Status Layout(SignatureView a, SignatureView b);
-
-  // Builds the CSR residual network (arc order identical to the MinCostFlow
+  // Builds the CSR residual network (arc order identical to the min-cost-flow
   // reference construction) and runs successive shortest augmenting paths
   // for min(total weights) units. On success `emd_out` is Eq. 12's value and
   // the residual arc capacities hold the optimal flow. `cost` points at the
@@ -214,10 +183,6 @@ class EmdWorkspace {
   Status SolveNetwork(SignatureView a, SignatureView b, const double* cost,
                       std::size_t cost_stride, double* emd_out,
                       double* total_flow_out, double* cost_out);
-
-  // SolveNetwork plus extraction of the optimal flow matrix (the shared
-  // tail of both ComputeDetailed overloads; Prepare must have run).
-  Result<EmdSolution> SolveDetailed(SignatureView a, SignatureView b);
 
   void BuildNetwork(SignatureView a, SignatureView b, const double* cost,
                     std::size_t cost_stride);
@@ -304,15 +269,7 @@ class EmdWorkspace {
   std::size_t heap_threshold_ = kDefaultEmdHeapAt;
   std::uint64_t solve_count_ = 0;
   std::uint64_t allocation_count_ = 0;
-  std::size_t retained_byte_ceiling_ = 0;  // 0 = never shrink.
 };
-
-/// \brief Per-thread workspace used by the free enum-dispatched ComputeEmd
-/// entry point and by the pooled chunks of the matrix fills. Each thread gets its own instance, so concurrent solves never
-/// share scratch state. Never solve through this from code that can run
-/// INSIDE another solve (a custom GroundDistanceFn) — such paths must use a
-/// local workspace, as the fn-based free entry points do.
-EmdWorkspace& ThreadLocalEmdWorkspace();
 
 }  // namespace bagcpd
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "bagcpd/common/check.h"
+#include "bagcpd/emd/approx/emd_solver.h"
 #include "bagcpd/emd/emd.h"
 
 namespace bagcpd {
@@ -76,13 +77,18 @@ Result<double> InformationContent(const Signature& s,
                                   const InfoEstimatorOptions& options) {
   BAGCPD_RETURN_NOT_OK(s.Validate());
   BAGCPD_RETURN_NOT_OK(s_prime.Validate());
-  const GroundDistanceFn fn = MakeGroundDistance(ground);
-  std::vector<double> log_dist(s_prime.size());
+  // One shared-right batch of s_prime's signatures against s: the full
+  // transportation solve for every pair (never the 1-d sweep), so each
+  // distance is bitwise the one CrossDistanceMatrix computes.
+  std::vector<SignatureView> views;
+  views.reserve(s_prime.size());
   for (std::size_t j = 0; j < s_prime.size(); ++j) {
-    BAGCPD_ASSIGN_OR_RETURN(double d,
-                            ComputeEmd(s_prime.signatures.view(j), s, fn));
-    log_dist[j] = std::log(std::max(d, options.distance_floor));
+    views.push_back(s_prime.signatures.view(j));
   }
+  std::vector<double> log_dist(s_prime.size());
+  BAGCPD_RETURN_NOT_OK(DefaultEmdWorkspace().ComputeBatch(
+      views.data(), views.size(), s, ground, log_dist.data()));
+  for (double& d : log_dist) d = std::log(std::max(d, options.distance_floor));
   return InformationContentFromLog(log_dist, s_prime.weights, options);
 }
 

@@ -231,8 +231,16 @@ Status BagStreamDetector::ImportState(std::string_view blob) {
         ring_reader.ReadF64Array(base, static_cast<std::size_t>(k) * dim));
     BAGCPD_RETURN_NOT_OK(
         ring_reader.ReadF64Array(base + static_cast<std::size_t>(k) * dim, k));
-    restored_window.PushBack(SignatureView(
-        base, base + static_cast<std::size_t>(k) * dim, k, dim));
+    const SignatureView slot(base, base + static_cast<std::size_t>(k) * dim,
+                             k, dim);
+    // The ring holds only valid signatures (weights finite and positive);
+    // a slot that is not would poison every EMD solved against it.
+    const Status valid = slot.Validate();
+    if (!valid.ok()) {
+      return Status::IoError("detector blob window slot " + std::to_string(i) +
+                             " is invalid: " + valid.message());
+    }
+    restored_window.PushBack(slot);
   }
   std::vector<double> restored_table(w * w);
   BAGCPD_RETURN_NOT_OK(
@@ -244,9 +252,8 @@ Status BagStreamDetector::ImportState(std::string_view blob) {
     restored_history.push_back(v);
   }
 
-  // Phase 3 — commit. Reset() first so a failed step is cleared and the
-  // solver scratch is back at its ceiling, exactly the between-pushes state
-  // every export is taken from.
+  // Phase 3 — commit. Reset() first so a failed step is cleared, exactly the
+  // between-pushes state every export is taken from.
   Reset();
   window_ = std::move(restored_window);
   log_table_ = std::move(restored_table);

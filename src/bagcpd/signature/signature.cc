@@ -1,5 +1,6 @@
 #include "bagcpd/signature/signature.h"
 
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <sstream>
@@ -16,9 +17,9 @@ Status ValidateShape(std::size_t k, std::size_t dim, const double* weights) {
     return Status::Invalid("signature centers are zero-dimensional");
   }
   for (std::size_t i = 0; i < k; ++i) {
-    if (!(weights[i] > 0.0)) {
+    if (!(weights[i] > 0.0) || !std::isfinite(weights[i])) {
       return Status::Invalid("weight " + std::to_string(i) +
-                             " is not strictly positive");
+                             " is not finite and strictly positive");
     }
   }
   return Status::OK();

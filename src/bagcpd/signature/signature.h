@@ -95,7 +95,8 @@ class SignatureView {
   /// \brief Sum of weights (total mass).
   double TotalWeight() const;
 
-  /// \brief Structural validation (non-empty, d > 0, all weights > 0).
+  /// \brief Structural validation (non-empty, d > 0, all weights finite
+  /// and > 0).
   Status Validate() const;
 
   /// \brief Materializes an owning packed copy.
@@ -112,8 +113,8 @@ class SignatureView {
 /// packed form).
 ///
 /// Invariants (checked by Validate()): centers non-empty, all centers share
-/// one dimension and every weight is strictly positive (the packed layout
-/// makes center/weight count mismatches unrepresentable).
+/// one dimension and every weight is finite and strictly positive (the
+/// packed layout makes center/weight count mismatches unrepresentable).
 class Signature {
  public:
   Signature() = default;

@@ -122,10 +122,17 @@ void ExpectIdenticalResults(const BatchResultTable& a,
   }
 }
 
-// The PR's acceptance matrix: a 10k-series synthetic table, every
-// (shards, pool size) combination in {1, 2, 8} x {1, 2, 8}, all pinned
-// bitwise to the serial one-detector-per-group reference loop.
-TEST(BatchRunnerTest, TenThousandSeriesMatrixMatchesSerialReference) {
+// The acceptance matrix: a 10k-series synthetic table, every
+// (shards, pool size) combination in {1, 2, 8} x {1, 2, 8}, each pinned
+// bitwise to the serial one-detector-per-group reference loop. One case per
+// shard count, so CMake registers each as its own ctest entry (the
+// TenThousandSeries/*/s<shards> filters there mirror this list) and
+// `ctest -j` runs them side by side. Each case computes the serial
+// reference once for its three pool sizes: the reference costs about as
+// much as a run, so one case per configuration would repeat it nine times.
+class BatchRunnerMatrixTest : public testing::TestWithParam<std::size_t> {};
+
+TEST_P(BatchRunnerMatrixTest, MatchesSerialReference) {
   const Result<BatchTable> table = GenerateBatchSeries(SmallCorpus(10000));
   ASSERT_TRUE(table.ok()) << table.status().ToString();
   ASSERT_EQ(table.ValueOrDie().group_count(), 10000u);
@@ -138,22 +145,25 @@ TEST(BatchRunnerTest, TenThousandSeriesMatrixMatchesSerialReference) {
   // Row-count preservation: one output row per input step.
   ASSERT_EQ(reference.row_count(), table.ValueOrDie().step_count());
 
-  for (std::size_t shards : {1u, 2u, 8u}) {
-    for (std::size_t pool_size : {1u, 2u, 8u}) {
-      ThreadPool pool(pool_size);
-      BatchRunnerOptions run = options;
-      run.num_shards = shards;
-      run.pool = &pool;
-      const Result<BatchResultTable> got =
-          RunBatchColumnar(table.ValueOrDie(), run);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      SCOPED_TRACE("shards=" + std::to_string(shards) +
-                   " pool=" + std::to_string(pool_size));
-      EXPECT_EQ(got.ValueOrDie().row_count(), table.ValueOrDie().step_count());
-      ExpectIdenticalResults(got.ValueOrDie(), reference);
-    }
+  for (std::size_t pool_size : {1u, 2u, 8u}) {
+    ThreadPool pool(pool_size);
+    BatchRunnerOptions run = options;
+    run.num_shards = GetParam();
+    run.pool = &pool;
+    const Result<BatchResultTable> got =
+        RunBatchColumnar(table.ValueOrDie(), run);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    SCOPED_TRACE("pool=" + std::to_string(pool_size));
+    EXPECT_EQ(got.ValueOrDie().row_count(), table.ValueOrDie().step_count());
+    ExpectIdenticalResults(got.ValueOrDie(), reference);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    TenThousandSeries, BatchRunnerMatrixTest, testing::Values(1u, 2u, 8u),
+    [](const testing::TestParamInfo<std::size_t>& info) {
+      return "s" + std::to_string(info.param);
+    });
 
 TEST(BatchRunnerTest, BootstrapIntervalsMatchSerialReference) {
   const Result<BatchTable> table = GenerateBatchSeries(SmallCorpus(40));

@@ -3,9 +3,8 @@
 // bitwise parity of the SSE2 Sinkhorn kernel with a scalar reference (every
 // shape up to 17 x 17, the error paths, armed fault drills, golden pins),
 // degenerate instances, exact-kind bitwise parity with EmdWorkspace,
-// zero-steady-state-allocation reuse, the per-owner byte-ceiling policy, and
-// end-to-end determinism of approximate detectors across pool sizes and
-// engine shard counts.
+// zero-steady-state-allocation reuse, and end-to-end determinism of
+// approximate detectors across pool sizes and engine shard counts.
 
 #include "bagcpd/emd/approx/emd_solver.h"
 
@@ -681,37 +680,6 @@ TEST(ApproxEmdTest, DeterministicAcrossSolverInstancesAndZeroSteadyAllocs) {
           << EmdSolverSpecString(o);
     }
   }
-}
-
-TEST(ApproxEmdTest, ByteCeilingReleasesAllScratchAndRegrows) {
-  Rng rng(3);
-  const Signature big_a = RandomNormalizedSignature(&rng, 48, 3);
-  const Signature big_b = RandomNormalizedSignature(&rng, 48, 3);
-  EmdSolver solver(SinkhornOptions(0.2));
-  const double value =
-      solver.Compute(big_a, big_b, GroundDistance::kSquaredEuclidean)
-          .ValueOrDie();
-  ASSERT_GT(solver.retained_bytes(), 0u);
-
-  // No ceiling: ShrinkToCeiling is a no-op.
-  solver.ShrinkToCeiling();
-  EXPECT_GT(solver.retained_bytes(), 0u);
-
-  // Ceiling above the footprint: still a no-op.
-  solver.set_retained_byte_ceiling(solver.retained_bytes() + 1024);
-  solver.ShrinkToCeiling();
-  EXPECT_GT(solver.retained_bytes(), 0u);
-
-  // Ceiling below the footprint: everything is released, and the next solve
-  // regrows to the working set with identical output.
-  solver.set_retained_byte_ceiling(1024);
-  solver.ShrinkToCeiling();
-  EXPECT_EQ(solver.retained_bytes(), 0u);
-  const std::uint64_t allocs_before_regrow = solver.allocation_count();
-  EXPECT_EQ(solver.Compute(big_a, big_b, GroundDistance::kSquaredEuclidean)
-                .ValueOrDie(),
-            value);
-  EXPECT_GT(solver.allocation_count(), allocs_before_regrow);
 }
 
 // --- End-to-end determinism: pool sizes and shard counts ------------------

@@ -1,12 +1,13 @@
 #include "bagcpd/emd/emd_1d.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
 #include "bagcpd/common/rng.h"
 #include "bagcpd/emd/emd.h"
-#include "bagcpd/emd/min_cost_flow.h"
+#include "bagcpd/emd/transport_solver.h"
 
 namespace bagcpd {
 namespace {
@@ -20,10 +21,9 @@ Signature Sig1d(const std::vector<double>& positions,
   return s;
 }
 
-// The general solver, bypassing the automatic 1-d dispatch in ComputeEmd.
+// The general solver: ComputeEmdDetailed never takes the 1-d sweep.
 double SolverEmd(const Signature& a, const Signature& b) {
-  return ComputeEmd(a, b, MakeGroundDistance(GroundDistance::kEuclidean))
-      .ValueOrDie();
+  return ComputeEmdDetailed(a, b, GroundDistance::kEuclidean).ValueOrDie().emd;
 }
 
 TEST(Emd1dTest, ApplicabilityConditions) {
@@ -116,6 +116,36 @@ TEST(Emd1dTest, TranslationInvariance) {
   for (std::size_t k = 0; k < a.size(); ++k) a.mutable_center(k)[0] += 100.0;
   for (std::size_t k = 0; k < b.size(); ++k) b.mutable_center(k)[0] += 100.0;
   EXPECT_NEAR(ComputeEmd1d(a, b).ValueOrDie(), before, 1e-9);
+}
+
+TEST(Emd1dTest, NonFiniteCentersFailLikeTheTransportSolve) {
+  // A balanced 1-d pair with an inf or NaN center: the sweep must fail with
+  // the transportation solve's error, never return inf or NaN as a value.
+  const Signature b = Sig1d({1.0, 2.0}, {1.0, 1.0});
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    const Signature a = Sig1d({0.0, bad}, {1.0, 1.0});
+    ASSERT_TRUE(Emd1dApplicable(a, b));
+    const Status solve =
+        EmdWorkspace().Compute(a, b, GroundDistance::kEuclidean).status();
+    ASSERT_FALSE(solve.ok());
+    for (const Status& got : {ComputeEmd1d(a, b).status(),
+                              ComputeEmd(a, b).status(),
+                              ComputeEmd(b, a).status()}) {
+      EXPECT_FALSE(got.ok()) << bad;
+      EXPECT_EQ(got.code(), solve.code()) << bad;
+      EXPECT_EQ(got.message(), solve.message()) << bad;
+    }
+  }
+}
+
+TEST(Emd1dTest, OverflowingCostFailsInsteadOfReturningInf) {
+  // Finite centers whose transport cost overflows a double.
+  const Signature a = Sig1d({-1e308, 1e308}, {1.0, 1.0});
+  const Signature b = Sig1d({0.0, 0.5}, {1.0, 1.0});
+  ASSERT_TRUE(Emd1dApplicable(a, b));
+  EXPECT_FALSE(ComputeEmd1d(a, b).ok());
+  EXPECT_FALSE(ComputeEmd(a, b).ok());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bagcpd/common/point.h"
 #include "bagcpd/common/rng.h"
 #include "bagcpd/emd/emd.h"
 
@@ -115,9 +116,8 @@ TEST_P(EmdMetricPropertyTest, FlowMatrixIsConsistent) {
   Rng rng(pc.seed + 6);
   Signature a = RandomSignature(&rng, pc.k1, pc.dim, false);
   Signature b = RandomSignature(&rng, pc.k2, pc.dim, false);
-  const GroundDistanceFn ground =
-      MakeGroundDistance(GroundDistance::kEuclidean);
-  EmdSolution sol = ComputeEmdDetailed(a, b, ground).ValueOrDie();
+  EmdSolution sol =
+      ComputeEmdDetailed(a, b, GroundDistance::kEuclidean).ValueOrDie();
 
   double recomputed_cost = 0.0;
   double recomputed_flow = 0.0;
@@ -126,7 +126,8 @@ TEST_P(EmdMetricPropertyTest, FlowMatrixIsConsistent) {
     for (std::size_t j = 0; j < b.size(); ++j) {
       EXPECT_GE(sol.flow(i, j), -1e-9);  // Eq. 8.
       row += sol.flow(i, j);
-      recomputed_cost += sol.flow(i, j) * ground(a.center(i), b.center(j));
+      recomputed_cost +=
+          sol.flow(i, j) * EuclideanDistance(a.center(i), b.center(j));
       recomputed_flow += sol.flow(i, j);
     }
     EXPECT_LE(row, a.weight(i) + 1e-8);  // Eq. 9.
@@ -148,10 +149,10 @@ TEST_P(EmdMetricPropertyTest, SolverAgreesWithItselfUnderArgumentSwap) {
   Rng rng(pc.seed + 7);
   Signature a = RandomSignature(&rng, pc.k1, pc.dim, false);
   Signature b = RandomSignature(&rng, pc.k2, pc.dim, false);
-  const GroundDistanceFn ground =
-      MakeGroundDistance(GroundDistance::kEuclidean);
-  EmdSolution ab = ComputeEmdDetailed(a, b, ground).ValueOrDie();
-  EmdSolution ba = ComputeEmdDetailed(b, a, ground).ValueOrDie();
+  EmdSolution ab =
+      ComputeEmdDetailed(a, b, GroundDistance::kEuclidean).ValueOrDie();
+  EmdSolution ba =
+      ComputeEmdDetailed(b, a, GroundDistance::kEuclidean).ValueOrDie();
   EXPECT_NEAR(ab.emd, ba.emd, 1e-8);
   EXPECT_NEAR(ab.cost, ba.cost, 1e-7);
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "bagcpd/common/rng.h"
+#include "bagcpd/emd/transport_solver.h"
 #include "bagcpd/runtime/thread_pool.h"
 
 namespace bagcpd {
@@ -56,7 +57,7 @@ TEST(EmdTest, PartialMatchingUnequalTotals) {
   Signature a = Sig({{0.0}}, {1.0});
   Signature b = Sig({{1.0}, {10.0}}, {1.0, 1.0});
   Result<EmdSolution> sol =
-      ComputeEmdDetailed(a, b, MakeGroundDistance(GroundDistance::kEuclidean));
+      ComputeEmdDetailed(a, b, GroundDistance::kEuclidean);
   ASSERT_TRUE(sol.ok());
   EXPECT_NEAR(sol->total_flow, 1.0, 1e-12);
   EXPECT_NEAR(sol->emd, 1.0, 1e-12);
@@ -68,7 +69,7 @@ TEST(EmdTest, FlowMatrixRespectsMarginals) {
   Signature a = Sig({{0.0}, {5.0}, {9.0}}, {2.0, 1.0, 1.5});
   Signature b = Sig({{1.0}, {6.0}}, {2.5, 2.0});
   Result<EmdSolution> sol =
-      ComputeEmdDetailed(a, b, MakeGroundDistance(GroundDistance::kEuclidean));
+      ComputeEmdDetailed(a, b, GroundDistance::kEuclidean);
   ASSERT_TRUE(sol.ok());
   // Row sums <= supply weights; column sums <= demand weights (Eqs. 9-10).
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -114,11 +115,15 @@ TEST(EmdTest, RejectsInvalidSignature) {
   EXPECT_FALSE(ComputeEmd(a, b).ok());
 }
 
-TEST(EmdTest, RejectsNegativeGroundDistance) {
-  Signature a = Sig({{0.0}}, {1.0});
-  Signature b = Sig({{1.0}}, {1.0});
-  GroundDistanceFn bad = [](PointView, PointView) { return -1.0; };
-  EXPECT_FALSE(ComputeEmd(a, b, bad).ok());
+TEST(EmdTest, RejectsInfiniteWeights) {
+  // An inf weight on both sides used to pass validation and come back as
+  // OK(-nan) from the transportation solve.
+  const double inf = std::numeric_limits<double>::infinity();
+  Signature a = Sig({{0.0, 0.0}, {1.0, 0.0}}, {1.0, inf});
+  Signature b = Sig({{0.0, 1.0}, {2.0, 2.0}}, {inf, 1.0});
+  EXPECT_FALSE(ComputeEmd(a, b).ok());
+  EXPECT_FALSE(ComputeEmdDetailed(a, b).ok());
+  EXPECT_FALSE(EmdWorkspace().Compute(a, b, GroundDistance::kEuclidean).ok());
 }
 
 TEST(EmdTest, PairwiseMatrixIsSymmetricWithZeroDiagonal) {

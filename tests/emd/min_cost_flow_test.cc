@@ -1,4 +1,4 @@
-#include "bagcpd/emd/min_cost_flow.h"
+#include "reference/min_cost_flow.h"
 
 #include <gtest/gtest.h>
 

@@ -173,6 +173,76 @@ TEST(EstimatorsTest, InformationContentIsSingletonCrossEntropy) {
   EXPECT_NEAR(info, cross, 1e-10);
 }
 
+// I(S; S') from the log-distance column that CrossDistanceMatrix solves for
+// S' against the singleton {S}: the transportation solve for every pair.
+double InformationContentViaCrossDistances(const Signature& s,
+                                           const WeightedSignatureSet& sp) {
+  SignatureSet single;
+  EXPECT_TRUE(single.Append(s).ok());
+  const Matrix logs =
+      LogDistances(CrossDistanceMatrix(sp.signatures, single).ValueOrDie());
+  std::vector<double> column(sp.size());
+  for (std::size_t j = 0; j < sp.size(); ++j) column[j] = logs(j, 0);
+  return InformationContentFromLog(column, sp.weights);
+}
+
+TEST(EstimatorsTest, InformationContentIsBitwiseTheTransportSolve) {
+  // The hex goldens are what a per-pair transportation solve gives. 1-d,
+  // unit-mass signatures: every pair is one the 1-d sweep would take, and
+  // the sweep's distances differ from the transportation solve's in the
+  // last bits here, so a value routed through ComputeEmd would move.
+  const Signature s = Signature::FromCenters({{0.5}, {-1.8}, {1.4}},
+                                             {2.0 / 6, 3.0 / 6, 1.0 / 6});
+  SignatureSet sp1d;
+  ASSERT_TRUE(sp1d.Append(Signature::FromCenters({{-1.7}, {-0.5}},
+                                                 {4.0 / 5, 1.0 / 5}))
+                  .ok());
+  ASSERT_TRUE(sp1d.Append(Signature::FromCenters({{-1.6}, {1.8}, {2.2}},
+                                                 {1.0 / 7, 2.0 / 7, 4.0 / 7}))
+                  .ok());
+  ASSERT_TRUE(sp1d.Append(Signature::FromCenters(
+                              {{1.9}, {2.4}, {-1.3}, {-1.2}},
+                              {2.0 / 11, 2.0 / 11, 4.0 / 11, 3.0 / 11}))
+                  .ok());
+  const WeightedSignatureSet w1d = WeightedSignatureSet::Uniform(sp1d);
+  const double info1d = InformationContent(s, w1d).ValueOrDie();
+  EXPECT_EQ(info1d, 0x1.e9267d3059e88p-3);
+  EXPECT_EQ(info1d, InformationContentViaCrossDistances(s, w1d));
+  std::vector<double> sweep_logs;
+  for (std::size_t j = 0; j < w1d.size(); ++j) {
+    sweep_logs.push_back(
+        std::log(ComputeEmd(w1d.signatures.view(j), s).ValueOrDie()));
+  }
+  EXPECT_NE(info1d, InformationContentFromLog(sweep_logs, w1d.weights));
+
+  // 2-d, every ground distance through the same batch.
+  const Signature s2 = Signature::FromCenters(
+      {{0.1, 1.0}, {0.7, -0.3}, {1.9, 0.4}}, {0.2, 0.5, 0.3});
+  SignatureSet sp2d;
+  ASSERT_TRUE(sp2d.Append(Signature::FromCenters({{0.3, 0.2}, {1.1, -1.0}},
+                                                 {0.6, 0.4}))
+                  .ok());
+  ASSERT_TRUE(
+      sp2d.Append(Signature::FromCenters(
+                      {{-0.4, 0.5}, {0.9, 0.9}, {2.3, -0.2}, {3.1, 1.4}},
+                      {0.1, 0.3, 0.4, 0.2}))
+          .ok());
+  ASSERT_TRUE(sp2d.Append(Signature::FromCenters(
+                              {{1.7, 0.0}, {0.2, 0.6}, {0.8, -0.8}},
+                              {0.3, 0.3, 0.4}))
+                  .ok());
+  const WeightedSignatureSet w2d = WeightedSignatureSet::Uniform(sp2d);
+  const double info2d = InformationContent(s2, w2d).ValueOrDie();
+  EXPECT_EQ(info2d, -0x1.25fc71c216fe2p-3);
+  EXPECT_EQ(info2d, InformationContentViaCrossDistances(s2, w2d));
+  EXPECT_EQ(InformationContent(s2, w2d, GroundDistance::kManhattan)
+                .ValueOrDie(),
+            0x1.4ab32838ad4a6p-4);
+  EXPECT_EQ(InformationContent(s2, w2d, GroundDistance::kSquaredEuclidean)
+                .ValueOrDie(),
+            -0x1.5d69eaecefaf2p-3);
+}
+
 TEST(EstimatorsTest, EstimatorsAreWeightLinear) {
   // Cross-entropy is bilinear in the weight vectors: doubling one element's
   // weight (and renormalizing) interpolates the per-row contributions.

@@ -1,11 +1,14 @@
-#include "bagcpd/emd/min_cost_flow.h"
+#include "reference/min_cost_flow.h"
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <queue>
 
 #include "bagcpd/common/check.h"
+#include "bagcpd/common/point.h"
+#include "bagcpd/emd/transport_solver.h"
 
 namespace bagcpd {
 
@@ -121,6 +124,60 @@ double MinCostFlow::FlowOn(int arc_id) const {
   const Arc& fwd = graph_[node][index];
   // Flow on the forward arc equals the residual capacity of its reverse arc.
   return graph_[fwd.to][fwd.rev].capacity;
+}
+
+Result<EmdSolution> ReferenceEmdDetailed(SignatureView a, SignatureView b,
+                                         GroundDistance ground) {
+  std::function<double(PointView, PointView)> distance;
+  switch (ground) {
+    case GroundDistance::kSquaredEuclidean:
+      distance = [](PointView x, PointView y) { return SquaredDistance(x, y); };
+      break;
+    case GroundDistance::kManhattan:
+      distance = [](PointView x, PointView y) {
+        return ManhattanDistance(x, y);
+      };
+      break;
+    case GroundDistance::kEuclidean:
+    default:
+      distance = [](PointView x, PointView y) {
+        return EuclideanDistance(x, y);
+      };
+      break;
+  }
+  const std::size_t k = a.size();
+  const std::size_t l = b.size();
+  const double total_flow = std::min(a.TotalWeight(), b.TotalWeight());
+  const std::size_t source = 0;
+  const std::size_t sink = k + l + 1;
+  MinCostFlow network(k + l + 2);
+  for (std::size_t i = 0; i < k; ++i) {
+    network.AddArc(source, 1 + i, a.weight(i), 0.0);
+  }
+  std::vector<std::vector<int>> ids(k, std::vector<int>(l));
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < l; ++j) {
+      ids[i][j] =
+          network.AddArc(1 + i, 1 + k + j, std::min(a.weight(i), b.weight(j)),
+                         distance(a.center(i), b.center(j)));
+    }
+  }
+  for (std::size_t j = 0; j < l; ++j) {
+    network.AddArc(1 + k + j, sink, b.weight(j), 0.0);
+  }
+  BAGCPD_ASSIGN_OR_RETURN(FlowSolution flow,
+                          network.Solve(source, sink, total_flow));
+  EmdSolution out;
+  out.total_flow = flow.flow;
+  out.cost = flow.cost;
+  out.flow = Matrix(k, l);
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < l; ++j) {
+      out.flow(i, j) = network.FlowOn(ids[i][j]);
+    }
+  }
+  out.emd = out.cost / out.total_flow;
+  return out;
 }
 
 }  // namespace bagcpd

@@ -1,27 +1,27 @@
-// Minimum-cost flow with real-valued capacities, used to solve the
-// transportation problem behind the Earth Mover's Distance (paper Eqs. 7-11).
+// Reference oracle for the EMD transport solver, built only with the tests
+// and benches (the bagcpd_reference library): a generic minimum-cost flow
+// with real-valued capacities, and the EMD construction on top of it that
+// EmdWorkspace (emd/transport_solver.h) must reproduce bit for bit.
 //
 // Algorithm: successive shortest augmenting paths with Johnson potentials and
 // Dijkstra. All arc costs supplied by the EMD construction are non-negative,
 // so initial potentials of zero are valid. Each augmentation saturates at
 // least one arc, bounding the number of iterations by the number of arcs.
+// Flow amounts at or below kFlowEpsilon (emd/transport_solver.h) count as
+// zero here as in the fast solver, so the two augment at identical points.
 
-#ifndef BAGCPD_EMD_MIN_COST_FLOW_H_
-#define BAGCPD_EMD_MIN_COST_FLOW_H_
+#ifndef BAGCPD_REFERENCE_MIN_COST_FLOW_H_
+#define BAGCPD_REFERENCE_MIN_COST_FLOW_H_
 
 #include <cstddef>
 #include <vector>
 
 #include "bagcpd/common/result.h"
+#include "bagcpd/emd/emd.h"
+#include "bagcpd/emd/ground_distance.h"
+#include "bagcpd/signature/signature.h"
 
 namespace bagcpd {
-
-/// \brief Flow amounts below this are treated as zero, keeping real-valued
-/// augmentation terminating in the presence of rounding noise. Shared by
-/// this reference solver and the EmdWorkspace fast path
-/// (emd/transport_solver.h) — the two must augment at identical points for
-/// their bitwise-equivalence contract to hold.
-inline constexpr double kFlowEpsilon = 1e-12;
 
 /// \brief Outcome of a min-cost-flow computation.
 struct FlowSolution {
@@ -81,6 +81,16 @@ class MinCostFlow {
   Status build_status_;
 };
 
+/// \brief EMD and optimal flow of `a` against `b` on a fresh MinCostFlow
+/// network: source -> supply arcs, one transport arc per (k, l) whose cost
+/// is one call through a `std::function` ground distance, demand -> sink
+/// arcs; then one Solve and a FlowOn per transport arc. This is the EMD
+/// construction the library used before EmdWorkspace, kept verbatim as the
+/// oracle the workspace matches bitwise and the baseline bench/micro_emd
+/// times it against. Both signatures must be valid and of one dimension.
+Result<EmdSolution> ReferenceEmdDetailed(SignatureView a, SignatureView b,
+                                         GroundDistance ground);
+
 }  // namespace bagcpd
 
-#endif  // BAGCPD_EMD_MIN_COST_FLOW_H_
+#endif  // BAGCPD_REFERENCE_MIN_COST_FLOW_H_

@@ -5,6 +5,7 @@
 // with a typed Status that leaves the target detector untouched.
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -400,6 +401,74 @@ TEST_F(DetectorStateRobustnessTest, UnparsableEmbeddedSpecIsTypedError) {
   // The untouched spec still imports, so the rewrite itself is faithful.
   auto control = BagStreamDetector::Create(BaseOptions()).MoveValueUnsafe();
   EXPECT_TRUE(control->ImportState(WithSpec(blob_, spec)).ok());
+}
+
+// The blob with the first weight of its first window slot replaced, the
+// ring section re-encoded slot by slot (CRC-valid, like WithSpec).
+std::string WithFirstWindowWeight(std::string_view blob, double weight) {
+  serialize::WireReader reader =
+      serialize::OpenBlob(blob, serialize::BlobKind::kDetector)
+          .MoveValueUnsafe();
+  std::string out;
+  serialize::WireWriter writer(&out);
+  writer.BeginBlob(serialize::BlobKind::kDetector);
+  while (!reader.AtEnd()) {
+    std::uint32_t tag = 0;
+    std::string_view payload;
+    EXPECT_TRUE(reader.NextSection(&tag, &payload).ok());
+    writer.BeginSection(tag);
+    if (tag == serialize::kSecRing) {
+      serialize::WireReader ring(payload);
+      std::uint32_t dim = 0, count = 0;
+      EXPECT_TRUE(ring.ReadU32(&dim).ok());
+      EXPECT_TRUE(ring.ReadU32(&count).ok());
+      EXPECT_GT(count, 0u);
+      writer.PutU32(dim);
+      writer.PutU32(count);
+      for (std::uint32_t i = 0; i < count; ++i) {
+        std::uint32_t k = 0;
+        EXPECT_TRUE(ring.ReadU32(&k).ok());
+        std::vector<double> centers(static_cast<std::size_t>(k) * dim);
+        std::vector<double> weights(k);
+        EXPECT_TRUE(ring.ReadF64Array(centers.data(), centers.size()).ok());
+        EXPECT_TRUE(ring.ReadF64Array(weights.data(), weights.size()).ok());
+        if (i == 0) weights[0] = weight;
+        writer.PutU32(k);
+        writer.PutF64Array(centers.data(), centers.size());
+        writer.PutF64Array(weights.data(), weights.size());
+      }
+    } else {
+      writer.PutBytes(payload.data(), payload.size());
+    }
+    writer.EndSection();
+  }
+  writer.EndBlob();
+  return out;
+}
+
+TEST_F(DetectorStateRobustnessTest, InvalidWindowWeightIsIoError) {
+  // A CRC-valid blob whose window holds a weight no quantizer produces:
+  // every EMD against that slot would be garbage, so the import must fail
+  // before it commits anything.
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), 0.0,
+                           -1.0}) {
+    const std::string blob = WithFirstWindowWeight(blob_, bad);
+    auto victim = BagStreamDetector::Create(BaseOptions()).MoveValueUnsafe();
+    for (std::size_t t = 0; t < 4; ++t) {
+      ASSERT_TRUE(victim->Push(bags_[t]).ok());
+    }
+    const Status status = victim->ImportState(blob);
+    EXPECT_EQ(status.code(), StatusCode::kIoError)
+        << bad << ": " << status.ToString();
+    EXPECT_NE(status.message().find("window slot 0"), std::string::npos)
+        << status.ToString();
+    EXPECT_FALSE(BagStreamDetector::CreateFromState(blob).ok()) << bad;
+    ExpectUnmodified(victim.get(), 4);
+  }
+  // A finite positive weight through the same rewrite still imports.
+  auto control = BagStreamDetector::Create(BaseOptions()).MoveValueUnsafe();
+  EXPECT_TRUE(control->ImportState(WithFirstWindowWeight(blob_, 1.0)).ok());
 }
 
 TEST_F(DetectorStateRobustnessTest, OversizedEmbeddedWindowIsInvalid) {

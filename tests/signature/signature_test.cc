@@ -1,5 +1,6 @@
 #include "bagcpd/signature/signature.h"
 
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -61,6 +62,16 @@ TEST(SignatureTest, ValidateRejectsNonPositiveWeight) {
   s.set_weight(0, -1.0);
   EXPECT_FALSE(s.Validate().ok());
   s.set_weight(0, 1.0);
+  EXPECT_TRUE(s.Validate().ok());
+}
+
+TEST(SignatureTest, ValidateRejectsNonFiniteWeight) {
+  Signature s = MakeSimple();
+  s.set_weight(1, std::numeric_limits<double>::infinity());
+  EXPECT_FALSE(s.Validate().ok());
+  s.set_weight(1, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_FALSE(s.Validate().ok());
+  s.set_weight(1, std::numeric_limits<double>::max());
   EXPECT_TRUE(s.Validate().ok());
 }
 

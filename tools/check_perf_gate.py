@@ -8,7 +8,7 @@ shards is at least --min-speedup times faster than the single-shard baseline
 Optionally also enforces the arena-ingest floor from BENCH_flatbag.json.
 
 Also enforces the EMD-solver floor from BENCH_emd.json (bench/micro_emd.cc):
-the workspace transport solver must beat the MinCostFlow reference by
+the workspace transport solver must beat the min-cost-flow reference by
 --min-speedup on the named run AND every run must report zero steady-state
 allocations per solve.
 
@@ -105,7 +105,7 @@ def check_emd_run(data, name, min_speedup):
         return False
     ok = speedup >= min_speedup
     verdict = "PASS" if ok else "FAIL"
-    print(f"{verdict}: {name} speedup over MinCostFlow = {speedup:.3f}x "
+    print(f"{verdict}: {name} speedup over the min-cost-flow reference = {speedup:.3f}x "
           f"(gate: >= {min_speedup:.2f}x)")
     # Steady-state allocations must be exactly zero on EVERY measured size,
     # not just the gated one — a single workspace regrowth per solve would
@@ -332,7 +332,7 @@ def main():
                              "of the engine thread-scaling rows")
     parser.add_argument("--emd-run", default=None,
                         help="gate on a BENCH_emd.json run of this name "
-                             "(speedup vs the MinCostFlow reference, plus "
+                             "(speedup vs the min-cost-flow reference, plus "
                              "zero steady-state allocations on every run)")
     parser.add_argument("--batch", action="store_true",
                         help="gate on BENCH_batch.json: columnar ingest "
