@@ -1,14 +1,12 @@
 #include "bagcpd/api/spec.h"
 
 #include <cctype>
-#include <charconv>
 #include <cmath>
-#include <iomanip>
-#include <locale>
-#include <sstream>
+#include <cstdint>
 #include <type_traits>
 
 #include "bagcpd/api/registry.h"
+#include "bagcpd/common/number_text.h"
 
 namespace bagcpd {
 namespace api {
@@ -32,51 +30,6 @@ std::string Trim(const std::string& s) {
   return s.substr(begin, end - begin);
 }
 
-// Floating-point from_chars/to_chars is missing on older standard libraries
-// (notably libc++ before LLVM 20); there the fallback streams through the
-// classic locale, which is just as locale-independent, only slower.
-#if defined(__cpp_lib_to_chars) && __cpp_lib_to_chars >= 201611L
-#define BAGCPD_HAS_FP_CHARCONV 1
-#else
-#define BAGCPD_HAS_FP_CHARCONV 0
-#endif
-
-bool ParseDoubleRaw(const std::string& value, double* out) {
-#if BAGCPD_HAS_FP_CHARCONV
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), *out);
-  return ec == std::errc() && ptr == value.data() + value.size();
-#else
-  std::istringstream stream(value);
-  stream.imbue(std::locale::classic());
-  stream >> *out;
-  return !stream.fail() && stream.eof();
-#endif
-}
-
-// Shortest decimal form that parses back to exactly `v` (std::to_chars'
-// round-trip guarantee where available; elsewhere the fewest classic-locale
-// digits that survive a parse-back).
-std::string FormatDouble(double v) {
-#if BAGCPD_HAS_FP_CHARCONV
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, ec == std::errc() ? ptr : buf);
-#else
-  for (int precision = 6; precision <= 17; ++precision) {
-    std::ostringstream stream;
-    stream.imbue(std::locale::classic());
-    stream << std::setprecision(precision) << v;
-    double back = 0.0;
-    if (ParseDoubleRaw(stream.str(), &back) && back == v) return stream.str();
-  }
-  std::ostringstream stream;
-  stream.imbue(std::locale::classic());
-  stream << std::setprecision(17) << v;
-  return stream.str();
-#endif
-}
-
 // `emd-fallback` spells its flag "exact" (re-solve a failed approximate pair
 // with the exact solver) or "none" (surface the failure).
 template <typename Flag>  // bool, or const bool when echoing
@@ -87,9 +40,9 @@ template <typename Flag>
 ExactOrNone(Flag&) -> ExactOrNone<Flag>;
 
 // The value codec: parses `value` into a field of type T, leaving it
-// unchanged on failure. Numbers go through <charconv>: locale-independent (a
-// host app calling setlocale() can't break config strings) and with real
-// range errors (an out-of-range literal is rejected, never wrapped).
+// unchanged on failure. Numbers follow the rule of common/number_text.h: an
+// out-of-range literal (for the field's own type too) is rejected, never
+// wrapped.
 template <typename T>
 Status ParseValue(const std::string& key, const std::string& value, T* out) {
   const auto bad = [&](const char* expected) {
@@ -102,16 +55,22 @@ Status ParseValue(const std::string& key, const std::string& value, T* out) {
     }
     *out = value == "true" || value == "1";
   } else if constexpr (std::is_integral_v<T>) {
-    T parsed = 0;
-    const auto [ptr, ec] =
-        std::from_chars(value.data(), value.data() + value.size(), parsed);
-    if (ec != std::errc() || ptr != value.data() + value.size()) {
+    // Read at 64 bits, then refused unless it survives narrowing to T.
+    std::conditional_t<std::is_signed_v<T>, std::int64_t, std::uint64_t>
+        parsed = 0;
+    NumberParse got;
+    if constexpr (std::is_signed_v<T>) {
+      got = ParseInt64(value, &parsed);
+    } else {
+      got = ParseUint64(value, &parsed);
+    }
+    if (got != NumberParse::kOk || static_cast<T>(parsed) != parsed) {
       return bad(std::is_signed_v<T> ? "an integer" : "a non-negative integer");
     }
-    *out = parsed;
+    *out = static_cast<T>(parsed);
   } else if constexpr (std::is_same_v<T, double>) {
     double parsed = 0.0;
-    if (value.empty() || !ParseDoubleRaw(value, &parsed) ||
+    if (ParseDouble(value, &parsed) != NumberParse::kOk ||
         !std::isfinite(parsed)) {
       return bad("a finite number");
     }
@@ -147,7 +106,7 @@ std::string FormatValue(const T& value) {
   } else if constexpr (std::is_integral_v<T>) {
     return std::to_string(value);
   } else if constexpr (std::is_same_v<T, double>) {
-    return FormatDouble(value);
+    return FormatDoubleShortest(value);
   } else if constexpr (std::is_enum_v<T>) {
     return Component<T>::Name(value);
   } else if constexpr (std::is_same_v<T, std::string>) {

@@ -9,7 +9,9 @@
 // groups exactly. Neither layout stores a profile per row, so both writers
 // refuse a group quarantined for conflicting profiles.
 //
-// Binary layout (all integers little-endian, doubles IEEE-754 LE):
+// Binary layout (all integers little-endian, doubles IEEE-754 LE, encoded
+// with serialize/wire.h's primitives but without its checksummed blob
+// container; CSV numbers go through common/number_text.h):
 //   magic   "BAGCPDBT" (8 bytes)
 //   u32     version (currently 1)
 //   u64     group count

@@ -1,55 +1,19 @@
 #include "bagcpd/emd/approx/options.h"
 
-#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
+#include <cstdint>
 
 #include "bagcpd/common/enum_names.h"
+#include "bagcpd/common/number_text.h"
 
 namespace bagcpd {
 
 namespace {
 
-// Locale-independent numeric parsing/formatting, same policy as
-// api/spec.cc: <charconv> where available, a classic-locale stringstream
-// fallback elsewhere. Spec strings must mean the same thing on every host.
-bool ParseSizeRaw(const std::string& text, std::size_t* out) {
-  std::uint64_t parsed = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), parsed, 10);
-  if (ec != std::errc() || ptr != text.data() + text.size()) return false;
-  *out = static_cast<std::size_t>(parsed);
-  return true;
-}
-
-bool ParseDoubleRaw(const std::string& text, double* out) {
-#if defined(__cpp_lib_to_chars) && __cpp_lib_to_chars >= 201611L
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), *out);
-  return ec == std::errc() && ptr == text.data() + text.size();
-#else
-  std::istringstream stream(text);
-  stream.imbue(std::locale::classic());
-  stream >> *out;
-  return !stream.fail() && stream.eof();
-#endif
-}
-
-std::string FormatDouble(double v) {
-  char buf[64];
-#if defined(__cpp_lib_to_chars) && __cpp_lib_to_chars >= 201611L
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec == std::errc()) return std::string(buf, ptr);
-#endif
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return std::string(buf);
-}
-
 Result<double> ParsePositiveDouble(const std::string& what,
                                    const std::string& text) {
   double v = 0.0;
-  if (text.empty() || !ParseDoubleRaw(text, &v) || !std::isfinite(v) ||
+  if (ParseDouble(text, &v) != NumberParse::kOk || !std::isfinite(v) ||
       v <= 0.0) {
     return Status::Invalid("emd solver spec: '" + text +
                            "' is not a positive number for " + what);
@@ -60,7 +24,7 @@ Result<double> ParsePositiveDouble(const std::string& what,
 Result<double> ParseNonNegativeDouble(const std::string& what,
                                       const std::string& text) {
   double v = 0.0;
-  if (text.empty() || !ParseDoubleRaw(text, &v) || !std::isfinite(v) ||
+  if (ParseDouble(text, &v) != NumberParse::kOk || !std::isfinite(v) ||
       v < 0.0) {
     return Status::Invalid("emd solver spec: '" + text +
                            "' is not a non-negative number for " + what);
@@ -70,12 +34,13 @@ Result<double> ParseNonNegativeDouble(const std::string& what,
 
 Result<std::size_t> ParsePositiveSize(const std::string& what,
                                       const std::string& text) {
-  std::size_t v = 0;
-  if (text.empty() || !ParseSizeRaw(text, &v) || v == 0) {
+  std::uint64_t v = 0;
+  if (ParseUint64(text, &v) != NumberParse::kOk || v == 0 ||
+      static_cast<std::size_t>(v) != v) {
     return Status::Invalid("emd solver spec: '" + text +
                            "' is not a positive integer for " + what);
   }
-  return v;
+  return static_cast<std::size_t>(v);
 }
 
 }  // namespace
@@ -190,11 +155,11 @@ std::string EmdSolverSpecString(const EmdSolverOptions& options) {
     case EmdSolverKind::kExact:
       return "exact";
     case EmdSolverKind::kSinkhorn: {
-      std::string out = "sinkhorn:" + FormatDouble(options.sinkhorn_eps);
+      std::string out = "sinkhorn:" + FormatDoubleShortest(options.sinkhorn_eps);
       if (options.sinkhorn_max_iters != defaults.sinkhorn_max_iters ||
           options.sinkhorn_tolerance != defaults.sinkhorn_tolerance) {
         out += ":" + std::to_string(options.sinkhorn_max_iters);
-        out += ":" + FormatDouble(options.sinkhorn_tolerance);
+        out += ":" + FormatDoubleShortest(options.sinkhorn_tolerance);
       }
       return out;
     }

@@ -663,7 +663,12 @@ Status EmdWorkspace::SolveNetwork(SignatureView a, SignatureView b,
   if (!(flow > 0.0)) {
     return Status::Invalid("no transportable mass (degenerate weights)");
   }
-  *emd_out = cost / flow;
+  // Finite ground distances far enough apart still overflow the sum.
+  const double emd = cost / flow;
+  if (!std::isfinite(emd)) {
+    return Status::Invalid("EMD transport cost overflowed");
+  }
+  *emd_out = emd;
   *total_flow_out = flow;
   *cost_out = cost;
   ++solve_count_;

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "bagcpd/common/number_text.h"
 #include "bagcpd/common/rng.h"
 
 namespace bagcpd {
@@ -40,14 +41,12 @@ Result<std::uint64_t> ParseCount(const std::string& spec,
     return Status::Invalid("fault spec '" + spec + "': missing count");
   }
   std::uint64_t parsed = 0;
-  for (const char c : value) {
-    if (c < '0' || c > '9') {
-      return Status::Invalid("fault spec '" + spec + "': '" + value +
-                             "' is not a non-negative integer");
-    }
-    parsed = parsed * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return parsed;
+  const NumberParse got = ParseUint64(value, &parsed);
+  if (got == NumberParse::kOk) return parsed;
+  return Status::Invalid("fault spec '" + spec + "': '" + value +
+                         (got == NumberParse::kOutOfRange
+                              ? "' is out of range (at most 2^64 - 1)"
+                              : "' is not a non-negative integer"));
 }
 
 }  // namespace
@@ -108,10 +107,9 @@ Status FaultInjector::ParseSpec(const std::string& spec, FaultPoint* out_point,
                              "': seeded-p takes probability[:seed]");
     }
     mode = Mode::kSeededP;
-    char* end = nullptr;
-    const double p = std::strtod(parts[2].c_str(), &end);
-    if (parts[2].empty() || end != parts[2].c_str() + parts[2].size() ||
-        !std::isfinite(p) || p < 0.0 || p > 1.0) {
+    double p = 0.0;
+    if (ParseDouble(parts[2], &p) != NumberParse::kOk || !std::isfinite(p) ||
+        p < 0.0 || p > 1.0) {
       return Status::Invalid("fault spec '" + spec + "': '" + parts[2] +
                              "' is not a probability in [0, 1]");
     }

@@ -1,6 +1,8 @@
 #include "bagcpd/serialize/checkpoint.h"
 
 #include <cstdio>
+#include <filesystem>
+#include <system_error>
 
 namespace bagcpd {
 namespace serialize {
@@ -191,6 +193,12 @@ Status WriteFileBytes(const std::string& path, std::string_view data) {
 
 Result<std::size_t> ReadFileBytes(const std::string& path, BufferArena* arena,
                                   std::vector<double>* storage) {
+  // A directory opens and seeks like a file but reports a bogus size; the
+  // buffer must never be sized from that.
+  std::error_code error;
+  if (std::filesystem::is_directory(path, error)) {
+    return Status::IoError("cannot read '" + path + "': it is a directory");
+  }
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     return Status::IoError("cannot open '" + path + "' for reading");

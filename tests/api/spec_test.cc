@@ -73,6 +73,22 @@ TEST(DetectorSpecTest, FromKeyValuesRejectionMessagesNameTheToken) {
   EXPECT_NE(bad_enum.status().message().find("kmens"), std::string::npos);
 
   EXPECT_FALSE(DetectorSpec::FromKeyValues("alpha=0.0.5").ok());
+  // The one number rule (common/number_text.h), in plain keys and in emd=:
+  // no '+', hex or inner whitespace, and out of range (for the field's own
+  // width too) is refused, never wrapped.
+  for (const char* text :
+       {"tau=+5", "alpha=0x1p-4", "alpha=+0.05", "alpha=0.0 5", "alpha=1e400",
+        "alpha=inf", "replicates=2147483648", "seed=18446744073709551616",
+        "seed=-1", "tau=5.0", "emd=sinkhorn:+0.1", "emd=sinkhorn:0x1p-4",
+        "emd=sinkhorn:0.1:+50", "emd=sliced:18446744073709551616",
+        "emd=sliced:1e2"}) {
+    EXPECT_FALSE(DetectorSpec::FromKeyValues(text).ok()) << text;
+  }
+  for (const char* text :
+       {"alpha=5e-2", "replicates=2147483647", "seed=18446744073709551615",
+        "emd=sinkhorn:1e-1:50:1E-8", "emd=sliced:16"}) {
+    EXPECT_TRUE(DetectorSpec::FromKeyValues(text).ok()) << text;
+  }
   EXPECT_FALSE(DetectorSpec::FromKeyValues("normalize=yes").ok());
   EXPECT_FALSE(DetectorSpec::FromKeyValues("seed=-1").ok());
 }

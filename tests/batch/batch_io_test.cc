@@ -129,6 +129,18 @@ TEST(BatchIoTest, CsvReaderValidates) {
     out << "key,timestamp,v0\nk,later,2.0\n";
   }
   EXPECT_FALSE(ReadBatchTableCsv(bad_ts).ok());
+
+  // Cells follow the one number rule of the spec strings.
+  const std::string rule = TempPath("number_rule.csv");
+  for (const char* row : {"k,1,+2.0", "k,1,0x10", "k,1, 2.0", "k,+1,2.0",
+                          "k,1.0,2.0", "k,9223372036854775808,2.0",
+                          "k,1,1e400"}) {
+    {
+      std::ofstream out(rule, std::ios::trunc);
+      out << "key,timestamp,v0\n" << row << "\n";
+    }
+    EXPECT_FALSE(ReadBatchTableCsv(rule).ok()) << row;
+  }
 }
 
 TEST(BatchIoTest, ReadersRejectNonFiniteValues) {
@@ -198,8 +210,66 @@ TEST(BatchIoTest, BinaryRoundTripsRaggedGroupsAndProfiles) {
   EXPECT_EQ(loaded.ValueOrDie().group_profile(0), "alt");
 }
 
+// A small table covering every field shape of the binary layout: a named
+// profile, a negative timestamp, -0.0, a subnormal value and a ragged
+// (quarantined) group.
+BatchTable GoldenTable() {
+  BatchTableBuilder builder;
+  EXPECT_TRUE(builder.AddRow("named", 1, Point{0.25}, "fast").ok());
+  EXPECT_TRUE(builder.AddRow("ragged", -3, Point{-0.0, 1.5}).ok());
+  EXPECT_TRUE(builder.AddRow("ragged", 2, Point{4.9e-324}).ok());
+  return builder.Build();
+}
+
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    out += kDigits[static_cast<unsigned char>(c) >> 4];
+    out += kDigits[static_cast<unsigned char>(c) & 0xf];
+  }
+  return out;
+}
+
+TEST(BatchIoTest, BinaryBytesArePinned) {
+  const BatchTable table = GoldenTable();
+  ASSERT_FALSE(table.group_status(1).ok());  // "ragged" is quarantined.
+  const std::string path = TempPath("batch_golden.bin");
+  ASSERT_TRUE(WriteBatchTableBinary(path, table).ok());
+  EXPECT_EQ(Hex(ReadAll(path)),
+            // magic "BAGCPDBT", version 1, two groups.
+            "4241474350444254"
+            "01000000"
+            "0200000000000000"
+            // "named", profile "fast", one step at t=1: one row of 0.25.
+            "05000000000000006e616d6564"
+            "040000000000000066617374"
+            "0100000000000000"
+            "0100000000000000"
+            "0100000000000000"
+            "01000000000000000000d03f"
+            // "ragged", no profile, two steps.
+            "0600000000000000726167676564"
+            "0000000000000000"
+            "0200000000000000"
+            // t=-3: one row of (-0.0, 1.5).
+            "fdffffffffffffff"
+            "0100000000000000"
+            "020000000000000000000080000000000000f83f"
+            // t=2: one row of the smallest subnormal.
+            "0200000000000000"
+            "0100000000000000"
+            "010000000100000000000000");
+  const Result<BatchTable> loaded = ReadBatchTableBinary(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectIdenticalTables(loaded.ValueOrDie(), table);
+}
+
 TEST(BatchIoTest, BinaryReaderValidates) {
   EXPECT_FALSE(ReadBatchTableBinary(TempPath("no_such_file.bin")).ok());
+  // A directory opens like a file but has no usable size.
+  EXPECT_EQ(ReadBatchTableBinary(TempPath(".")).status().code(),
+            StatusCode::kIoError);
 
   const std::string bad_magic = TempPath("bad_magic.bin");
   {
@@ -218,6 +288,22 @@ TEST(BatchIoTest, BinaryReaderValidates) {
     out.write(bytes.data(), static_cast<std::streamsize>(cut));
     out.close();
     EXPECT_FALSE(ReadBatchTableBinary(trunc).ok()) << "cut=" << cut;
+  }
+  // Every strict prefix of the pinned file, down to the empty file, is an
+  // IoError that names the file and says it is truncated.
+  const std::string golden = TempPath("batch_trunc_golden.bin");
+  ASSERT_TRUE(WriteBatchTableBinary(golden, GoldenTable()).ok());
+  const std::string golden_bytes = ReadAll(golden);
+  for (std::size_t cut = 0; cut < golden_bytes.size(); ++cut) {
+    SCOPED_TRACE("cut=" + std::to_string(cut));
+    std::ofstream out(trunc, std::ios::binary | std::ios::trunc);
+    out.write(golden_bytes.data(), static_cast<std::streamsize>(cut));
+    out.close();
+    const Status status = ReadBatchTableBinary(trunc).status();
+    EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+    EXPECT_NE(status.message().find(trunc), std::string::npos) << status;
+    EXPECT_NE(status.message().find("truncated"), std::string::npos)
+        << status;
   }
 
   // Trailing garbage after a well-formed payload is rejected too.

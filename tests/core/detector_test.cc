@@ -271,6 +271,32 @@ TEST(DetectorTest, PushRejectsHistogramIndexOutsideInt64) {
   EXPECT_EQ(detector->pushed_count(), 1u);
 }
 
+TEST(DetectorTest, OverflowingEmdFailsEveryLaterPush) {
+  // Single-centroid signatures of two-point bags at -0.8e308 and +0.8e308:
+  // the Manhattan distance between them is finite, but moving both units of
+  // mass overflows. The push that fills the window solves that pair and
+  // fails, and so does every push after it until Reset().
+  DetectorOptions options = FastOptions();
+  options.tau = 2;
+  options.tau_prime = 2;
+  options.signature.method = SignatureMethod::kCentroid;
+  options.ground = GroundDistance::kManhattan;
+  auto detector = BagStreamDetector::Create(options).MoveValueUnsafe();
+  const Bag near = {{0.0, 0.0}, {1.0, 0.0}};
+  ASSERT_TRUE(detector->Push(Bag{{-0.8e308, 0.0}, {-0.8e308, 0.0}}).ok());
+  ASSERT_TRUE(detector->Push(near).ok());
+  ASSERT_TRUE(detector->Push(near).ok());
+  const Result<std::optional<StepResult>> pushed =
+      detector->Push(Bag{{0.8e308, 0.0}, {0.8e308, 0.0}});
+  ASSERT_FALSE(pushed.ok());
+  EXPECT_EQ(pushed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(pushed.status().message().find("overflowed"), std::string::npos)
+      << pushed.status();
+  EXPECT_EQ(detector->Push(near).status(), pushed.status());
+  detector->Reset();
+  EXPECT_TRUE(detector->Push(near).ok());
+}
+
 TEST(DetectorTest, WeightSchemeNames) {
   EXPECT_STREQ(WeightSchemeName(WeightScheme::kUniform), "uniform");
   EXPECT_STREQ(WeightSchemeName(WeightScheme::kDiscounted), "discounted");

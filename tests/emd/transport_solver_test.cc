@@ -620,6 +620,41 @@ TEST(TransportSolverTest, ComputeBatchSurfacesThePerPairLoopsFirstError) {
   EXPECT_EQ(empty, SignatureView().Validate());
 }
 
+TEST(TransportSolverTest, OverflowingCostFailsInsteadOfReturningInf) {
+  // Finite Manhattan ground distances whose accumulated transport cost
+  // overflows a double: a typed failure, never OK(inf).
+  const Signature far = Signature::FromCenters({{-1e308, 0.0}, {1e308, 0.0}},
+                                               {1.0, 1.0});
+  const Signature near = Signature::FromCenters({{0.0, 0.0}, {0.5, 0.0}},
+                                                {1.0, 1.0});
+  const Result<EmdSolution> detailed =
+      ComputeEmdDetailed(far, near, GroundDistance::kManhattan);
+  ASSERT_FALSE(detailed.ok());
+  EXPECT_EQ(detailed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(detailed.status().message().find("overflowed"), std::string::npos)
+      << detailed.status();
+  EXPECT_EQ(ComputeEmd(far, near, GroundDistance::kManhattan).status(),
+            detailed.status());
+  EXPECT_EQ(
+      EmdWorkspace().Compute(far, near, GroundDistance::kManhattan).status(),
+      detailed.status());
+
+  // In a shared-right batch the overflowing pair fails after the pairs
+  // before it are solved and before a later invalid pair is reached, as the
+  // per-pair loop would.
+  const std::vector<SignatureView> as = {SignatureView(near),
+                                         SignatureView(far), SignatureView()};
+  std::vector<double> out(as.size(), -1.0);
+  EmdWorkspace workspace;
+  EXPECT_EQ(workspace.ComputeBatch(as.data(), as.size(), SignatureView(near),
+                                   GroundDistance::kManhattan, out.data()),
+            detailed.status());
+  EXPECT_EQ(out[0], EmdWorkspace()
+                        .Compute(near, near, GroundDistance::kManhattan)
+                        .ValueOrDie());
+  EXPECT_EQ(out[1], -1.0);
+}
+
 TEST(TransportSolverTest, EmdSolverComputeBatchMatchesComputeForEveryKind) {
   // EmdSolver::ComputeBatch must be value-identical to its per-pair Compute
   // for the exact kind AND every approximate kind (which batch via the

@@ -49,6 +49,22 @@ TEST(FaultInjectorTest, ValidateSpecAcceptsAndRejectsWithoutArming) {
   EXPECT_FALSE(FaultInjector::ValidateSpec("emd.solve:seeded-p:nan").ok());
   EXPECT_FALSE(
       FaultInjector::ValidateSpec("emd.solve:seeded-p:0.5:1:2").ok());
+  // Counts past 2^64 - 1 are out of range, never wrapped to a small count.
+  for (const char* spec : {"emd.solve:nth:18446744073709551616",
+                           "emd.solve:nth:18446744073709551617",
+                           "emd.solve:seeded-p:0.5:18446744073709551616"}) {
+    const Status status = FaultInjector::ValidateSpec(spec);
+    EXPECT_FALSE(status.ok()) << spec;
+    EXPECT_NE(status.message().find("out of range"), std::string::npos)
+        << status.message();
+  }
+  EXPECT_TRUE(
+      FaultInjector::ValidateSpec("emd.solve:nth:18446744073709551615").ok());
+  // The probability is a spec number: no hex, no '+', no whitespace.
+  EXPECT_FALSE(FaultInjector::ValidateSpec("emd.solve:seeded-p:0x1p-1").ok());
+  EXPECT_FALSE(FaultInjector::ValidateSpec("emd.solve:seeded-p:+0.5").ok());
+  EXPECT_FALSE(FaultInjector::ValidateSpec("emd.solve:seeded-p: 0.5").ok());
+  EXPECT_FALSE(FaultInjector::ValidateSpec("emd.solve:seeded-p:0.5 ").ok());
   // Validation never arms.
   EXPECT_FALSE(FaultInjector::Global().armed());
 }

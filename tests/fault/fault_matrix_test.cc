@@ -1088,6 +1088,18 @@ TEST(FaultMatrixTest, EngineSpecRoundTripsFaultContainmentKeys) {
       api::EngineSpec::FromKeyValues("shards=1,fault=bogus");
   ASSERT_TRUE(bogus.ok()) << bogus.status().ToString();
   EXPECT_FALSE(bogus->Build().ok());
+  // The fault grammar's numbers follow the spec number rule: an out-of-range
+  // count is refused rather than wrapped, and a probability takes no hex,
+  // '+' or whitespace.
+  for (const char* fault :
+       {"emd.solve:nth:18446744073709551617",
+        "emd.solve:nth:18446744073709551616", "emd.solve:seeded-p:0x1p-1",
+        "emd.solve:seeded-p:+0.5", "emd.solve:seeded-p: 0.5"}) {
+    Result<api::EngineSpec> parsed =
+        api::EngineSpec::FromKeyValues(std::string("shards=1,fault=") + fault);
+    ASSERT_TRUE(parsed.ok()) << fault << ": " << parsed.status().ToString();
+    EXPECT_FALSE(parsed->Build().ok()) << fault;
+  }
 }
 
 TEST(FaultMatrixTest, DetectorSpecRoundTripsEmdFallback) {
