@@ -271,8 +271,8 @@ int Main(int argc, char** argv) {
   // 5) Packed vs split signature build: a detector window's worth of
   // signatures built and alive together per round (the way windows and batch
   // analyses actually hold them), as one (K*d + K) buffer each (today's
-  // layout, optionally arena-recycled) against the historical two-vector
-  // layout — twice the allocations, half the locality.
+  // layout) against the historical two-vector layout — twice the
+  // allocations, half the locality.
   {
     Rng sig_rng(13);
     const std::size_t k = 8;
@@ -302,53 +302,38 @@ int Main(int argc, char** argv) {
     }
     const auto split_stop = std::chrono::steady_clock::now();
 
-    BufferArena arena;
     // The production assembly path: SignatureAssembler, exactly what the
     // quantizers run after their final assignment pass.
-    auto run_packed = [&](BufferArena* maybe_arena, double* sum) {
-      const auto start = std::chrono::steady_clock::now();
-      for (int it = 0; it < rounds; ++it) {
-        std::vector<Signature> window;
-        window.reserve(batch);
-        for (std::size_t s = 0; s < batch; ++s) {
-          SignatureAssembler assembler(k, sig_dim, maybe_arena);
-          for (std::size_t c = 0; c < k; ++c) {
-            assembler.Add(
-                PointView(source_centers.data() + c * sig_dim, sig_dim),
-                source_weights[c]);
-          }
-          window.push_back(assembler.Finish());
-          *sum += window.back().center(0)[0] + window.back().weight(k - 1);
-        }
-      }
-      const auto stop = std::chrono::steady_clock::now();
-      return Seconds(start, stop);
-    };
-
     double packed_sum = 0.0;
-    double pooled_sum = 0.0;
+    const auto packed_start = std::chrono::steady_clock::now();
+    for (int it = 0; it < rounds; ++it) {
+      std::vector<Signature> window;
+      window.reserve(batch);
+      for (std::size_t s = 0; s < batch; ++s) {
+        SignatureAssembler assembler(k, sig_dim);
+        for (std::size_t c = 0; c < k; ++c) {
+          assembler.Add(PointView(source_centers.data() + c * sig_dim, sig_dim),
+                        source_weights[c]);
+        }
+        window.push_back(assembler.Finish());
+        packed_sum += window.back().center(0)[0] + window.back().weight(k - 1);
+      }
+    }
+    const auto packed_stop = std::chrono::steady_clock::now();
+
     MemRow packed;
     packed.name = "packed_signature_build";
     packed.baseline_seconds = Seconds(split_start, split_stop);
-    packed.pooled_seconds = run_packed(nullptr, &packed_sum);
+    packed.pooled_seconds = Seconds(packed_start, packed_stop);
     packed.speedup = packed.baseline_seconds / packed.pooled_seconds;
     mem_rows.push_back(packed);
 
-    MemRow pooled;
-    pooled.name = "packed_signature_build_arena";
-    pooled.baseline_seconds = packed.baseline_seconds;
-    run_packed(&arena, &pooled_sum);  // Warm the freelist.
-    pooled_sum = 0.0;
-    pooled.pooled_seconds = run_packed(&arena, &pooled_sum);
-    pooled.speedup = pooled.baseline_seconds / pooled.pooled_seconds;
-    mem_rows.push_back(pooled);
-
-    // One timed pass each over identical inputs: all three layouts read the
-    // same first-center / last-weight values, so the checksums must match
+    // One timed pass each over identical inputs: both layouts read the same
+    // first-center / last-weight values, so the checksums must match
     // bitwise — and consuming split_sum here also keeps the baseline loop
     // from being dead-code eliminated.
-    if (packed_sum != pooled_sum || split_sum != packed_sum) {
-      std::fprintf(stderr, "FATAL: split/packed/arena checksums diverged\n");
+    if (split_sum != packed_sum) {
+      std::fprintf(stderr, "FATAL: split/packed checksums diverged\n");
       return 1;
     }
   }

@@ -576,11 +576,6 @@ BatchSpec& BatchSpec::Pool(ThreadPool* pool) {
   return *this;
 }
 
-BatchSpec& BatchSpec::Arena(const BufferArenaOptions& arena) {
-  options_.arena = arena;
-  return *this;
-}
-
 BatchSpec& BatchSpec::Detector(const DetectorSpec& spec) {
   detector_ = spec;
   return *this;

@@ -261,7 +261,6 @@ class BatchSpec {
   /// \brief Compute pool the run executes on (non-owning; must outlive the
   /// RunBatchColumnar call). Not representable in the text form.
   BatchSpec& Pool(ThreadPool* pool);
-  BatchSpec& Arena(const BufferArenaOptions& arena);
   /// \brief The default profile groups resolve to when unrouted.
   BatchSpec& Detector(const DetectorSpec& spec);
   /// \brief Adds a named profile for the table's profile column /

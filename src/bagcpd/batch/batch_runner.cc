@@ -63,7 +63,6 @@ Status ValidateBatchRunnerOptions(const BatchRunnerOptions& options) {
                              canonical.status().message());
     }
   }
-  BAGCPD_RETURN_NOT_OK(ValidateBufferArenaOptions(options.arena));
   return Status::OK();
 }
 
@@ -123,11 +122,6 @@ Result<BatchResultTable> RunBatchColumnar(const BatchTable& table,
   std::vector<std::vector<BatchResultTable::Skipped>> skipped_steps(num_groups);
 
   const std::size_t num_shards = std::max<std::size_t>(1, options.num_shards);
-  std::vector<std::unique_ptr<BufferArena>> arenas;
-  arenas.reserve(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    arenas.push_back(std::make_unique<BufferArena>(options.arena));
-  }
 
   // Contiguous deterministic chunking: shard s owns groups
   // [s * base + min(s, rem), ...) — a pure function of (num_groups,
@@ -138,14 +132,13 @@ Result<BatchResultTable> RunBatchColumnar(const BatchTable& table,
   const auto shard_body = [&](std::size_t s) {
     const std::size_t begin = s * base + std::min(s, rem);
     const std::size_t end = begin + base + (s < rem ? 1 : 0);
-    BufferArena* arena = arenas[s].get();
     for (std::size_t g = begin; g < end; ++g) {
       if (!resolution[g].ok()) continue;
       // Cannot fail: the profile was validated up front and only the seed
       // differs.
       Result<std::unique_ptr<BagStreamDetector>> created = NewProfileDetector(
           options.detector, options.profiles, options.seed, table.group_key(g),
-          resolution[g].ValueOrDie(), arena);
+          resolution[g].ValueOrDie());
       BAGCPD_CHECK_MSG(created.ok(), "validated profile failed Create: %s",
                        created.status().ToString().c_str());
       std::unique_ptr<BagStreamDetector> detector = created.MoveValueUnsafe();

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "bagcpd/batch/batch_table.h"
-#include "bagcpd/common/buffer_arena.h"
 #include "bagcpd/common/result.h"
 #include "bagcpd/core/detector.h"
 
@@ -60,9 +59,6 @@ struct BatchRunnerOptions {
   /// Optional compute pool the shards run on (nullptr or size 0 = serial).
   /// Non-owning; must outlive the call.
   ThreadPool* pool = nullptr;
-  /// Tuning for the per-shard buffer arenas detector signature builds
-  /// recycle through.
-  BufferArenaOptions arena;
 };
 
 /// \brief Checks that `options` form a coherent batch-run configuration;

@@ -111,13 +111,6 @@ void BufferArena::Release(std::vector<double>&& buffer) {
   freelist.push_back(std::move(buffer));
 }
 
-void BufferArena::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& freelist : classes_) freelist.clear();
-  stats_.pooled_buffers = 0;
-  stats_.pooled_doubles = 0;
-}
-
 BufferArenaStats BufferArena::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;

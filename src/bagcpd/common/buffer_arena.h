@@ -1,20 +1,22 @@
-// BufferArena: a size-class freelist pool of double buffers, the allocator
-// behind the flat storage layer. The ingest boundary (FlatBag flattening) and
-// the quantizers (packed Signature buffers) churn through short-lived buffers
-// of a handful of recurring sizes at high rates; the arena recycles those
-// buffers so the steady-state hot path never touches malloc.
+// BufferArena: a size-class freelist pool of double buffers for the buffers
+// that cross threads or come from files: the engine's ingest FlatBags
+// (flattened on the producer thread, released on the shard worker), spill
+// files read back on a shard, and batch-table value buffers. A detector step
+// needs none: its scratch is per-thread or its own, so a steady-state serial
+// push makes 0 heap allocations, and on a compute pool only the pool's
+// dispatch allocates (a task and latch per chunked loop), never a buffer.
 //
 // Ownership model:
 //  * An arena owns nothing while a buffer is out: Acquire() hands the caller
 //    an ordinary std::vector<double> (empty, with capacity) and Release()
 //    takes it back into the matching size-class freelist.
 //  * PooledBuffer is the RAII handle pairing a buffer with the arena it came
-//    from; its destructor releases automatically. FlatBag and Signature store
-//    their data through PooledBuffer, so a bag or signature built from an
+//    from; its destructor releases automatically. FlatBag and BatchTable
+//    store their data through PooledBuffer, so a bag or table built from an
 //    arena returns its storage the moment it dies — on any thread.
 //  * The arena must outlive every buffer acquired from it. StreamEngine owns
 //    one arena per shard and destroys them only after all shard state (queued
-//    bags, detectors and their windows) is gone.
+//    bags and spill reads) is gone.
 //
 // Thread-safety: Acquire/Release/stats are mutex-protected and may be called
 // from any thread; the common cross-thread pattern (flatten on the producer
@@ -86,9 +88,6 @@ class BufferArena {
   /// \brief Takes `buffer` back into the freelist of its capacity class.
   /// The buffer is cleared; its values are never observed again.
   void Release(std::vector<double>&& buffer);
-
-  /// \brief Drops every pooled buffer (memory back to the allocator).
-  void Clear();
 
   BufferArenaStats stats() const;
   const BufferArenaOptions& options() const { return options_; }

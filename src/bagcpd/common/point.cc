@@ -1,5 +1,6 @@
 #include "bagcpd/common/point.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -54,15 +55,21 @@ Point BagMean(const Bag& bag) {
 }
 
 Point BagMean(BagView bag) {
+  Point mean(bag.dim());
+  BagMeanInto(bag, mean.data());
+  return mean;
+}
+
+void BagMeanInto(BagView bag, double* mean) {
   BAGCPD_CHECK_MSG(!bag.empty(), "BagMean of empty bag");
-  Point mean(bag.dim(), 0.0);
+  const std::size_t d = bag.dim();
+  std::fill(mean, mean + d, 0.0);
   const double* row = bag.data();
-  for (std::size_t i = 0; i < bag.size(); ++i, row += bag.dim()) {
-    for (std::size_t j = 0; j < mean.size(); ++j) mean[j] += row[j];
+  for (std::size_t i = 0; i < bag.size(); ++i, row += d) {
+    for (std::size_t j = 0; j < d; ++j) mean[j] += row[j];
   }
   const double inv = 1.0 / static_cast<double>(bag.size());
-  for (double& v : mean) v *= inv;
-  return mean;
+  for (std::size_t j = 0; j < d; ++j) mean[j] *= inv;
 }
 
 Status ValidateBag(const Bag& bag, std::size_t expected_dim) {

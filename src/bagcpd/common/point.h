@@ -129,6 +129,9 @@ Point BagMean(const Bag& bag);
 /// \brief Component-wise mean of a non-empty bag (flat form).
 Point BagMean(BagView bag);
 
+/// \brief BagMean(bag) written to `mean[0..bag.dim())`, with no allocation.
+void BagMeanInto(BagView bag, double* mean);
+
 /// \brief Verifies that `bag` is non-empty and every point has dimension
 /// `expected_dim` (or that all points agree if `expected_dim` == 0).
 Status ValidateBag(const Bag& bag, std::size_t expected_dim = 0);

@@ -220,7 +220,9 @@ Status Rng::DeserializeState(const std::string& state) {
 }
 
 std::vector<std::size_t> Rng::Permutation(std::size_t n) {
-  return PermutationDraw(engine_, n);
+  std::vector<std::size_t> idx;
+  PermutationInto(engine_, n, &idx);
+  return idx;
 }
 
 }  // namespace bagcpd

@@ -182,17 +182,17 @@ int UniformIntDraw(Urbg& urbg, int lo, int hi) {
   return dist(urbg);
 }
 
-/// \brief Fisher-Yates shuffle of indices [0, n).
+/// \brief Fisher-Yates shuffle of indices [0, n) into `*idx`, which is
+/// resized to n (no allocation once it has held n indices).
 template <typename Urbg>
-std::vector<std::size_t> PermutationDraw(Urbg& urbg, std::size_t n) {
-  std::vector<std::size_t> idx(n);
-  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+void PermutationInto(Urbg& urbg, std::size_t n, std::vector<std::size_t>* idx) {
+  idx->resize(n);
+  for (std::size_t i = 0; i < n; ++i) (*idx)[i] = i;
   for (std::size_t i = n; i > 1; --i) {
     const std::size_t j = static_cast<std::size_t>(
         UniformIntDraw(urbg, 0, static_cast<int>(i) - 1));
-    std::swap(idx[i - 1], idx[j]);
+    std::swap((*idx)[i - 1], (*idx)[j]);
   }
-  return idx;
 }
 
 /// \brief Standard normal draws, bitwise those of one libstdc++

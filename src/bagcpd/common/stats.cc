@@ -68,14 +68,14 @@ Result<double> Quantile(std::vector<double> xs, double p) {
   return SortedQuantile(xs, p);
 }
 
-Result<Interval> CentralInterval(std::vector<double> xs, double alpha) {
+Result<Interval> CentralInterval(std::vector<double>* xs, double alpha) {
   if (alpha <= 0.0 || alpha >= 1.0) {
     return Status::Invalid("alpha must be in (0, 1)");
   }
-  if (xs.empty()) return Status::Invalid("Quantile of empty vector");
-  std::sort(xs.begin(), xs.end());
-  return Interval{SortedQuantile(xs, alpha / 2.0),
-                  SortedQuantile(xs, 1.0 - alpha / 2.0)};
+  if (xs->empty()) return Status::Invalid("Quantile of empty vector");
+  std::sort(xs->begin(), xs->end());
+  return Interval{SortedQuantile(*xs, alpha / 2.0),
+                  SortedQuantile(*xs, 1.0 - alpha / 2.0)};
 }
 
 double Mad(std::vector<double> xs) {

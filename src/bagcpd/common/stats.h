@@ -35,12 +35,13 @@ double Correlation(const std::vector<double>& xs, const std::vector<double>& ys)
 Result<double> Quantile(std::vector<double> xs, double p);
 
 /// \brief Both quantile endpoints of a central (1 - alpha) interval, i.e. the
-/// alpha/2 and 1 - alpha/2 quantiles. Used for bootstrap confidence intervals.
+/// alpha/2 and 1 - alpha/2 quantiles. Used for bootstrap confidence intervals;
+/// sorts `*xs` in place, so it allocates nothing.
 struct Interval {
   double lo;
   double up;
 };
-Result<Interval> CentralInterval(std::vector<double> xs, double alpha);
+Result<Interval> CentralInterval(std::vector<double>* xs, double alpha);
 
 /// \brief Median absolute deviation, scaled by 1.4826 for Gaussian consistency.
 double Mad(std::vector<double> xs);

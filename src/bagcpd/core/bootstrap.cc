@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "bagcpd/common/check.h"
 #include "bagcpd/common/enum_names.h"
@@ -35,18 +34,35 @@ Result<BootstrapMethod> ParseBootstrapMethod(const std::string& name) {
 namespace {
 
 // Appendix B: alpha_i = n * pi_i, which reduces to Dir(1,...,1) for the
-// uniform prior of Appendix A.
-std::vector<double> BayesianAlpha(const std::vector<double>& pi) {
+// uniform prior of Appendix A. Written into `*alpha`, resized to pi.size().
+void BayesianAlphaInto(const std::vector<double>& pi,
+                       std::vector<double>* alpha) {
   const double n = static_cast<double>(pi.size());
-  std::vector<double> alpha(pi.size());
+  alpha->resize(pi.size());
   for (std::size_t i = 0; i < pi.size(); ++i) {
-    alpha[i] = std::max(n * pi[i], 1e-9);
+    (*alpha)[i] = std::max(n * pi[i], 1e-9);
   }
-  return alpha;
+}
+
+// A thread's bootstrap buffers, reused from call to call so that a
+// steady-state interval allocates nothing. A call uses the calling thread's
+// concentrations and scores and, in each chunk of replicates, the weights
+// and engines of the thread running the chunk. A thread runs one chunk at a
+// time and no chunk runs user code, so no buffer is in use twice at once.
+struct BootstrapScratch {
+  std::vector<double> alpha_ref, alpha_test, scores;
+  std::vector<double> gamma_ref, gamma_test;
+  std::vector<int> counts;
+  LazyMt19937_64 engines[LazyMt19937_64::kMaxBlock];
+};
+
+BootstrapScratch& ThreadScratch() {
+  static thread_local BootstrapScratch scratch;
+  return scratch;
 }
 
 // Draws one weight replicate of a window into `gamma` (pi.size() entries).
-// `alpha` is BayesianAlpha(pi) for the Bayesian bootstrap; `counts` is
+// `alpha` is BayesianAlphaInto's for the Bayesian bootstrap; `counts` is
 // pi.size() ints of scratch for the standard one.
 template <typename Urbg>
 void DrawWeights(BootstrapMethod method, const std::vector<double>& pi,
@@ -72,9 +88,8 @@ void DrawWeights(BootstrapMethod method, const std::vector<double>& pi,
 std::vector<double> ResampleWeights(BootstrapMethod method,
                                     const std::vector<double>& pi, Rng* rng) {
   BAGCPD_CHECK(!pi.empty());
-  const std::vector<double> alpha =
-      method == BootstrapMethod::kBayesian ? BayesianAlpha(pi)
-                                           : std::vector<double>();
+  std::vector<double> alpha;
+  if (method == BootstrapMethod::kBayesian) BayesianAlphaInto(pi, &alpha);
   std::vector<int> counts(pi.size());
   std::vector<double> gamma(pi.size());
   DrawWeights(method, pi, alpha, rng->engine(), counts.data(), gamma.data());
@@ -103,23 +118,24 @@ Result<BootstrapInterval> BootstrapScoreInterval(
   // r's draws never depend on which thread (or chunk) ran it: fixed seed =>
   // bitwise-identical intervals for any thread count.
   const std::uint64_t base_seed = rng->NextUInt64();
-  const bool bayesian = options.method == BootstrapMethod::kBayesian;
-  const std::vector<double> alpha_ref =
-      bayesian ? BayesianAlpha(pi_ref) : std::vector<double>();
-  const std::vector<double> alpha_test =
-      bayesian ? BayesianAlpha(pi_test) : std::vector<double>();
+  BootstrapScratch& call = ThreadScratch();
+  if (options.method == BootstrapMethod::kBayesian) {
+    BayesianAlphaInto(pi_ref, &call.alpha_ref);
+    BayesianAlphaInto(pi_test, &call.alpha_test);
+  }
   const std::size_t replicates = static_cast<std::size_t>(options.replicates);
-  std::vector<double> replicate_scores(replicates, 0.0);
+  std::vector<double>& replicate_scores = call.scores;
+  replicate_scores.assign(replicates, 0.0);
   constexpr std::size_t kBlock = LazyMt19937_64::kMaxBlock;
   // A chunk stops at its first replicate whose retries all fail, so the
   // error returned is the lowest such replicate's, for any chunking.
   auto run_replicates = [&](std::size_t begin, std::size_t end) -> Status {
-    std::vector<double> gamma_ref(pi_ref.size());
-    std::vector<double> gamma_test(pi_test.size());
-    std::vector<int> counts(std::max(pi_ref.size(), pi_test.size()));
+    BootstrapScratch& chunk = ThreadScratch();
+    chunk.gamma_ref.resize(pi_ref.size());
+    chunk.gamma_test.resize(pi_test.size());
+    chunk.counts.resize(std::max(pi_ref.size(), pi_test.size()));
     // Replicates run in blocks whose engines are reseeded in place and
     // seeded in lockstep; replicate r's stream does not depend on its block.
-    std::vector<LazyMt19937_64> engines(kBlock);
     std::uint64_t seeds[kBlock] = {};
     for (std::size_t r = begin; r < end; ++r) {
       const std::size_t e = (r - begin) % kBlock;
@@ -128,18 +144,18 @@ Result<BootstrapInterval> BootstrapScoreInterval(
         for (std::size_t i = 0; i < count; ++i) {
           seeds[i] = Rng::ForkSeed(base_seed, r + i);
         }
-        LazyMt19937_64::SeedBlock(engines.data(), seeds, count);
+        LazyMt19937_64::SeedBlock(chunk.engines, seeds, count);
       }
-      LazyMt19937_64& urbg = engines[e];
+      LazyMt19937_64& urbg = chunk.engines[e];
       // The standard bootstrap can draw gamma_test[0] == 1 (every resample
       // hit element 0), which makes scoreLR undefined; redraw in that case.
       for (int attempt = 0;; ++attempt) {
-        DrawWeights(options.method, pi_ref, alpha_ref, urbg, counts.data(),
-                    gamma_ref.data());
-        DrawWeights(options.method, pi_test, alpha_test, urbg, counts.data(),
-                    gamma_test.data());
+        DrawWeights(options.method, pi_ref, call.alpha_ref, urbg,
+                    chunk.counts.data(), chunk.gamma_ref.data());
+        DrawWeights(options.method, pi_test, call.alpha_test, urbg,
+                    chunk.counts.data(), chunk.gamma_test.data());
         Result<double> score =
-            ComputeScore(score_type, ctx, gamma_ref, gamma_test);
+            ComputeScore(score_type, ctx, chunk.gamma_ref, chunk.gamma_test);
         if (score.ok()) {
           replicate_scores[r] = score.ValueOrDie();
           break;
@@ -154,9 +170,8 @@ Result<BootstrapInterval> BootstrapScoreInterval(
   BootstrapInterval out;
   out.replicate_mean = Mean(replicate_scores);
   out.replicate_stddev = StdDev(replicate_scores);
-  BAGCPD_ASSIGN_OR_RETURN(
-      Interval interval,
-      CentralInterval(std::move(replicate_scores), options.alpha));
+  BAGCPD_ASSIGN_OR_RETURN(Interval interval,
+                          CentralInterval(&replicate_scores, options.alpha));
   out.lo = interval.lo;
   out.up = interval.up;
   return out;

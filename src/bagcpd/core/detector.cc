@@ -97,6 +97,7 @@ BagStreamDetector::BagStreamDetector(const DetectorOptions& options)
   window_.Reset(full);
   log_table_.assign(full * full, 0.0);
   batch_lefts_.reserve(full - 1);
+  upper_history_.assign(options_.tau_prime, 0.0);
   // The score-context matrices are sized once here and refilled in place
   // every step; their diagonals stay at the 0.0 the scores ignore.
   ctx_.info = options_.info;
@@ -115,7 +116,8 @@ BagStreamDetector::BagStreamDetector(const DetectorOptions& options)
 
 void BagStreamDetector::Reset() {
   window_.Reset(options_.tau + options_.tau_prime);
-  upper_history_.clear();
+  history_head_ = 0;
+  history_size_ = 0;
   next_index_ = 0;
   table_base_ = 0;
   table_primed_ = false;
@@ -129,10 +131,13 @@ void BagStreamDetector::Reset() {
 
 Result<std::optional<StepResult>> BagStreamDetector::Push(const Bag& bag) {
   // Nested bags are accepted here, at the facade, and flattened once; every
-  // layer below takes BagView. The flatten recycles through the attached
-  // arena too, like the signature build below.
-  BAGCPD_ASSIGN_OR_RETURN(FlatBag flat, FlatBag::FromBag(bag, arena_));
-  return Push(flat.view());
+  // layer below takes BagView.
+  BAGCPD_RETURN_NOT_OK(ValidateBag(bag));
+  nested_flat_.clear();
+  for (const Point& x : bag) {
+    nested_flat_.insert(nested_flat_.end(), x.begin(), x.end());
+  }
+  return Push(BagView(nested_flat_.data(), bag.size(), bag.front().size()));
 }
 
 Result<std::optional<StepResult>> BagStreamDetector::Push(BagView bag) {
@@ -152,7 +157,7 @@ Result<std::optional<StepResult>> BagStreamDetector::Push(BagView bag) {
   // (borrowed-slot build) — no intermediate signature materialized or copied
   // on the push path; histogram bins the bag first and borrows a slot of
   // exactly its bin count. A failed build leaves the ring as it was.
-  BAGCPD_RETURN_NOT_OK(builder_.BuildInto(bag, next_index_, arena_, &window_));
+  BAGCPD_RETURN_NOT_OK(builder_.BuildInto(bag, next_index_, &window_));
   ++next_index_;
   Result<std::optional<StepResult>> step = Step();
   if (!step.ok()) step_failure_ = step.status();
@@ -301,39 +306,46 @@ Result<StepResult> BagStreamDetector::ScoreInspectionPoint() {
                                options_.bootstrap, &rng_, pool_));
     step.ci_lo = ci.lo;
     step.ci_up = ci.up;
-    // Eq. 20: compare with theta_up of inspection time t - tau'. The history
-    // deque holds the last tau' upper endpoints, front = oldest = t - tau'.
-    if (upper_history_.size() == options_.tau_prime) {
-      step.xi = step.ci_lo - upper_history_.front();
+    // Eq. 20: compare with theta_up of inspection time t - tau', the oldest
+    // entry of a full history, whose slot then takes theta_up of t.
+    if (history_size_ == tau_prime) {
+      step.xi = step.ci_lo - upper_history_[history_head_];
       step.alarm = step.xi > 0.0;  // Eq. 18.
+      upper_history_[history_head_] = step.ci_up;
+      history_head_ = (history_head_ + 1) % tau_prime;
+    } else {
+      upper_history_[history_size_++] = step.ci_up;
     }
-    upper_history_.push_back(step.ci_up);
-    if (upper_history_.size() > options_.tau_prime) upper_history_.pop_front();
   }
   return step;
 }
 
-Result<std::vector<StepResult>> BagStreamDetector::Run(const BagSequence& bags) {
-  Reset();
+namespace {
+
+// Run()'s one loop, over nested or flat bags.
+template <typename Bags>
+Result<std::vector<StepResult>> RunAll(BagStreamDetector* detector,
+                                       const Bags& bags) {
+  detector->Reset();
   std::vector<StepResult> results;
   results.reserve(bags.size());
-  for (const Bag& bag : bags) {
-    BAGCPD_ASSIGN_OR_RETURN(std::optional<StepResult> step, Push(bag));
+  for (const auto& bag : bags) {
+    BAGCPD_ASSIGN_OR_RETURN(std::optional<StepResult> step,
+                            detector->Push(bag));
     if (step.has_value()) results.push_back(*step);
   }
   return results;
 }
 
+}  // namespace
+
+Result<std::vector<StepResult>> BagStreamDetector::Run(const BagSequence& bags) {
+  return RunAll(this, bags);
+}
+
 Result<std::vector<StepResult>> BagStreamDetector::Run(
     const FlatBagSequence& bags) {
-  Reset();
-  std::vector<StepResult> results;
-  results.reserve(bags.size());
-  for (const FlatBag& bag : bags) {
-    BAGCPD_ASSIGN_OR_RETURN(std::optional<StepResult> step, Push(bag.view()));
-    if (step.has_value()) results.push_back(*step);
-  }
-  return results;
+  return RunAll(this, bags);
 }
 
 std::vector<std::uint64_t> AlarmTimes(const std::vector<StepResult>& results) {

@@ -10,7 +10,6 @@
 #define BAGCPD_CORE_DETECTOR_H_
 
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -18,7 +17,6 @@
 #include <string_view>
 #include <vector>
 
-#include "bagcpd/common/buffer_arena.h"
 #include "bagcpd/common/flat_bag.h"
 #include "bagcpd/common/point.h"
 #include "bagcpd/common/result.h"
@@ -132,7 +130,8 @@ class BagStreamDetector {
   Result<std::optional<StepResult>> Push(BagView bag);
 
   /// \brief Nested-bag convenience: validates and flattens once at this
-  /// boundary, then runs the view path. Bitwise-identical results.
+  /// boundary, into a buffer the detector reuses, then runs the view path.
+  /// Bitwise-identical results.
   Result<std::optional<StepResult>> Push(const Bag& bag);
 
   /// \brief Convenience: Reset(), push every bag, and collect all results.
@@ -168,15 +167,6 @@ class BagStreamDetector {
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
   ThreadPool* thread_pool() const { return pool_; }
 
-  /// \brief Attaches a buffer arena (non-owning; may be nullptr to detach).
-  ///
-  /// With an arena, the per-push signature build recycles its packed buffer
-  /// and scratch through the pool instead of malloc. The arena must outlive
-  /// the detector (StreamEngine owns one per shard and guarantees this).
-  /// Results are bitwise-identical with or without an arena.
-  void set_buffer_arena(BufferArena* arena) { arena_ = arena; }
-  BufferArena* buffer_arena() const { return arena_; }
-
   /// \brief The detector-owned EMD solver (exact workspace + approx
   /// scratch). Exposed for diagnostics: allocation/solve counters.
   EmdSolver& emd_solver() { return solver_; }
@@ -203,7 +193,6 @@ class BagStreamDetector {
   /// does not parse is Invalid too. A truncated or corrupt blob fails with
   /// IoError, an unsupported format version with NotImplemented, all without
   /// modifying the detector.
-  /// Decode staging recycles through the attached buffer arena when set.
   Status ImportState(std::string_view blob);
 
   /// \brief Builds a detector configured from the blob's embedded options
@@ -242,7 +231,8 @@ class BagStreamDetector {
   SignatureBuilder builder_;
   Rng rng_;
   ThreadPool* pool_ = nullptr;
-  BufferArena* arena_ = nullptr;
+  // Push(const Bag&) flattens into this buffer, reused from push to push.
+  std::vector<double> nested_flat_;
   // Reusable EMD solver (exact workspace or approximate, per options_.emd)
   // for the unpooled path; pooled chunks solve on their threads'
   // ThreadLocalEmdSolver() instead (identical values).
@@ -277,9 +267,11 @@ class BagStreamDetector {
   // every later Push and by ExportState until Reset() or ImportState().
   Status step_failure_;
   ScoreContext ctx_;
-  // theta_up history for the xi test, keyed relative to inspection time:
-  // upper_history_[k] is theta_up of inspection time (current_t - 1 - k).
-  std::deque<double> upper_history_;
+  // theta_up of the last history_size_ <= tau' inspection times for the xi
+  // test, a ring whose oldest entry is at history_head_.
+  std::vector<double> upper_history_;
+  std::size_t history_head_ = 0;
+  std::size_t history_size_ = 0;
   std::vector<double> pi_ref_;
   std::vector<double> pi_test_;
 };

@@ -63,8 +63,7 @@ Result<std::string> CanonicalProfile(const ProfileMap& profiles,
 
 Result<std::unique_ptr<BagStreamDetector>> NewProfileDetector(
     const DetectorOptions& default_options, const ProfileMap& profiles,
-    std::uint64_t seed, const std::string& key, const std::string& profile,
-    BufferArena* arena) {
+    std::uint64_t seed, const std::string& key, const std::string& profile) {
   const DetectorOptions* options = &default_options;
   if (profile != kDefaultProfileName) {
     auto it = profiles.find(profile);
@@ -74,10 +73,7 @@ Result<std::unique_ptr<BagStreamDetector>> NewProfileDetector(
   }
   DetectorOptions per_key = *options;
   per_key.seed = DerivePerStreamSeed(seed, key, profile);
-  BAGCPD_ASSIGN_OR_RETURN(std::unique_ptr<BagStreamDetector> detector,
-                          BagStreamDetector::Create(per_key));
-  detector->set_buffer_arena(arena);
-  return detector;
+  return BagStreamDetector::Create(per_key);
 }
 
 }  // namespace bagcpd

@@ -15,7 +15,6 @@
 #include <memory>
 #include <string>
 
-#include "bagcpd/common/buffer_arena.h"
 #include "bagcpd/common/result.h"
 #include "bagcpd/core/detector.h"
 
@@ -58,12 +57,10 @@ Result<std::string> CanonicalProfile(const ProfileMap& profiles,
 
 /// \brief The detector for `key` under the canonical `profile`: that
 /// profile's options (`default_options` for kDefaultProfileName), seeded by
-/// DerivePerStreamSeed(seed, key, profile), its buffers recycled through
-/// `arena` (may be null).
+/// DerivePerStreamSeed(seed, key, profile).
 Result<std::unique_ptr<BagStreamDetector>> NewProfileDetector(
     const DetectorOptions& default_options, const ProfileMap& profiles,
-    std::uint64_t seed, const std::string& key, const std::string& profile,
-    BufferArena* arena);
+    std::uint64_t seed, const std::string& key, const std::string& profile);
 
 }  // namespace bagcpd
 

@@ -23,7 +23,7 @@ Result<double> ComputeEmd(SignatureView a, SignatureView b,
   if ((ground == GroundDistance::kEuclidean ||
        ground == GroundDistance::kManhattan) &&
       Emd1dApplicable(a, b)) {
-    return ComputeEmd1d(a, b);
+    return ComputeEmd1d(a, b, ground);
   }
   return DefaultEmdWorkspace().Compute(a, b, ground);
 }

@@ -17,12 +17,15 @@ bool Emd1dApplicable(SignatureView a, SignatureView b) {
   return std::abs(wa - wb) <= kRelativeTolerance * std::max(wa, wb);
 }
 
-Result<double> ComputeEmd1d(SignatureView a, SignatureView b) {
+Result<double> ComputeEmd1d(SignatureView a, SignatureView b,
+                            GroundDistance ground) {
   BAGCPD_RETURN_NOT_OK(a.Validate());
   BAGCPD_RETURN_NOT_OK(b.Validate());
-  if (!Emd1dApplicable(a, b)) {
+  if (!Emd1dApplicable(a, b) || (ground != GroundDistance::kEuclidean &&
+                                  ground != GroundDistance::kManhattan)) {
     return Status::Invalid(
-        "1-d fast path needs 1-d signatures with equal total weight");
+        "1-d fast path needs 1-d signatures with equal total weight and a "
+        "Euclidean or Manhattan ground distance");
   }
 
   // Sweep events: position, signed weight (+ for a, - for b).
@@ -41,11 +44,22 @@ Result<double> ComputeEmd1d(SignatureView a, SignatureView b) {
   // A non-finite center makes its distance to every center of the other
   // side non-finite, which the transportation solve rejects; reject it the
   // same way rather than sort and sum inf or NaN into the cost.
+  const auto not_finite = [] {
+    return Status::Invalid(
+        "ground distance produced a negative or non-finite value");
+  };
   for (const Event& e : events) {
-    if (!std::isfinite(e.position)) {
-      return Status::Invalid("ground distance produced a negative or "
-                             "non-finite value");
-    }
+    if (!std::isfinite(e.position)) return not_finite();
+  }
+  // The Euclidean fill squares each difference before its root, so it
+  // refuses a pair whose widest difference squares past the doubles.
+  if (ground == GroundDistance::kEuclidean) {
+    const auto [a_lo, a_hi] =
+        std::minmax_element(a.centers_data(), a.centers_data() + a.size());
+    const auto [b_lo, b_hi] =
+        std::minmax_element(b.centers_data(), b.centers_data() + b.size());
+    const double widest = std::max(*a_hi - *b_lo, *b_hi - *a_lo);
+    if (!std::isfinite(widest * widest)) return not_finite();
   }
   std::sort(events.begin(), events.end(),
             [](const Event& x, const Event& y) {

@@ -18,6 +18,7 @@
 #define BAGCPD_EMD_EMD_1D_H_
 
 #include "bagcpd/common/result.h"
+#include "bagcpd/emd/ground_distance.h"
 #include "bagcpd/signature/signature.h"
 
 namespace bagcpd {
@@ -26,9 +27,12 @@ namespace bagcpd {
 /// total weight (relative tolerance 1e-9).
 bool Emd1dApplicable(SignatureView a, SignatureView b);
 
-/// \brief Exact 1-d balanced EMD (Eq. 12 value). Fails with Invalid if the
-/// preconditions of Emd1dApplicable do not hold.
-Result<double> ComputeEmd1d(SignatureView a, SignatureView b);
+/// \brief Exact 1-d balanced EMD (Eq. 12 value) under a Euclidean or
+/// Manhattan `ground` (equal in 1-d). Fails with Invalid where
+/// Emd1dApplicable does not hold, and where the transportation solve finds a
+/// ground distance that is not finite.
+Result<double> ComputeEmd1d(SignatureView a, SignatureView b,
+                            GroundDistance ground = GroundDistance::kEuclidean);
 
 }  // namespace bagcpd
 

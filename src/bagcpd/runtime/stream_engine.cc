@@ -78,12 +78,9 @@ StreamEngine::StreamEngine(const StreamEngineOptions& options)
   if (n == 0) {
     n = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  arenas_.reserve(n);
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    arenas_.push_back(std::make_unique<BufferArena>(options_.arena));
-    shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->arena = arenas_.back().get();
+    shards_.push_back(std::make_unique<Shard>(options_.arena));
   }
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -130,7 +127,7 @@ Status StreamEngine::Submit(const std::string& stream_id, const Bag& bag,
   // becomes an error task that quarantines the stream on its shard, matching
   // the detector-failure path.
   const std::size_t shard_index = ShardOf(stream_id);
-  Result<FlatBag> flat = FlatBag::FromBag(bag, arenas_[shard_index].get());
+  Result<FlatBag> flat = FlatBag::FromBag(bag, &shards_[shard_index]->arena);
   return SubmitImpl(stream_id, canonical, shard_index, &flat,
                     /*blocking=*/true);
 }
@@ -149,7 +146,7 @@ Status StreamEngine::TrySubmit(const std::string& stream_id, const Bag& bag,
   BAGCPD_ASSIGN_OR_RETURN(std::string canonical,
                           CanonicalProfile(profiles_, profile));
   const std::size_t shard_index = ShardOf(stream_id);
-  Result<FlatBag> flat = FlatBag::FromBag(bag, arenas_[shard_index].get());
+  Result<FlatBag> flat = FlatBag::FromBag(bag, &shards_[shard_index]->arena);
   return SubmitImpl(stream_id, canonical, shard_index, &flat,
                     /*blocking=*/false);
 }
@@ -401,15 +398,6 @@ void StreamEngine::MaybeSnapshotStream(Stream& stream) {
   stream.restore_failures = 0;
 }
 
-Result<std::unique_ptr<BagStreamDetector>> StreamEngine::NewDetector(
-    Shard& shard, const std::string& stream_id,
-    const std::string& profile) const {
-  // Signature builds and restores recycle buffers through the shard's pool;
-  // the arena outlives every detector (member declaration order).
-  return NewProfileDetector(options_.detector, profiles_, options_.seed,
-                            stream_id, profile, shard.arena);
-}
-
 void StreamEngine::SweepIdle(Shard& shard, std::uint64_t now_seq) {
   // Any later bag of a key has a sequence past now_seq, so a key past the
   // horizon at now_seq + 1 would be forgotten by its next bag's check in
@@ -538,7 +526,8 @@ void StreamEngine::Process(Shard& shard, Task task) {
     // Cannot fail: every registered profile was validated up front and the
     // engine only changes the seed.
     Result<std::unique_ptr<BagStreamDetector>> created =
-        NewDetector(shard, task.stream_id, stream.profile);
+        NewProfileDetector(options_.detector, profiles_, options_.seed,
+                           task.stream_id, stream.profile);
     BAGCPD_CHECK_MSG(created.ok(), "validated profile failed Create: %s",
                      created.status().ToString().c_str());
     stream.detector = created.MoveValueUnsafe();
@@ -653,7 +642,7 @@ Status StreamEngine::RehydrateStream(Shard& shard, StreamTable::iterator it,
   Status status = [&]() -> Status {
     BAGCPD_ASSIGN_OR_RETURN(
         std::size_t bytes,
-        serialize::ReadFileBytes(stream.spill_path, shard.arena, &storage));
+        serialize::ReadFileBytes(stream.spill_path, &shard.arena, &storage));
     const std::string_view blob = serialize::FileBytesView(storage, bytes);
     BAGCPD_ASSIGN_OR_RETURN(serialize::StreamBlobParts parts,
                             serialize::ParseStreamBlob(blob));
@@ -665,7 +654,7 @@ Status StreamEngine::RehydrateStream(Shard& shard, StreamTable::iterator it,
                               parts.detector_blob, blob.size(), seq,
                               latency_ns);
   }();
-  shard.arena->Release(std::move(storage));
+  shard.arena.Release(std::move(storage));
   return status;
 }
 
@@ -717,13 +706,13 @@ Status StreamEngine::ExportStreamLocked(Shard& shard,
     // A spilled stream's file already IS its engine-stream blob.
     std::vector<double> storage;
     Result<std::size_t> read =
-        serialize::ReadFileBytes(stream.spill_path, shard.arena, &storage);
+        serialize::ReadFileBytes(stream.spill_path, &shard.arena, &storage);
     if (!read.ok()) {
-      shard.arena->Release(std::move(storage));
+      shard.arena.Release(std::move(storage));
       return read.status();
     }
     blob->assign(serialize::FileBytesView(storage, read.ValueOrDie()));
-    shard.arena->Release(std::move(storage));
+    shard.arena.Release(std::move(storage));
   }
   EngineEvent event;
   event.kind = EngineEvent::Kind::kCheckpoint;
@@ -787,8 +776,10 @@ Status StreamEngine::ImportStreamLocked(Shard& shard,
   // the profile's options (seed included), so a wrong profile definition or
   // engine seed surfaces as Invalid here rather than as silently different
   // scores.
-  BAGCPD_ASSIGN_OR_RETURN(std::unique_ptr<BagStreamDetector> detector,
-                          NewDetector(shard, stream_id, profile));
+  BAGCPD_ASSIGN_OR_RETURN(
+      std::unique_ptr<BagStreamDetector> detector,
+      NewProfileDetector(options_.detector, profiles_, options_.seed,
+                         stream_id, profile));
   BAGCPD_RETURN_NOT_OK(detector->ImportState(detector_blob));
   // Restores continue an existing stream, so streams_created_ stays put.
   auto it = shard.streams.try_emplace(stream_id).first;
@@ -891,8 +882,8 @@ EngineLatencyStats StreamEngine::latency_stats() const {
 
 BufferArenaStats StreamEngine::arena_stats() const {
   BufferArenaStats total;
-  for (const auto& arena : arenas_) {
-    const BufferArenaStats s = arena->stats();
+  for (const auto& shard : shards_) {
+    const BufferArenaStats s = shard->arena.stats();
     total.acquires += s.acquires;
     total.pool_hits += s.pool_hits;
     total.releases += s.releases;

@@ -119,15 +119,14 @@ struct StreamEngineOptions {
   /// results never. 0: no horizon without spilling (streams live forever),
   /// no idle spilling with it.
   std::uint64_t max_idle_submissions = 0;
-  /// Per-shard buffer-arena tuning. Each shard owns one BufferArena; ingest
-  /// flattening and the shard's detector signature builds recycle buffers
-  /// through it. A steady-state step still allocates: its EMD and score path
-  /// allocates nothing, but the quantizer's and the bootstrap's scratch do.
-  /// Counted over serial pushes at paper defaults (k-means k = 8, 50 x 2-d
-  /// bags, exact EMD, 200 Bayesian replicates): 11 allocations per step
-  /// with an arena, 15 without; 4 of the 11 are k-means scratch and 7 are
-  /// bootstrap scratch. Pooling never changes results (buffers are fully
-  /// overwritten).
+  /// Per-shard buffer-arena tuning. Each shard owns one BufferArena for the
+  /// buffers that cross threads or come from files: Submit flattens each
+  /// bag into it on the producer thread, the shard worker releases it, and
+  /// spill files are read back through it. Detectors do not use it: a
+  /// steady-state serial step makes 0 heap allocations (its scratch is
+  /// per-thread or the detector's own), and a step on a compute pool
+  /// allocates only the pool's dispatch, one task and latch per chunked
+  /// loop. Pooling never changes results (buffers are fully overwritten).
   BufferArenaOptions arena;
   /// Spill-to-disk eviction. When non-empty, cold streams are *exported*
   /// instead of destroyed: the idle sweep (and, when spill_resident_bytes is
@@ -351,8 +350,7 @@ class StreamEngine {
   /// options-spec gate enforces it), and the key must not already be
   /// bound, spilled, or quarantined (Invalid otherwise). A truncated or
   /// corrupt blob fails with IoError, an unknown format version with
-  /// NotImplemented; failures never leave a partial stream behind. Restored
-  /// detectors rehydrate their buffers through the owning shard's arena.
+  /// NotImplemented; failures never leave a partial stream behind.
   /// Emits a kRestore event.
   Status ImportStream(const std::string& stream_id, std::string_view blob);
 
@@ -489,9 +487,11 @@ class StreamEngine {
   enum class Move { kCreate, kRestore, kSpill, kFault, kQuarantine, kForget };
 
   struct Shard {
+    explicit Shard(const BufferArenaOptions& options) : arena(options) {}
+    // The shard's buffer pool; declared first, so it outlives every queued
+    // bag it pooled.
+    BufferArena arena;
     std::mutex mu;
-    // The shard's buffer pool (owned by arenas_; set once at construction).
-    BufferArena* arena = nullptr;
     std::condition_variable not_empty;
     std::condition_variable not_full;
     std::condition_variable drained;
@@ -531,11 +531,6 @@ class StreamEngine {
   // Refreshes the stream's rolling recovery snapshot when the push count
   // hits the snapshot interval.
   void MaybeSnapshotStream(Stream& stream);
-  // A detector for `stream_id` under the canonical `profile`, seeded by
-  // (engine seed, key, profile) and pooled through the shard's arena.
-  Result<std::unique_ptr<BagStreamDetector>> NewDetector(
-      Shard& shard, const std::string& stream_id,
-      const std::string& profile) const;
   void WorkerLoop(std::size_t shard_index);
   void Process(Shard& shard, Task task);
   void SweepIdle(Shard& shard, std::uint64_t now_seq);
@@ -588,10 +583,6 @@ class StreamEngine {
   // Named profiles beyond the implicit "default" (read-only once traffic
   // starts; RegisterProfile enforces that).
   ProfileMap profiles_;
-  // One arena per shard; declared before shards_ so every pooled buffer
-  // still referenced by shard state (queued FlatBags, detector scratch) dies
-  // before its arena does.
-  std::vector<std::unique_ptr<BufferArena>> arenas_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> workers_;
   std::atomic<bool> stop_{false};

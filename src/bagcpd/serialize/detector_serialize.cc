@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "bagcpd/api/spec.h"
 #include "bagcpd/core/detector.h"
@@ -74,8 +75,10 @@ Status BagStreamDetector::ExportState(std::string* blob) const {
   writer.EndSection();
 
   writer.BeginSection(serialize::kSecHistory);
-  writer.PutU32(static_cast<std::uint32_t>(upper_history_.size()));
-  for (double v : upper_history_) writer.PutF64(v);
+  writer.PutU32(static_cast<std::uint32_t>(history_size_));
+  for (std::size_t i = 0; i < history_size_; ++i) {
+    writer.PutF64(upper_history_[(history_head_ + i) % options_.tau_prime]);
+  }
   writer.EndSection();
 
   writer.BeginSection(serialize::kSecRng);
@@ -213,7 +216,7 @@ Status BagStreamDetector::ImportState(std::string_view blob) {
   // not actually hold), and those reads must not leave the detector
   // half-restored: nothing below touches members until every read succeeded.
   SignatureRing restored_window(w);
-  PooledBuffer staging;  // Slot staging recycles through the arena when set.
+  std::vector<double> staging;
   for (std::uint32_t i = 0; i < count; ++i) {
     std::uint32_t k = 0;
     BAGCPD_RETURN_NOT_OK(ring_reader.ReadU32(&k));
@@ -221,12 +224,8 @@ Status BagStreamDetector::ImportState(std::string_view blob) {
       return Status::IoError("detector blob window slot " + std::to_string(i) +
                              " is empty");
     }
-    const std::size_t doubles = static_cast<std::size_t>(k) * (dim + 1);
-    if (staging.vec().capacity() < doubles) {
-      staging = PooledBuffer::AcquireFrom(arena_, doubles);
-    }
-    staging.vec().resize(doubles);
-    double* base = staging.vec().data();
+    staging.resize(static_cast<std::size_t>(k) * (dim + 1));
+    double* base = staging.data();
     BAGCPD_RETURN_NOT_OK(
         ring_reader.ReadF64Array(base, static_cast<std::size_t>(k) * dim));
     BAGCPD_RETURN_NOT_OK(
@@ -245,11 +244,9 @@ Status BagStreamDetector::ImportState(std::string_view blob) {
   std::vector<double> restored_table(w * w);
   BAGCPD_RETURN_NOT_OK(
       table_reader.ReadF64Array(restored_table.data(), w * w));
-  std::deque<double> restored_history;
+  std::vector<double> restored_history(options_.tau_prime, 0.0);
   for (std::uint32_t i = 0; i < history_n; ++i) {
-    double v = 0.0;
-    BAGCPD_RETURN_NOT_OK(history_reader.ReadF64(&v));
-    restored_history.push_back(v);
+    BAGCPD_RETURN_NOT_OK(history_reader.ReadF64(&restored_history[i]));
   }
 
   // Phase 3 — commit. Reset() first so a failed step is cleared, exactly the
@@ -261,6 +258,7 @@ Status BagStreamDetector::ImportState(std::string_view blob) {
   table_primed_ = primed != 0;
   next_index_ = next_index;
   upper_history_ = std::move(restored_history);
+  history_size_ = history_n;
   rng_ = restored_rng;
   return Status::OK();
 }
@@ -285,7 +283,7 @@ std::size_t BagStreamDetector::EstimatedStateBytes() const {
   constexpr std::size_t kRngBytes = 313 * sizeof(std::uint64_t);
   return sizeof(*this) + window_.memory_bytes() +
          log_table_.capacity() * sizeof(double) +
-         upper_history_.size() * sizeof(double) + kRngBytes;
+         history_size_ * sizeof(double) + kRngBytes;
 }
 
 }  // namespace bagcpd

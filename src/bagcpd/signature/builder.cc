@@ -47,18 +47,17 @@ Result<SignatureMethod> ParseSignatureMethod(const std::string& name) {
                         "quantizer");
 }
 
-Result<Signature> SignatureBuilder::Build(BagView bag, std::uint64_t bag_index,
-                                          BufferArena* arena) const {
+Result<Signature> SignatureBuilder::Build(BagView bag,
+                                          std::uint64_t bag_index) const {
   std::optional<SignatureAssembler> sink;
-  BAGCPD_RETURN_NOT_OK(Emit(bag, bag_index, arena, nullptr, &sink));
+  BAGCPD_RETURN_NOT_OK(Emit(bag, bag_index, nullptr, &sink));
   return sink->Finish();
 }
 
 Status SignatureBuilder::BuildInto(BagView bag, std::uint64_t bag_index,
-                                   BufferArena* arena,
                                    SignatureRing* ring) const {
   std::optional<SignatureAssembler> sink;
-  const Status emitted = Emit(bag, bag_index, arena, ring, &sink);
+  const Status emitted = Emit(bag, bag_index, ring, &sink);
   if (!emitted.ok()) {
     if (sink.has_value()) ring->CancelBorrow();
     return emitted;
@@ -68,7 +67,7 @@ Status SignatureBuilder::BuildInto(BagView bag, std::uint64_t bag_index,
 }
 
 Status SignatureBuilder::Emit(BagView bag, std::uint64_t bag_index,
-                              BufferArena* arena, SignatureRing* ring,
+                              SignatureRing* ring,
                               std::optional<SignatureAssembler>* sink) const {
   // Validate before opening the sink: its dimension comes from the bag.
   BAGCPD_RETURN_NOT_OK(ValidateBagView(bag));
@@ -77,7 +76,7 @@ Status SignatureBuilder::Emit(BagView bag, std::uint64_t bag_index,
     if (ring != nullptr) {
       sink->emplace(ring->BorrowSlot(max_k, d), max_k, d);
     } else {
-      sink->emplace(max_k, d, arena);
+      sink->emplace(max_k, d);
     }
     return &**sink;
   };
@@ -95,7 +94,7 @@ Status SignatureBuilder::Emit(BagView bag, std::uint64_t bag_index,
       opts.k = options_.k;
       opts.seed = seed;
       BAGCPD_ASSIGN_OR_RETURN(SignatureAssembler* out, open_clusters());
-      emitted = KMeansQuantizeInto(bag, opts, arena, out);
+      emitted = KMeansQuantizeInto(bag, opts, out);
       break;
     }
     case SignatureMethod::kKMedoids: {
@@ -103,7 +102,7 @@ Status SignatureBuilder::Emit(BagView bag, std::uint64_t bag_index,
       opts.k = options_.k;
       opts.seed = seed;
       BAGCPD_ASSIGN_OR_RETURN(SignatureAssembler* out, open_clusters());
-      emitted = KMedoidsQuantizeInto(bag, opts, arena, out);
+      emitted = KMedoidsQuantizeInto(bag, opts, out);
       break;
     }
     case SignatureMethod::kLvq: {
@@ -111,7 +110,7 @@ Status SignatureBuilder::Emit(BagView bag, std::uint64_t bag_index,
       opts.k = options_.k;
       opts.seed = seed;
       BAGCPD_ASSIGN_OR_RETURN(SignatureAssembler* out, open_clusters());
-      emitted = LvqQuantizeInto(bag, opts, arena, out);
+      emitted = LvqQuantizeInto(bag, opts, out);
       break;
     }
     case SignatureMethod::kHistogram: {
@@ -119,15 +118,19 @@ Status SignatureBuilder::Emit(BagView bag, std::uint64_t bag_index,
       opts.bin_width = options_.bin_width;
       opts.origin = options_.histogram_origin;
       // The bin count is data-dependent: bin first, then open a sink of
-      // exactly that many centers.
-      BAGCPD_ASSIGN_OR_RETURN(HistogramBins bins,
-                              HistogramBins::Compute(bag, opts));
+      // exactly that many centers. The thread's bins keep their buffers
+      // from build to build; Emit never re-enters itself.
+      static thread_local HistogramBins bins;
+      BAGCPD_RETURN_NOT_OK(bins.Compute(bag, opts));
       bins.EmitInto(open(bins.size()));
       break;
     }
-    case SignatureMethod::kCentroid:
-      open(1)->Add(BagMean(bag), static_cast<double>(bag.size()));
+    case SignatureMethod::kCentroid: {
+      // The mean is summed straight into the sink's one center.
+      SignatureAssembler* out = open(1);
+      BagMeanInto(bag, out->Append(static_cast<double>(bag.size())));
       break;
+    }
   }
   BAGCPD_RETURN_NOT_OK(emitted);
   if (!sink->has_value()) return Status::Invalid("unknown signature method");

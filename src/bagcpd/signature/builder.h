@@ -81,11 +81,8 @@ class SignatureBuilder {
 
   /// \brief Builds the signature of `bag` (normalized iff options().normalize).
   /// `bag_index` seeds any stochastic quantizer deterministically per
-  /// position in the stream. With a non-null `arena`, the signature's packed
-  /// buffer and the quantizer scratch recycle through that arena (identical
-  /// output either way).
-  Result<Signature> Build(BagView bag, std::uint64_t bag_index = 0,
-                          BufferArena* arena = nullptr) const;
+  /// position in the stream.
+  Result<Signature> Build(BagView bag, std::uint64_t bag_index = 0) const;
 
   /// \brief Builds the signature of `bag` directly into `ring`'s next slot —
   /// the quantizer assembles into the ring's own storage (borrowed slot), so
@@ -94,8 +91,10 @@ class SignatureBuilder {
   /// clustering quantizers, 1 for the centroid, and the exact occupied-bin
   /// count for histogram, which bins the bag before borrowing. The committed
   /// slot, and the ring's footprint, match Build() + SignatureRing::PushBack
-  /// bit for bit. On error the ring is unchanged.
-  Status BuildInto(BagView bag, std::uint64_t bag_index, BufferArena* arena,
+  /// bit for bit. On error the ring is unchanged. The quantizers work in
+  /// per-thread scratch, so a build of a shape already seen allocates
+  /// nothing.
+  Status BuildInto(BagView bag, std::uint64_t bag_index,
                    SignatureRing* ring) const;
 
   const SignatureBuilderOptions& options() const { return options_; }
@@ -104,10 +103,9 @@ class SignatureBuilder {
   /// \brief The one method switch: validates `bag`, quantizes it and emits
   /// the (normalized iff options().normalize) signature into `*sink`, which
   /// it opens once the cluster bound is known — over a slot borrowed from
-  /// `ring` when `ring` is non-null, else owning (from `arena` if given).
+  /// `ring` when `ring` is non-null, else owning.
   /// On error an opened sink may hold a borrow the caller must cancel.
-  Status Emit(BagView bag, std::uint64_t bag_index, BufferArena* arena,
-              SignatureRing* ring,
+  Status Emit(BagView bag, std::uint64_t bag_index, SignatureRing* ring,
               std::optional<SignatureAssembler>* sink) const;
 
   SignatureBuilderOptions options_;

@@ -1,7 +1,9 @@
 #include "bagcpd/signature/histogram.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 
 namespace bagcpd {
 namespace {
@@ -12,19 +14,20 @@ constexpr double kMinBinIndex = -9223372036854775808.0;
 
 }  // namespace
 
-Result<HistogramBins> HistogramBins::Compute(BagView bag,
-                                             const HistogramOptions& options) {
+Status HistogramBins::Compute(BagView bag, const HistogramOptions& options) {
+  centers_.clear();
+  counts_.clear();
   BAGCPD_RETURN_NOT_OK(ValidateBagView(bag));
   if (!(options.bin_width > 0.0)) {
     return Status::Invalid("bin_width must be > 0");
   }
 
+  const std::size_t n = bag.size();
   const std::size_t d = bag.dim();
-  HistogramBins out;
-  out.options_ = options;
-  out.dim_ = d;
-  std::vector<std::int64_t> key(d);
-  for (const PointView x : bag) {
+  dim_ = d;
+  keys_.resize(n * d);
+  for (std::size_t i = 0; i < n; ++i) {
+    const PointView x = bag[i];
     for (std::size_t j = 0; j < d; ++j) {
       const double index =
           std::floor((x[j] - options.origin) / options.bin_width);
@@ -39,39 +42,55 @@ Result<HistogramBins> HistogramBins::Compute(BagView bag,
                       x[j], j, options.bin_width, options.origin);
         return Status::Invalid(message);
       }
-      key[j] = static_cast<std::int64_t>(index);
+      keys_[i * d + j] = static_cast<std::int64_t>(index);
     }
-    Stats& stats = out.bins_[key];
-    if (stats.sum.empty()) stats.sum.assign(d, 0.0);
-    stats.count += 1.0;
-    for (std::size_t j = 0; j < d; ++j) stats.sum[j] += x[j];
   }
-  return out;
+
+  // Grid order is the lexicographic order of the multi-indices; the row
+  // breaks ties, so the order is total and each bin's run keeps bag order.
+  const std::int64_t* keys = keys_.data();
+  order_.resize(n);
+  std::iota(order_.begin(), order_.end(), std::size_t{0});
+  std::sort(order_.begin(), order_.end(), [keys, d](std::size_t a,
+                                                    std::size_t b) {
+    const std::int64_t* ka = keys + a * d;
+    const std::int64_t* kb = keys + b * d;
+    for (std::size_t j = 0; j < d; ++j) {
+      if (ka[j] != kb[j]) return ka[j] < kb[j];
+    }
+    return a < b;
+  });
+
+  // Each bin is one run of equal keys; its mean sums its points in bag order.
+  for (std::size_t begin = 0, end = 0; begin < n; begin = end) {
+    const std::int64_t* key = keys + order_[begin] * d;
+    while (end < n && std::equal(key, key + d, keys + order_[end] * d)) ++end;
+    const double count = static_cast<double>(end - begin);
+    for (std::size_t j = 0; j < d; ++j) {
+      double sum = 0.0;
+      for (std::size_t r = begin; r < end; ++r) sum += bag[order_[r]][j];
+      centers_.push_back(
+          options.use_bin_centers
+              ? options.origin +
+                    (static_cast<double>(key[j]) + 0.5) * options.bin_width
+              : sum / count);
+    }
+    counts_.push_back(count);
+  }
+  return Status::OK();
 }
 
 void HistogramBins::EmitInto(SignatureAssembler* sink) const {
-  Point center(dim_);
-  for (const auto& [index, stats] : bins_) {
-    if (options_.use_bin_centers) {
-      for (std::size_t j = 0; j < dim_; ++j) {
-        center[j] = options_.origin +
-                    (static_cast<double>(index[j]) + 0.5) * options_.bin_width;
-      }
-    } else {
-      for (std::size_t j = 0; j < dim_; ++j) {
-        center[j] = stats.sum[j] / stats.count;
-      }
-    }
-    sink->Add(center, stats.count);
+  for (std::size_t b = 0; b < counts_.size(); ++b) {
+    sink->Add(PointView(centers_.data() + b * dim_, dim_), counts_[b]);
   }
 }
 
 Result<Signature> HistogramQuantize(BagView bag,
-                                    const HistogramOptions& options,
-                                    BufferArena* arena) {
-  BAGCPD_ASSIGN_OR_RETURN(HistogramBins bins,
-                          HistogramBins::Compute(bag, options));
-  SignatureAssembler assembler(bins.size(), bag.dim(), arena);
+                                    const HistogramOptions& options) {
+  HistogramBins bins;
+  BAGCPD_RETURN_NOT_OK(bins.Compute(bag, options));
+  SignatureAssembler assembler(bins.size(), bag.dim());
   bins.EmitInto(&assembler);
   return assembler.Finish();
 }

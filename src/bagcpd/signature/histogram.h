@@ -7,7 +7,6 @@
 #define BAGCPD_SIGNATURE_HISTOGRAM_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "bagcpd/common/point.h"
@@ -31,37 +30,34 @@ struct HistogramOptions {
 /// \brief A bag sorted into the histogram grid, before any signature
 /// exists. size() is the exact number of centers EmitInto() adds, so a
 /// caller sizes its SignatureAssembler — or borrows a SignatureRing slot —
-/// to fit.
+/// to fit. Its buffers are reused from bag to bag.
 class HistogramBins {
  public:
-  /// \brief Bins `bag`; fails on an invalid bag, a non-positive width, or a
-  /// value whose bin index falls outside the int64 range.
-  static Result<HistogramBins> Compute(BagView bag,
-                                       const HistogramOptions& options);
+  /// \brief Bins `bag`, replacing any earlier binning; fails on an invalid
+  /// bag, a non-positive width, or a value whose bin index falls outside the
+  /// int64 range (and then holds no bins).
+  Status Compute(BagView bag, const HistogramOptions& options);
 
   /// \brief Number of occupied bins.
-  std::size_t size() const { return bins_.size(); }
+  std::size_t size() const { return counts_.size(); }
 
   /// \brief Adds one (center, count) pair per occupied bin, in grid order.
   /// `sink` has room for at least size() centers of the bag's dimension.
   void EmitInto(SignatureAssembler* sink) const;
 
  private:
-  struct Stats {
-    double count = 0.0;
-    Point sum;
-  };
-
-  HistogramOptions options_;
   std::size_t dim_ = 0;
-  // Multi-index of the bin -> stats. std::map keeps deterministic ordering.
-  std::map<std::vector<std::int64_t>, Stats> bins_;
+  std::vector<std::int64_t> keys_;  // keys_[i * dim_ + j]: point i, axis j.
+  // The rows sorted by (bin multi-index, row): one run per occupied bin.
+  std::vector<std::size_t> order_;
+  // Per occupied bin, in grid order: its center (dim_ doubles) and count.
+  std::vector<double> centers_;
+  std::vector<double> counts_;
 };
 
 /// \brief Histogram-quantizes `bag`; weights are per-bin counts.
 Result<Signature> HistogramQuantize(BagView bag,
-                                    const HistogramOptions& options,
-                                    BufferArena* arena = nullptr);
+                                    const HistogramOptions& options);
 
 }  // namespace bagcpd
 

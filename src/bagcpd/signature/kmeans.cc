@@ -10,53 +10,33 @@ namespace bagcpd {
 
 namespace {
 
-// Flat row-major (k x d) center buffer used by all internal stages; rows are
-// appended during seeding and rewritten in place during Lloyd updates.
-class FlatCenters {
- public:
-  FlatCenters(std::size_t k, std::size_t d, BufferArena* arena) : dim_(d) {
-    if (arena != nullptr) data_ = arena->Acquire(k * d);
-    data_.reserve(k * d);
-  }
-
-  std::size_t count() const { return data_.size() / dim_; }
-  PointView row(std::size_t c) const {
-    return PointView(data_.data() + c * dim_, dim_);
-  }
-  PointView back() const { return row(count() - 1); }
-  void Append(PointView x) {
-    data_.insert(data_.end(), x.begin(), x.end());
-  }
-  std::vector<double>&& TakeFlat() { return std::move(data_); }
-
- private:
-  std::vector<double> data_;
-  std::size_t dim_;
-};
-
 // k-means++ seeding (Arthur & Vassilvitskii 2007): iteratively picks centers
 // with probability proportional to the squared distance to the closest
-// already-chosen center.
-FlatCenters SeedPlusPlus(BagView bag, std::size_t k, LazyMt19937_64& urbg,
-                         BufferArena* arena) {
-  FlatCenters centers(k, bag.dim(), arena);
-  centers.Append(bag[static_cast<std::size_t>(
-      UniformIntDraw(urbg, 0, static_cast<int>(bag.size()) - 1))]);
+// already-chosen center. Writes the k centers, row-major, to `*centers`.
+void SeedPlusPlus(BagView bag, std::size_t k, LazyMt19937_64& urbg,
+                  std::vector<double>* centers) {
+  const std::size_t d = bag.dim();
+  const auto append = [&](std::size_t i) {
+    centers->insert(centers->end(), bag[i].begin(), bag[i].end());
+  };
+  centers->clear();
+  append(static_cast<std::size_t>(
+      UniformIntDraw(urbg, 0, static_cast<int>(bag.size()) - 1)));
 
-  PooledBuffer closest_buf = PooledBuffer::AcquireFrom(arena, bag.size());
-  std::vector<double>& closest_sq = closest_buf.vec();
+  thread_local std::vector<double> closest_sq;  // Reused from run to run.
   closest_sq.assign(bag.size(), std::numeric_limits<double>::infinity());
-  while (centers.count() < k) {
+  while (centers->size() < k * d) {
+    const PointView newest(centers->data() + centers->size() - d, d);
     double total = 0.0;
     for (std::size_t i = 0; i < bag.size(); ++i) {
-      const double d2 = SquaredDistance(bag[i], centers.back());
+      const double d2 = SquaredDistance(bag[i], newest);
       closest_sq[i] = std::min(closest_sq[i], d2);
       total += closest_sq[i];
     }
     if (total <= 0.0) {
       // All remaining points coincide with chosen centers; duplicate one.
-      centers.Append(bag[static_cast<std::size_t>(
-          UniformIntDraw(urbg, 0, static_cast<int>(bag.size()) - 1))]);
+      append(static_cast<std::size_t>(
+          UniformIntDraw(urbg, 0, static_cast<int>(bag.size()) - 1)));
       continue;
     }
     double u = Canonical64(urbg) * total;
@@ -68,9 +48,8 @@ FlatCenters SeedPlusPlus(BagView bag, std::size_t k, LazyMt19937_64& urbg,
         break;
       }
     }
-    centers.Append(bag[chosen]);
+    append(chosen);
   }
-  return centers;
 }
 
 std::size_t NearestCenter(PointView x, const std::vector<double>& centers,
@@ -95,9 +74,10 @@ Status CheckArgs(BagView bag, const KMeansOptions& options) {
 
 // Core Lloyd run behind both entry points (arguments already checked): the
 // surviving clusters always stream into `sink`, an owning assembler for
-// KMeansQuantize or a borrowed ring slot for KMeansQuantizeInto.
+// KMeansQuantize or a borrowed ring slot for KMeansQuantizeInto. The result
+// carries the assignment only `with_assignment`.
 KMeansResult QuantizeImpl(BagView bag, const KMeansOptions& options,
-                          BufferArena* arena, SignatureAssembler* sink) {
+                          SignatureAssembler* sink, bool with_assignment) {
   const std::size_t n = bag.size();
   const std::size_t d = bag.dim();
   const std::size_t k = std::min(options.k, n);
@@ -105,15 +85,13 @@ KMeansResult QuantizeImpl(BagView bag, const KMeansOptions& options,
   // most of a std::mt19937_64 set-up; the stream is the same.
   LazyMt19937_64 urbg(options.seed);
 
-  // The Lloyd loop double-buffers between `centers` and `update_buf`, so the
-  // iterations allocate nothing; both scratch buffers recycle through the
-  // arena when one is attached.
-  PooledBuffer centers_buf(SeedPlusPlus(bag, k, urbg, arena).TakeFlat(),
-                           arena);
-  std::vector<double>& centers = centers_buf.vec();
-  PooledBuffer update_buf = PooledBuffer::AcquireFrom(arena, k * d);
-  std::vector<std::size_t> assignment(n, 0);
-  std::vector<std::size_t> counts(k, 0);
+  // The working buffers, one set per thread and reused from run to run, so
+  // a run allocates nothing once its thread has seen the bag's shape. The
+  // Lloyd loop double-buffers between `centers` and `update`.
+  thread_local std::vector<double> centers, update, weights;
+  thread_local std::vector<std::size_t> assignment, counts;
+  SeedPlusPlus(bag, k, urbg, &centers);
+  assignment.assign(n, 0);
 
   KMeansResult out;
   for (out.iterations = 0; out.iterations < options.max_iterations;
@@ -123,7 +101,7 @@ KMeansResult QuantizeImpl(BagView bag, const KMeansOptions& options,
       assignment[i] = NearestCenter(bag[i], centers, k, d);
     }
     // Update step.
-    std::vector<double>& new_centers = update_buf.vec();
+    std::vector<double>& new_centers = update;
     new_centers.assign(k * d, 0.0);
     counts.assign(k, 0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -168,7 +146,7 @@ KMeansResult QuantizeImpl(BagView bag, const KMeansOptions& options,
   }
 
   // Final assignment + signature.
-  std::vector<double> weights(k, 0.0);
+  weights.assign(k, 0.0);
   out.inertia = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     assignment[i] = NearestCenter(bag[i], centers, k, d);
@@ -184,32 +162,31 @@ KMeansResult QuantizeImpl(BagView bag, const KMeansOptions& options,
       sink->Add(PointView(centers.data() + c * d, d), weights[c]);
     }
   }
+  if (!with_assignment) return out;
   // Remap assignments to the compacted cluster indices.
   std::vector<std::size_t> remap(k, 0);
   for (std::size_t c = 0, next = 0; c < k; ++c) {
     if (weights[c] > 0.0) remap[c] = next++;
   }
-  for (std::size_t i = 0; i < n; ++i) assignment[i] = remap[assignment[i]];
-
-  out.assignment = std::move(assignment);
+  out.assignment.resize(n);
+  for (std::size_t i = 0; i < n; ++i) out.assignment[i] = remap[assignment[i]];
   return out;
 }
 
 }  // namespace
 
-Result<KMeansResult> KMeansQuantize(BagView bag, const KMeansOptions& options,
-                                    BufferArena* arena) {
+Result<KMeansResult> KMeansQuantize(BagView bag, const KMeansOptions& options) {
   BAGCPD_RETURN_NOT_OK(CheckArgs(bag, options));
-  SignatureAssembler sink(std::min(options.k, bag.size()), bag.dim(), arena);
-  KMeansResult out = QuantizeImpl(bag, options, arena, &sink);
+  SignatureAssembler sink(std::min(options.k, bag.size()), bag.dim());
+  KMeansResult out = QuantizeImpl(bag, options, &sink, true);
   out.signature = sink.Finish();
   return out;
 }
 
 Status KMeansQuantizeInto(BagView bag, const KMeansOptions& options,
-                          BufferArena* arena, SignatureAssembler* sink) {
+                          SignatureAssembler* sink) {
   BAGCPD_RETURN_NOT_OK(CheckArgs(bag, options));
-  QuantizeImpl(bag, options, arena, sink);
+  QuantizeImpl(bag, options, sink, false);
   return Status::OK();
 }
 

@@ -1,6 +1,7 @@
 // Lloyd's k-means with k-means++ seeding: the default quantizer turning a bag
 // into a signature (paper Section 3.1). Operates on contiguous BagViews with
-// flat center buffers — no per-point heap allocation in the hot loops.
+// flat center buffers held in per-thread scratch, so a build into a borrowed
+// sink allocates nothing once the thread has seen the bag's shape.
 
 #ifndef BAGCPD_SIGNATURE_KMEANS_H_
 #define BAGCPD_SIGNATURE_KMEANS_H_
@@ -42,12 +43,7 @@ struct KMeansResult {
 /// Empty clusters are reseeded to the point farthest from its center, so the
 /// returned signature always has strictly positive weights. Fails with
 /// Invalid if the bag is empty.
-///
-/// With a non-null `arena` the signature's packed buffer and the per-call
-/// scratch are drawn from (and recycled through) that arena; results are
-/// bitwise-identical either way.
-Result<KMeansResult> KMeansQuantize(BagView bag, const KMeansOptions& options,
-                                    BufferArena* arena = nullptr);
+Result<KMeansResult> KMeansQuantize(BagView bag, const KMeansOptions& options);
 
 /// \brief Same clustering, but the surviving (center, weight) pairs stream
 /// into `sink` — a SignatureAssembler sized for at least min(options.k,
@@ -56,7 +52,7 @@ Result<KMeansResult> KMeansQuantize(BagView bag, const KMeansOptions& options,
 /// is this call over an owning assembler, so the pairs are identical. On
 /// error nothing has been added.
 Status KMeansQuantizeInto(BagView bag, const KMeansOptions& options,
-                          BufferArena* arena, SignatureAssembler* sink);
+                          SignatureAssembler* sink);
 
 }  // namespace bagcpd
 

@@ -38,20 +38,22 @@ Status CheckArgs(BagView bag, const KMedoidsOptions& options) {
 // Core BUILD/SWAP run behind both entry points (arguments already checked):
 // the surviving (medoid, weight) pairs always stream into `sink`, an owning
 // assembler for KMedoidsQuantize or a borrowed ring slot for
-// KMedoidsQuantizeInto.
+// KMedoidsQuantizeInto. The result carries the medoid rows only
+// `with_indices`.
 KMedoidsResult QuantizeImpl(BagView bag, const KMedoidsOptions& options,
-                            BufferArena* arena, SignatureAssembler* sink) {
+                            SignatureAssembler* sink, bool with_indices) {
   const std::size_t n = bag.size();
   const std::size_t k = std::min(options.k, n);
   LazyMt19937_64 urbg(options.seed);  // The std::mt19937_64 stream, lazily.
+  // The working buffers, one set per thread and reused from run to run, so
+  // a run allocates nothing once its thread has seen the bag's shape.
+  thread_local std::vector<std::size_t> medoids, assignment, perm;
+  thread_local std::vector<double> closest, weights;
 
   // BUILD: greedy distance-weighted seeding (k-means++-style on distances).
-  std::vector<std::size_t> medoids;
-  medoids.reserve(k);
+  medoids.clear();
   medoids.push_back(static_cast<std::size_t>(
       UniformIntDraw(urbg, 0, static_cast<int>(n) - 1)));
-  PooledBuffer closest_buf = PooledBuffer::AcquireFrom(arena, n);
-  std::vector<double>& closest = closest_buf.vec();
   closest.assign(n, std::numeric_limits<double>::infinity());
   while (medoids.size() < k) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -77,7 +79,7 @@ KMedoidsResult QuantizeImpl(BagView bag, const KMedoidsOptions& options,
     medoids.push_back(chosen);
   }
 
-  std::vector<std::size_t> assignment(n, 0);
+  assignment.assign(n, 0);
   double best_total = DeviationToNearest(bag, medoids, &assignment);
 
   // SWAP passes over sampled candidates.
@@ -85,7 +87,7 @@ KMedoidsResult QuantizeImpl(BagView bag, const KMedoidsOptions& options,
     bool improved = false;
     const std::size_t sample =
         std::min(options.swap_candidate_sample, n);
-    std::vector<std::size_t> perm = PermutationDraw(urbg, n);
+    PermutationInto(urbg, n, &perm);
     for (std::size_t m = 0; m < medoids.size(); ++m) {
       for (std::size_t s = 0; s < sample; ++s) {
         const std::size_t candidate = perm[s];
@@ -111,12 +113,12 @@ KMedoidsResult QuantizeImpl(BagView bag, const KMedoidsOptions& options,
 
   KMedoidsResult out;
   out.total_deviation = best_total;
-  std::vector<double> weights(medoids.size(), 0.0);
+  weights.assign(medoids.size(), 0.0);
   for (std::size_t i = 0; i < n; ++i) weights[assignment[i]] += 1.0;
   for (std::size_t m = 0; m < medoids.size(); ++m) {
     if (weights[m] > 0.0) {
       sink->Add(bag[medoids[m]], weights[m]);
-      out.medoid_indices.push_back(medoids[m]);
+      if (with_indices) out.medoid_indices.push_back(medoids[m]);
     }
   }
   return out;
@@ -125,19 +127,18 @@ KMedoidsResult QuantizeImpl(BagView bag, const KMedoidsOptions& options,
 }  // namespace
 
 Result<KMedoidsResult> KMedoidsQuantize(BagView bag,
-                                        const KMedoidsOptions& options,
-                                        BufferArena* arena) {
+                                        const KMedoidsOptions& options) {
   BAGCPD_RETURN_NOT_OK(CheckArgs(bag, options));
-  SignatureAssembler sink(std::min(options.k, bag.size()), bag.dim(), arena);
-  KMedoidsResult out = QuantizeImpl(bag, options, arena, &sink);
+  SignatureAssembler sink(std::min(options.k, bag.size()), bag.dim());
+  KMedoidsResult out = QuantizeImpl(bag, options, &sink, true);
   out.signature = sink.Finish();
   return out;
 }
 
 Status KMedoidsQuantizeInto(BagView bag, const KMedoidsOptions& options,
-                            BufferArena* arena, SignatureAssembler* sink) {
+                            SignatureAssembler* sink) {
   BAGCPD_RETURN_NOT_OK(CheckArgs(bag, options));
-  QuantizeImpl(bag, options, arena, sink);
+  QuantizeImpl(bag, options, sink, false);
   return Status::OK();
 }
 

@@ -37,8 +37,7 @@ struct KMedoidsResult {
 /// \brief Clusters `bag` around k of its own points (Euclidean distance) and
 /// returns medoids as centers with member counts as weights.
 Result<KMedoidsResult> KMedoidsQuantize(BagView bag,
-                                        const KMedoidsOptions& options,
-                                        BufferArena* arena = nullptr);
+                                        const KMedoidsOptions& options);
 
 /// \brief Same clustering, streaming the surviving (medoid, weight) pairs
 /// into `sink` (sized for at least min(options.k, bag.size()) centers,
@@ -46,7 +45,7 @@ Result<KMedoidsResult> KMedoidsQuantize(BagView bag,
 /// Signature. KMedoidsQuantize is this call over an owning assembler, so the
 /// pairs are identical.
 Status KMedoidsQuantizeInto(BagView bag, const KMedoidsOptions& options,
-                            BufferArena* arena, SignatureAssembler* sink);
+                            SignatureAssembler* sink);
 
 }  // namespace bagcpd
 

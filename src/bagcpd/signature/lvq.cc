@@ -20,27 +20,29 @@ Status CheckArgs(BagView bag, const LvqOptions& options) {
 // checked): the surviving (prototype, weight) pairs always stream into
 // `sink`, an owning assembler for LvqQuantize or a borrowed ring slot for
 // LvqQuantizeInto.
-void QuantizeImpl(BagView bag, const LvqOptions& options, BufferArena* arena,
+void QuantizeImpl(BagView bag, const LvqOptions& options,
                   SignatureAssembler* sink) {
   const std::size_t n = bag.size();
   const std::size_t d = bag.dim();
   const std::size_t k = std::min(options.k, n);
   LazyMt19937_64 urbg(options.seed);  // The std::mt19937_64 stream, lazily.
+  // The working buffers, one set per thread and reused from run to run, so
+  // a run allocates nothing once its thread has seen the bag's shape.
+  thread_local std::vector<std::size_t> order;
+  thread_local std::vector<double> prototypes, weights;
 
   // Initialize prototypes at k distinct random bag points (flat k x d buffer).
-  std::vector<std::size_t> perm = PermutationDraw(urbg, n);
-  PooledBuffer prototype_buf = PooledBuffer::AcquireFrom(arena, k * d);
-  std::vector<double>& prototypes = prototype_buf.vec();
+  PermutationInto(urbg, n, &order);
   prototypes.assign(k * d, 0.0);
   for (std::size_t m = 0; m < k; ++m) {
-    const PointView x = bag[perm[m]];
+    const PointView x = bag[order[m]];
     std::copy(x.begin(), x.end(), prototypes.begin() + m * d);
   }
 
   const long total_updates = static_cast<long>(options.epochs) * n;
   long update = 0;
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    std::vector<std::size_t> order = PermutationDraw(urbg, n);
+    PermutationInto(urbg, n, &order);
     for (std::size_t idx : order) {
       // Find the winner.
       std::size_t winner = 0;
@@ -67,7 +69,7 @@ void QuantizeImpl(BagView bag, const LvqOptions& options, BufferArena* arena,
   }
 
   // Final hard assignment defines the weights.
-  std::vector<double> weights(k, 0.0);
+  weights.assign(k, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     std::size_t winner = 0;
     double best = std::numeric_limits<double>::infinity();
@@ -91,18 +93,17 @@ void QuantizeImpl(BagView bag, const LvqOptions& options, BufferArena* arena,
 
 }  // namespace
 
-Result<Signature> LvqQuantize(BagView bag, const LvqOptions& options,
-                              BufferArena* arena) {
+Result<Signature> LvqQuantize(BagView bag, const LvqOptions& options) {
   BAGCPD_RETURN_NOT_OK(CheckArgs(bag, options));
-  SignatureAssembler sink(std::min(options.k, bag.size()), bag.dim(), arena);
-  QuantizeImpl(bag, options, arena, &sink);
+  SignatureAssembler sink(std::min(options.k, bag.size()), bag.dim());
+  QuantizeImpl(bag, options, &sink);
   return sink.Finish();
 }
 
 Status LvqQuantizeInto(BagView bag, const LvqOptions& options,
-                       BufferArena* arena, SignatureAssembler* sink) {
+                       SignatureAssembler* sink) {
   BAGCPD_RETURN_NOT_OK(CheckArgs(bag, options));
-  QuantizeImpl(bag, options, arena, sink);
+  QuantizeImpl(bag, options, sink);
   return Status::OK();
 }
 

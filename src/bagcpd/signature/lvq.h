@@ -28,8 +28,7 @@ struct LvqOptions {
 
 /// \brief Quantizes `bag` with competitive learning and returns prototypes as
 /// centers with final assignment counts as weights.
-Result<Signature> LvqQuantize(BagView bag, const LvqOptions& options,
-                              BufferArena* arena = nullptr);
+Result<Signature> LvqQuantize(BagView bag, const LvqOptions& options);
 
 /// \brief Same quantization, streaming the surviving (prototype, weight)
 /// pairs into `sink` (sized for at least min(options.k, bag.size()) centers,
@@ -37,7 +36,7 @@ Result<Signature> LvqQuantize(BagView bag, const LvqOptions& options,
 /// Signature. LvqQuantize is this call over an owning assembler, so the
 /// pairs are identical.
 Status LvqQuantizeInto(BagView bag, const LvqOptions& options,
-                       BufferArena* arena, SignatureAssembler* sink);
+                       SignatureAssembler* sink);
 
 }  // namespace bagcpd
 

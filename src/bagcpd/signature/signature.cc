@@ -85,7 +85,7 @@ Signature Signature::FromFlat(std::vector<double> flat_centers,
   // the center block, matching the packed layout exactly.
   out.k_ = weights.size();
   out.dim_ = flat_centers.empty() ? 0 : dim;
-  std::vector<double>& buf = out.storage_.vec();
+  std::vector<double>& buf = out.storage_;
   buf = std::move(flat_centers);
   buf.insert(buf.end(), weights.begin(), weights.end());
   return out;
@@ -100,7 +100,7 @@ void Signature::AddCenter(PointView center, double weight) {
                      "AddCenter: dimension %zu, expected %zu", center.size(),
                      dim_);
   }
-  std::vector<double>& buf = storage_.vec();
+  std::vector<double>& buf = storage_;
   // The new center slots in before the weight block (the insert shifts the
   // k_ weights right by dim_). A view into this signature's own storage
   // would be invalidated by the shift or a reallocation — copy it out first.
@@ -120,17 +120,9 @@ void Signature::AddCenter(PointView center, double weight) {
   ++k_;
 }
 
-void Signature::ReserveCenters(std::size_t count, std::size_t dim,
-                               BufferArena* arena) {
+void Signature::ReserveCenters(std::size_t count, std::size_t dim) {
   if (dim_ == 0) dim_ = dim;
-  const std::size_t want = (k_ + count) * (dim_ + 1);
-  std::vector<double>& buf = storage_.vec();
-  if (arena != nullptr && buf.empty() && buf.capacity() == 0 &&
-      storage_.arena() == nullptr) {
-    storage_ = PooledBuffer(arena->Acquire(want), arena);
-    return;
-  }
-  buf.reserve(want);
+  storage_.reserve((k_ + count) * (dim_ + 1));
 }
 
 double Signature::TotalWeight() const {
@@ -188,15 +180,12 @@ std::string Signature::ToString(int precision) const {
   return os.str();
 }
 
-SignatureAssembler::SignatureAssembler(std::size_t max_count, std::size_t dim,
-                                       BufferArena* arena)
-    : buffer_(PooledBuffer::AcquireFrom(arena, max_count * (dim + 1))),
-      max_count_(max_count),
-      dim_(dim) {
+SignatureAssembler::SignatureAssembler(std::size_t max_count, std::size_t dim)
+    : max_count_(max_count), dim_(dim) {
   BAGCPD_CHECK_MSG(dim > 0, "SignatureAssembler: zero dimension");
   // Centers fill [0, count*dim); weights stage at [max_count*dim, ...): both
   // regions live in the one buffer, so assembly allocates exactly once.
-  buffer_.vec().resize(max_count * (dim + 1));
+  buffer_.resize(max_count * (dim + 1));
 }
 
 SignatureAssembler::SignatureAssembler(double* slot, std::size_t max_count,
@@ -207,14 +196,17 @@ SignatureAssembler::SignatureAssembler(double* slot, std::size_t max_count,
 }
 
 void SignatureAssembler::Add(PointView center, double weight) {
-  BAGCPD_CHECK_MSG(count_ < max_count_, "SignatureAssembler: over capacity");
   BAGCPD_CHECK_MSG(center.size() == dim_,
                    "SignatureAssembler: dimension %zu, expected %zu",
                    center.size(), dim_);
+  std::memcpy(Append(weight), center.data(), dim_ * sizeof(double));
+}
+
+double* SignatureAssembler::Append(double weight) {
+  BAGCPD_CHECK_MSG(count_ < max_count_, "SignatureAssembler: over capacity");
   double* base = this->base();
-  std::memcpy(base + count_ * dim_, center.data(), dim_ * sizeof(double));
   base[max_count_ * dim_ + count_] = weight;
-  ++count_;
+  return base + count_++ * dim_;
 }
 
 void SignatureAssembler::NormalizeWeights() {
@@ -238,14 +230,14 @@ std::size_t SignatureAssembler::FinishInPlace() {
 Signature SignatureAssembler::Finish() {
   BAGCPD_CHECK_MSG(borrowed_ == nullptr,
                    "SignatureAssembler: Finish unavailable in borrowed mode");
-  double* base = buffer_.vec().data();
+  double* base = buffer_.data();
   if (count_ < max_count_) {
     // Fewer centers than reserved (e.g. empty clusters dropped): compact the
     // staged weights down to their packed position and trim.
     std::memmove(base + count_ * dim_, base + max_count_ * dim_,
                  count_ * sizeof(double));
   }
-  buffer_.vec().resize(count_ * (dim_ + 1));
+  buffer_.resize(count_ * (dim_ + 1));
   Signature out;
   out.storage_ = std::move(buffer_);
   out.k_ = count_;
@@ -255,9 +247,9 @@ Signature SignatureAssembler::Finish() {
   return out;
 }
 
-Signature CentroidSignature(BagView bag, BufferArena* arena) {
+Signature CentroidSignature(BagView bag) {
   BAGCPD_CHECK(!bag.empty());
-  SignatureAssembler assembler(1, bag.dim(), arena);
+  SignatureAssembler assembler(1, bag.dim());
   assembler.Add(BagMean(bag), static_cast<double>(bag.size()));
   return assembler.Finish();
 }

@@ -4,11 +4,10 @@
 //
 // Storage is packed: ONE contiguous buffer of K*d + K doubles holds the
 // row-major (K x d) center block followed by the K weights, so a signature is
-// a single allocation (recyclable through a BufferArena) and the EMD
-// cost-matrix build streams centers and weights through the cache with zero
-// pointer chasing. Access goes through the accessors: `center(k)` /
-// `centers()` for the center block, `weights()` / `weight(k)` /
-// `mutable_weights()` for the weight block.
+// a single allocation and the EMD cost-matrix build streams centers and
+// weights through the cache with zero pointer chasing. Access goes through
+// the accessors: `center(k)` / `centers()` for the center block, `weights()`
+// / `weight(k)` / `mutable_weights()` for the weight block.
 //
 // SignatureView is the non-owning counterpart (centers pointer + weights
 // pointer + K + d): every distance kernel consumes views, a Signature
@@ -22,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "bagcpd/common/buffer_arena.h"
 #include "bagcpd/common/point.h"
 #include "bagcpd/common/status.h"
 
@@ -42,10 +40,6 @@ class WeightsView {
   double operator[](std::size_t k) const { return data_[k]; }
   const double* begin() const { return data_; }
   const double* end() const { return data_ + size_; }
-
-  std::vector<double> ToVector() const {
-    return std::vector<double>(data_, data_ + size_);
-  }
 
   friend bool operator==(WeightsView a, WeightsView b) {
     if (a.size_ != b.size_) return false;
@@ -181,7 +175,7 @@ class Signature {
   std::vector<double> flat_centers() const;
 
   /// \brief The packed (K*d + K) buffer: centers then weights.
-  const std::vector<double>& packed() const { return storage_.vec(); }
+  const std::vector<double>& packed() const { return storage_; }
 
   /// \brief Zero-copy view of the whole signature.
   SignatureView view() const {
@@ -194,11 +188,8 @@ class Signature {
   /// into this signature's own storage.
   void AddCenter(PointView center, double weight);
 
-  /// \brief Pre-allocates room for `count` centers of dimension `dim`. When
-  /// `arena` is non-null and the signature is still empty, the packed buffer
-  /// is acquired from the arena (and returns to it when the signature dies).
-  void ReserveCenters(std::size_t count, std::size_t dim,
-                      BufferArena* arena = nullptr);
+  /// \brief Pre-allocates room for `count` centers of dimension `dim`.
+  void ReserveCenters(std::size_t count, std::size_t dim);
 
   /// \brief Sum of weights (total mass).
   double TotalWeight() const;
@@ -221,12 +212,12 @@ class Signature {
  private:
   friend class SignatureAssembler;  // Adopts fully-assembled packed buffers.
 
-  double* data() { return storage_.vec().data(); }
-  const double* data() const { return storage_.vec().data(); }
+  double* data() { return storage_.data(); }
+  const double* data() const { return storage_.data(); }
 
   // Packed storage: k_ * dim_ center values (row k is u_k) followed by the
-  // k_ weights. Arena-recyclable through the PooledBuffer handle.
-  PooledBuffer storage_;
+  // k_ weights.
+  std::vector<double> storage_;
   std::size_t k_ = 0;
   std::size_t dim_ = 0;
 };
@@ -234,16 +225,15 @@ class Signature {
 /// \brief One-allocation packed-signature assembly for producers that know
 /// an upper bound on the cluster count (every quantizer does).
 ///
-/// The single (max_count*(dim+1)) buffer is sized once — from the arena when
-/// one is given. Add() appends the center at the front of the buffer and
-/// stages the weight in the buffer's reserved tail, so unlike
-/// Signature::AddCenter there is no per-add shifting of the weight block;
-/// Finish() compacts the staged weights down to k*dim once and adopts the
-/// buffer. Centers passed to Add must not alias the assembler's own buffer.
+/// The single (max_count*(dim+1)) buffer is sized once. Add() appends the
+/// center at the front of the buffer and stages the weight in the buffer's
+/// reserved tail, so unlike Signature::AddCenter there is no per-add shifting
+/// of the weight block; Finish() compacts the staged weights down to k*dim
+/// once and adopts the buffer. Centers passed to Add must not alias the
+/// assembler's own buffer.
 class SignatureAssembler {
  public:
-  SignatureAssembler(std::size_t max_count, std::size_t dim,
-                     BufferArena* arena = nullptr);
+  SignatureAssembler(std::size_t max_count, std::size_t dim);
 
   /// \brief Borrowed-buffer mode: assembles into `slot`, caller-owned storage
   /// of at least max_count*(dim+1) doubles (e.g. a SignatureRing slot), with
@@ -253,6 +243,10 @@ class SignatureAssembler {
 
   /// \brief Appends one (center, weight) pair; at most max_count times.
   void Add(PointView center, double weight);
+
+  /// \brief Appends one pair whose center the caller then writes through the
+  /// returned pointer (dim doubles); at most max_count times.
+  double* Append(double weight);
 
   std::size_t count() const { return count_; }
 
@@ -272,10 +266,10 @@ class SignatureAssembler {
 
  private:
   double* base() {
-    return borrowed_ != nullptr ? borrowed_ : buffer_.vec().data();
+    return borrowed_ != nullptr ? borrowed_ : buffer_.data();
   }
 
-  PooledBuffer buffer_;
+  std::vector<double> buffer_;
   double* borrowed_ = nullptr;  // Non-null in borrowed-buffer mode.
   std::size_t max_count_ = 0;
   std::size_t dim_ = 0;
@@ -285,7 +279,7 @@ class SignatureAssembler {
 /// \brief Builds a signature with a single cluster at the bag mean carrying
 /// the full bag weight. This is the degenerate "centroid" summarization the
 /// paper argues against (Section 1) — kept as a baseline representation.
-Signature CentroidSignature(BagView bag, BufferArena* arena = nullptr);
+Signature CentroidSignature(BagView bag);
 
 }  // namespace bagcpd
 

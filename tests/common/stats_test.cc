@@ -51,13 +51,13 @@ TEST(StatsTest, QuantileErrors) {
 TEST(StatsTest, CentralInterval) {
   std::vector<double> xs;
   for (int i = 1; i <= 100; ++i) xs.push_back(static_cast<double>(i));
-  Result<Interval> ci = CentralInterval(xs, 0.05);
+  Result<Interval> ci = CentralInterval(&xs, 0.05);
   ASSERT_TRUE(ci.ok());
   EXPECT_NEAR(ci->lo, 3.475, 1e-9);
   EXPECT_NEAR(ci->up, 97.525, 1e-9);
   EXPECT_LT(ci->lo, ci->up);
-  EXPECT_FALSE(CentralInterval(xs, 0.0).ok());
-  EXPECT_FALSE(CentralInterval(xs, 1.0).ok());
+  EXPECT_FALSE(CentralInterval(&xs, 0.0).ok());
+  EXPECT_FALSE(CentralInterval(&xs, 1.0).ok());
 }
 
 TEST(StatsTest, MadOfSymmetricData) {

@@ -2,10 +2,12 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "bagcpd/common/rng.h"
+#include "bagcpd/emd/approx/emd_solver.h"
 #include "bagcpd/emd/emd.h"
 #include "bagcpd/emd/transport_solver.h"
 
@@ -146,6 +148,32 @@ TEST(Emd1dTest, OverflowingCostFailsInsteadOfReturningInf) {
   ASSERT_TRUE(Emd1dApplicable(a, b));
   EXPECT_FALSE(ComputeEmd1d(a, b).ok());
   EXPECT_FALSE(ComputeEmd(a, b).ok());
+
+  // A finite sweep cost whose Euclidean ground distance is not finite: the
+  // transport fill squares each difference, 2e300^2 overflows, and the solve
+  // rejects the pair. The sweep, ComputeEmd and the solver a detector scores
+  // on must fail the same way; Manhattan squares nothing and solves it.
+  const Signature wide = Sig1d({-1e300, 1e300}, {1.0, 1.0});
+  ASSERT_TRUE(Emd1dApplicable(wide, b));
+  const Status solve =
+      ComputeEmdDetailed(wide, b, GroundDistance::kEuclidean).status();
+  ASSERT_FALSE(solve.ok());
+  EXPECT_NE(solve.message().find("non-finite"), std::string::npos) << solve;
+  const SignatureView left(wide);
+  double emd = -1.0;
+  const Status detector_solve = EmdSolver().ComputeBatch(
+      &left, 1, b, GroundDistance::kEuclidean, &emd);
+  for (const Status& got :
+       {ComputeEmd1d(wide, b).status(), ComputeEmd1d(b, wide).status(),
+        ComputeEmd(wide, b).status(), ComputeEmd(b, wide).status(),
+        detector_solve}) {
+    EXPECT_EQ(got, solve);
+  }
+  const Result<double> manhattan =
+      ComputeEmd(wide, b, GroundDistance::kManhattan);
+  ASSERT_TRUE(manhattan.ok()) << manhattan.status();
+  EXPECT_EQ(manhattan.ValueOrDie(),
+            ComputeEmd1d(wide, b, GroundDistance::kManhattan).ValueOrDie());
 }
 
 }  // namespace

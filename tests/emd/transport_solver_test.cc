@@ -653,6 +653,22 @@ TEST(TransportSolverTest, OverflowingCostFailsInsteadOfReturningInf) {
                         .Compute(near, near, GroundDistance::kManhattan)
                         .ValueOrDie());
   EXPECT_EQ(out[1], -1.0);
+
+  // One dimension, Euclidean: the costs stay finite, but a 2e300 center
+  // difference squares past the doubles in the fill. ComputeEmd takes the
+  // 1-d sweep for this balanced pair and must refuse it as the solve does.
+  const Signature wide = Signature::FromCenters({{-1e300}, {1e300}},
+                                                {1.0, 1.0});
+  const Signature narrow = Signature::FromCenters({{0.0}, {0.5}}, {1.0, 1.0});
+  const Status wide_solve =
+      ComputeEmdDetailed(wide, narrow, GroundDistance::kEuclidean).status();
+  ASSERT_FALSE(wide_solve.ok());
+  EXPECT_EQ(ComputeEmd(wide, narrow, GroundDistance::kEuclidean).status(),
+            wide_solve);
+  EXPECT_EQ(EmdWorkspace()
+                .Compute(wide, narrow, GroundDistance::kEuclidean)
+                .status(),
+            wide_solve);
 }
 
 TEST(TransportSolverTest, EmdSolverComputeBatchMatchesComputeForEveryKind) {

@@ -1,19 +1,19 @@
 // Equivalence suite for the flat storage layer. Nested bags (Bag) are
 // accepted at the facade — the detector and the engine — and flattened once
 // there; every layer below takes BagView. Entering nested or flat must give
-// bitwise-identical output, and so must the arena-pooled and shared-buffer
-// paths against their plain counterparts: flat storage is a layout change,
-// never a numeric change.
+// bitwise-identical output, and so must the shared-buffer paths and reused
+// quantizer scratch against their plain counterparts: flat storage is a
+// layout change, never a numeric change.
 
 #include <cmath>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bagcpd/analysis/mds.h"
-#include "bagcpd/common/buffer_arena.h"
 #include "bagcpd/common/flat_bag.h"
 #include "bagcpd/common/rng.h"
 #include "bagcpd/core/detector.h"
@@ -101,60 +101,32 @@ TEST(FlatEquivalenceTest, DetectorRunMatchesBitwise) {
   ExpectBitwiseEqual(nested_results, flat_results, "detector");
 }
 
-TEST(FlatEquivalenceTest, ArenaPooledBuildMatchesMallocBuildBitwise) {
-  // The pooled path is a storage change, never a numeric change: every
-  // quantizer must produce the identical packed signature whether its
-  // buffers come from malloc or recycle through an arena — including on
-  // reuse, when the arena hands back a previously-used buffer.
+TEST(FlatEquivalenceTest, ReusedQuantizerScratchMatchesFreshScratchBitwise) {
+  // The quantizers work in per-thread scratch that keeps the buffers, and
+  // the values, of the thread's last build. No build may depend on them:
+  // every signature built here, after builds of larger bags, is bitwise-equal
+  // to the same build on a fresh thread.
   Rng rng(321);
-  BufferArena arena;
-  for (SignatureMethod method :
-       {SignatureMethod::kKMeans, SignatureMethod::kKMedoids,
-        SignatureMethod::kLvq, SignatureMethod::kHistogram,
-        SignatureMethod::kCentroid}) {
+  for (SignatureMethod method : AllSignatureMethods()) {
     SignatureBuilderOptions options;
     options.method = method;
     options.k = 5;
     options.bin_width = 2.0;
     options.seed = 77;
-    SignatureBuilder builder(options);
+    const SignatureBuilder builder(options);
     for (int round = 0; round < 3; ++round) {
-      const Bag bag = RandomBag(60, 3, &rng);
-      const FlatBag flat = FlatBag::FromBag(bag).ValueOrDie();
-      const Signature malloced =
-          builder.Build(flat.view(), round).ValueOrDie();
-      const Signature pooled =
-          builder.Build(flat.view(), round, &arena).ValueOrDie();
-      ExpectBitwiseEqual(malloced, pooled,
+      const FlatBag flat =
+          FlatBag::FromBag(RandomBag(60 - 20 * round, 3, &rng)).ValueOrDie();
+      const Signature reused = builder.Build(flat.view(), round).ValueOrDie();
+      Signature fresh;
+      std::thread([&] {
+        fresh = builder.Build(flat.view(), round).ValueOrDie();
+      }).join();
+      ExpectBitwiseEqual(fresh, reused,
                          std::string(SignatureMethodName(method)) + " round " +
                              std::to_string(round));
     }
   }
-  // The rounds actually exercised reuse, not just fresh allocations.
-  EXPECT_GT(arena.stats().pool_hits, 0u);
-}
-
-TEST(FlatEquivalenceTest, DetectorWithArenaMatchesBitwise) {
-  const BagSequence bags = JumpStream(24, 12, 44);
-  DetectorOptions options;
-  options.tau = 4;
-  options.tau_prime = 4;
-  options.bootstrap.replicates = 60;
-  options.signature.k = 4;
-  options.seed = 8;
-
-  auto plain_owner = BagStreamDetector::Create(options).MoveValueUnsafe();
-
-  BagStreamDetector& plain = *plain_owner;
-  const std::vector<StepResult> baseline = plain.Run(bags).ValueOrDie();
-
-  BufferArena arena;
-  auto pooled_owner = BagStreamDetector::Create(options).MoveValueUnsafe();
-  BagStreamDetector& pooled = *pooled_owner;
-  pooled.set_buffer_arena(&arena);
-  const std::vector<StepResult> with_arena = pooled.Run(bags).ValueOrDie();
-  ExpectBitwiseEqual(baseline, with_arena, "detector with arena");
-  EXPECT_GT(arena.stats().pool_hits, 0u);
 }
 
 TEST(FlatEquivalenceTest, SignatureSetMdsMatchesMatrixMdsBitwise) {

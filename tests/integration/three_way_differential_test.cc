@@ -6,7 +6,7 @@
 //   2. RunBatchColumnar over a BatchTable, at every (shards, pool size) pair
 //      in {1, 2, 4} x {1, 2, 4};
 //   3. one standalone BagStreamDetector per key, serial or on a pool of 2 or
-//      4 threads, with no buffer arena.
+//      4 threads.
 // Every EMD solver meets every signature method. Two keys route to an extra
 // profile with its own window, so per-key routing is pinned too. The
 // standalone reference seeds each detector from the documented formula
@@ -14,11 +14,12 @@
 // not from the library's own derivation, so a seed that drops the profile
 // or picks up the shard index shows up as a difference.
 //
-// Results never depend on a buffer arena, so the arena the columnar runner
-// attaches is checked on its own: a hook in this test binary counts heap
-// allocations, and each extra step of a columnar run must cost no more than
-// it costs a detector that recycles through an arena. The same hook bounds
-// the steady-state allocations per push of a pooled standalone detector.
+// A hook in this test binary counts heap allocations. With it, a serial
+// standalone detector must make no allocation at all in steady state, for
+// every solver, quantizer and bootstrap, through either Push overload; the
+// extra steps of a columnar run must cost none either; and a pooled
+// detector's steady-state push is bounded by what the pool's dispatch
+// allocates.
 
 #include <atomic>
 #include <cstdlib>
@@ -36,6 +37,7 @@
 
 #include "bagcpd/batch/batch_runner.h"
 #include "bagcpd/batch/batch_table.h"
+#include "bagcpd/common/flat_bag.h"
 #include "bagcpd/common/rng.h"
 #include "bagcpd/core/detector.h"
 #include "bagcpd/core/profiles.h"
@@ -120,9 +122,11 @@ std::string ProfileOf(const std::string& key) {
   return it == routes.end() ? std::string(kDefaultProfileName) : it->second;
 }
 
-// `keys` groups of `steps` 2-d bags of 12 points; even keys jump in mean at
-// step 5. A longer corpus extends a shorter one: same keys, same first bags.
-BatchTable Corpus(std::size_t keys, std::size_t steps) {
+// `keys` groups of `steps` 2-d bags of `points` points; even keys jump in
+// mean at step 5. A longer corpus extends a shorter one: same keys, same
+// first bags.
+BatchTable Corpus(std::size_t keys, std::size_t steps,
+                  std::size_t points = 12) {
   const GaussianMixture before = GaussianMixture::Isotropic({0.0, 0.0}, 1.0);
   const GaussianMixture after = GaussianMixture::Isotropic({3.0, 3.0}, 1.0);
   BatchTableBuilder builder;
@@ -131,7 +135,7 @@ BatchTable Corpus(std::size_t keys, std::size_t steps) {
     for (std::size_t t = 0; t < steps; ++t) {
       const GaussianMixture& mix =
           (k % 2 == 0 && t >= 5) ? after : before;
-      for (const Point& x : mix.SampleBag(12, &rng)) {
+      for (const Point& x : mix.SampleBag(points, &rng)) {
         EXPECT_TRUE(
             builder.AddRow(KeyName(k), static_cast<std::int64_t>(t), x).ok());
       }
@@ -172,11 +176,10 @@ DetectorOptions AltDetector(EmdSolverKind solver, SignatureMethod method) {
   return options;
 }
 
-// One detector per key, on a pool of `pool_size` threads (0: serial) and
-// recycling through `arena` when one is given.
+// One detector per key, on a pool of `pool_size` threads (0: serial).
 Series RunStandalone(const std::map<std::string, BagSequence>& streams,
                      EmdSolverKind solver, SignatureMethod method,
-                     std::size_t pool_size, BufferArena* arena = nullptr) {
+                     std::size_t pool_size) {
   std::unique_ptr<ThreadPool> pool;
   if (pool_size > 0) pool = std::make_unique<ThreadPool>(pool_size);
   Series out;
@@ -188,7 +191,6 @@ Series RunStandalone(const std::map<std::string, BagSequence>& streams,
     options.seed = ReferenceSeed(key, profile);
     auto detector = BagStreamDetector::Create(options).MoveValueUnsafe();
     detector->set_thread_pool(pool.get());
-    detector->set_buffer_arena(arena);
     std::vector<StepResult>& series = out[key];
     for (const Bag& bag : bags) {
       Result<std::optional<StepResult>> step = detector->Push(bag);
@@ -341,80 +343,136 @@ std::uint64_t CountAllocations(Fn&& run) {
   return g_allocations.load() - before;
 }
 
-TEST(ThreeWayDifferentialArenaTest, ColumnarStepsRecycleThroughTheArena) {
-  // Every group's extra steps cost the columnar run (serial, one shard) no
-  // more heap allocations than they cost detectors sharing an arena, whose
-  // count also holds the growth of their result vectors. Without the arena
-  // each step allocates its signature buffers too, a few per step.
-  const EmdSolverKind solver = EmdSolverKind::kExact;
-  const SignatureMethod method = SignatureMethod::kKMeans;
-  const BatchTable short_table = Corpus(kKeys, 2 * kSteps);
-  const BatchTable long_table = Corpus(kKeys, 4 * kSteps);
-  const std::map<std::string, BagSequence> short_streams =
-      Sequences(short_table);
-  const std::map<std::string, BagSequence> long_streams =
-      Sequences(long_table);
-
-  const BatchRunnerOptions options = ColumnarOptions(solver, method);
-  auto columnar = [&](const BatchTable& table) {
-    return CountAllocations([&] {
-      EXPECT_TRUE(RunBatchColumnar(table, options).ok());
-    });
-  };
-  auto standalone = [&](const std::map<std::string, BagSequence>& streams) {
-    BufferArena arena;
-    return CountAllocations(
-        [&] { RunStandalone(streams, solver, method, 0, &arena); });
-  };
-  const std::uint64_t columnar_extra =
-      columnar(long_table) - columnar(short_table);
-  const std::uint64_t arena_extra =
-      standalone(long_streams) - standalone(short_streams);
-  EXPECT_LE(columnar_extra, arena_extra)
-      << "heap allocations for " << kKeys * 2 * kSteps << " extra steps";
+// A steady-state stream for allocation counts: `cycle` distinct bags of
+// key 0, repeated. Every window the measured pushes form was already formed
+// while `warm_up` >= cycle + window - 1 bags went in, so no push meets a
+// signature shape or window pair the detector has not seen.
+BagSequence CycledBags(std::size_t cycle, std::size_t points,
+                       std::size_t total) {
+  const BagSequence distinct =
+      Sequences(Corpus(1, cycle, points)).at(KeyName(0));
+  BagSequence out;
+  for (std::size_t t = 0; t < total; ++t) out.push_back(distinct[t % cycle]);
+  return out;
 }
 
-// Heap allocations per push over `measured` pushes of one standalone
-// detector that has already taken `warm_up` bags, on a pool of `pool_size`
-// threads (0: serial), recycling through an arena.
-double AllocationsPerPush(const BagSequence& bags, std::size_t warm_up,
-                          std::size_t measured, std::size_t pool_size) {
+enum class Overload { kBagView, kNestedBag };
+
+// Heap allocations per push over `measured` pushes of one detector that has
+// already taken `warm_up` bags, on a pool of `pool_size` threads (0: serial),
+// through the chosen Push overload.
+double AllocationsPerPush(const DetectorOptions& options,
+                          const BagSequence& bags, std::size_t warm_up,
+                          std::size_t measured, std::size_t pool_size,
+                          Overload overload = Overload::kBagView) {
   std::unique_ptr<ThreadPool> pool;
   if (pool_size > 0) pool = std::make_unique<ThreadPool>(pool_size);
-  BufferArena arena;
-  DetectorOptions options =
-      DefaultDetector(EmdSolverKind::kExact, SignatureMethod::kKMeans);
-  options.seed = ReferenceSeed(KeyName(0), kDefaultProfileName);
   auto detector = BagStreamDetector::Create(options).MoveValueUnsafe();
   detector->set_thread_pool(pool.get());
-  detector->set_buffer_arena(&arena);
-  for (std::size_t t = 0; t < warm_up; ++t) {
-    EXPECT_TRUE(detector->Push(bags[t]).ok());
-  }
+  FlatBagSequence flat = FlattenSequence(bags).MoveValueUnsafe();
+  const auto push = [&](std::size_t t) {
+    Result<std::optional<StepResult>> step =
+        overload == Overload::kBagView ? detector->Push(flat[t].view())
+                                       : detector->Push(bags[t]);
+    EXPECT_TRUE(step.ok()) << step.status().ToString();
+  };
+  for (std::size_t t = 0; t < warm_up; ++t) push(t);
   const std::uint64_t allocations = CountAllocations([&] {
-    for (std::size_t t = warm_up; t < warm_up + measured; ++t) {
-      EXPECT_TRUE(detector->Push(bags[t]).ok());
-    }
+    for (std::size_t t = warm_up; t < warm_up + measured; ++t) push(t);
   });
   return static_cast<double>(allocations) / static_cast<double>(measured);
 }
 
-TEST(ThreeWayDifferentialArenaTest, PooledDetectorStepAllocationsAreBounded) {
-  // A pooled step's EMD column allocates only what the pool's dispatch
-  // does (its chunk tasks and their latch), never a per-step buffer. The
-  // bounds are the measured steady-state counts per push of the default
-  // detector here (exact EMD, k-means k = 3, w = 8, 8 bootstrap replicates)
-  // with an arena, which also hold the chunked bootstrap's allocations and
-  // the k-means build's. The serial count (11) is in the failure message.
+class SerialStepAllocationTest
+    : public ::testing::TestWithParam<
+          std::tuple<EmdSolverKind, SignatureMethod>> {};
+
+TEST_P(SerialStepAllocationTest, SteadyStatePushAllocatesNothing) {
+  // Paper defaults (tau = tau' = 5, k = 8, 200 Bayesian replicates, 50-point
+  // 2-d bags) under each solver and quantizer: the quantizer and bootstrap
+  // scratch is per-thread, the window, table and history are the
+  // detector's, and Push(const Bag&) flattens into a buffer the detector
+  // reuses, so a steady-state push makes no allocation at all — with the
+  // standard bootstrap and without CIs too.
+  const auto [solver, method] = GetParam();
+  constexpr std::size_t kWarmUp = 40;
+  constexpr std::size_t kMeasured = 40;
+  const BagSequence bags = CycledBags(20, 50, kWarmUp + kMeasured);
+  struct Bootstrap {
+    const char* name;
+    BootstrapMethod method;
+    int replicates;
+  };
+  const Bootstrap bootstraps[] = {{"bayesian", BootstrapMethod::kBayesian, 200},
+                                  {"standard", BootstrapMethod::kStandard, 200},
+                                  {"no CIs", BootstrapMethod::kBayesian, 0}};
+  for (const Bootstrap& bootstrap : bootstraps) {
+    DetectorOptions options;
+    options.signature.method = method;
+    options.emd.kind = solver;
+    options.bootstrap.method = bootstrap.method;
+    options.bootstrap.replicates = bootstrap.replicates;
+    options.seed = ReferenceSeed(KeyName(0), kDefaultProfileName);
+    for (Overload overload : {Overload::kBagView, Overload::kNestedBag}) {
+      EXPECT_EQ(AllocationsPerPush(options, bags, kWarmUp, kMeasured, 0,
+                                   overload),
+                0.0)
+          << bootstrap.name << ", "
+          << (overload == Overload::kBagView ? "Push(BagView)"
+                                             : "Push(const Bag&)");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SolversAndQuantizers, SerialStepAllocationTest,
+    ::testing::Combine(::testing::ValuesIn(AllEmdSolverKinds()),
+                       ::testing::ValuesIn(AllSignatureMethods())),
+    [](const ::testing::TestParamInfo<SerialStepAllocationTest::ParamType>&
+           info) {
+      return std::string(EmdSolverKindName(std::get<0>(info.param))) + "_" +
+             SignatureMethodName(std::get<1>(info.param));
+    });
+
+TEST(ThreeWayDifferentialAllocationTest, ColumnarExtraStepsAllocateNothing) {
+  // A columnar run (serial, one shard) sizes its result columns once, and
+  // each group's detector steps allocate nothing, so doubling every group's
+  // steps costs no extra heap allocation. Each run is repeated first, so the
+  // thread's quantizer and bootstrap scratch is warm for both lengths.
+  const BatchRunnerOptions options =
+      ColumnarOptions(EmdSolverKind::kExact, SignatureMethod::kKMeans);
+  auto columnar = [&](const BatchTable& table) {
+    EXPECT_TRUE(RunBatchColumnar(table, options).ok());
+    return CountAllocations([&] {
+      EXPECT_TRUE(RunBatchColumnar(table, options).ok());
+    });
+  };
+  const std::uint64_t long_run = columnar(Corpus(kKeys, 4 * kSteps));
+  const std::uint64_t short_run = columnar(Corpus(kKeys, 2 * kSteps));
+  EXPECT_EQ(long_run, short_run)
+      << "heap allocations for " << kKeys * 2 * kSteps << " extra steps";
+}
+
+TEST(ThreeWayDifferentialAllocationTest,
+     PooledDetectorStepAllocationsAreBounded) {
+  // A pooled step allocates only what the pool's dispatch does for its EMD
+  // column and its bootstrap chunks (their tasks and latches), never a
+  // per-step buffer. The bounds are the measured steady-state counts per
+  // push of the default detector here (exact EMD, k-means k = 3, w = 8, 8
+  // bootstrap replicates); the serial count (0) is in the failure message.
   constexpr std::size_t kWarmUp = 40;
   constexpr std::size_t kMeasured = 20;
   const BagSequence bags =
       Sequences(Corpus(1, kWarmUp + kMeasured)).at(KeyName(0));
-  const double serial = AllocationsPerPush(bags, kWarmUp, kMeasured, 0);
-  const std::pair<std::size_t, double> bounds[] = {{2, 27.2}, {4, 39.4}};
+  DetectorOptions options =
+      DefaultDetector(EmdSolverKind::kExact, SignatureMethod::kKMeans);
+  options.seed = ReferenceSeed(KeyName(0), kDefaultProfileName);
+  const double serial =
+      AllocationsPerPush(options, bags, kWarmUp, kMeasured, 0);
+  const std::pair<std::size_t, double> bounds[] = {{2, 8.2}, {4, 12.4}};
   for (const auto& [pool_size, bound] : bounds) {
     const double pooled =
-        AllocationsPerPush(bags, kWarmUp, kMeasured, pool_size);
+        AllocationsPerPush(options, bags, kWarmUp, kMeasured, pool_size);
     EXPECT_LE(pooled, bound) << "pool " << pool_size << "; serial " << serial;
   }
 }

@@ -192,33 +192,6 @@ TEST(DeterminismTest, FlatIngestMatchesNestedForAnyPoolSize) {
   }
 }
 
-TEST(DeterminismTest, ArenaPooledDetectorInvariantToPoolSizeAndArena) {
-  // The pooled-memory path composes with the thread pool: for any pool size,
-  // a detector recycling its signature buffers through a BufferArena must be
-  // bitwise-equal to the serial malloc baseline.
-  const BagSequence bags = JumpStream(24, 12, 7);
-
-  auto serial_owner = BagStreamDetector::Create(SmallDetector()).MoveValueUnsafe();
-
-  BagStreamDetector& serial = *serial_owner;
-  const std::vector<StepResult> baseline = serial.Run(bags).ValueOrDie();
-
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    ThreadPool pool(threads);
-    BufferArena arena;
-    auto pooled_owner = BagStreamDetector::Create(SmallDetector()).MoveValueUnsafe();
-    BagStreamDetector& pooled = *pooled_owner;
-    pooled.set_thread_pool(&pool);
-    pooled.set_buffer_arena(&arena);
-    const std::vector<StepResult> results = pooled.Run(bags).ValueOrDie();
-    ExpectIdenticalSteps(
-        baseline, results,
-        "arena + pool size " + std::to_string(threads));
-    EXPECT_GT(arena.stats().pool_hits, 0u)
-        << "arena attached but never exercised";
-  }
-}
-
 TEST(DeterminismTest, EngineArenaTuningNeverChangesResults) {
   // Shard arenas are pure memory plumbing: wildly different pool tunings
   // (including an effectively disabled pool) must not perturb a single

@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "bagcpd/api/spec.h"
-#include "bagcpd/common/buffer_arena.h"
 #include "bagcpd/common/rng.h"
 #include "bagcpd/core/detector.h"
 #include "bagcpd/data/gmm.h"
@@ -218,25 +217,6 @@ TEST(DetectorStateTest, RestoresAcrossTheHeapCrossover) {
                               " step " + std::to_string(t));
     }
   }
-}
-
-TEST(DetectorStateTest, ImportRecyclesThroughArena) {
-  const BagSequence bags = JumpStream(10, 0, 7);
-  auto original = BagStreamDetector::Create(BaseOptions()).MoveValueUnsafe();
-  for (const Bag& bag : bags) ASSERT_TRUE(original->Push(bag).ok());
-  std::string blob;
-  ASSERT_TRUE(original->ExportState(&blob).ok());
-
-  BufferArena arena{BufferArenaOptions{}};
-  auto restored = BagStreamDetector::Create(BaseOptions()).MoveValueUnsafe();
-  restored->set_buffer_arena(&arena);
-  ASSERT_TRUE(restored->ImportState(blob).ok());
-  const BufferArenaStats first = arena.stats();
-  EXPECT_GT(first.acquires, 0u);
-  // A second import re-acquires the staging buffer from the pool.
-  ASSERT_TRUE(restored->ImportState(blob).ok());
-  const BufferArenaStats second = arena.stats();
-  EXPECT_GT(second.pool_hits, first.pool_hits);
 }
 
 // ---- Robustness: every malformed blob is a typed error, and the target

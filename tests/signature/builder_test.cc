@@ -1,8 +1,8 @@
 // SignatureBuilder's two entry points must agree: BuildInto, which assembles
 // straight into a SignatureRing slot, leaves the ring exactly as Build()
 // followed by SignatureRing::PushBack would. Every method runs against
-// normalize on/off, arena on/off, and bags with k < n and k >= n in one and
-// three dimensions.
+// normalize on/off and bags with k < n and k >= n in one and three
+// dimensions.
 
 #include "bagcpd/signature/builder.h"
 
@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "bagcpd/common/buffer_arena.h"
 #include "bagcpd/common/flat_bag.h"
 #include "bagcpd/common/rng.h"
 #include "bagcpd/signature/signature_set.h"
@@ -65,44 +64,36 @@ TEST(SignatureBuilderTest, BuildIntoMatchesBuildPlusPushBack) {
   const Shape shapes[] = {{30, 4, 1}, {30, 4, 3}, {5, 8, 1}, {5, 8, 3}};
   for (SignatureMethod method : AllSignatureMethods()) {
     for (bool normalize : {false, true}) {
-      for (bool use_arena : {false, true}) {
-        for (const Shape& shape : shapes) {
-          SCOPED_TRACE(std::string(SignatureMethodName(method)) +
-                       " normalize=" + std::to_string(normalize) +
-                       " arena=" + std::to_string(use_arena) +
-                       " n=" + std::to_string(shape.n) +
-                       " k=" + std::to_string(shape.k) +
-                       " d=" + std::to_string(shape.d));
-          SignatureBuilderOptions options;
-          options.method = method;
-          options.k = shape.k;
-          options.bin_width = 1.5;
-          options.normalize = normalize;
-          options.seed = 17;
-          const SignatureBuilder builder(options);
-          BufferArena build_arena;
-          BufferArena into_arena;
-          BufferArena* build_pool = use_arena ? &build_arena : nullptr;
-          BufferArena* into_pool = use_arena ? &into_arena : nullptr;
+      for (const Shape& shape : shapes) {
+        SCOPED_TRACE(std::string(SignatureMethodName(method)) +
+                     " normalize=" + std::to_string(normalize) +
+                     " n=" + std::to_string(shape.n) +
+                     " k=" + std::to_string(shape.k) +
+                     " d=" + std::to_string(shape.d));
+        SignatureBuilderOptions options;
+        options.method = method;
+        options.k = shape.k;
+        options.bin_width = 1.5;
+        options.normalize = normalize;
+        options.seed = 17;
+        const SignatureBuilder builder(options);
 
-          // Capacity 3 over 6 bags: the ring wraps and slots are reused.
-          SignatureRing built(3);
-          SignatureRing borrowed(3);
-          for (std::uint64_t t = 0; t < 6; ++t) {
-            const FlatBag bag =
-                MakeBag(shape.n + t % 2, shape.d, 100 * shape.d + t);
-            if (built.full()) {
-              built.PopFront();
-              borrowed.PopFront();
-            }
-            Result<Signature> sig = builder.Build(bag.view(), t, build_pool);
-            ASSERT_TRUE(sig.ok()) << sig.status().ToString();
-            built.PushBack(*sig);
-            const Status into =
-                builder.BuildInto(bag.view(), t, into_pool, &borrowed);
-            ASSERT_TRUE(into.ok()) << into.ToString();
-            ExpectSameRing(built, borrowed);
+        // Capacity 3 over 6 bags: the ring wraps and slots are reused.
+        SignatureRing built(3);
+        SignatureRing borrowed(3);
+        for (std::uint64_t t = 0; t < 6; ++t) {
+          const FlatBag bag =
+              MakeBag(shape.n + t % 2, shape.d, 100 * shape.d + t);
+          if (built.full()) {
+            built.PopFront();
+            borrowed.PopFront();
           }
+          Result<Signature> sig = builder.Build(bag.view(), t);
+          ASSERT_TRUE(sig.ok()) << sig.status().ToString();
+          built.PushBack(*sig);
+          const Status into = builder.BuildInto(bag.view(), t, &borrowed);
+          ASSERT_TRUE(into.ok()) << into.ToString();
+          ExpectSameRing(built, borrowed);
         }
       }
     }
@@ -116,15 +107,13 @@ TEST(SignatureBuilderTest, FailedBuildIntoLeavesRingUnchanged) {
     options.method = method;
     const SignatureBuilder builder(options);
     SignatureRing ring(2);
-    ASSERT_TRUE(builder.BuildInto(MakeBag(10, 2, 1).view(), 0, nullptr, &ring)
-                    .ok());
+    ASSERT_TRUE(builder.BuildInto(MakeBag(10, 2, 1).view(), 0, &ring).ok());
     const std::size_t bytes = ring.memory_bytes();
-    EXPECT_FALSE(builder.BuildInto(BagView(), 1, nullptr, &ring).ok());
+    EXPECT_FALSE(builder.BuildInto(BagView(), 1, &ring).ok());
     EXPECT_EQ(ring.size(), 1u);
     EXPECT_EQ(ring.memory_bytes(), bytes);
     // The ring still accepts the next build.
-    EXPECT_TRUE(builder.BuildInto(MakeBag(10, 2, 2).view(), 1, nullptr, &ring)
-                    .ok());
+    EXPECT_TRUE(builder.BuildInto(MakeBag(10, 2, 2).view(), 1, &ring).ok());
     EXPECT_EQ(ring.size(), 2u);
   }
 }
@@ -135,8 +124,7 @@ TEST(SignatureBuilderTest, HistogramIndexOverflowLeavesRingUnchanged) {
   options.bin_width = 1.0;
   const SignatureBuilder builder(options);
   SignatureRing ring(2);
-  ASSERT_TRUE(builder.BuildInto(MakeBag(10, 1, 1).view(), 0, nullptr, &ring)
-                  .ok());
+  ASSERT_TRUE(builder.BuildInto(MakeBag(10, 1, 1).view(), 0, &ring).ok());
   const std::size_t bytes = ring.memory_bytes();
   const std::vector<double> before(
       ring.view(0).centers_data(),
@@ -144,7 +132,7 @@ TEST(SignatureBuilderTest, HistogramIndexOverflowLeavesRingUnchanged) {
   FlatBag far(1);
   ASSERT_TRUE(far.Append(Point{1e300}).ok());
   ASSERT_TRUE(far.Append(Point{0.5}).ok());
-  const Status status = builder.BuildInto(far.view(), 1, nullptr, &ring);
+  const Status status = builder.BuildInto(far.view(), 1, &ring);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(ring.size(), 1u);
   EXPECT_EQ(ring.memory_bytes(), bytes);
