@@ -5,12 +5,8 @@
 
 #include <cstdio>
 #include <iostream>
-#include <set>
 
-#include "bagcpd/analysis/metrics.h"
-#include "bagcpd/core/bootstrap.h"
-#include "bagcpd/core/detector.h"
-#include "bagcpd/data/ci_datasets.h"
+#include "bagcpd/analysis/experiments.h"
 #include "bagcpd/io/table.h"
 #include "bench_util.h"
 
@@ -22,84 +18,31 @@ int Main() {
       "Ablation — Bayesian vs standard bootstrap CIs (Sec. 4.2)",
       "replicate-distribution granularity and end-to-end alarm behaviour.");
 
-  // 1) Replicate granularity at a fixed inspection point with small windows.
-  ScoreContext ctx;
-  const std::size_t tau = 4, tau_prime = 3;
-  ctx.log_ref_ref = Matrix(tau, tau, 0.4);
-  ctx.log_test_test = Matrix(tau_prime, tau_prime, 0.5);
-  ctx.log_ref_test = Matrix(tau, tau_prime, 1.0);
-  ctx.log_ref_test(0, 0) = 1.8;
-  ctx.log_ref_ref(0, 1) = 0.7;
-  ctx.log_ref_ref(1, 0) = 0.7;
+  const BootstrapAblationResult ablation =
+      bench::Unwrap(RunBootstrapAblation(), "bootstrap ablation");
 
-  TablePrinter granularity({"method", "distinct replicate scores / 400",
-                            "CI width"});
-  for (BootstrapMethod method :
-       {BootstrapMethod::kBayesian, BootstrapMethod::kStandard}) {
-    Rng rng(40);
-    std::set<long long> distinct;
-    std::vector<double> pi_ref(tau, 1.0 / tau);
-    std::vector<double> pi_test(tau_prime, 1.0 / tau_prime);
-    BootstrapOptions options;
-    options.replicates = 400;
-    options.method = method;
-    for (int r = 0; r < 400; ++r) {
-      std::vector<double> gr = ResampleWeights(method, pi_ref, &rng);
-      std::vector<double> gt = ResampleWeights(method, pi_test, &rng);
-      Result<double> score =
-          ComputeScore(ScoreType::kSymmetrizedKl, ctx, gr, gt);
-      if (score.ok()) {
-        distinct.insert(static_cast<long long>(score.ValueOrDie() * 1e12));
-      }
-    }
-    Rng rng2(41);
-    BootstrapInterval ci = bench::Unwrap(
-        BootstrapScoreInterval(ScoreType::kSymmetrizedKl, ctx, pi_ref, pi_test,
-                               options, &rng2),
-        "bootstrap");
+  // 1) Replicate granularity at a fixed inspection point with small windows.
+  TablePrinter granularity(
+      {"method",
+       "distinct replicate scores / " + std::to_string(ablation.draws),
+       "CI width"});
+  for (const BootstrapGranularity& row : ablation.granularity) {
     char width_buf[32];
-    std::snprintf(width_buf, sizeof(width_buf), "%.4f", ci.up - ci.lo);
-    granularity.AddRow({BootstrapMethodName(method),
-                        std::to_string(distinct.size()), width_buf});
+    std::snprintf(width_buf, sizeof(width_buf), "%.4f", row.ci_width);
+    granularity.AddRow({BootstrapMethodName(row.method),
+                        std::to_string(row.distinct_scores), width_buf});
   }
   granularity.Print(std::cout);
 
   // 2) End-to-end alarm behaviour across seeds.
   std::printf("\nend-to-end on Section 5.1 datasets (tau = tau' = 5):\n");
   TablePrinter behaviour({"dataset", "method", "hit rate", "false alarms"});
-  for (int index : {1, 4}) {
-    for (BootstrapMethod method :
-         {BootstrapMethod::kBayesian, BootstrapMethod::kStandard}) {
-      int hits = 0;
-      int false_alarms = 0;
-      const int kSeeds = 10;
-      for (int seed = 0; seed < kSeeds; ++seed) {
-        CiDatasetOptions data_options;
-        data_options.seed = 600 + static_cast<std::uint64_t>(seed);
-        LabeledBagSequence ds =
-            bench::Unwrap(MakeCiDataset(index, data_options), "dataset");
-        DetectorOptions options;
-        options.tau = 5;
-        options.tau_prime = 5;
-        options.bootstrap.replicates = 200;
-        options.bootstrap.method = method;
-        options.signature.k = 8;
-        options.seed = static_cast<std::uint64_t>(seed);
-        auto detector_owner =
-            bench::Unwrap(BagStreamDetector::Create(options), "create");
-        BagStreamDetector& detector = *detector_owner;
-        const DetectionReport report = EvaluateAlarms(
-            AlarmTimes(bench::Unwrap(detector.Run(ds.bags), "detector")),
-            ds.change_points, 3);
-        hits += static_cast<int>(report.true_positives);
-        false_alarms += static_cast<int>(report.false_positives);
-      }
-      behaviour.AddRow({"ds" + std::to_string(index),
-                        BootstrapMethodName(method),
-                        std::to_string(hits) + "/" +
-                            std::to_string(index == 4 ? 10 : 0),
-                        std::to_string(false_alarms)});
-    }
+  for (const BootstrapBehaviour& row : ablation.behaviour) {
+    behaviour.AddRow({"ds" + std::to_string(row.dataset),
+                      BootstrapMethodName(row.method),
+                      std::to_string(row.hits) + "/" +
+                          std::to_string(row.expected_hits),
+                      std::to_string(row.false_alarms)});
   }
   behaviour.Print(std::cout);
   std::printf(

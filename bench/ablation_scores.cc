@@ -8,8 +8,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "bagcpd/analysis/metrics.h"
-#include "bagcpd/core/detector.h"
+#include "bagcpd/analysis/experiments.h"
 #include "bagcpd/data/bag_generators.h"
 #include "bagcpd/io/table.h"
 #include "bench_util.h"
@@ -30,6 +29,19 @@ LabeledBagSequence JumpStream(double magnitude, std::uint64_t seed) {
           },
           [](std::size_t t) { return t < 12 ? 0 : 1; }, options),
       "jump stream");
+}
+
+// One detector run with `type`'s score (tau = tau' = 5, k-means k = 6),
+// alarms matched within 3 steps.
+DetectorRun RunScore(const LabeledBagSequence& ds, ScoreType type,
+                     int replicates, int seed) {
+  DetectorOptions options;
+  options.score_type = type;
+  options.bootstrap.replicates = replicates;
+  options.signature.k = 6;
+  options.seed = static_cast<std::uint64_t>(seed);
+  return bench::Unwrap(RunAndEvaluate(options, ds.bags, ds.change_points, 3),
+                       "detector");
 }
 
 // Contrast: peak score within 1 step of the change over the MAD of the rest.
@@ -64,19 +76,7 @@ int Main() {
       int which = 0;
       for (ScoreType type :
            {ScoreType::kLogLikelihoodRatio, ScoreType::kSymmetrizedKl}) {
-        DetectorOptions options;
-        options.tau = 5;
-        options.tau_prime = 5;
-        options.score_type = type;
-        options.bootstrap.replicates = 0;
-        options.signature.k = 6;
-        options.seed = static_cast<std::uint64_t>(seed);
-        auto detector_owner =
-            bench::Unwrap(BagStreamDetector::Create(options), "create");
-        BagStreamDetector& detector = *detector_owner;
-        std::vector<StepResult> results =
-            bench::Unwrap(detector.Run(ds.bags), "detector");
-        contrast[which] += Contrast(results, 12);
+        contrast[which] += Contrast(RunScore(ds, type, 0, seed).steps, 12);
         ++which;
       }
     }
@@ -101,20 +101,8 @@ int Main() {
       int which = 0;
       for (ScoreType type :
            {ScoreType::kLogLikelihoodRatio, ScoreType::kSymmetrizedKl}) {
-        DetectorOptions options;
-        options.tau = 5;
-        options.tau_prime = 5;
-        options.score_type = type;
-        options.bootstrap.replicates = 150;
-        options.signature.k = 6;
-        options.seed = static_cast<std::uint64_t>(seed);
-        auto detector_owner =
-            bench::Unwrap(BagStreamDetector::Create(options), "create");
-        BagStreamDetector& detector = *detector_owner;
-        const DetectionReport report = EvaluateAlarms(
-            AlarmTimes(bench::Unwrap(detector.Run(ds.bags), "detector")),
-            ds.change_points, 3);
-        hits[which] += static_cast<int>(report.true_positives);
+        hits[which] += static_cast<int>(
+            RunScore(ds, type, 150, seed).report.true_positives);
         ++which;
       }
     }
@@ -142,18 +130,7 @@ int Main() {
               },
               [](std::size_t) { return 0; }, stream_options),
           "noisy stream");
-      DetectorOptions options;
-      options.tau = 5;
-      options.tau_prime = 5;
-      options.score_type = type;
-      options.bootstrap.replicates = 200;
-      options.signature.k = 6;
-      options.seed = static_cast<std::uint64_t>(seed);
-      auto detector_owner =
-          bench::Unwrap(BagStreamDetector::Create(options), "create");
-      BagStreamDetector& detector = *detector_owner;
-      alarms += static_cast<int>(
-          AlarmTimes(bench::Unwrap(detector.Run(ds.bags), "detector")).size());
+      alarms += static_cast<int>(RunScore(ds, type, 200, seed).alarms.size());
     }
     fa_table.AddRow({ScoreTypeName(type), std::to_string(alarms)});
   }

@@ -8,8 +8,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "bagcpd/analysis/metrics.h"
-#include "bagcpd/core/detector.h"
+#include "bagcpd/analysis/experiments.h"
 #include "bagcpd/data/fig1.h"
 #include "bagcpd/io/table.h"
 #include "bench_util.h"
@@ -36,31 +35,22 @@ int Main() {
         SignatureMethod::kLvq, SignatureMethod::kHistogram,
         SignatureMethod::kCentroid}) {
     DetectorOptions options;
-    options.tau = 5;
-    options.tau_prime = 5;
     options.bootstrap.replicates = 150;
     options.signature.method = method;
-    options.signature.k = 8;
-    options.signature.bin_width = 1.0;
     options.seed = 91;
-    auto detector_owner =
-        bench::Unwrap(BagStreamDetector::Create(options), "create");
-    BagStreamDetector& detector = *detector_owner;
     const auto start = std::chrono::steady_clock::now();
-    std::vector<StepResult> results =
-        bench::Unwrap(detector.Run(stream.bags), "detector");
+    const DetectorRun run = bench::Unwrap(
+        RunAndEvaluate(options, stream.bags, stream.change_points, 4),
+        "detector");
     const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
                              std::chrono::steady_clock::now() - start)
                              .count();
-    const std::vector<std::uint64_t> alarms = AlarmTimes(results);
-    const DetectionReport report =
-        EvaluateAlarms(alarms, stream.change_points, 4);
-    const double auc = bench::NearChangeAuc(results, stream.change_points);
+    const double auc = bench::NearChangeAuc(run.steps, stream.change_points);
     char auc_buf[32];
     std::snprintf(auc_buf, sizeof(auc_buf), "%.2f", auc);
     table.AddRow({SignatureMethodName(method), auc_buf,
-                  std::to_string(report.true_positives) + "/2",
-                  std::to_string(alarms.size()),
+                  std::to_string(run.report.true_positives) + "/2",
+                  std::to_string(run.alarms.size()),
                   std::to_string(elapsed)});
   }
   table.Print(std::cout);

@@ -6,8 +6,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "bagcpd/analysis/metrics.h"
-#include "bagcpd/core/detector.h"
+#include "bagcpd/analysis/experiments.h"
 #include "bagcpd/data/ci_datasets.h"
 #include "bagcpd/io/table.h"
 #include "bench_util.h"
@@ -38,24 +37,15 @@ int Main() {
         LabeledBagSequence ds =
             bench::Unwrap(MakeCiDataset(index, data_options), "dataset");
         DetectorOptions options;
-        options.tau = 5;
-        options.tau_prime = 5;
         options.weight_scheme = scheme;
-        options.bootstrap.replicates = 200;
-        options.signature.k = 8;
         options.seed = static_cast<std::uint64_t>(seed);
-        auto detector_owner =
-            bench::Unwrap(BagStreamDetector::Create(options), "create");
-        BagStreamDetector& detector = *detector_owner;
-        std::vector<StepResult> results =
-            bench::Unwrap(detector.Run(ds.bags), "detector");
-        const std::vector<std::uint64_t> alarms = AlarmTimes(results);
-        if (!alarms.empty()) ++runs_with_alarm;
-        const DetectionReport report =
-            EvaluateAlarms(alarms, ds.change_points, 3);
-        hits += static_cast<int>(report.true_positives);
-        false_alarms += static_cast<double>(report.false_positives);
-        for (const StepResult& r : results) {
+        const DetectorRun run = bench::Unwrap(
+            RunAndEvaluate(options, ds.bags, ds.change_points, 3),
+            "detector");
+        if (!run.alarms.empty()) ++runs_with_alarm;
+        hits += static_cast<int>(run.report.true_positives);
+        false_alarms += static_cast<double>(run.report.false_positives);
+        for (const StepResult& r : run.steps) {
           mean_abs_score += std::abs(r.score);
           ++score_count;
         }

@@ -1,6 +1,6 @@
-// Shared helpers for the experiment harnesses: run the detector over a bag
-// stream, slice the result series for plotting, and compute the shape metrics
-// reported in EXPERIMENTS.md.
+// Shared helpers for the experiment harnesses: unwrap results, score AUC near
+// change points, time calls and print headers. Detector runs and chart series
+// come from analysis/experiments.h.
 
 #ifndef BAGCPD_BENCH_BENCH_UTIL_H_
 #define BAGCPD_BENCH_BENCH_UTIL_H_
@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -36,42 +35,6 @@ inline void UnwrapStatus(const Status& status, const char* what) {
     std::fprintf(stderr, "FATAL %s: %s\n", what, status.ToString().c_str());
     std::exit(1);
   }
-}
-
-/// \brief Series views over detector output, index-aligned with the stream
-/// (times before the first inspection point are padded with the first value
-/// so charts line up with the planted change points).
-struct ResultSeries {
-  std::vector<double> score;
-  std::vector<double> lo;
-  std::vector<double> up;
-  std::vector<std::uint64_t> alarms;
-};
-
-inline ResultSeries Slice(const std::vector<StepResult>& results,
-                          std::size_t stream_length) {
-  ResultSeries out;
-  out.score.assign(stream_length, 0.0);
-  out.lo.assign(stream_length, 0.0);
-  out.up.assign(stream_length, 0.0);
-  if (results.empty()) return out;
-  for (const StepResult& r : results) {
-    if (r.time >= stream_length) continue;
-    out.score[static_cast<std::size_t>(r.time)] = r.score;
-    out.lo[static_cast<std::size_t>(r.time)] =
-        std::isnan(r.ci_lo) ? r.score : r.ci_lo;
-    out.up[static_cast<std::size_t>(r.time)] =
-        std::isnan(r.ci_up) ? r.score : r.ci_up;
-    if (r.alarm) out.alarms.push_back(r.time);
-  }
-  // Pad the warm-up prefix with the first computed values.
-  const std::size_t first = static_cast<std::size_t>(results.front().time);
-  for (std::size_t t = 0; t < first && t < stream_length; ++t) {
-    out.score[t] = out.score[first];
-    out.lo[t] = out.lo[first];
-    out.up[t] = out.up[first];
-  }
-  return out;
 }
 
 /// \brief AUC of the scores against a +-1-step window around each change

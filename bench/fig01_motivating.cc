@@ -14,12 +14,11 @@
 #include <iostream>
 
 #include "bagcpd/analysis/ascii_plot.h"
-#include "bagcpd/analysis/metrics.h"
+#include "bagcpd/analysis/experiments.h"
 #include "bagcpd/common/stats.h"
 #include "bagcpd/baselines/changefinder.h"
 #include "bagcpd/baselines/kcd.h"
 #include "bagcpd/baselines/mean_reduction.h"
-#include "bagcpd/core/detector.h"
 #include "bagcpd/data/fig1.h"
 #include "bagcpd/io/table.h"
 #include "bench_util.h"
@@ -68,21 +67,14 @@ int Main() {
   LabeledBagSequence stream =
       bench::Unwrap(MakeFig1Stream(data_options), "fig1 data");
 
-  // --- (a) our detector, straight on the bags. ---
+  // --- (a) our detector on the bags (defaults: KL, tau = tau' = 5). ---
   DetectorOptions options;
-  options.tau = 5;
-  options.tau_prime = 5;
-  options.score_type = ScoreType::kSymmetrizedKl;
   options.bootstrap.replicates = 300;
-  options.signature.method = SignatureMethod::kKMeans;
-  options.signature.k = 8;
   options.seed = 1;
-  auto detector_owner =
-      bench::Unwrap(BagStreamDetector::Create(options), "create");
-  BagStreamDetector& detector = *detector_owner;
-  std::vector<StepResult> ours =
-      bench::Unwrap(detector.Run(stream.bags), "detector");
-  bench::ResultSeries series = bench::Slice(ours, stream.bags.size());
+  const DetectorRun ours = bench::Unwrap(
+      RunAndEvaluate(options, stream.bags, stream.change_points, 5),
+      "detector");
+  const ResultSeries series = SliceResults(ours.steps, stream.bags.size());
 
   std::printf("(a) bag-of-data detector (scoreKL, tau = tau' = 5):\n");
   std::printf("%s\n",
@@ -123,14 +115,12 @@ int Main() {
   // --- Quantitative comparison. ---
   TablePrinter table({"method", "input", "peak contrast @cp", "alarms",
                       "hits"});
-  const DetectionReport ours_report =
-      EvaluateAlarms(series.alarms, stream.change_points, 5);
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.2f",
                 PeakContrast(series.score, stream.change_points));
   table.AddRow({"bagcpd (KL)", "bags", buf,
                 std::to_string(series.alarms.size()),
-                std::to_string(ours_report.true_positives) + "/2"});
+                std::to_string(ours.report.true_positives) + "/2"});
   std::snprintf(buf, sizeof(buf), "%.2f",
                 PeakContrast(cf_scores, stream.change_points));
   table.AddRow({"ChangeFinder [8]", "means", buf, "-", "-"});

@@ -13,14 +13,9 @@
 #include <iostream>
 
 #include "bagcpd/analysis/ascii_plot.h"
-#include "bagcpd/analysis/mds.h"
-#include "bagcpd/common/flat_bag.h"
-#include "bagcpd/core/detector.h"
-#include "bagcpd/data/ci_datasets.h"
-#include "bagcpd/emd/emd.h"
+#include "bagcpd/analysis/experiments.h"
 #include "bagcpd/io/table.h"
 #include "bagcpd/runtime/thread_pool.h"
-#include "bagcpd/signature/signature_set.h"
 #include "bench_util.h"
 
 namespace bagcpd {
@@ -31,82 +26,30 @@ int Main() {
       "Figure 6 — confidence-interval behaviour on datasets 1-5 (Sec. 5.1)",
       "20 bags of 2-d Gaussians, n_t ~ Poisson(50), tau = tau' = 5, 95% CI.");
 
-  CiDatasetOptions data_options;
-  data_options.seed = 6;
-  std::vector<LabeledBagSequence> datasets =
-      bench::Unwrap(MakeAllCiDatasets(data_options), "ci datasets");
-
-  // The batch EMD matrices below solve all C(20, 2) transportation problems
-  // over this pool; the parallel overload is bitwise-identical to the serial
-  // one, so the panels do not depend on the host's core count.
+  // The EMD panels solve over this pool, bitwise the same for any pool size,
+  // so they do not depend on the host's core count.
   ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
+  const Fig06Result fig = bench::Unwrap(RunFig06(&pool), "fig06");
 
   TablePrinter summary({"dataset", "description", "expected", "alarms",
                         "mean CI width"});
-
-  const char* descriptions[5] = {
-      "large variance, stationary", "80/20 background noise",
-      "gradual circular drift", "mean jump at t=11", "drift speed-up at t=11"};
-
-  for (int index = 1; index <= 5; ++index) {
-    const LabeledBagSequence& ds = datasets[static_cast<std::size_t>(index - 1)];
-    std::printf("---- dataset %d: %s ----\n", index,
-                descriptions[index - 1]);
-
-    // Signatures for the panel plots (same builder the detector uses).
-    SignatureBuilderOptions sig_options;
-    sig_options.method = SignatureMethod::kKMeans;
-    sig_options.k = 8;
-    sig_options.seed = 60;
-    SignatureBuilder builder(sig_options);
-    // One shared-buffer SignatureSet for the whole sequence: the batch EMD
-    // matrix walks every signature back to back through the cache.
-    SignatureSet signatures;
-    for (std::size_t t = 0; t < ds.bags.size(); ++t) {
-      const FlatBag bag =
-          bench::Unwrap(FlatBag::FromBag(ds.bags[t]), "flatten");
-      const Signature sig =
-          bench::Unwrap(builder.Build(bag.view(), t), "signature");
-      bench::UnwrapStatus(signatures.Append(sig), "append signature");
-    }
-    Matrix emd = bench::Unwrap(
-        PairwiseEmdMatrix(signatures, GroundDistance::kEuclidean, &pool),
-        "emd matrix");
+  for (const Fig06Dataset& ds : fig.datasets) {
+    std::printf("---- dataset %d: %s ----\n", ds.index, ds.description.c_str());
     std::printf("left panel: pairwise EMD between bags (dark = far)\n%s\n",
-                RenderHeatMap(emd).c_str());
-    MdsEmbedding mds = bench::Unwrap(ClassicalMds(emd, 2), "mds");
+                RenderHeatMap(ds.emd).c_str());
     std::printf("center panel: bags embedded in 2-d by classical MDS\n%s\n",
-                RenderScatter2d(mds.coordinates).c_str());
-
-    DetectorOptions options;
-    options.tau = 5;
-    options.tau_prime = 5;
-    options.bootstrap.replicates = 400;
-    options.bootstrap.alpha = 0.05;
-    options.signature = sig_options;
-    options.seed = 61;
-    auto detector_owner =
-        bench::Unwrap(BagStreamDetector::Create(options), "create");
-    BagStreamDetector& detector = *detector_owner;
-    std::vector<StepResult> results =
-        bench::Unwrap(detector.Run(ds.bags), "detector");
-    bench::ResultSeries series = bench::Slice(results, ds.bags.size());
+                RenderScatter2d(ds.mds).c_str());
     std::printf("right panel: change-point score with 95%% CI and alarms\n%s\n",
-                RenderLineChart(series.score, series.lo, series.up,
-                                series.alarms, ds.change_points)
+                RenderLineChart(ds.series.score, ds.series.lo, ds.series.up,
+                                ds.series.alarms, ds.change_points)
                     .c_str());
-
-    double width = 0.0;
-    for (const StepResult& r : results) width += r.ci_up - r.ci_lo;
-    width /= static_cast<double>(results.size());
     char width_buf[32];
-    std::snprintf(width_buf, sizeof(width_buf), "%.3f", width);
-    summary.AddRow({std::to_string(index), descriptions[index - 1],
-                    CiDatasetHasDetectableChange(index) ? "alarm @ t=10"
-                                                        : "no alarm",
-                    series.alarms.empty()
+    std::snprintf(width_buf, sizeof(width_buf), "%.3f", ds.mean_ci_width);
+    summary.AddRow({std::to_string(ds.index), ds.description,
+                    ds.expects_alarm ? "alarm @ t=10" : "no alarm",
+                    ds.run.alarms.empty()
                         ? "none"
-                        : "t=" + std::to_string(series.alarms.front()),
+                        : "t=" + std::to_string(ds.run.alarms.front()),
                     width_buf});
   }
 

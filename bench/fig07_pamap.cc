@@ -11,8 +11,7 @@
 #include <iostream>
 
 #include "bagcpd/analysis/ascii_plot.h"
-#include "bagcpd/analysis/metrics.h"
-#include "bagcpd/core/detector.h"
+#include "bagcpd/analysis/experiments.h"
 #include "bagcpd/data/pamap_simulator.h"
 #include "bagcpd/io/table.h"
 #include "bench_util.h"
@@ -39,60 +38,31 @@ int Main() {
   for (int id : PamapProtocolOrder()) std::printf("%d ", id);
   std::printf("\n\n");
 
+  const Fig07Result fig = bench::Unwrap(RunFig07(), "fig07");
   TablePrinter summary({"subject", "bags", "avg bag size", "transitions",
                         "alarms", "recall", "precision", "mean delay"});
-
-  for (int subject = 1; subject <= 3; ++subject) {
-    PamapSimulatorOptions sim;
-    sim.seed = 777;
-    sim.subject = subject;
-    sim.sampling_hz = 50.0;  // Reduced from the real ~100 Hz for runtime.
-    sim.mean_bags_per_activity = 18.0;  // ~252 bags/subject as in the paper.
-    PamapRecording rec =
-        bench::Unwrap(SimulatePamapSubject(sim), "pamap simulator");
-
-    DetectorOptions options;
-    options.tau = 5;
-    options.tau_prime = 5;
-    options.bootstrap.replicates = 200;
-    options.signature.method = SignatureMethod::kKMeans;
-    options.signature.k = 10;
-    options.seed = 70 + static_cast<std::uint64_t>(subject);
-    auto detector_owner =
-        bench::Unwrap(BagStreamDetector::Create(options), "create");
-    BagStreamDetector& detector = *detector_owner;
-    std::vector<StepResult> results =
-        bench::Unwrap(detector.Run(rec.stream.bags), "detector");
-    bench::ResultSeries series =
-        bench::Slice(results, rec.stream.bags.size());
-
+  for (const Fig07Subject& s : fig.subjects) {
     std::printf("subject %d — score with alarms (':' = true transition):\n%s\n",
-                subject,
-                RenderLineChart(series.score, series.lo, series.up,
-                                series.alarms, rec.stream.change_points)
+                s.subject,
+                RenderLineChart(s.series.score, s.series.lo, s.series.up,
+                                s.series.alarms, s.change_points)
                     .c_str());
-
-    const DetectionReport report = EvaluateAlarms(
-        series.alarms, rec.stream.change_points, /*tolerance=*/4);
-    double avg_bag = 0.0;
-    for (const Bag& bag : rec.stream.bags) {
-      avg_bag += static_cast<double>(bag.size());
-    }
-    avg_bag /= static_cast<double>(rec.stream.bags.size());
     char recall_buf[32], precision_buf[32], delay_buf[32], avg_buf[32];
-    std::snprintf(recall_buf, sizeof(recall_buf), "%.2f", report.recall);
+    std::snprintf(recall_buf, sizeof(recall_buf), "%.2f", s.run.report.recall);
     std::snprintf(precision_buf, sizeof(precision_buf), "%.2f",
-                  report.precision);
-    std::snprintf(delay_buf, sizeof(delay_buf), "%.1f", report.mean_delay);
-    std::snprintf(avg_buf, sizeof(avg_buf), "%.0f", avg_bag);
-    summary.AddRow({std::to_string(subject),
-                    std::to_string(rec.stream.bags.size()), avg_buf,
-                    std::to_string(rec.stream.change_points.size()),
-                    std::to_string(series.alarms.size()), recall_buf,
+                  s.run.report.precision);
+    std::snprintf(delay_buf, sizeof(delay_buf), "%.1f",
+                  s.run.report.mean_delay);
+    std::snprintf(avg_buf, sizeof(avg_buf), "%.0f", s.mean_bag_size);
+    summary.AddRow({std::to_string(s.subject),
+                    std::to_string(s.bags), avg_buf,
+                    std::to_string(s.change_points.size()),
+                    std::to_string(s.run.alarms.size()), recall_buf,
                     precision_buf, delay_buf});
   }
 
-  std::printf("per-subject detection summary (tolerance 4 bags = 40 s):\n");
+  std::printf("per-subject detection summary (tolerance %zu bags = %zu s):\n",
+              fig.tolerance, fig.tolerance * 10);
   summary.Print(std::cout);
   std::printf(
       "\nshape check (paper): most transitions detected, scores rise at all\n"

@@ -13,9 +13,8 @@
 #include <iostream>
 
 #include "bagcpd/analysis/ascii_plot.h"
-#include "bagcpd/analysis/metrics.h"
+#include "bagcpd/analysis/experiments.h"
 #include "bagcpd/common/flat_bag.h"
-#include "bagcpd/core/detector.h"
 #include "bagcpd/emd/emd.h"
 #include "bagcpd/graph/features.h"
 #include "bagcpd/graph/generators.h"
@@ -56,34 +55,29 @@ int Main() {
             bench::Unwrap(ExtractGraphFeature(g, feature), "feature"));
       }
       DetectorOptions options;
-      options.tau = 5;
       options.tau_prime = 3;
-      options.bootstrap.replicates = 200;
-      options.signature.method = SignatureMethod::kKMeans;
       options.signature.k = 6;
       options.seed = 100 + static_cast<std::uint64_t>(feature);
-      auto detector =
-          bench::Unwrap(BagStreamDetector::Create(options), "detector");
-      std::vector<StepResult> results =
-          bench::Unwrap(detector->Run(bags), "detector");
-      bench::ResultSeries series = bench::Slice(results, bags.size());
+      const DetectorRun run = bench::Unwrap(
+          RunAndEvaluate(options, bags, stream.change_points,
+                         /*tolerance=*/5),
+          "detector");
 
-      union_alarms.insert(union_alarms.end(), series.alarms.begin(),
-                          series.alarms.end());
-      const DetectionReport report = EvaluateAlarms(
-          series.alarms, stream.change_points, /*tolerance=*/5);
+      union_alarms.insert(union_alarms.end(), run.alarms.begin(),
+                          run.alarms.end());
       char recall_buf[32], auc_buf[32];
-      std::snprintf(recall_buf, sizeof(recall_buf), "%.2f", report.recall);
-      const double auc = bench::NearChangeAuc(results, stream.change_points);
+      std::snprintf(recall_buf, sizeof(recall_buf), "%.2f", run.report.recall);
+      const double auc = bench::NearChangeAuc(run.steps, stream.change_points);
       std::snprintf(auc_buf, sizeof(auc_buf), "%.2f", auc);
       table.AddRow({std::string(GraphFeatureName(feature)),
-                    std::to_string(series.alarms.size()),
-                    std::to_string(report.true_positives) + "/" +
+                    std::to_string(run.alarms.size()),
+                    std::to_string(run.report.true_positives) + "/" +
                         std::to_string(stream.change_points.size()),
                     recall_buf, auc_buf});
 
       // Chart the strength features — the paper's headline finding.
       if (feature == GraphFeature::kSourceStrength) {
+        const ResultSeries series = SliceResults(run.steps, bags.size());
         std::printf("feature 5 (source strength) score series:\n%s\n",
                     RenderLineChart(series.score, series.lo, series.up,
                                     series.alarms, stream.change_points)

@@ -194,23 +194,4 @@ std::string RenderScatter2d(const Matrix& coordinates,
   return out;
 }
 
-std::string RenderSparkline(const std::vector<double>& series) {
-  if (series.empty()) return "";
-  static const char kLevels[] = "_.-=+*#@";
-  double vmin = series[0], vmax = series[0];
-  for (double v : series) {
-    vmin = std::min(vmin, v);
-    vmax = std::max(vmax, v);
-  }
-  const double range = vmax > vmin ? vmax - vmin : 1.0;
-  std::string out;
-  out.reserve(series.size());
-  for (double v : series) {
-    const int level =
-        static_cast<int>(std::lround((v - vmin) / range * 7.0));
-    out += kLevels[std::clamp(level, 0, 7)];
-  }
-  return out;
-}
-
 }  // namespace bagcpd

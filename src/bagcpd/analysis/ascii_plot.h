@@ -41,9 +41,6 @@ std::string RenderHeatMap(const Matrix& m, const PlotOptions& options = {});
 std::string RenderScatter2d(const Matrix& coordinates,
                             const PlotOptions& options = {});
 
-/// \brief One-line sparkline of a series.
-std::string RenderSparkline(const std::vector<double>& series);
-
 }  // namespace bagcpd
 
 #endif  // BAGCPD_ANALYSIS_ASCII_PLOT_H_

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "bagcpd/emd/emd.h"
-
 namespace bagcpd {
 
 Result<MdsEmbedding> ClassicalMds(const Matrix& distances, std::size_t dims) {
@@ -52,13 +50,6 @@ Result<MdsEmbedding> ClassicalMds(const Matrix& distances, std::size_t dims) {
     }
   }
   return out;
-}
-
-Result<MdsEmbedding> EmdMds(const SignatureSet& signatures, std::size_t dims,
-                            GroundDistance ground, ThreadPool* pool) {
-  BAGCPD_ASSIGN_OR_RETURN(Matrix distances,
-                          PairwiseEmdMatrix(signatures, ground, pool));
-  return ClassicalMds(distances, dims);
 }
 
 }  // namespace bagcpd

@@ -5,14 +5,12 @@
 #ifndef BAGCPD_ANALYSIS_MDS_H_
 #define BAGCPD_ANALYSIS_MDS_H_
 
+#include <vector>
+
 #include "bagcpd/common/matrix.h"
 #include "bagcpd/common/result.h"
-#include "bagcpd/emd/ground_distance.h"
-#include "bagcpd/signature/signature_set.h"
 
 namespace bagcpd {
-
-class ThreadPool;
 
 /// \brief Classical MDS output.
 struct MdsEmbedding {
@@ -27,16 +25,6 @@ struct MdsEmbedding {
 /// \brief Embeds the symmetric distance matrix `distances` into `dims`
 /// dimensions. Components with non-positive eigenvalues are zeroed.
 Result<MdsEmbedding> ClassicalMds(const Matrix& distances, std::size_t dims = 2);
-
-/// \brief Convenience for the Fig. 6 center panels: computes the pairwise
-/// EMD matrix of a shared-buffer SignatureSet and embeds it. Identical to
-/// calling PairwiseEmdMatrix + ClassicalMds by hand. With a non-null `pool`
-/// the EMD matrix is solved over the pool (bitwise-identical for any pool
-/// size).
-Result<MdsEmbedding> EmdMds(const SignatureSet& signatures,
-                            std::size_t dims = 2,
-                            GroundDistance ground = GroundDistance::kEuclidean,
-                            ThreadPool* pool = nullptr);
 
 }  // namespace bagcpd
 

@@ -1,6 +1,7 @@
 #include "bagcpd/analysis/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace bagcpd {
 
@@ -69,6 +70,11 @@ Result<double> RocAuc(const std::vector<double>& scores,
   if (positives == 0 || negatives == 0) {
     return Status::Invalid("RocAuc needs both classes present");
   }
+  // NaN has no rank: sorting with it breaks the comparator's strict weak
+  // ordering.
+  for (double score : scores) {
+    if (std::isnan(score)) return Status::Invalid("RocAuc score is NaN");
+  }
 
   // Rank-sum (Mann-Whitney) formulation with midranks for ties.
   std::vector<std::size_t> order(scores.size());
@@ -96,18 +102,6 @@ Result<double> RocAuc(const std::vector<double>& scores,
                           (static_cast<double>(positives) + 1.0) / 2.0) /
       (static_cast<double>(positives) * static_cast<double>(negatives));
   return auc;
-}
-
-std::vector<int> LabelNearChangePoints(
-    std::size_t series_length, const std::vector<std::size_t>& change_points,
-    std::size_t tolerance) {
-  std::vector<int> labels(series_length, 0);
-  for (std::size_t cp : change_points) {
-    for (std::size_t t = cp; t <= cp + tolerance && t < series_length; ++t) {
-      labels[t] = 1;
-    }
-  }
-  return labels;
 }
 
 }  // namespace bagcpd

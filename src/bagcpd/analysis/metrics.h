@@ -34,16 +34,11 @@ DetectionReport EvaluateAlarms(const std::vector<std::uint64_t>& alarms,
                                std::size_t tolerance);
 
 /// \brief ROC AUC of `scores` against binary `labels` (1 = near a true change
-/// point). Ties are handled by the rank formulation. Fails with Invalid when
-/// either class is empty.
+/// point). Ties are handled by the rank formulation; +-inf scores rank at
+/// the ends. Fails with Invalid when either class is empty or a score is
+/// NaN.
 Result<double> RocAuc(const std::vector<double>& scores,
                       const std::vector<int>& labels);
-
-/// \brief Labels each time step 1 if it lies within [cp, cp + tolerance] for
-/// some true change point cp (helper for RocAuc over score series).
-std::vector<int> LabelNearChangePoints(std::size_t series_length,
-                                       const std::vector<std::size_t>& change_points,
-                                       std::size_t tolerance);
 
 }  // namespace bagcpd
 

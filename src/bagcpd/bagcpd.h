@@ -42,7 +42,6 @@
 
 // Earth Mover's Distance and the information estimators over it.
 #include "bagcpd/emd/emd.h"
-#include "bagcpd/emd/emd_1d.h"
 #include "bagcpd/emd/ground_distance.h"
 #include "bagcpd/info/estimators.h"
 #include "bagcpd/info/weighted_set.h"

@@ -1,6 +1,10 @@
 #include "bagcpd/common/number_text.h"
 
 #include <charconv>
+#include <cmath>
+#include <iomanip>
+#include <locale>
+#include <sstream>
 #include <system_error>
 
 // Floating-point from_chars/to_chars is missing on older standard libraries
@@ -12,11 +16,7 @@
 #else
 #define BAGCPD_HAS_FP_CHARCONV 0
 #include <cctype>
-#include <cmath>
-#include <iomanip>
 #include <limits>
-#include <locale>
-#include <sstream>
 #endif
 
 namespace bagcpd {
@@ -91,18 +91,58 @@ std::string FormatDoubleShortest(double v) {
   const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
   return std::string(buf, ec == std::errc() ? ptr : buf);
 #else
-  // The fewest classic-locale digits that survive a parse-back.
-  for (int precision = 1;; ++precision) {
-    std::ostringstream stream;
-    stream.imbue(std::locale::classic());
-    stream << std::setprecision(precision) << v;
-    double back = 0.0;
-    if (precision == 17 ||
-        (ParseDouble(stream.str(), &back) == NumberParse::kOk && back == v)) {
-      return stream.str();
-    }
-  }
+  return internal::FormatDoubleShortestClassic(v);
 #endif
 }
+
+namespace internal {
+
+// to_chars' rule: the fewest significant digits that read back to `v`, in
+// fixed or exponent form, whichever is shorter (fixed on a tie), with an
+// exponent of at least two digits.
+std::string FormatDoubleShortestClassic(double v) {
+  if (std::isnan(v)) return std::signbit(v) ? "-nan" : "nan";
+  const std::string sign = std::signbit(v) ? "-" : "";
+  const double magnitude = std::fabs(v);
+  if (std::isinf(v)) return sign + "inf";
+  if (magnitude == 0.0) return sign + "0";
+  const auto print = [magnitude](std::ios_base::fmtflags format,
+                                 int precision) {
+    std::ostringstream stream;
+    stream.imbue(std::locale::classic());
+    stream.setf(format, std::ios_base::floatfield);
+    stream << std::setprecision(precision) << magnitude;
+    return stream.str();
+  };
+  // The exponent form with the fewest digits that read back: d.ddde+XX.
+  std::string scientific;
+  double back = 0.0;
+  for (int precision = 0; precision < 17; ++precision) {
+    scientific = print(std::ios_base::scientific, precision);
+    if (ParseDouble(scientific, &back) == NumberParse::kOk &&
+        back == magnitude) {
+      break;
+    }
+  }
+  const std::size_t e = scientific.find('e');
+  std::string digits =
+      scientific.substr(0, 1) + (e > 1 ? scientific.substr(2, e - 2) : "");
+  std::int64_t exponent = 0;  // ParseInt64 takes no '+'.
+  ParseInt64(scientific.substr(e + (scientific[e + 1] == '+' ? 2 : 1)),
+             &exponent);
+  std::string fixed;
+  if (exponent >= static_cast<std::int64_t>(digits.size()) - 1) {
+    // A whole number: every integer digit, exactly, as printf's %.0f.
+    fixed = print(std::ios_base::fixed, 0);
+  } else if (exponent >= 0) {
+    fixed = digits.insert(static_cast<std::size_t>(exponent) + 1, ".");
+  } else {
+    fixed = "0." + std::string(static_cast<std::size_t>(-exponent - 1), '0') +
+            digits;
+  }
+  return sign + (fixed.size() <= scientific.size() ? fixed : scientific);
+}
+
+}  // namespace internal
 
 }  // namespace bagcpd

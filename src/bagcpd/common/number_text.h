@@ -49,6 +49,13 @@ NumberParse ParseUint64(std::string_view text, std::uint64_t* out);
 /// FormatDouble is the fixed-precision form for display tables.)
 std::string FormatDoubleShortest(double v);
 
+namespace internal {
+/// \brief FormatDoubleShortest without floating-point <charconv>: what
+/// std::to_chars writes, through the classic locale. Built everywhere so
+/// that tests can hold it to to_chars.
+std::string FormatDoubleShortestClassic(double v);
+}  // namespace internal
+
 }  // namespace bagcpd
 
 #endif  // BAGCPD_COMMON_NUMBER_TEXT_H_

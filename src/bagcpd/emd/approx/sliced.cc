@@ -16,8 +16,8 @@ namespace {
 constexpr std::uint64_t kSlicedDirectionSeed = 0x51D15EEDCA7B0A6DULL;
 
 // Exact 1-d balanced transport between two sorted weighted point lists:
-// integrate |F_a - F_b| over the merged event positions (the emd_1d
-// algorithm, running on borrowed scratch instead of local vectors).
+// integrate |F_a - F_b| over the merged event positions, on borrowed
+// scratch.
 // Ties take the a-side event first — a fixed rule, so the accumulation
 // order (and its rounding) is a pure function of the inputs.
 double SweepLine(const double* pa, const double* p, const std::size_t* oa,

@@ -1,6 +1,6 @@
 // Sliced approximate EMD: project both signatures' centers onto n fixed
 // unit directions, solve the exact 1-d transport on each line with a sorted
-// CDF sweep (the emd_1d algorithm), and average.
+// CDF sweep, and average.
 //
 // In d = 1 a single slice IS the exact EMD between the mass-normalized
 // signatures. In d > 1 the sliced value is a well-defined transport metric

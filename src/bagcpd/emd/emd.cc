@@ -5,7 +5,6 @@
 
 #include "bagcpd/common/check.h"
 #include "bagcpd/emd/approx/emd_solver.h"
-#include "bagcpd/emd/emd_1d.h"
 #include "bagcpd/emd/transport_solver.h"
 #include "bagcpd/runtime/thread_pool.h"
 
@@ -18,13 +17,6 @@ Result<EmdSolution> ComputeEmdDetailed(SignatureView a, SignatureView b,
 
 Result<double> ComputeEmd(SignatureView a, SignatureView b,
                           GroundDistance ground) {
-  // In one dimension Euclidean and Manhattan coincide and the balanced
-  // problem has a closed-form sweep solution; use it when it applies.
-  if ((ground == GroundDistance::kEuclidean ||
-       ground == GroundDistance::kManhattan) &&
-      Emd1dApplicable(a, b)) {
-    return ComputeEmd1d(a, b, ground);
-  }
   return DefaultEmdWorkspace().Compute(a, b, ground);
 }
 
@@ -38,9 +30,8 @@ Result<Matrix> PairwiseEmdMatrix(const SignatureSet& signatures,
   // against a run of signatures j > i — written straight into the row-major
   // matrix; without a pool the one chunk is every row in order. Each pair's
   // EMD depends only on its two signatures, so the matrix is bitwise the
-  // same for any pool size (ComputeBatch always runs the full
-  // transportation solve, never the 1-d sweep), and the error returned is
-  // the lowest failing pair's.
+  // same for any pool size, and the error returned is the lowest failing
+  // pair's.
   std::vector<SignatureView> views;
   views.reserve(n);
   for (std::size_t i = 0; i < n; ++i) views.push_back(signatures.view(i));

@@ -47,14 +47,9 @@ Result<EmdSolution> ComputeEmdDetailed(
     GroundDistance ground = GroundDistance::kEuclidean);
 
 /// \brief The EMD alone (default ground distance: Euclidean, the paper's
-/// choice).
-///
-/// This is the one entry point that takes the 1-d sweep (emd/emd_1d.h):
-/// for two 1-d signatures of equal total weight under Euclidean or
-/// Manhattan it sorts instead of solving the transportation problem. The
-/// sweep's value is exact but may differ in the last bits from the
-/// transportation solve that ComputeEmdDetailed, the matrix fills, the
-/// information estimators and the detector run on the same pair.
+/// choice): the same transportation solve as ComputeEmdDetailed, the matrix
+/// fills, the information estimators and the detector, so its value equals
+/// theirs bitwise.
 Result<double> ComputeEmd(SignatureView a, SignatureView b,
                           GroundDistance ground = GroundDistance::kEuclidean);
 

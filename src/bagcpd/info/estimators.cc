@@ -78,8 +78,8 @@ Result<double> InformationContent(const Signature& s,
   BAGCPD_RETURN_NOT_OK(s.Validate());
   BAGCPD_RETURN_NOT_OK(s_prime.Validate());
   // One shared-right batch of s_prime's signatures against s: the full
-  // transportation solve for every pair (never the 1-d sweep), so each
-  // distance is bitwise the one CrossDistanceMatrix computes.
+  // transportation solve for every pair, so each distance is bitwise the
+  // one CrossDistanceMatrix computes.
   std::vector<SignatureView> views;
   views.reserve(s_prime.size());
   for (std::size_t j = 0; j < s_prime.size(); ++j) {

@@ -63,10 +63,10 @@ struct SignatureBuilderOptions {
   double histogram_origin = 0.0;
   /// If true, signature weights are normalized to total mass 1. EMD between
   /// normalized signatures is a metric (balanced transport), bag-size
-  /// fluctuations stop leaking into the distances, and the exact 1-d sweep
-  /// fast path applies to every pair (emd/emd_1d.h). The paper's experiments
-  /// use raw counts (partial matching); both behave almost identically
-  /// because Eq. 12 normalizes by the moved mass.
+  /// fluctuations stop leaking into the distances, and the approximate
+  /// solvers' unit-mass value means the exact one (emd/approx/sinkhorn.h).
+  /// The paper's experiments use raw counts (partial matching); both behave
+  /// almost identically because Eq. 12 normalizes by the moved mass.
   bool normalize = false;
   /// Base seed; per-bag seeds are derived from it and the bag index so the
   /// same stream always produces the same signatures.

@@ -63,11 +63,5 @@ TEST(AsciiPlotTest, ScatterShowsBothHalves) {
   EXPECT_NE(plot.find('a'), std::string::npos);  // Second half letters.
 }
 
-TEST(AsciiPlotTest, SparklineLengthMatchesSeries) {
-  std::vector<double> series = {0.0, 1.0, 2.0, 3.0};
-  EXPECT_EQ(RenderSparkline(series).size(), 4u);
-  EXPECT_EQ(RenderSparkline({}), "");
-}
-
 }  // namespace
 }  // namespace bagcpd

@@ -1,5 +1,9 @@
 #include "bagcpd/analysis/metrics.h"
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace bagcpd {
@@ -91,14 +95,22 @@ TEST(RocAucTest, RejectsDegenerateInputs) {
   EXPECT_FALSE(RocAuc({1.0}, {0, 1}).ok());
 }
 
-TEST(LabelTest, LabelsWindowsAfterChangePoints) {
-  std::vector<int> labels = LabelNearChangePoints(10, {3, 8}, 1);
-  EXPECT_EQ(labels, (std::vector<int>{0, 0, 0, 1, 1, 0, 0, 0, 1, 1}));
+TEST(RocAucTest, RejectsNaNScoresWherever) {
+  // A NaN used to break the sort's ordering: OK(0.25), OK(1), OK(0.5) or
+  // OK(0.25) here, depending only on where it sat.
+  for (std::size_t at = 0; at < 4; ++at) {
+    std::vector<double> scores = {3.0, 1.0, 2.0, 0.0};
+    scores[at] = std::nan("");
+    const Result<double> auc = RocAuc(scores, {1, 1, 0, 0});
+    ASSERT_FALSE(auc.ok()) << at << ": " << auc.ValueOrDie();
+    EXPECT_EQ(auc.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
-TEST(LabelTest, TruncatesAtSeriesEnd) {
-  std::vector<int> labels = LabelNearChangePoints(5, {4}, 3);
-  EXPECT_EQ(labels, (std::vector<int>{0, 0, 0, 0, 1}));
+TEST(RocAucTest, InfiniteScoresRankAtTheEnds) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(RocAuc({inf, -inf, 0.3, 0.2}, {1, 0, 1, 0}).ValueOrDie(), 1.0);
+  EXPECT_EQ(RocAuc({-inf, inf, 0.3, 0.2}, {1, 0, 1, 0}).ValueOrDie(), 0.25);
 }
 
 }  // namespace

@@ -87,5 +87,32 @@ TEST(NumberTextTest, FormatIsShortestAndRoundTripsBitwise) {
   }
 }
 
+TEST(NumberTextTest, ClassicLocaleFallbackFormatsLikeToChars) {
+  // FormatDoubleShortest is std::to_chars where the standard library has
+  // it; the fallback must write the same bytes.
+  EXPECT_EQ(FormatDoubleShortest(1e-4), "1e-04");
+  EXPECT_EQ(FormatDoubleShortest(1e21), "1e+21");
+  EXPECT_EQ(FormatDoubleShortest(123456.0), "123456");
+  for (const double v : {1e-4, 1e21, 5e-324, -0.0, 0.1, 123456.0, 1e5, 1e-3,
+                         0x1p63, 1.2345678901234567e20, -1e100}) {
+    EXPECT_EQ(internal::FormatDoubleShortestClassic(v),
+              FormatDoubleShortest(v))
+        << FormatDoubleShortest(v);
+  }
+  std::uint64_t state = 0x9E3779B97F4A7C15ull;
+  for (int i = 0; i < 10000; ++i) {
+    // splitmix64: every bit pattern, NaNs and infinities included.
+    std::uint64_t bits = (state += 0x9E3779B97F4A7C15ull);
+    bits = (bits ^ (bits >> 30)) * 0xBF58476D1CE4E5B9ull;
+    bits = (bits ^ (bits >> 27)) * 0x94D049BB133111EBull;
+    bits ^= bits >> 31;
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    ASSERT_EQ(internal::FormatDoubleShortestClassic(v),
+              FormatDoubleShortest(v))
+        << std::hex << bits;
+  }
+}
+
 }  // namespace
 }  // namespace bagcpd

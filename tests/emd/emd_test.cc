@@ -1,8 +1,11 @@
 #include "bagcpd/emd/emd.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +26,8 @@ TEST(EmdTest, IdenticalSignaturesHaveZeroDistance) {
   Result<double> d = ComputeEmd(s, s);
   ASSERT_TRUE(d.ok());
   EXPECT_NEAR(d.ValueOrDie(), 0.0, 1e-12);
+  Signature line = Sig({{0.0}, {5.0}}, {1.0, 2.0});
+  EXPECT_NEAR(ComputeEmd(line, line).ValueOrDie(), 0.0, 1e-12);
 }
 
 TEST(EmdTest, SingleClusterPairIsGroundDistance) {
@@ -32,6 +37,9 @@ TEST(EmdTest, SingleClusterPairIsGroundDistance) {
   // Total-weight scale of both signatures does not matter.
   Signature b2 = Sig({{3.0, 4.0}}, {50.0});
   EXPECT_NEAR(ComputeEmd(a, b2).ValueOrDie(), 5.0, 1e-12);
+  // Point masses on the line: the distance between them.
+  EXPECT_NEAR(ComputeEmd(Sig({{0.0}}, {1.0}), Sig({{3.5}}, {1.0})).ValueOrDie(),
+              3.5, 1e-12);
 }
 
 TEST(EmdTest, HandComputedTwoToOne) {
@@ -40,6 +48,61 @@ TEST(EmdTest, HandComputedTwoToOne) {
   Signature a = Sig({{0.0}, {2.0}}, {1.0, 1.0});
   Signature b = Sig({{1.0}}, {2.0});
   EXPECT_NEAR(ComputeEmd(a, b).ValueOrDie(), 1.0, 1e-12);
+  // Unsorted centers: on the line the sorted matching (0->1, 2->2, 5->6)
+  // is optimal, so each unit moves 1, 0 and 1.
+  Signature c = Sig({{5.0}, {0.0}, {2.0}}, {1.0, 1.0, 1.0});
+  Signature d = Sig({{1.0}, {6.0}, {2.0}}, {1.0, 1.0, 1.0});
+  EXPECT_NEAR(ComputeEmd(c, d).ValueOrDie(), 2.0 / 3.0, 1e-12);
+}
+
+// The closed form of balanced 1-d transport under |x - y|: the integral of
+// |F_a - F_b| over the line.
+double CdfDistance(const Signature& a, const Signature& b) {
+  std::vector<std::pair<double, double>> events;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    events.push_back({a.center(i)[0], a.weight(i) / a.TotalWeight()});
+  }
+  for (std::size_t j = 0; j < b.size(); ++j) {
+    events.push_back({b.center(j)[0], -b.weight(j) / b.TotalWeight()});
+  }
+  std::sort(events.begin(), events.end());
+  double cdf = 0.0;
+  double area = 0.0;
+  for (std::size_t e = 0; e + 1 < events.size(); ++e) {
+    cdf += events[e].second;
+    area += std::abs(cdf) * (events[e + 1].first - events[e].first);
+  }
+  return area;
+}
+
+TEST(EmdTest, OneDimensionalBalancedPairsMatchTheCdfFormula) {
+  // Random balanced 1-d pairs: ComputeEmd is the transportation solve, so it
+  // equals ComputeEmdDetailed bitwise, and both equal the closed form.
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    for (int trial = 0; trial < 20; ++trial) {
+      const std::size_t k = static_cast<std::size_t>(rng.UniformInt(1, 12));
+      const std::size_t l = static_cast<std::size_t>(rng.UniformInt(1, 12));
+      Signature a, b;
+      for (std::size_t i = 0; i < k; ++i) {
+        const double x = rng.Uniform(-10.0, 10.0);
+        a.AddCenter(Point{x}, rng.Uniform(0.1, 2.0));
+      }
+      for (std::size_t j = 0; j < l; ++j) {
+        const double x = rng.Uniform(-10.0, 10.0);
+        b.AddCenter(Point{x}, rng.Uniform(0.1, 2.0));
+      }
+      a = a.Normalized();
+      b = b.Normalized();
+      for (GroundDistance ground :
+           {GroundDistance::kEuclidean, GroundDistance::kManhattan}) {
+        const double emd = ComputeEmd(a, b, ground).ValueOrDie();
+        EXPECT_EQ(emd, ComputeEmdDetailed(a, b, ground).ValueOrDie().emd)
+            << seed << "/" << trial;
+        EXPECT_NEAR(emd, CdfDistance(a, b), 1e-8) << seed << "/" << trial;
+      }
+    }
+  }
 }
 
 TEST(EmdTest, HandComputedAsymmetricWeights) {

@@ -77,10 +77,22 @@ TEST(TransportSolverTest, AgreesWithMinCostFlowBitwiseOnRandomInstances) {
       EXPECT_EQ(ours.emd,
                 workspace.Compute(a, b, GroundDistance::kEuclidean)
                     .ValueOrDie());
-      // And so must the public entry points (thread-local workspace). Skip
-      // dim==1 would hit the sweep; these are 3-d so always the full solve.
+      // And so must the public entry points (thread-local workspace).
       EXPECT_EQ(ours.emd, ComputeEmd(a, b).ValueOrDie());
       EXPECT_EQ(ours.emd, ComputeEmdDetailed(a, b).ValueOrDie().emd);
+    }
+  }
+  // Balanced 1-d pairs, where Euclidean and Manhattan coincide: the public
+  // entry points solve them like any other pair.
+  for (const auto& [k, l] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {1, 1}, {3, 7}, {12, 12}}) {
+    for (GroundDistance ground :
+         {GroundDistance::kEuclidean, GroundDistance::kManhattan}) {
+      const Signature a = RandomSignature(&rng, k, 1).Normalized();
+      const Signature b = RandomSignature(&rng, l, 1).Normalized();
+      const EmdSolution ref = ReferenceEmdDetailed(a, b, ground).ValueOrDie();
+      EXPECT_EQ(ref.emd, ComputeEmd(a, b, ground).ValueOrDie())
+          << "1-d k=" << k << " l=" << l << " " << GroundDistanceName(ground);
     }
   }
   for (GroundDistance ground :
@@ -177,6 +189,22 @@ TEST(TransportSolverTest, RejectsTheSameInstancesAsTheReferencePath) {
   // A failed solve must not poison the workspace for the next one.
   EXPECT_EQ(workspace.Compute(a, c, GroundDistance::kEuclidean).ValueOrDie(),
             1.0);
+
+  // A balanced 1-d pair with an inf or NaN center: ComputeEmd fails with
+  // the solve's error, in either order, never returning inf or NaN.
+  const Signature line = Signature::FromCenters({{1.0}, {2.0}}, {1.0, 1.0});
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    const Signature non_finite =
+        Signature::FromCenters({{0.0}, {bad}}, {1.0, 1.0});
+    const Status solve =
+        workspace.Compute(non_finite, line, GroundDistance::kEuclidean)
+            .status();
+    ASSERT_FALSE(solve.ok()) << bad;
+    EXPECT_NE(solve.message().find("non-finite"), std::string::npos) << solve;
+    EXPECT_EQ(ComputeEmd(non_finite, line).status(), solve) << bad;
+    EXPECT_EQ(ComputeEmd(line, non_finite).status(), solve) << bad;
+  }
 }
 
 TEST(TransportSolverTest, DetectorStepsIdenticalToFirstPrinciplesRebuild) {
@@ -654,21 +682,39 @@ TEST(TransportSolverTest, OverflowingCostFailsInsteadOfReturningInf) {
                         .ValueOrDie());
   EXPECT_EQ(out[1], -1.0);
 
+  // A balanced 1-d pair whose transport cost overflows fails the same way.
+  const Signature line_far = Signature::FromCenters({{-1e308}, {1e308}},
+                                                    {1.0, 1.0});
+  const Signature narrow = Signature::FromCenters({{0.0}, {0.5}}, {1.0, 1.0});
+  EXPECT_FALSE(ComputeEmd(line_far, narrow).ok());
+  EXPECT_FALSE(ComputeEmd(narrow, line_far).ok());
+
   // One dimension, Euclidean: the costs stay finite, but a 2e300 center
-  // difference squares past the doubles in the fill. ComputeEmd takes the
-  // 1-d sweep for this balanced pair and must refuse it as the solve does.
+  // difference squares past the doubles in the fill, so the solve refuses
+  // the pair with a non-finite ground distance. Manhattan squares nothing
+  // and solves it.
   const Signature wide = Signature::FromCenters({{-1e300}, {1e300}},
                                                 {1.0, 1.0});
-  const Signature narrow = Signature::FromCenters({{0.0}, {0.5}}, {1.0, 1.0});
   const Status wide_solve =
       ComputeEmdDetailed(wide, narrow, GroundDistance::kEuclidean).status();
   ASSERT_FALSE(wide_solve.ok());
+  EXPECT_NE(wide_solve.message().find("non-finite"), std::string::npos)
+      << wide_solve;
   EXPECT_EQ(ComputeEmd(wide, narrow, GroundDistance::kEuclidean).status(),
+            wide_solve);
+  EXPECT_EQ(ComputeEmd(narrow, wide, GroundDistance::kEuclidean).status(),
             wide_solve);
   EXPECT_EQ(EmdWorkspace()
                 .Compute(wide, narrow, GroundDistance::kEuclidean)
                 .status(),
             wide_solve);
+  const Result<double> manhattan =
+      ComputeEmd(wide, narrow, GroundDistance::kManhattan);
+  ASSERT_TRUE(manhattan.ok()) << manhattan.status();
+  EXPECT_EQ(manhattan.ValueOrDie(),
+            ComputeEmdDetailed(wide, narrow, GroundDistance::kManhattan)
+                .ValueOrDie()
+                .emd);
 }
 
 TEST(TransportSolverTest, EmdSolverComputeBatchMatchesComputeForEveryKind) {

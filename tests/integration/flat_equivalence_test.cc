@@ -13,15 +13,12 @@
 
 #include <gtest/gtest.h>
 
-#include "bagcpd/analysis/mds.h"
 #include "bagcpd/common/flat_bag.h"
 #include "bagcpd/common/rng.h"
 #include "bagcpd/core/detector.h"
 #include "bagcpd/data/gmm.h"
-#include "bagcpd/emd/emd.h"
 #include "bagcpd/runtime/stream_engine.h"
 #include "bagcpd/signature/builder.h"
-#include "bagcpd/signature/signature_set.h"
 
 namespace bagcpd {
 namespace {
@@ -125,30 +122,6 @@ TEST(FlatEquivalenceTest, ReusedQuantizerScratchMatchesFreshScratchBitwise) {
       ExpectBitwiseEqual(fresh, reused,
                          std::string(SignatureMethodName(method)) + " round " +
                              std::to_string(round));
-    }
-  }
-}
-
-TEST(FlatEquivalenceTest, SignatureSetMdsMatchesMatrixMdsBitwise) {
-  // Fig. 6-style batch analysis: EmdMds over the stream's shared-buffer
-  // SignatureSet must equal classical MDS of its pairwise EMD matrix.
-  const BagSequence bags = JumpStream(12, 6, 2024);
-  SignatureBuilderOptions options;
-  options.k = 4;
-  options.seed = 19;
-  SignatureBuilder builder(options);
-  SignatureSet set;
-  for (std::size_t t = 0; t < bags.size(); ++t) {
-    const FlatBag flat = FlatBag::FromBag(bags[t]).ValueOrDie();
-    ASSERT_TRUE(set.Append(builder.Build(flat, t).ValueOrDie()).ok());
-  }
-  const Matrix m_set = PairwiseEmdMatrix(set).ValueOrDie();
-  const MdsEmbedding direct = ClassicalMds(m_set, 2).ValueOrDie();
-  const MdsEmbedding from_set = EmdMds(set, 2).ValueOrDie();
-  ASSERT_EQ(direct.coordinates.rows(), from_set.coordinates.rows());
-  for (std::size_t i = 0; i < direct.coordinates.rows(); ++i) {
-    for (std::size_t j = 0; j < direct.coordinates.cols(); ++j) {
-      EXPECT_EQ(direct.coordinates(i, j), from_set.coordinates(i, j));
     }
   }
 }

@@ -17,9 +17,9 @@
 // A hook in this test binary counts heap allocations. With it, a serial
 // standalone detector must make no allocation at all in steady state, for
 // every solver, quantizer and bootstrap, through either Push overload; the
-// extra steps of a columnar run must cost none either; and a pooled
-// detector's steady-state push is bounded by what the pool's dispatch
-// allocates.
+// extra steps of a columnar run must cost none either; a pooled detector's
+// steady-state push is bounded by what the pool's dispatch allocates; and a
+// warm free ComputeEmd on a 1-d pair allocates nothing.
 
 #include <atomic>
 #include <cstdlib>
@@ -43,6 +43,7 @@
 #include "bagcpd/core/profiles.h"
 #include "bagcpd/data/gmm.h"
 #include "bagcpd/emd/approx/options.h"
+#include "bagcpd/emd/emd.h"
 #include "bagcpd/runtime/stream_engine.h"
 #include "bagcpd/runtime/thread_pool.h"
 #include "bagcpd/signature/builder.h"
@@ -451,6 +452,22 @@ TEST(ThreeWayDifferentialAllocationTest, ColumnarExtraStepsAllocateNothing) {
   const std::uint64_t short_run = columnar(Corpus(kKeys, 2 * kSteps));
   EXPECT_EQ(long_run, short_run)
       << "heap allocations for " << kKeys * 2 * kSteps << " extra steps";
+}
+
+TEST(ThreeWayDifferentialAllocationTest,
+     WarmOneDimensionalEmdAllocatesNothing) {
+  // The free ComputeEmd solves on the thread's workspace, 1-d balanced
+  // pairs too, so a warm call allocates nothing.
+  const Signature a =
+      Signature::FromCenters({{0.0}, {1.0}, {4.0}}, {0.2, 0.3, 0.5});
+  const Signature b = Signature::FromCenters({{2.0}, {3.0}}, {0.6, 0.4});
+  ASSERT_TRUE(ComputeEmd(a, b).ok());
+  constexpr int kCalls = 100;
+  double sink = 0.0;
+  const std::uint64_t allocations = CountAllocations([&] {
+    for (int i = 0; i < kCalls; ++i) sink += ComputeEmd(a, b).ValueOr(0.0);
+  });
+  EXPECT_EQ(static_cast<double>(allocations) / kCalls, 0.0) << sink;
 }
 
 TEST(ThreeWayDifferentialAllocationTest,
